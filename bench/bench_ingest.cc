@@ -307,15 +307,16 @@ void Run() {
     fs::create_directories(journal_dir);
     SessionJournalConfig journal_config;
     journal_config.path = journal_dir + "/sessions.journal";
-    journal_config.fsync_commits = false;
+    journal_config.fsync = false;
     journal_config.compact_threshold_bytes = 0;  // keep every record: replay cost, not compaction
     {
       SessionJournal journal(journal_config);
       BenchCheck(journal.Open(), "journal.Open");
+      std::vector<SessionOp> commits;
       for (uint64_t s = 1; s <= sessions; ++s) {
-        BenchCheck(journal.AppendCommit(s, /*watermark_after=*/1, /*seq=*/0), "journal.AppendCommit");
+        commits.push_back({SessionOp::kCommit, s, /*seq=*/0});
       }
-      BenchCheck(journal.SyncUpTo(sessions), "journal.SyncUpTo");
+      BenchCheck(journal.Append(commits), "journal.Append");
     }
     SessionJournal reopened(journal_config);
     t0 = std::chrono::steady_clock::now();

@@ -4,7 +4,8 @@
 #   CHECK_SANITIZE=address,undefined scripts/check.sh build-asan
 #     — sanitizer mode: builds with -fsanitize=<list> and runs the tier-1
 #       suites only (no bench smoke; sanitized benches are not meaningful).
-#   CHECK_SANITIZE=thread CHECK_SUITES='service|wire_format|determinism|util' \
+#   CHECK_SANITIZE=thread \
+#   CHECK_SUITES='service_test|service_runtime_test|service_network_test|service_durability_test|service_cluster_test|service_wal_test|wire_format_test|determinism_test|util_test' \
 #       scripts/check.sh build-tsan
 #     — CHECK_SUITES (a ctest -R regex) restricts the run to the named
 #       suites; used by the TSan job, where the full crypto suites are slow

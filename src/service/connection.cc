@@ -6,6 +6,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
 #include <deque>
 
@@ -225,8 +226,15 @@ Result<std::unique_ptr<ByteStream>> TcpConnect(const std::string& address, uint1
 
 // ---------------------------------------------------------------- AckRegistry
 
-AckRegistry::Claim AckRegistry::TryClaim(uint64_t session_id, uint64_t seq) {
+AckRegistry::Claim AckRegistry::TryClaim(uint64_t session_id, uint64_t seq,
+                                         uint64_t connection_id) {
   MutexLock lock(mu_);
+  if (connection_id != 0) {
+    auto fence = fences_.find(session_id);
+    if (fence != fences_.end() && fence->second > connection_id) {
+      return Claim::kSuperseded;
+    }
+  }
   if (tombstones_.count(session_id) != 0) {
     // Evicted: the sparse state that could deduplicate this seq is gone.
     // Admitting the claim would risk silent re-ingestion, so the client is
@@ -285,62 +293,27 @@ void AckRegistry::EvictForAdmissionLocked() {
     sessions_.erase(victim);
     evictions_.fetch_add(1, std::memory_order_relaxed);
     if (wal_ != nullptr) {
-      // Unified-WAL mode: the eviction rides the report log so it stays
-      // totally ordered with the commits it supersedes (a journal-side
-      // evict could otherwise be replayed before WAL commits that the log
-      // ordered after it).  Same no-fsync-barrier policy as below.
-      if (!wal_->AppendEvict(victim_id, floor).ok()) {
-        journal_append_failures_.fetch_add(1, std::memory_order_relaxed);
-      }
-    } else if (journal_ != nullptr) {
-      // Checkpoint the watermark in one record; the sparse set is dropped.
-      // No fsync barrier here: if the record is lost in a crash, replay
-      // reconstructs the session from its commit records as live — strictly
-      // safer than expired.
-      if (!journal_->AppendEvict(victim_id, floor).ok()) {
-        journal_append_failures_.fetch_add(1, std::memory_order_relaxed);
-      }
+      // The eviction rides the report log so it stays totally ordered with
+      // the commits it supersedes; the watermark is checkpointed in one
+      // record and the sparse set is dropped.  No barrier, and a failed
+      // append is dropped: replay then reconstructs the session from its
+      // commit records as live — strictly safer than expired — and LRU
+      // eviction is the backstop.
+      (void)wal_->AppendEvict(victim_id, floor);
     }
   }
 }
 
-void AckRegistry::JournalCommit(uint64_t session_id, uint64_t watermark_after, uint64_t seq) {
-  if (wal_ != nullptr) {
-    // Unified-WAL mode: the commit was part of the report's own WAL record
-    // and became durable in the group commit whose completion triggered
-    // this Commit — appending it again here would only duplicate it.  The
-    // journal copy is written by WAL checkpoints, which also drive
-    // compaction via CompactJournalIfNeeded.
-    return;
-  }
-  if (journal_ == nullptr) {
-    return;
-  }
-  auto lsn = journal_->AppendCommit(session_id, watermark_after, seq);
-  if (!lsn.ok() || !journal_->SyncUpTo(lsn.value()).ok()) {
-    // Degraded mode: the report is already durably spooled, so the ACK must
-    // still go out — NACKing would guarantee a duplicate ingest on retry.
-    // What is lost is only the cross-restart dedup promise for this seq,
-    // and only if the ack ALSO fails to reach the client before a crash.
-    journal_append_failures_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  MaybeCompact();
-}
-
-void AckRegistry::MaybeCompact() {
-  if (journal_ == nullptr || journal_->compact_threshold_bytes() == 0 ||
-      journal_->appended_bytes() < journal_->compact_threshold_bytes()) {
+void AckRegistry::CompactJournalIfNeeded(SessionJournal& journal) {
+  if (journal.compact_threshold_bytes() == 0 ||
+      journal.appended_bytes() < journal.compact_threshold_bytes()) {
     return;
   }
   // Snapshot under mu_ and compact while still holding it: any commit that
-  // updated memory before this point is inside the snapshot, and any append
-  // racing the rewrite lands in the new log on top of it (replay is
+  // updated memory before this point is inside the snapshot, and the WAL
+  // still holds whatever its next checkpoint writes on top of it (replay is
   // idempotent), so no acknowledged state can fall between the two files.
   MutexLock lock(mu_);
-  if (journal_->appended_bytes() < journal_->compact_threshold_bytes()) {
-    return;  // another committer compacted while we waited
-  }
   std::vector<SessionSnapshot> live;
   live.reserve(sessions_.size());
   for (const auto& [id, session] : sessions_) {
@@ -351,40 +324,33 @@ void AckRegistry::MaybeCompact() {
     live.push_back(std::move(snapshot));
   }
   std::vector<std::pair<uint64_t, uint64_t>> evicted(tombstones_.begin(), tombstones_.end());
-  if (!journal_->Compact(live, evicted).ok()) {
-    journal_append_failures_.fetch_add(1, std::memory_order_relaxed);
-  }
+  // A failed compaction leaves the old log authoritative; the next
+  // checkpoint retries it.
+  (void)journal.Compact(live, evicted);
 }
 
 void AckRegistry::Commit(uint64_t session_id, uint64_t seq) {
-  uint64_t watermark_after = 0;
-  {
-    MutexLock lock(mu_);
-    auto it = sessions_.find(session_id);
-    if (it == sessions_.end()) {
-      // The session vanished between the claim and the commit — a goodbye
-      // raced the in-flight ingest.  Recreating it here would leave a ghost
-      // session the client never hears about; the report itself is safely
-      // spooled either way.
-      return;
-    }
-    SessionState& session = it->second;
-    session.pending.erase(seq);
-    session.sparse.insert(seq);
-    // Advance the watermark over any now-contiguous prefix, keeping the
-    // sparse set bounded by the out-of-order window.  The advance saturates
-    // at UINT64_MAX — seq UINT64_MAX itself stays in the sparse set — so
-    // the watermark can never wrap back to 0 and forget the session.
-    while (!session.sparse.empty() && *session.sparse.begin() == session.contiguous &&
-           session.contiguous != UINT64_MAX) {
-      session.sparse.erase(session.sparse.begin());
-      session.contiguous++;
-    }
-    watermark_after = session.contiguous;
+  MutexLock lock(mu_);
+  auto it = sessions_.find(session_id);
+  if (it == sessions_.end()) {
+    // The session vanished between the claim and the commit — a goodbye
+    // raced the in-flight ingest.  Recreating it here would leave a ghost
+    // session the client never hears about; the report itself is safely
+    // spooled either way.
+    return;
   }
-  // Journal outside mu_: the append is serialized by the journal's own lock
-  // and the group-commit fsync must not stall other sessions' bookkeeping.
-  JournalCommit(session_id, watermark_after, seq);
+  SessionState& session = it->second;
+  session.pending.erase(seq);
+  session.sparse.insert(seq);
+  // Advance the watermark over any now-contiguous prefix, keeping the
+  // sparse set bounded by the out-of-order window.  The advance saturates
+  // at UINT64_MAX — seq UINT64_MAX itself stays in the sparse set — so the
+  // watermark can never wrap back to 0 and forget the session.
+  while (!session.sparse.empty() && *session.sparse.begin() == session.contiguous &&
+         session.contiguous != UINT64_MAX) {
+    session.sparse.erase(session.sparse.begin());
+    session.contiguous++;
+  }
 }
 
 void AckRegistry::Release(uint64_t session_id, uint64_t seq) {
@@ -402,17 +368,13 @@ void AckRegistry::Terminate(uint64_t session_id) {
     tombstones_.erase(session_id);
   }
   if (wal_ != nullptr) {
-    // The goodbye must be totally ordered after every commit this session's
-    // reports logged, which only the unified log can promise; the barrier
-    // mirrors the journal path's fsynced goodbye.
+    // The goodbye rides the report log, totally ordered after every commit
+    // this session's reports logged, and is made durable before the ACK.  A
+    // failed append or barrier is dropped: replay brings the session back
+    // as live, and LRU eviction is the backstop.
     auto lsn = wal_->AppendGoodbye(session_id);
-    if (!lsn.ok() || !wal_->SyncUpTo(lsn.value()).ok()) {
-      journal_append_failures_.fetch_add(1, std::memory_order_relaxed);
-    }
-  } else if (journal_ != nullptr) {
-    auto lsn = journal_->AppendGoodbye(session_id);
-    if (!lsn.ok() || !journal_->SyncUpTo(lsn.value()).ok()) {
-      journal_append_failures_.fetch_add(1, std::memory_order_relaxed);
+    if (lsn.ok()) {
+      (void)wal_->SyncUpTo(lsn.value());
     }
   }
 }
@@ -422,17 +384,38 @@ void AckRegistry::set_max_sessions(size_t max_sessions) {
   max_sessions_ = max_sessions;
 }
 
-void AckRegistry::AttachJournal(SessionJournal* journal) {
+void AckRegistry::OpenConnection(uint64_t connection_id) {
   MutexLock lock(mu_);
-  journal_ = journal;
+  open_connections_.insert(connection_id);
+}
+
+void AckRegistry::BindConnection(uint64_t session_id, uint64_t connection_id) {
+  MutexLock lock(mu_);
+  uint64_t& fence = fences_[session_id];
+  fence = std::max(fence, connection_id);
+}
+
+void AckRegistry::CloseConnection(uint64_t connection_id) {
+  MutexLock lock(mu_);
+  const bool was_oldest =
+      !open_connections_.empty() && *open_connections_.begin() == connection_id;
+  open_connections_.erase(connection_id);
+  if (!was_oldest) {
+    return;
+  }
+  // A fence at or below the oldest open connection can no longer fence
+  // anyone: every connection it superseded has closed.
+  const uint64_t oldest =
+      open_connections_.empty() ? UINT64_MAX : *open_connections_.begin();
+  for (auto it = fences_.begin(); it != fences_.end();) {
+    it = it->second <= oldest ? fences_.erase(it) : std::next(it);
+  }
 }
 
 void AckRegistry::AttachWal(IngestWal* wal) {
   MutexLock lock(mu_);
   wal_ = wal;
 }
-
-void AckRegistry::CompactJournalIfNeeded() { MaybeCompact(); }
 
 void AckRegistry::RestoreFromRecovery(const JournalRecovery& recovery) {
   MutexLock lock(mu_);
@@ -466,10 +449,6 @@ size_t AckRegistry::tombstones() const {
 
 uint64_t AckRegistry::evictions() const {
   return evictions_.load(std::memory_order_relaxed);
-}
-
-uint64_t AckRegistry::journal_append_failures() const {
-  return journal_append_failures_.load(std::memory_order_relaxed);
 }
 
 // ------------------------------------------------------------ FrameConnection
@@ -533,7 +512,7 @@ void FrameConnection::StopWriter() {
 void FrameConnection::DispatchAckedReport(Frame frame) {
   const uint64_t session = session_id_;
   const uint64_t seq = frame.seq;
-  switch (registry_->TryClaim(session, seq)) {
+  switch (registry_->TryClaim(session, seq, connection_id_)) {
     case AckRegistry::Claim::kDuplicate: {
       // Already durable: the ack was lost with an earlier connection.
       // Re-ack without re-ingesting — this is the exactly-once half of the
@@ -553,6 +532,17 @@ void FrameConnection::DispatchAckedReport(Frame frame) {
         book_.nacked++;
       }
       EnqueueResponse(EncodeNackFrame(seq, NackReason::kInFlight, "report in flight; retry"));
+      return;
+    }
+    case AckRegistry::Claim::kSuperseded: {
+      // A stale frame from a connection the client has abandoned (it
+      // replays on its newer one).  Answered only to keep the books whole.
+      {
+        MutexLock lock(out_mu_);
+        book_.nacked++;
+      }
+      EnqueueResponse(
+          EncodeNackFrame(seq, NackReason::kRetryable, "connection superseded; not ingested"));
       return;
     }
     case AckRegistry::Claim::kSessionExpired: {
@@ -637,6 +627,9 @@ Status FrameConnection::HandleFrame(Frame frame) {
       // reports while acking them.
       helloed_ = registry_ != nullptr && frame.seq != 0;
       session_id_ = frame.seq;
+      if (helloed_) {
+        registry_->BindConnection(session_id_, connection_id_);
+      }
       if (helloed_ && group_map_provider_) {
         // Announce the topology up front so the client can route before it
         // has made (and been redirected for) its first mistake.
@@ -779,10 +772,15 @@ void FrameServer::Serve(std::unique_ptr<ByteStream> stream) {
   }
   // The hooks are copied under the same lock that registers the
   // connection, so each connection keeps the hooks it started with even if
-  // the setters race later Serves.
+  // the setters race later Serves; the same lock numbers connections in
+  // accept order for the registry's fencing.
+  const uint64_t connection_id = next_connection_id_++;
+  registry_.OpenConnection(connection_id);
   raw->thread = std::thread([this, raw, route_check = route_check_,
-                             group_map_provider = group_map_provider_]() mutable {
-    FrameConnection connection(raw->stream.get(), sink_, async_sink_, &registry_);
+                             group_map_provider = group_map_provider_,
+                             connection_id]() mutable {
+    FrameConnection connection(raw->stream.get(), sink_, async_sink_, &registry_,
+                               connection_id);
     if (route_check) {
       connection.set_route_check(std::move(route_check));
     }
@@ -790,6 +788,7 @@ void FrameServer::Serve(std::unique_ptr<ByteStream> stream) {
       connection.set_group_map_provider(std::move(group_map_provider));
     }
     raw->status = connection.PumpUntilClosed();
+    registry_.CloseConnection(connection_id);
     raw->stats = connection.stats();
     raw->book = connection.ack_book();
     {

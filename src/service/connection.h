@@ -122,33 +122,20 @@ Result<std::unique_ptr<ByteStream>> TcpConnect(const std::string& address, uint1
 // session's durable-but-unacked reports come back under a fresh session and
 // ingest again, so the cap should comfortably exceed the live client count.
 //
-// With a SessionJournal attached, every state change that an ACK promises
-// (commit, evict, goodbye) is journaled — and Commit group-commit-fsyncs —
-// before the caller acknowledges, so a restarted server re-ACKs duplicates
-// instead of re-ingesting them.
-//
-// Journal-only mode (no WAL) has two honest weaknesses.  First, the spool
-// append and the commit append are separate syscalls, so a crash between
-// them leaves a durable report with no commit record and the client's
-// replay re-ingests it.  Second, a journal append failure degrades rather
-// than blocks: the commit stands in memory, the ACK still goes out (the
-// report IS durably spooled; NACKing it would guarantee a duplicate), and
-// journal_append_failures() records that cross-restart dedup for that seq
-// is no longer promised.
-//
-// With an IngestWal attached (AttachWal), both weaknesses vanish by
-// construction: the report and its (session, seq) commit are ONE record in
-// ONE log, appended and fsynced atomically by the WAL's group commit, and
-// the ACK fires from that commit's completion.  There is no residual
-// window — a crash either kept both or lost both, and replay resolves
-// either way without a duplicate.  And there is no degraded ack mode on
-// this path: a failed group commit rolls the report back along with its
-// commit, so the completion carries the error and the client is NACKed
-// kRetryable — "commit lost" now always implies "report lost", which is
-// exactly what makes the NACK safe to retry.  Commit() therefore skips the
-// per-commit journal append entirely (the journal copy is written by WAL
-// checkpoints); evictions and goodbyes also route through the WAL so every
-// session-state mutation stays totally ordered with the report stream.
+// With an IngestWal attached (AttachWal, done by the frontend's
+// BindAckRegistry), every state change that an ACK promises rides the WAL,
+// the single commit point: a report and its (session, seq) commit are ONE
+// record, appended and fsynced atomically by the WAL's group commit, and
+// the ACK fires from that commit's completion — so Commit() itself writes
+// nothing.  A crash either kept both halves or lost both, and a restarted
+// server re-ACKs a replayed duplicate instead of re-ingesting it.  A failed
+// group commit rolls the report back along with its commit, so the
+// completion carries the error and the client is NACKed kRetryable —
+// "commit lost" always implies "report lost", which is exactly what makes
+// the NACK safe to retry.  Evictions and goodbyes append to the WAL too, so
+// every session-state mutation stays totally ordered with the report
+// stream; WAL checkpoints write them through to the session journal.
+// Without a WAL (in-memory mode) dedup lives in memory only.
 class AckRegistry {
  public:
   enum class Claim {
@@ -160,9 +147,15 @@ class AckRegistry {
     // saturated (seq == UINT64_MAX is rejected so the watermark can never
     // wrap).  The client must re-hello with a fresh session id.
     kSessionExpired,
+    // The claiming connection was superseded: a newer connection has bound
+    // the session (see BindConnection).  The client has abandoned this one
+    // and replays on the newer one, so the report must not be ingested.
+    kSuperseded,
   };
 
-  Claim TryClaim(uint64_t session_id, uint64_t seq);
+  // `connection_id` is the claiming connection's server-assigned id (0 = a
+  // caller outside any connection; never superseded).
+  Claim TryClaim(uint64_t session_id, uint64_t seq, uint64_t connection_id = 0);
   void Commit(uint64_t session_id, uint64_t seq);
   void Release(uint64_t session_id, uint64_t seq);
 
@@ -175,28 +168,35 @@ class AckRegistry {
   // does not evict retroactively.
   void set_max_sessions(size_t max_sessions);
 
-  // Durable dedup plumbing (see the class comment).  AttachJournal borrows;
+  // Connection fencing.  A client uses one connection per session at a
+  // time — a reconnect abandons the old one — but the abandoned
+  // connection's unread frames can still reach the server after the client
+  // moved on, even after its goodbye erased the session, where a stale
+  // report would claim kNew and ingest a second copy.  Connections carry
+  // ids in accept order: OpenConnection registers one before it is pumped,
+  // HELLO binds it to its session, and once a newer connection has bound
+  // the session, claims from older ones answer kSuperseded.  A session's
+  // fence is dropped only when no connection older than it is still open,
+  // so neither goodbye nor the newer connection closing can lift it.
+  void OpenConnection(uint64_t connection_id);
+  void BindConnection(uint64_t session_id, uint64_t connection_id);
+  void CloseConnection(uint64_t connection_id);
+
+  // Durable dedup plumbing (see the class comment).  AttachWal borrows;
   // RestoreFromRecovery seeds sessions and tombstones from a replayed
   // journal — call both before serving connections.
-  void AttachJournal(SessionJournal* journal);
-  // Unified-WAL mode (see the class comment): commits ride the report's own
-  // WAL record, evictions/goodbyes append to the WAL instead of the
-  // journal.  Attach after AttachJournal, before serving connections.
   void AttachWal(IngestWal* wal);
   void RestoreFromRecovery(const JournalRecovery& recovery);
 
-  // Compacts the session journal if its append backlog crossed the
-  // threshold.  Public for the WAL's post-checkpoint hook: in WAL mode the
-  // per-commit append path (which used to piggyback compaction) no longer
-  // touches the journal, so checkpoints — which DO write journal records —
-  // drive compaction instead.
-  void CompactJournalIfNeeded();
+  // Rewrites `journal` as a snapshot of this registry if its log crossed
+  // the compaction threshold.  Runs from the WAL's post-checkpoint hook —
+  // checkpoints are the journal's only writer.
+  void CompactJournalIfNeeded(SessionJournal& journal);
 
   bool IsDurable(uint64_t session_id, uint64_t seq) const;
   size_t sessions() const;
   size_t tombstones() const;
   uint64_t evictions() const;
-  uint64_t journal_append_failures() const;
 
  private:
   struct SessionState {
@@ -211,13 +211,8 @@ class AckRegistry {
   };
 
   // Evicts idle sessions (empty pending) in LRU order until the map fits
-  // the cap, journaling each eviction's watermark floor.
+  // the cap, logging each eviction's watermark floor to the WAL.
   void EvictForAdmissionLocked() REQUIRES(mu_);
-  // Journals + group-commits one record outside mu_; failures degrade into
-  // journal_append_failures_.
-  void JournalCommit(uint64_t session_id, uint64_t watermark_after, uint64_t seq)
-      EXCLUDES(mu_);
-  void MaybeCompact() EXCLUDES(mu_);
 
   mutable Mutex mu_;
   std::unordered_map<uint64_t, SessionState> sessions_ GUARDED_BY(mu_);
@@ -226,15 +221,15 @@ class AckRegistry {
   // goodbye; they are the price of never silently re-ingesting.
   std::unordered_map<uint64_t, uint64_t> tombstones_ GUARDED_BY(mu_);
   size_t max_sessions_ GUARDED_BY(mu_) = 0;  // 0 = unbounded
+  // Ids of the connections being pumped, and per session the newest
+  // connection id bound to it (kept while an older connection is open).
+  std::set<uint64_t> open_connections_ GUARDED_BY(mu_);
+  std::unordered_map<uint64_t, uint64_t> fences_ GUARDED_BY(mu_);
   uint64_t lru_clock_ GUARDED_BY(mu_) = 0;
   // Borrowed; null = memory-only dedup.  Attached once before serving, then
-  // read from commit paths outside mu_ (the journal has its own locks).
-  SessionJournal* journal_ = nullptr;
-  // Borrowed; non-null switches to unified-WAL mode (same attach-once
-  // discipline as journal_).
+  // read outside mu_ (the WAL has its own locks).
   IngestWal* wal_ = nullptr;
   std::atomic<uint64_t> evictions_{0};
-  std::atomic<uint64_t> journal_append_failures_{0};
 };
 
 // One connection's acknowledgment ledger.  The balance invariant the
@@ -319,13 +314,16 @@ class FrameConnection {
   using GroupMapProvider = std::function<Bytes()>;
 
   FrameConnection(ByteStream* stream, ReportSink sink)
-      : FrameConnection(stream, std::move(sink), nullptr, nullptr) {}
+      : FrameConnection(stream, std::move(sink), nullptr, nullptr, 0) {}
+  // `connection_id` orders this connection among the registry's (accept
+  // order, starting at 1); see AckRegistry::BindConnection.
   FrameConnection(ByteStream* stream, ReportSink sink, AsyncSink async_sink,
-                  AckRegistry* registry)
+                  AckRegistry* registry, uint64_t connection_id)
       : stream_(stream),
         sink_(std::move(sink)),
         async_sink_(std::move(async_sink)),
-        registry_(registry) {}
+        registry_(registry),
+        connection_id_(connection_id) {}
 
   // Both cluster hooks must be installed before PumpUntilClosed.
   void set_route_check(RouteCheck route_check) { route_check_ = std::move(route_check); }
@@ -352,6 +350,7 @@ class FrameConnection {
   ReportSink sink_;
   AsyncSink async_sink_;
   AckRegistry* registry_;  // borrowed; null disables the ack protocol
+  const uint64_t connection_id_;
   RouteCheck route_check_;              // null = this server owns everything
   GroupMapProvider group_map_provider_; // null = no topology announcements
   StreamingFrameDecoder decoder_;
@@ -451,6 +450,7 @@ class FrameServer {
   FrameStreamStats stats_ GUARDED_BY(mu_);      // folded at Shutdown
   ConnectionAckBook ack_book_ GUARDED_BY(mu_);  // folded at Shutdown
   size_t connections_ GUARDED_BY(mu_) = 0;      // finished connections
+  uint64_t next_connection_id_ GUARDED_BY(mu_) = 1;  // accept order
   bool shut_down_ GUARDED_BY(mu_) = false;  // Serve after Shutdown drops the stream
 };
 

@@ -69,29 +69,27 @@ Status ShufflerFrontend::Start() {
   if (started_) {
     return Status::Ok();
   }
-  std::vector<SessionOp> wal_session_ops;
   if (spool_ != nullptr) {
-    if (config_.use_wal) {
-      // WAL recovery phase 1 runs BEFORE the spool opens: it rolls unsealed
-      // segments back to their checkpointed sizes and replays the
-      // un-checkpointed generations' report records into the segment files,
-      // so the spool's own recovery below counts them like any other
-      // durable frame.
-      IngestWalConfig wal_config;
-      wal_config.dir = config_.spool_dir;
-      wal_config.fsync = config_.fsync_spool;
-      wal_config.checkpoint_threshold_bytes = config_.wal_checkpoint_threshold_bytes;
-      wal_config.fs = config_.fs;
-      wal_ = std::make_unique<IngestWal>(wal_config);
-      auto wal_recovery = wal_->RecoverBeforeSpoolOpen();
-      if (!wal_recovery.ok()) {
-        return wal_recovery.error();
-      }
-      wal_session_ops = std::move(wal_recovery.value().session_ops);
-      stats_.recovered_wal_reports += wal_recovery.value().replayed_reports;
-      stats_.recovered_wal_session_ops += wal_session_ops.size();
-      stats_.recovered_truncated_bytes += wal_recovery.value().truncated_bytes;
+    // WAL recovery phase 1 runs BEFORE the spool opens: it rolls unsealed
+    // segments back to their checkpointed sizes and replays the
+    // un-checkpointed generations' report records into the segment files,
+    // so the spool's own recovery below counts them like any other durable
+    // frame.
+    IngestWalConfig wal_config;
+    wal_config.dir = config_.spool_dir;
+    wal_config.fsync = config_.fsync_spool;
+    wal_config.checkpoint_threshold_bytes = config_.wal_checkpoint_threshold_bytes;
+    wal_config.fs = config_.fs;
+    wal_ = std::make_unique<IngestWal>(wal_config);
+    auto wal_recovery = wal_->RecoverBeforeSpoolOpen();
+    if (!wal_recovery.ok()) {
+      return wal_recovery.error();
     }
+    const std::vector<SessionOp>& wal_session_ops = wal_recovery.value().session_ops;
+    stats_.recovered_wal_reports += wal_recovery.value().replayed_reports;
+    stats_.recovered_wal_session_ops += wal_session_ops.size();
+    stats_.recovered_truncated_bytes += wal_recovery.value().truncated_bytes;
+
     auto recovery = spool_->Open();
     if (!recovery.ok()) {
       return recovery.error();
@@ -107,57 +105,32 @@ Status ShufflerFrontend::Start() {
     // and the same injectable filesystem.
     SessionJournalConfig journal_config;
     journal_config.path = config_.spool_dir + "/sessions.journal";
-    journal_config.fsync_commits = config_.fsync_spool;
+    journal_config.fsync = config_.fsync_spool;
     journal_config.fs = config_.fs;
     journal_ = std::make_unique<SessionJournal>(journal_config);
     auto replayed = journal_->Open();
     if (!replayed.ok()) {
       return replayed.error();
     }
-    journal_recovery_ = std::move(replayed).value();
-
-    if (wal_ != nullptr) {
-      // Re-journal the replayed session ops so the journal alone once again
-      // reconstructs session state, then merge them into the recovery image
-      // the AckRegistry will be seeded from.  Only after they are durable
-      // may FinishRecovery delete the generations that carried them.
-      uint64_t last_lsn = 0;
-      for (const SessionOp& op : wal_session_ops) {
-        Result<uint64_t> lsn = Error{"unreached"};
-        switch (op.kind) {
-          case SessionOp::kCommit:
-            lsn = journal_->AppendCommit(op.session_id, 0, op.value);
-            break;
-          case SessionOp::kEvict:
-            lsn = journal_->AppendEvict(op.session_id, op.value);
-            break;
-          case SessionOp::kGoodbye:
-            lsn = journal_->AppendGoodbye(op.session_id);
-            break;
-        }
-        if (!lsn.ok()) {
-          return lsn.error();
-        }
-        last_lsn = lsn.value();
-      }
-      if (last_lsn != 0) {
-        Status synced = journal_->SyncUpTo(last_lsn);
-        if (!synced.ok()) {
-          return synced;
-        }
-      }
-      journal_recovery_ = ApplySessionOps(std::move(journal_recovery_), wal_session_ops);
-      Status finished = wal_->FinishRecovery();
-      if (!finished.ok()) {
-        return finished;
-      }
-      wal_->AttachTargets(spool_.get(), journal_.get());
-      wal_->set_rollback_callback([this](size_t shard, uint64_t epoch) {
-        ingest_->RollbackAccepted(shard, epoch);
-        stats_.reports_accepted--;
-      });
-      ingest_->SetWal(wal_.get());
+    // Re-journal the replayed session ops so the journal alone once again
+    // reconstructs session state, then merge them into the recovery image
+    // the AckRegistry will be seeded from.  Only after they are durable may
+    // FinishRecovery delete the generations that carried them.
+    Status journaled = journal_->Append(wal_session_ops);
+    if (!journaled.ok()) {
+      return journaled;
     }
+    journal_recovery_ = ApplySessionOps(std::move(replayed).value(), wal_session_ops);
+    Status finished = wal_->FinishRecovery();
+    if (!finished.ok()) {
+      return finished;
+    }
+    wal_->AttachTargets(spool_.get(), journal_.get());
+    wal_->set_rollback_callback([this](size_t shard, uint64_t epoch) {
+      ingest_->RollbackAccepted(shard, epoch);
+      stats_.reports_accepted--;
+    });
+    ingest_->SetWal(wal_.get());
     stats_.recovered_sessions += journal_recovery_.live.size();
     stats_.recovered_session_records += journal_recovery_.records;
   }
@@ -170,18 +143,15 @@ Status ShufflerFrontend::BindAckRegistry(AckRegistry* registry) {
     return Error{"frontend: Start() must succeed before BindAckRegistry"};
   }
   registry->set_max_sessions(config_.max_sessions);
-  if (journal_ != nullptr) {
-    // Restore before attach: replayed records must not be re-journaled.
+  if (wal_ != nullptr) {
+    // Restore, then route commits, evictions and goodbyes through the WAL.
+    // Checkpoints write them through to the journal, so journal compaction
+    // rides the checkpoint cadence.
     registry->RestoreFromRecovery(journal_recovery_);
-    registry->AttachJournal(journal_.get());
-    if (wal_ != nullptr) {
-      // Commits now ride the unified WAL record (the journal copy is
-      // written by checkpoints), and journal compaction piggybacks on the
-      // checkpoint cadence instead of the per-commit append path.
-      registry->AttachWal(wal_.get());
-      AckRegistry* bound = registry;
-      wal_->set_post_checkpoint_hook([bound] { bound->CompactJournalIfNeeded(); });
-    }
+    registry->AttachWal(wal_.get());
+    SessionJournal* journal = journal_.get();
+    wal_->set_post_checkpoint_hook(
+        [registry, journal] { registry->CompactJournalIfNeeded(*journal); });
   }
   return Status::Ok();
 }
@@ -230,7 +200,7 @@ Status ShufflerFrontend::AcceptRoutedReportAsync(
     stats_.reports_accepted++;
   }
   if (done) {
-    // Not consumed by a WAL (non-WAL mode, or the append itself failed):
+    // Not consumed by a WAL (in-memory mode, or the append itself failed):
     // the accept was synchronous and `status` is the durability verdict.
     done(status);
   }
@@ -320,11 +290,11 @@ DrainReport ShufflerFrontend::DrainSealedEpochs() {
       EpochBatchRecordStream stream(*batch);
       run = pipeline_.RunReports(stream, epoch_rng, epoch_noise);
     }
-    if (run.ok() && config_.inject_drain_failure.has_value() &&
-        config_.inject_drain_failure->epoch == batch->epoch &&
-        injected_drain_failures_ < config_.inject_drain_failure->times) {
-      injected_drain_failures_++;
-      run = Error{"injected drain failure (epoch " + std::to_string(batch->epoch) + ")"};
+    if (run.ok()) {
+      Status injected = InjectedDrainFailure(batch->epoch);
+      if (!injected.ok()) {
+        run = injected.error();
+      }
     }
     if (!run.ok()) {
       // Put the intact batch back at the head of the queue (in-memory mode
@@ -337,27 +307,7 @@ DrainReport ShufflerFrontend::DrainSealedEpochs() {
       return report;
     }
     epoch_result.result = std::move(run).value();
-    if (spool_ != nullptr && config_.remove_drained_epochs) {
-      // Transient unlink failures (a scanner pinning the directory, EMFILE
-      // pressure) usually clear quickly, and a leaked epoch replays as a
-      // duplicate after restart — worth a couple of bounded retries before
-      // conceding.  The spool keeps failed segments tracked, so each retry
-      // re-attempts exactly the files still on disk.
-      Status removed = spool_->RemoveEpoch(batch->epoch);
-      for (uint32_t attempt = 1; !removed.ok() && attempt < config_.remove_retry_attempts;
-           ++attempt) {
-        stats_.remove_retries++;
-        std::this_thread::sleep_for(config_.remove_retry_delay);
-        removed = spool_->RemoveEpoch(batch->epoch);
-      }
-      if (!removed.ok()) {
-        // The epoch's reports are safe (already drained into the result);
-        // what leaked is disk space plus a restart replaying the epoch as a
-        // duplicate.  Count it so operators see the leak.
-        stats_.remove_failures++;
-      }
-    }
-    stats_.epochs_drained++;
+    FinishDrainedEpoch(batch->epoch);
     report.results.push_back(std::move(epoch_result));
   }
   return report;
@@ -383,11 +333,11 @@ Result<std::optional<EpochPartialResult>> ShufflerFrontend::DrainNextEpochPartia
       EpochBatchRecordStream stream(*batch);
       run = pipeline_.RunReportsPartial(stream);
     }
-    if (run.ok() && config_.inject_drain_failure.has_value() &&
-        config_.inject_drain_failure->epoch == batch->epoch &&
-        injected_drain_failures_ < config_.inject_drain_failure->times) {
-      injected_drain_failures_++;
-      run = Error{"injected drain failure (epoch " + std::to_string(batch->epoch) + ")"};
+    if (run.ok()) {
+      Status injected = InjectedDrainFailure(batch->epoch);
+      if (!injected.ok()) {
+        run = injected.error();
+      }
     }
     if (!run.ok()) {
       Error error = run.error();
@@ -397,22 +347,43 @@ Result<std::optional<EpochPartialResult>> ShufflerFrontend::DrainNextEpochPartia
     out.partial = std::move(run).value();
   }
 
+  // An empty alignment epoch still leaves a marker + manifest to remove.
+  FinishDrainedEpoch(batch->epoch);
+  return std::optional<EpochPartialResult>(std::move(out));
+}
+
+Status ShufflerFrontend::InjectedDrainFailure(uint64_t epoch) {
+  if (!config_.inject_drain_failure.has_value() ||
+      config_.inject_drain_failure->epoch != epoch ||
+      injected_drain_failures_ >= config_.inject_drain_failure->times) {
+    return Status::Ok();
+  }
+  injected_drain_failures_++;
+  return Error{"injected drain failure (epoch " + std::to_string(epoch) + ")"};
+}
+
+void ShufflerFrontend::FinishDrainedEpoch(uint64_t epoch) {
   if (spool_ != nullptr && config_.remove_drained_epochs) {
-    // Same bounded-retry cleanup as the serial drain (an empty alignment
-    // epoch still leaves a marker + manifest to remove).
-    Status removed = spool_->RemoveEpoch(batch->epoch);
+    // Transient unlink failures (a scanner pinning the directory, EMFILE
+    // pressure) usually clear quickly, and a leaked epoch replays as a
+    // duplicate after restart — worth a couple of bounded retries before
+    // conceding.  The spool keeps failed segments tracked, so each retry
+    // re-attempts exactly the files still on disk.
+    Status removed = spool_->RemoveEpoch(epoch);
     for (uint32_t attempt = 1; !removed.ok() && attempt < config_.remove_retry_attempts;
          ++attempt) {
       stats_.remove_retries++;
       std::this_thread::sleep_for(config_.remove_retry_delay);
-      removed = spool_->RemoveEpoch(batch->epoch);
+      removed = spool_->RemoveEpoch(epoch);
     }
     if (!removed.ok()) {
+      // The epoch's reports are safe (already drained into the result);
+      // what leaked is disk space plus a restart replaying the epoch as a
+      // duplicate.  Count it so operators see the leak.
       stats_.remove_failures++;
     }
   }
   stats_.epochs_drained++;
-  return std::optional<EpochPartialResult>(std::move(out));
 }
 
 }  // namespace prochlo

@@ -51,13 +51,9 @@ struct FrontendConfig {
   // Directory for spool segments; empty = accumulate epochs in memory.
   std::string spool_dir;
   bool fsync_spool = true;
-  // Spooled mode only: route reports (and their ack commits) through the
-  // unified group-commit WAL (wal.h), making "report durable" and
-  // "(session, seq) committed" one atomic append.  Off = the pre-WAL
-  // spool-then-journal path, which leaves the documented one-syscall
-  // atomicity window between the two appends (kept for comparison tests).
-  bool use_wal = true;
-  // Checkpoint the WAL once its flushed-but-unapplied backlog exceeds this.
+  // Spooled mode routes reports (and their ack commits) through the
+  // unified group-commit WAL (wal.h); checkpoint it once its
+  // flushed-but-unapplied backlog exceeds this.
   uint64_t wal_checkpoint_threshold_bytes = 1ull << 20;
   // Delete an epoch's segments once drained (keep for audit if false).
   bool remove_drained_epochs = true;
@@ -192,13 +188,11 @@ class ShufflerFrontend {
   // Wires an AckRegistry (typically FrameServer::registry()) to this
   // frontend's durable session state: applies config.max_sessions, seeds
   // the registry with the sessions recovered at Start(), and attaches the
-  // journal so commits/evictions/goodbyes are made durable before they are
+  // WAL so commits/evictions/goodbyes are made durable before they are
   // acknowledged.  Call after Start() and before serving connections.
   Status BindAckRegistry(AckRegistry* registry);
 
-  // The session journal, or null (in-memory mode / before Start).
-  SessionJournal* session_journal() { return journal_.get(); }
-  // The ingest WAL, or null (in-memory mode / use_wal=false / before Start).
+  // The ingest WAL, or null (in-memory mode / before Start).
   IngestWal* wal() { return wal_.get(); }
 
   // Encoder bound to this frontend's pipeline keys, for clients.
@@ -215,13 +209,13 @@ class ShufflerFrontend {
   // non-Ok means the report was not ingested and may be retried.
   Status AcceptRoutedReport(size_t shard_index, Bytes sealed_report);
 
-  // WAL-aware accept for the acked ingestion path.  With the WAL enabled
-  // the report (and, when ctx.session_id != 0, its ack commit) buffers as
+  // WAL-aware accept for the acked ingestion path.  In spooled mode the
+  // report (and, when ctx.session_id != 0, its ack commit) buffers as
   // one record; `done` fires exactly once — Ok after a group commit makes
   // the record durable, the flush error if a failed commit rolled it back
   // (in which case the report was NOT ingested and the accounting has been
-  // undone, so the client may retry without duplicating).  Without a WAL
-  // this is synchronous AcceptRoutedReport and `done` fires inline with
+  // undone, so the client may retry without duplicating).  In in-memory
+  // mode this is synchronous AcceptRoutedReport and `done` fires inline with
   // the returned status.  An Ok return only means "buffered/accepted"; the
   // durability verdict is done's argument.
   Status AcceptRoutedReportAsync(size_t shard_index, Bytes sealed_report,
@@ -230,8 +224,8 @@ class ShufflerFrontend {
 
   // Group-commit barrier: returns once every report buffered so far is
   // durable (and its completion has fired) — one fsync amortized across
-  // every waiter, per IngestWal::SyncUpTo.  No-op without a WAL (accepts
-  // were synchronous).
+  // every waiter, per IngestWal::SyncUpTo.  No-op in in-memory mode
+  // (accepts were synchronous).
   Status BarrierIngest();
 
   // Advances the epoch-age clock (call on the service's scheduling cadence).
@@ -279,6 +273,12 @@ class ShufflerFrontend {
  private:
   SecureRandom EpochRng(uint64_t epoch) const;
   Rng EpochNoiseRng(uint64_t epoch) const;
+  // The config.inject_drain_failure hook: the error a drain of `epoch` must
+  // fail with (counting the injection), else Ok.
+  Status InjectedDrainFailure(uint64_t epoch);
+  // Shared epilogue of both drains once an epoch's run succeeded: removes
+  // its spool files with bounded retries and counts it drained.
+  void FinishDrainedEpoch(uint64_t epoch);
 
   FrontendConfig config_;
   Pipeline pipeline_;
@@ -287,7 +287,7 @@ class ShufflerFrontend {
   std::unique_ptr<SessionJournal> journal_;  // null in in-memory mode
   // Declared after journal_/spool_ so it is destroyed first: the WAL's
   // destructor flushes its pending block, which may touch both.
-  std::unique_ptr<IngestWal> wal_;           // null unless spooled + use_wal
+  std::unique_ptr<IngestWal> wal_;           // null in in-memory mode
   JournalRecovery journal_recovery_;         // held for BindAckRegistry
   FrontendStats stats_;
   bool started_ = false;

@@ -45,13 +45,8 @@ class Fs {
   // fsync(2) of the directory itself: makes freshly created / renamed /
   // removed *directory entries* durable.  Creating a file and fsyncing its
   // fd persists the bytes but not necessarily the dirent — a crash can lose
-  // the name, and with it the seal marker or the compacted journal.  The
-  // default is a no-op so simple test doubles (in-memory wedges, counters)
-  // keep working; RealFs and the fault Fs override it.
-  virtual Status SyncDir(const std::string& path) {
-    (void)path;
-    return Status::Ok();
-  }
+  // the name, and with it the seal marker or the compacted journal.
+  virtual Status SyncDir(const std::string& path) = 0;
 
   // The process-wide passthrough instance.
   static Fs* Real();

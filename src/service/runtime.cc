@@ -117,18 +117,20 @@ Status IngestWorkerPool::EnqueueImpl(Bytes sealed_report, ReportContext ctx, Com
     // completion fires inside the barrier below — strictly before the
     // barrier returns (IngestWal's ordering contract), so the stack
     // captures cannot dangle.  Without a WAL it fires inline and the
-    // barrier is a no-op.
+    // barrier is a no-op.  Another caller's group-commit leader may fire
+    // it while this thread checks `resolved`, hence the atomic: seeing
+    // true means `final` is complete.
     enqueued_.fetch_add(1, std::memory_order_relaxed);
     Status final = Status::Ok();
-    bool resolved = false;
+    std::atomic<bool> resolved{false};
     (void)frontend_->AcceptRoutedReportAsync(  // verdict arrives via the lambda
         shard, std::move(sealed_report), ctx, [&final, &resolved](const Status& status) {
           final = status;
-          resolved = true;
+          resolved.store(true);
         });
-    if (!resolved) {
+    if (!resolved.load()) {
       Status barrier = frontend_->BarrierIngest();
-      if (!resolved) {
+      if (!resolved.load()) {
         // The completion contract guarantees this cannot happen; fail loud
         // rather than reporting an unresolved report as ingested.
         final = barrier.ok() ? Status(Error{"ingest pool: completion lost"}) : barrier;

@@ -14,35 +14,31 @@ namespace prochlo {
 
 namespace {
 
-// First payload byte of every journal record.
+// First payload byte of every journal record.  The op records share their
+// kind byte with SessionOp::Kind.
 enum RecordKind : uint8_t {
-  kCommitRecord = 1,
-  kEvictRecord = 2,
-  kGoodbyeRecord = 3,
+  kCommitRecord = SessionOp::kCommit,
+  kEvictRecord = SessionOp::kEvict,
+  kGoodbyeRecord = SessionOp::kGoodbye,
   kSnapshotRecord = 4,
 };
 
-Bytes EncodeCommitRecord(uint64_t session_id, uint64_t watermark_after, uint64_t seq) {
+// The commit/evict/goodbye record for one op.
+Bytes EncodeOpRecord(const SessionOp& op) {
   Writer w;
-  w.PutU8(kCommitRecord);
-  w.PutU64(session_id);
-  w.PutU64(watermark_after);
-  w.PutU64(seq);
-  return w.Take();
-}
-
-Bytes EncodeEvictRecord(uint64_t session_id, uint64_t floor) {
-  Writer w;
-  w.PutU8(kEvictRecord);
-  w.PutU64(session_id);
-  w.PutU64(floor);
-  return w.Take();
-}
-
-Bytes EncodeGoodbyeRecord(uint64_t session_id) {
-  Writer w;
-  w.PutU8(kGoodbyeRecord);
-  w.PutU64(session_id);
+  w.PutU8(op.kind);
+  w.PutU64(op.session_id);
+  switch (op.kind) {
+    case SessionOp::kCommit:
+      w.PutU64(0);
+      w.PutU64(op.value);
+      break;
+    case SessionOp::kEvict:
+      w.PutU64(op.value);
+      break;
+    case SessionOp::kGoodbye:
+      break;
+  }
   return w.Take();
 }
 
@@ -143,6 +139,23 @@ void ApplyRecord(ByteSpan payload, std::map<uint64_t, ReplaySession>& sessions,
   }
 }
 
+// Replaces `out`'s live sessions and tombstones with the replay map's.
+void StoreImage(const std::map<uint64_t, ReplaySession>& sessions, JournalRecovery& out) {
+  out.live.clear();
+  out.evicted.clear();
+  for (const auto& [session_id, s] : sessions) {
+    if (s.evicted) {
+      out.evicted.emplace_back(session_id, s.floor);
+    } else {
+      SessionSnapshot snapshot;
+      snapshot.session_id = session_id;
+      snapshot.watermark = s.watermark;
+      snapshot.sparse.assign(s.sparse.begin(), s.sparse.end());
+      out.live.push_back(std::move(snapshot));
+    }
+  }
+}
+
 }  // namespace
 
 JournalRecovery ApplySessionOps(JournalRecovery base,
@@ -167,35 +180,9 @@ JournalRecovery ApplySessionOps(JournalRecovery base,
     sessions[session_id] = std::move(s);
   }
   for (const SessionOp& op : ops) {
-    Bytes payload;
-    switch (op.kind) {
-      case SessionOp::kCommit:
-        // watermark_after = 0: the sweep reconstructs the watermark from
-        // the seq set, exactly as it does for journaled commits.
-        payload = EncodeCommitRecord(op.session_id, 0, op.value);
-        break;
-      case SessionOp::kEvict:
-        payload = EncodeEvictRecord(op.session_id, op.value);
-        break;
-      case SessionOp::kGoodbye:
-        payload = EncodeGoodbyeRecord(op.session_id);
-        break;
-    }
-    ApplyRecord(payload, sessions, &base.records);
+    ApplyRecord(EncodeOpRecord(op), sessions, &base.records);
   }
-  base.live.clear();
-  base.evicted.clear();
-  for (auto& [session_id, s] : sessions) {
-    if (s.evicted) {
-      base.evicted.emplace_back(session_id, s.floor);
-    } else {
-      SessionSnapshot snapshot;
-      snapshot.session_id = session_id;
-      snapshot.watermark = s.watermark;
-      snapshot.sparse.assign(s.sparse.begin(), s.sparse.end());
-      base.live.push_back(std::move(snapshot));
-    }
-  }
+  StoreImage(sessions, base);
   return base;
 }
 
@@ -211,10 +198,6 @@ SessionJournal::~SessionJournal() {
 }
 
 Result<JournalRecovery> SessionJournal::Open() {
-  // Lock order is sync_mu_ > mu_ everywhere (SyncUpTo leader, Compact);
-  // Open runs before any appender exists, but keeps the same order so the
-  // lock graph stays acyclic.
-  MutexLock sync_lock(sync_mu_);
   MutexLock lock(mu_);
   if (fd_ >= 0) {
     return Error{"session journal: already open"};
@@ -253,17 +236,7 @@ Result<JournalRecovery> SessionJournal::Open() {
     }
   }
 
-  for (auto& [session_id, s] : sessions) {
-    if (s.evicted) {
-      recovery.evicted.emplace_back(session_id, s.floor);
-    } else {
-      SessionSnapshot snapshot;
-      snapshot.session_id = session_id;
-      snapshot.watermark = s.watermark;
-      snapshot.sparse.assign(s.sparse.begin(), s.sparse.end());
-      recovery.live.push_back(std::move(snapshot));
-    }
-  }
+  StoreImage(sessions, recovery);
 
   auto fd = fs_->Open(config_.path, O_CREAT | O_WRONLY | O_APPEND, 0644);
   if (!fd.ok()) {
@@ -271,8 +244,6 @@ Result<JournalRecovery> SessionJournal::Open() {
   }
   fd_ = fd.value();
   bytes_ = clean_end;
-  next_lsn_ = recovery.records + 1;
-  synced_lsn_ = recovery.records;  // recovered records are the baseline
   return recovery;
 }
 
@@ -291,7 +262,14 @@ Status SessionJournal::WriteAll(int fd, ByteSpan data) {
   return Status::Ok();
 }
 
-Result<uint64_t> SessionJournal::AppendRecord(ByteSpan payload) {
+Status SessionJournal::Append(const std::vector<SessionOp>& ops) {
+  if (ops.empty()) {
+    return Status::Ok();
+  }
+  Bytes frames;
+  for (const SessionOp& op : ops) {
+    AppendFrame(frames, EncodeOpRecord(op));
+  }
   MutexLock lock(mu_);
   if (fd_ < 0) {
     return Error{"session journal: not open"};
@@ -299,80 +277,25 @@ Result<uint64_t> SessionJournal::AppendRecord(ByteSpan payload) {
   if (broken_) {
     return Error{"session journal: wedged by an earlier unrollable append failure"};
   }
-  Bytes frame;
-  AppendFrame(frame, payload);
-  Status written = WriteAll(fd_, frame);
+  Status written = WriteAll(fd_, frames);
+  if (written.ok() && config_.fsync) {
+    written = fs_->Sync(fd_);
+  }
   if (!written.ok()) {
-    // Roll the torn record back so the log stays a clean frame sequence; if
-    // even the truncate fails the journal wedges and later appends fail
-    // fast (the ack path counts the degradation instead of blocking).
+    // Roll the batch back so the log stays a clean frame sequence and the
+    // caller's retry appends it exactly once; if even the truncate fails
+    // the journal wedges and later appends fail fast.
     if (!fs_->Truncate(config_.path, bytes_).ok()) {
       broken_ = true;
     }
-    return written.error();
+    return written;
   }
-  bytes_ += frame.size();
-  return next_lsn_++;
-}
-
-Result<uint64_t> SessionJournal::AppendCommit(uint64_t session_id, uint64_t watermark_after,
-                                              uint64_t seq) {
-  return AppendRecord(EncodeCommitRecord(session_id, watermark_after, seq));
-}
-
-Result<uint64_t> SessionJournal::AppendEvict(uint64_t session_id, uint64_t floor) {
-  return AppendRecord(EncodeEvictRecord(session_id, floor));
-}
-
-Result<uint64_t> SessionJournal::AppendGoodbye(uint64_t session_id) {
-  return AppendRecord(EncodeGoodbyeRecord(session_id));
-}
-
-Status SessionJournal::SyncUpTo(uint64_t lsn) {
-  if (!config_.fsync_commits) {
-    return Status::Ok();  // buffered-write durability (process-kill safe)
-  }
-  MutexLock lock(sync_mu_);
-  for (;;) {
-    if (synced_lsn_ >= lsn) {
-      return Status::Ok();
-    }
-    if (!sync_inflight_) {
-      // Become the leader: fsync once for every record that has landed,
-      // covering all the committers waiting behind us.
-      sync_inflight_ = true;
-      uint64_t target = 0;
-      int fd = -1;
-      {
-        MutexLock append_lock(mu_);
-        target = next_lsn_ - 1;
-        fd = fd_;
-      }
-      lock.Unlock();
-      Status synced = fd >= 0 ? fs_->Sync(fd) : Status(Error{"session journal: not open"});
-      lock.Lock();
-      sync_inflight_ = false;
-      if (synced.ok()) {
-        synced_lsn_ = std::max(synced_lsn_, target);
-      }
-      sync_cv_.NotifyAll();
-      if (!synced.ok()) {
-        return synced;
-      }
-      continue;  // re-check: our lsn is covered by the fsync we just led
-    }
-    sync_cv_.Wait(sync_mu_);
-  }
+  bytes_ += frames.size();
+  return Status::Ok();
 }
 
 Status SessionJournal::Compact(const std::vector<SessionSnapshot>& live,
                                const std::vector<std::pair<uint64_t, uint64_t>>& evicted) {
-  // Quiesce the group-commit machinery, then the appenders: lock order is
-  // sync_mu_ > mu_, matching SyncUpTo's leader path.
-  MutexLock sync_lock(sync_mu_);
-  while (sync_inflight_) {
-    sync_cv_.Wait(sync_mu_);
-  }
   MutexLock lock(mu_);
   if (fd_ < 0) {
     return Error{"session journal: not open"};
@@ -388,10 +311,10 @@ Status SessionJournal::Compact(const std::vector<SessionSnapshot>& live,
     AppendFrame(contents, EncodeSnapshotRecord(snapshot));
   }
   for (const auto& [session_id, floor] : evicted) {
-    AppendFrame(contents, EncodeEvictRecord(session_id, floor));
+    AppendFrame(contents, EncodeOpRecord({SessionOp::kEvict, session_id, floor}));
   }
   Status result = WriteAll(tmp_fd.value(), contents);
-  if (result.ok() && config_.fsync_commits) {
+  if (result.ok() && config_.fsync) {
     result = fs_->Sync(tmp_fd.value());
   }
   fs_->Close(tmp_fd.value());
@@ -401,7 +324,7 @@ Status SessionJournal::Compact(const std::vector<SessionSnapshot>& live,
     // other, never a blend.
     result = fs_->Rename(tmp, config_.path);
   }
-  if (result.ok() && config_.fsync_commits) {
+  if (result.ok() && config_.fsync) {
     // The rename only commits once the directory entry itself is durable; a
     // crash that loses the dirent would resurrect the pre-compaction log.
     result = fs_->SyncDir(DirnameOf(config_.path));
@@ -421,7 +344,6 @@ Status SessionJournal::Compact(const std::vector<SessionSnapshot>& live,
   fd_ = fd.value();
   bytes_ = contents.size();
   broken_ = false;
-  synced_lsn_ = next_lsn_ - 1;  // everything up to now lives in the snapshot
   return Status::Ok();
 }
 

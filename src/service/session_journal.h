@@ -1,6 +1,8 @@
-// The durable half of the exactly-once retry contract: a group-committed,
-// CRC-framed journal of AckRegistry state changes, living inside the spool
-// directory.
+// The checkpointed image of AckRegistry session state: a CRC-framed journal
+// living inside the spool directory.  The ingest WAL (wal.h) is the commit
+// point for every session-state change; this journal is where its
+// checkpoints write those changes through, so recovery replays the journal
+// plus the WAL's un-checkpointed suffix.
 //
 //   <spool root>/sessions.journal        wire-v2 frames, one record each
 //   <spool root>/sessions.journal.new    in-progress compaction (stale copies
@@ -19,14 +21,17 @@
 //   snapshot (session, watermark, sparse[])    full per-session state, the
 //                                              unit of compaction rewrites
 //
-// Durability discipline mirrors the spool's segments: appends are buffered
-// writes; SyncUpTo is the group-commit barrier the ack path waits on (one
-// leader fsyncs on behalf of every committer that raced in — concurrent
-// ingest workers share one fsync); reopen scans with FrameReader and
-// truncates the torn tail at clean_prefix_end.  Compaction writes a full
-// snapshot to `.new`, fsyncs it, and renames over the log — the rename is
-// the atomic commit point, so a crash mid-compaction leaves either the old
-// log (plus a stale `.new` that Open removes) or the new one, never a blend.
+// (Commits are written with watermark_after = 0; replay rebuilds the
+// watermark from the seq set.)
+//
+// Durability discipline mirrors the spool's segments: Append encodes a whole
+// checkpoint's ops, then issues one write and one fsync (it has a single
+// caller at a time — the WAL checkpoint or startup recovery — so there is
+// no group commit here); reopen scans with FrameReader and truncates the
+// torn tail at clean_prefix_end.  Compaction writes a full snapshot to
+// `.new`, fsyncs it, and renames over the log — the rename is the atomic
+// commit point, so a crash mid-compaction leaves either the old log (plus a
+// stale `.new` that Open removes) or the new one, never a blend.
 //
 // All write-side syscalls route through the injectable Fs seam, so the
 // disk-fault suites can drive short writes, fsync EIO, ENOSPC, and
@@ -47,9 +52,9 @@ namespace prochlo {
 
 struct SessionJournalConfig {
   std::string path;  // the journal file; ".new" is appended for compaction
-  // Group-commit fsync before SyncUpTo returns (false = buffered writes
-  // only: survives a process kill, not a power loss — the benches' mode).
-  bool fsync_commits = true;
+  // fsync before Append and Compact return (false = buffered writes only:
+  // survives a process kill, not a power loss — the benches' mode).
+  bool fsync = true;
   // Rewrite the log as snapshots once it exceeds this many bytes (0 = never).
   uint64_t compact_threshold_bytes = 1 << 20;
   Fs* fs = nullptr;  // injectable; null = Fs::Real()
@@ -71,10 +76,11 @@ struct JournalRecovery {
   uint64_t truncated_bytes = 0;  // torn tail removed at the end of the log
 };
 
-// One session-state mutation replayed from the ingest WAL.  The WAL carries
+// One session-state mutation carried by the ingest WAL.  The WAL logs
 // commit/evict/goodbye records interleaved (and totally ordered) with report
-// appends; recovery re-journals them here and folds them into the journal's
-// recovery image via ApplySessionOps.
+// appends; checkpoints and recovery journal them here through Append, and
+// recovery folds the un-checkpointed ones into the journal's recovery image
+// via ApplySessionOps.
 struct SessionOp {
   enum Kind : uint8_t { kCommit = 1, kEvict = 2, kGoodbye = 3 };
   Kind kind = kCommit;
@@ -101,18 +107,11 @@ class SessionJournal {
   // torn tail) and opens it for appending.  Call once, before any append.
   Result<JournalRecovery> Open();
 
-  // Buffered appends; each returns the record's LSN — the token SyncUpTo
-  // makes durable.  A failed append leaves no partial record behind (the
-  // tail is truncated back; if even that fails the journal wedges and
-  // every later append fails fast, which the ack path degrades on).
-  Result<uint64_t> AppendCommit(uint64_t session_id, uint64_t watermark_after, uint64_t seq);
-  Result<uint64_t> AppendEvict(uint64_t session_id, uint64_t floor);
-  Result<uint64_t> AppendGoodbye(uint64_t session_id);
-
-  // Group-commit barrier: returns once every record up to `lsn` is fsync'd
-  // (immediately when fsync_commits is off).  Concurrent callers elect a
-  // leader; one fsync covers everyone whose record had landed by then.
-  Status SyncUpTo(uint64_t lsn);
+  // Appends one record per op, in order, with one write and one fsync (no
+  // fsync when config.fsync is off).  A failed append leaves no record
+  // behind: the tail is truncated back, and if even that fails the journal
+  // wedges and every later append fails fast.
+  Status Append(const std::vector<SessionOp>& ops);
 
   // Atomically replaces the log with one snapshot record per live session
   // plus one evict record per tombstone.  Blocks appends for the duration.
@@ -126,30 +125,16 @@ class SessionJournal {
   const std::string& path() const { return config_.path; }
 
  private:
-  Result<uint64_t> AppendRecord(ByteSpan payload);
   Status WriteAll(int fd, ByteSpan data);
 
   SessionJournalConfig config_;
   Fs* fs_;  // borrowed (or the Real() singleton)
 
-  // mu_ serializes appends and guards the fd/byte counters; sync_mu_ runs
-  // the group-commit handshake.  A leader fsyncs with neither held, so
-  // appends keep landing while the device flushes.
-  //
-  // Lock order: sync_mu_ before mu_, everywhere (Open, the SyncUpTo leader,
-  // Compact).  PR 6's inversion — Open taking mu_ then sync_mu_ — is now a
-  // clang -Wthread-safety-beta compile error via ACQUIRED_AFTER, not just a
-  // TSan find.
-  mutable Mutex mu_ ACQUIRED_AFTER(sync_mu_);
+  // Serializes Open, Append and Compact, and guards the fd and log size.
+  mutable Mutex mu_;
   int fd_ GUARDED_BY(mu_) = -1;
   bool broken_ GUARDED_BY(mu_) = false;  // append failed, could not roll back
   uint64_t bytes_ GUARDED_BY(mu_) = 0;   // current log size
-  uint64_t next_lsn_ GUARDED_BY(mu_) = 1;  // monotonic counter (survives compaction)
-
-  Mutex sync_mu_;
-  CondVar sync_cv_;
-  bool sync_inflight_ GUARDED_BY(sync_mu_) = false;
-  uint64_t synced_lsn_ GUARDED_BY(sync_mu_) = 0;
 };
 
 }  // namespace prochlo

@@ -861,68 +861,43 @@ Status IngestWal::Checkpoint() {
   }
 
   // Phase B — write-through.  Reports append to their spool segments (the
-  // spool's frame counts stay authoritative), session ops re-journal in
-  // order, then everything fsyncs before the marker publishes the new
-  // truncate-to sizes.
+  // spool's frame counts stay authoritative), session ops journal in order
+  // with one append, then everything fsyncs before the marker publishes the
+  // new truncate-to sizes.
   struct TouchedSegment {
     uint64_t pre_bytes = 0;
     uint64_t frames_added = 0;
     uint64_t bytes_added = 0;
   };
   std::map<std::pair<uint64_t, uint64_t>, TouchedSegment> touched;
+  std::vector<SessionOp> session_ops;
   Status applied = Status::Ok();
-  uint64_t journal_lsn = 0;
   for (const FlushedRecord& r : batch) {
-    switch (r.kind) {
-      case kWalReport:
-      case kWalReportCommit: {
-        applied = spool_->Append(static_cast<size_t>(r.shard), r.epoch, r.report);
-        if (applied.ok()) {
-          auto [it, fresh] = touched.try_emplace(std::make_pair(r.epoch, r.shard));
-          if (fresh) {
-            auto pre = pre_sizes.find({r.epoch, r.shard});
-            it->second.pre_bytes = pre != pre_sizes.end() ? pre->second : 0;
-          }
-          it->second.frames_added++;
-          it->second.bytes_added += FrameWireSize(r.report.size());
-          if (r.kind == kWalReportCommit) {
-            auto lsn = journal_->AppendCommit(r.session_id, 0, r.value);
-            if (lsn.ok()) {
-              journal_lsn = lsn.value();
-            } else {
-              applied = lsn.error();
-            }
-          }
-        }
-        break;
-      }
-      case kWalEvict: {
-        auto lsn = journal_->AppendEvict(r.session_id, r.value);
-        if (lsn.ok()) {
-          journal_lsn = lsn.value();
-        } else {
-          applied = lsn.error();
-        }
-        break;
-      }
-      case kWalGoodbye: {
-        auto lsn = journal_->AppendGoodbye(r.session_id);
-        if (lsn.ok()) {
-          journal_lsn = lsn.value();
-        } else {
-          applied = lsn.error();
-        }
-        break;
-      }
-      default:
-        break;
+    if (r.kind == kWalEvict) {
+      session_ops.push_back({SessionOp::kEvict, r.session_id, r.value});
+      continue;
     }
+    if (r.kind == kWalGoodbye) {
+      session_ops.push_back({SessionOp::kGoodbye, r.session_id, 0});
+      continue;
+    }
+    applied = spool_->Append(static_cast<size_t>(r.shard), r.epoch, r.report);
     if (!applied.ok()) {
       break;
     }
+    auto [it, fresh] = touched.try_emplace(std::make_pair(r.epoch, r.shard));
+    if (fresh) {
+      auto pre = pre_sizes.find({r.epoch, r.shard});
+      it->second.pre_bytes = pre != pre_sizes.end() ? pre->second : 0;
+    }
+    it->second.frames_added++;
+    it->second.bytes_added += FrameWireSize(r.report.size());
+    if (r.kind == kWalReportCommit) {
+      session_ops.push_back({SessionOp::kCommit, r.session_id, r.value});
+    }
   }
-  if (applied.ok() && journal_lsn != 0) {
-    applied = journal_->SyncUpTo(journal_lsn);
+  if (applied.ok()) {
+    applied = journal_->Append(session_ops);
   }
   if (applied.ok() && config_.fsync) {
     applied = spool_->SyncAll();
@@ -937,9 +912,10 @@ Status IngestWal::Checkpoint() {
 
   if (!applied.ok()) {
     // Undo the partial write-through: segments roll back to their
-    // pre-checkpoint sizes (duplicate journal records are harmless — replay
-    // is idempotent — so the journal is left alone), and the batch returns
-    // to the FRONT of the queue so the retry preserves record order.
+    // pre-checkpoint sizes (a failed journal append has already rolled
+    // itself back, and a successful one re-applied on retry is harmless —
+    // replay is idempotent), and the batch returns to the FRONT of the
+    // queue so the retry preserves record order.
     for (const auto& [key, t] : touched) {
       (void)spool_->TruncateSegmentTo(static_cast<size_t>(key.second), key.first,
                                       t.pre_bytes, t.frames_added);

@@ -1,30 +1,29 @@
-// Unified group-commit write-ahead log for the ingest spool.
+// Unified group-commit write-ahead log for the ingest spool: the single
+// commit point through which a report or a session-state change becomes
+// durable.
 //
-// PR 6 left one documented correctness hole: a report's durability lived in
-// two files — the spool segment append and the session journal's commit
-// record — and a crash in the one-syscall window between them left a durable
-// report with no commit record, so the client's replay re-ingested a
-// duplicate.  The IngestWal closes that window by construction: a report and
-// its (session, seq) commit are ONE record in ONE log, appended (and made
-// durable) atomically.  Session evictions and goodbyes ride the same log, so
-// every session-state mutation is totally ordered with the report stream.
+// A report and its (session, seq) commit are ONE record in ONE log, appended
+// (and made durable) atomically, so there is no crash point at which the
+// report survives without its commit and a client replay re-ingests it as a
+// duplicate.  Session evictions and goodbyes ride the same log, so every
+// session-state mutation is totally ordered with the report stream.  The
+// spool segments and the session journal are only checkpoint targets.
 //
 // Layered on the single commit point:
 //
 //   * Group commit.  Appends only buffer; durability is a barrier
-//     (`SyncUpTo`) with the leader/follower election of
-//     `SessionJournal::SyncUpTo`: concurrent committers elect one leader
-//     that flushes the whole pending block with a single write + fsync and
-//     fires every record's completion, so N concurrent `EnqueueAsync`
-//     reports cost one fsync, not N.  Completions fire strictly after the
-//     fsync and strictly before the barrier returns to any waiter.
+//     (`SyncUpTo`): concurrent committers elect one leader that flushes the
+//     whole pending block with a single write + fsync and fires every
+//     record's completion, so N concurrent `EnqueueAsync` reports cost one
+//     fsync, not N.  Completions fire strictly after the fsync and strictly
+//     before the barrier returns to any waiter.
 //   * Block packing.  A flush writes one CRC-framed block whose payload
 //     packs every pending record, amortizing the 22 B v2 frame header that
 //     costs ~5% on ~450 B sealed reports when paid per record.
 //   * Checkpointing.  `Checkpoint()` rotates to a fresh WAL generation and
 //     writes the flushed-but-unapplied records through to their final homes
-//     — spool segments for reports, the session journal for session ops —
-//     then atomically publishes a checkpoint marker (`wal.ckpt`, written
+//     — spool segments for reports, one `SessionJournal::Append` for the
+//     session ops — then atomically publishes a checkpoint marker (`wal.ckpt`, written
 //     tmp + fsync + rename + parent-dir fsync) and deletes the consumed
 //     generations.  Recovery replays only the un-checkpointed suffix.
 //
@@ -140,7 +139,7 @@ class IngestWal {
                                 uint64_t session_id, uint64_t seq,
                                 Completion* done);
   // Session-state records (no completion; durability rides the next
-  // barrier, mirroring the journal's no-fsync evict / fsynced goodbye).
+  // barrier — the registry barriers goodbyes, evictions ride along).
   Result<uint64_t> AppendEvict(uint64_t session_id, uint64_t floor);
   Result<uint64_t> AppendGoodbye(uint64_t session_id);
 

@@ -100,8 +100,9 @@ class CAPABILITY("shared_mutex") SharedMutex {
   std::shared_mutex mu_;
 };
 
-// Scoped exclusive lock.  Relockable (Unlock()/Lock()) so fsync-outside-the-
-// lock patterns (SessionJournal::SyncUpTo) keep their scoped shape.
+// Scoped exclusive lock.  Relockable (Unlock()/Lock()) so flush-outside-the-
+// lock patterns (IngestWal::SyncUpTo's group-commit leader) keep their
+// scoped shape.
 class SCOPED_CAPABILITY MutexLock {
  public:
   explicit MutexLock(Mutex& mu) ACQUIRE(mu) : mu_(mu), owned_(true) { mu_.Lock(); }

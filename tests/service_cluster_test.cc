@@ -29,6 +29,7 @@
 #include "src/service/frontend.h"
 #include "src/service/fs.h"
 #include "src/util/rng.h"
+#include "tests/support/fault_fs.h"
 
 namespace prochlo {
 namespace {
@@ -108,58 +109,6 @@ class KillSwitchStream : public ByteStream {
   std::mutex mu_;
   size_t budget_;
   bool aborted_ = false;
-};
-
-// A disk that dies under one group mid-epoch: armed, every write-side
-// syscall fails (the PR 6 Fs seam), as if the group's volume went away.
-// Reports it had already durably spooled stay on disk; reports in flight
-// fail ingestion and are NACKed, never half-written.
-class WedgeFs : public Fs {
- public:
-  void Wedge() { wedged_.store(true, std::memory_order_relaxed); }
-  void Heal() { wedged_.store(false, std::memory_order_relaxed); }
-
-  Result<int> Open(const std::string& path, int flags, int mode) override {
-    if (wedged()) {
-      return Error{"wedge: open failed"};
-    }
-    return Fs::Real()->Open(path, flags, mode);
-  }
-  Result<size_t> Write(int fd, ByteSpan data) override {
-    if (wedged()) {
-      return Error{"wedge: write failed"};
-    }
-    return Fs::Real()->Write(fd, data);
-  }
-  Status Sync(int fd) override {
-    if (wedged()) {
-      return Error{"wedge: fsync failed"};
-    }
-    return Fs::Real()->Sync(fd);
-  }
-  void Close(int fd) override { Fs::Real()->Close(fd); }
-  Status Remove(const std::string& path) override {
-    if (wedged()) {
-      return Error{"wedge: remove failed"};
-    }
-    return Fs::Real()->Remove(path);
-  }
-  Status Truncate(const std::string& path, uint64_t size) override {
-    if (wedged()) {
-      return Error{"wedge: truncate failed"};
-    }
-    return Fs::Real()->Truncate(path, size);
-  }
-  Status Rename(const std::string& from, const std::string& to) override {
-    if (wedged()) {
-      return Error{"wedge: rename failed"};
-    }
-    return Fs::Real()->Rename(from, to);
-  }
-
- private:
-  bool wedged() const { return wedged_.load(std::memory_order_relaxed); }
-  std::atomic<bool> wedged_{false};
 };
 
 FrontendConfig ClusterBaseConfig() {
@@ -637,7 +586,11 @@ TEST(ServiceClusterTest, GroupCrashMidEpochFailsOverByRedirectWithoutLossOrDupli
   const auto& sealed = waves[0];
 
   ScratchDir dir("cluster-crash");
-  WedgeFs wedge;
+  // Group 3's disk: once wedged, every write-side syscall fails, as if the
+  // group's volume went away.  Reports it had already durably spooled stay
+  // on disk; reports in flight fail ingestion and are NACKed, never
+  // half-written.
+  FaultFs wedge;
   auto g1 = MakeGroup(1, dir.path, base);
   auto g2 = MakeGroup(2, dir.path, base);
   auto g3 = MakeGroup(3, dir.path, base, &wedge);

@@ -11,8 +11,6 @@
 // a failing crash schedule.
 #include <gtest/gtest.h>
 
-#include <fcntl.h>
-
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -39,6 +37,7 @@
 #include "src/service/spool.h"
 #include "src/service/wire.h"
 #include "src/util/rng.h"
+#include "tests/support/fault_fs.h"
 
 namespace prochlo {
 namespace {
@@ -62,222 +61,6 @@ struct ScratchDir {
   }
   ~ScratchDir() { stdfs::remove_all(path); }
   std::string path;
-};
-
-// The disk dying underneath the durability tier — the Fs-seam sibling of
-// the network suite's KillSwitchStream.  Forwards to the real filesystem
-// until a schedule trips:
-//   * FailWrites: every write answers ENOSPC with zero bytes landed.
-//   * FailSyncs: fsync answers EIO (the journal's degraded-mode drill).
-//   * FailRemoves(n): the next n unlinks fail (post-drain cleanup retry).
-//   * ArmCrash(k): the k-th subsequent syscall and everything after it
-//     fails — the process dying at syscall k.  If the k-th op is a write,
-//     it lands a half-frame first, so the survivor finds a torn tail.
-//   * ArmCrashExactly(k): ONLY the k-th subsequent syscall fails; later
-//     ones succeed.  Pairs with tearing down the whole stack right after:
-//     the process died between two specific syscalls, and the reopening
-//     stack (same FaultFs) finds a healthy disk.  This is the scalpel that
-//     lands a crash exactly inside the spool-append/journal-commit window.
-//   * TrackDirents()/DropUnsyncedDirents(): records file creates and
-//     renames per parent directory and forgets them when that directory is
-//     fsynced; DropUnsyncedDirents() then undoes whatever was never made
-//     durable — the dirent the crash lost because nobody fsynced the
-//     parent.  A missing SyncDir in the production code shows up here as a
-//     vanished seal marker or checkpoint manifest.
-// Close always forwards (a dying process still releases fds), and reads
-// never fault: recovery reads whatever bytes actually landed.
-class FaultFs : public Fs {
- public:
-  static constexpr uint64_t kNever = ~uint64_t{0};
-
-  FaultFs() : real_(Fs::Real()) {}
-
-  Result<int> Open(const std::string& path, int flags, int mode) override {
-    uint64_t op = NextOp();
-    if (op >= crash_at_.load() || op == fail_exactly_.load()) {
-      return Error{"faultfs: crashed (open)"};
-    }
-    const bool fresh = track_dirents_.load() && (flags & O_CREAT) != 0 &&
-                       !stdfs::exists(path);
-    auto fd = real_->Open(path, flags, mode);
-    if (fd.ok() && fresh) {
-      RecordDirent(DirentOp::kCreate, path, "");
-    }
-    return fd;
-  }
-
-  Result<size_t> Write(int fd, ByteSpan data) override {
-    uint64_t op = NextOp();
-    uint64_t crash_at = crash_at_.load();
-    if (op == crash_at && data.size() > 1) {
-      // The crashing write tears: half the bytes land, then the disk is
-      // gone.  The short count is legitimate (callers loop), and the next
-      // attempt fails — exactly how a torn tail forms.
-      return real_->Write(fd, ByteSpan(data.data(), data.size() / 2));
-    }
-    if (op >= crash_at || op == fail_exactly_.load()) {
-      return Error{"faultfs: crashed (write)"};
-    }
-    if (fail_writes_.load()) {
-      write_faults_.fetch_add(1);
-      return Error{"faultfs: injected ENOSPC"};
-    }
-    return real_->Write(fd, data);
-  }
-
-  Status Sync(int fd) override {
-    uint64_t op = NextOp();
-    if (op >= crash_at_.load() || op == fail_exactly_.load()) {
-      return Error{"faultfs: crashed (fsync)"};
-    }
-    if (fail_syncs_.load()) {
-      sync_faults_.fetch_add(1);
-      return Error{"faultfs: injected EIO on fsync"};
-    }
-    return real_->Sync(fd);
-  }
-
-  void Close(int fd) override { real_->Close(fd); }
-
-  Status Remove(const std::string& path) override {
-    uint64_t op = NextOp();
-    if (op >= crash_at_.load() || op == fail_exactly_.load()) {
-      return Error{"faultfs: crashed (remove)"};
-    }
-    if (remove_faults_.fetch_sub(1) > 0) {
-      return Error{"faultfs: injected unlink failure"};
-    }
-    remove_faults_.fetch_add(1);  // keep the counter from drifting below 0
-    return real_->Remove(path);
-  }
-
-  Status Truncate(const std::string& path, uint64_t size) override {
-    uint64_t op = NextOp();
-    if (op >= crash_at_.load() || op == fail_exactly_.load()) {
-      return Error{"faultfs: crashed (truncate)"};
-    }
-    return real_->Truncate(path, size);
-  }
-
-  Status Rename(const std::string& from, const std::string& to) override {
-    uint64_t op = NextOp();
-    if (op >= crash_at_.load() || op == fail_exactly_.load()) {
-      return Error{"faultfs: crashed (rename)"};
-    }
-    Status renamed = real_->Rename(from, to);
-    if (renamed.ok() && track_dirents_.load()) {
-      RecordDirent(DirentOp::kRename, from, to);
-    }
-    return renamed;
-  }
-
-  Status SyncDir(const std::string& path) override {
-    uint64_t op = NextOp();
-    if (op >= crash_at_.load() || op == fail_exactly_.load()) {
-      return Error{"faultfs: crashed (fsync dir)"};
-    }
-    if (fail_syncs_.load()) {
-      sync_faults_.fetch_add(1);
-      return Error{"faultfs: injected EIO on dir fsync"};
-    }
-    Status synced = real_->SyncDir(path);
-    if (synced.ok()) {
-      syncdirs_.fetch_add(1);
-      std::lock_guard<std::mutex> lock(dirent_mu_);
-      const std::string dir = stdfs::path(path).lexically_normal().string();
-      pending_dirents_.erase(
-          std::remove_if(pending_dirents_.begin(), pending_dirents_.end(),
-                         [&](const PendingDirent& d) { return d.dir == dir; }),
-          pending_dirents_.end());
-    }
-    return synced;
-  }
-
-  // The k-th write-side syscall from now on (1-based) and everything after
-  // it fails.
-  void ArmCrash(uint64_t after_ops) { crash_at_.store(ops_.load() + after_ops); }
-  bool crashed() const { return ops_.load() >= crash_at_.load(); }
-
-  // ONLY the k-th syscall from now on (1-based) fails; everything after it
-  // succeeds again — the exact-window crash probe.
-  void ArmCrashExactly(uint64_t after_ops) {
-    fail_exactly_.store(ops_.load() + after_ops);
-  }
-  bool crash_exactly_fired() const { return ops_.load() >= fail_exactly_.load(); }
-
-  void FailWrites(bool on) { fail_writes_.store(on); }
-  void FailSyncs(bool on) { fail_syncs_.store(on); }
-  void FailRemoves(int64_t next_n) { remove_faults_.store(next_n); }
-
-  void TrackDirents(bool on) { track_dirents_.store(on); }
-
-  // The crash's metadata casualty: every create and rename whose parent
-  // directory was never fsynced afterwards is rolled back (newest first) —
-  // created files vanish, renamed files snap back to their old names.
-  // Returns how many dirents were lost.
-  size_t DropUnsyncedDirents() {
-    std::vector<PendingDirent> doomed;
-    {
-      std::lock_guard<std::mutex> lock(dirent_mu_);
-      doomed.swap(pending_dirents_);
-    }
-    for (auto it = doomed.rbegin(); it != doomed.rend(); ++it) {
-      if (it->op == DirentOp::kCreate) {
-        (void)real_->Remove(it->a);
-      } else {
-        (void)real_->Rename(it->b, it->a);
-      }
-    }
-    return doomed.size();
-  }
-
-  size_t unsynced_dirents() const {
-    std::lock_guard<std::mutex> lock(dirent_mu_);
-    return pending_dirents_.size();
-  }
-
-  uint64_t ops() const { return ops_.load(); }
-  uint64_t write_faults() const { return write_faults_.load(); }
-  uint64_t sync_faults() const { return sync_faults_.load(); }
-  uint64_t syncdirs() const { return syncdirs_.load(); }
-
- private:
-  enum class DirentOp { kCreate, kRename };
-  struct PendingDirent {
-    DirentOp op;
-    std::string dir;  // parent directory whose fsync would make it durable
-    std::string a;    // created path / rename source
-    std::string b;    // rename destination
-  };
-
-  uint64_t NextOp() { return ops_.fetch_add(1) + 1; }
-
-  void RecordDirent(DirentOp op, const std::string& a, const std::string& b) {
-    PendingDirent d;
-    d.op = op;
-    d.dir = stdfs::path(op == DirentOp::kRename ? b : a)
-                .parent_path()
-                .lexically_normal()
-                .string();
-    d.a = a;
-    d.b = b;
-    std::lock_guard<std::mutex> lock(dirent_mu_);
-    pending_dirents_.push_back(std::move(d));
-  }
-
-  Fs* real_;
-  std::atomic<uint64_t> ops_{0};
-  std::atomic<uint64_t> crash_at_{kNever};
-  std::atomic<uint64_t> fail_exactly_{kNever};
-  std::atomic<bool> fail_writes_{false};
-  std::atomic<bool> fail_syncs_{false};
-  std::atomic<bool> track_dirents_{false};
-  std::atomic<int64_t> remove_faults_{0};
-  std::atomic<uint64_t> write_faults_{0};
-  std::atomic<uint64_t> sync_faults_{0};
-  std::atomic<uint64_t> syncdirs_{0};
-  mutable std::mutex dirent_mu_;
-  std::vector<PendingDirent> pending_dirents_;  // guarded by dirent_mu_
 };
 
 // Client-side transport wrapper for the restart drills: optionally
@@ -592,12 +375,11 @@ TEST(ServiceDurabilityTest, CrashAtSyscallKStaysExactlyOnce) {
       // Quiesce: either everything converged (the crash landed after the
       // last report's syscalls) or the ACK stream has gone stable under a
       // dead disk.  Waiting for stability matters: an ACK still in flight
-      // here would be a report the client never replays, and if its
-      // journal record was a post-crash casualty, a replay would duplicate
-      // it.  Once ACKs have drained, every ACKed report's journal record
-      // is either on disk (pre-crash) or its ACK was degraded-mode — and
-      // degraded ACKs only happen for reports whose spool append already
-      // survived, so either way the replay stays exactly-once.
+      // here would be a report the client never replays.  Once ACKs have
+      // drained, every ACKed report's fused WAL record (report + commit)
+      // is on disk, and every unACKed one either is too — its replay is
+      // suppressed as a duplicate — or was lost whole, so the replay stays
+      // exactly-once.
       uint64_t last_acked = ~uint64_t{0};
       int stable_rounds = 0;
       auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
@@ -674,7 +456,9 @@ TEST(ServiceDurabilityTest, SpoolWriteFailureNacksRetryableUntilHealed) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   EXPECT_EQ(client.stats().acked, 0u);
-  EXPECT_EQ(rig.frontend.stats().reports_accepted.load(), 0u);
+  // Nothing became durable.  (reports_accepted is no witness here: a retry
+  // buffered in the WAL counts until its failed group commit rolls it back.)
+  EXPECT_EQ(rig.frontend.wal()->stats().records_flushed, 0u);
   EXPECT_GT(fault.write_faults(), 0u);
 
   fault.FailWrites(false);  // the disk heals
@@ -687,46 +471,6 @@ TEST(ServiceDurabilityTest, SpoolWriteFailureNacksRetryableUntilHealed) {
 
   ExpectAckBooksBalance(rig, kReports);
   EXPECT_EQ(rig.server.ack_book().acked, kReports);
-}
-
-// ------------------------------------------ fsync EIO: the degraded mode
-
-// A failing fsync must not wedge acknowledgment: the report is already in
-// the spool, so NACKing would guarantee a duplicate.  The commit stays
-// in memory, the ACK goes out, and the failure is counted where operators
-// can alarm on it.
-TEST(ServiceDurabilityTest, JournalFsyncFailureDegradesToCountedAcks) {
-  ScratchDir dir("durability-eio");
-  FaultFs fault;
-  FrontendConfig config = DurabilityFrontendConfig(dir.path);
-  config.fs = &fault;
-  // Degraded acks are a JOURNAL-ONLY mode: with the unified WAL a failed
-  // commit append IS a failed report append, so the report NACKs instead of
-  // acking on a weaker promise (see ServiceWalTest coupling tests).
-  config.use_wal = false;
-  DurabilityRig rig(config);
-  rig.Start();
-
-  constexpr uint64_t kReports = 16;
-  FrameClient client(FrameClientConfig{/*session_id=*/0xE10ull});
-  auto stream = rig.Dial();
-  ASSERT_TRUE(stream.ok());
-  ASSERT_TRUE(client.Connect(std::move(stream).value()).ok());
-
-  fault.FailSyncs(true);
-  for (uint64_t i = 0; i < kReports; ++i) {
-    ASSERT_TRUE(client.SendReport(SyntheticReport(2, i)).ok());
-  }
-  // Acks still flow — durability is degraded, not availability.
-  ASSERT_TRUE(client.WaitForAcks(std::chrono::milliseconds(30000)));
-  EXPECT_EQ(client.stats().acked, kReports);
-  EXPECT_EQ(client.stats().nacked, 0u);
-  EXPECT_GT(rig.server.registry().journal_append_failures(), 0u);
-  EXPECT_GT(fault.sync_faults(), 0u);
-  fault.FailSyncs(false);
-  client.Close();
-  ASSERT_TRUE(rig.server.Shutdown().ok());
-  ExpectAckBooksBalance(rig, kReports);
 }
 
 // -------------------- the spool↔journal atomicity window, probed exactly
@@ -807,37 +551,15 @@ uint64_t ReportCopiesAfterExactCrash(FrontendConfig base, const std::string& tag
 
 // The regression the WAL exists for: with the unified record, EVERY exact
 // crash point k yields exactly one copy — "report durable" and "(session,
-// seq) committed" can no longer come apart.  Run this against the
-// journal-only path (use_wal = false) and it fails at the k that lands
-// between the spool append and the journal commit (the companion test
-// below pins that failure mode as the documented pre-WAL behavior).
+// seq) committed" can no longer come apart.  Against the retired
+// spool-then-journal path this failed at the k that landed between the
+// spool append and the journal commit, with two copies after replay.
 TEST(ServiceDurabilityTest, WalClosesTheSpoolJournalAtomicityWindowAtEveryCrashPoint) {
   FrontendConfig base = DurabilityFrontendConfig("");
   for (uint64_t k = 1; k <= 12; ++k) {
     SCOPED_TRACE("crash exactly at syscall k=" + std::to_string(k));
     EXPECT_EQ(ReportCopiesAfterExactCrash(base, "wal", k), 1u);
   }
-}
-
-// The pre-WAL window, pinned: in journal-only mode there IS a k where the
-// spool append survived the crash but the journal commit did not, and the
-// client's replay re-ingests the report — two copies in the histogram.
-// This test documents the bug the WAL fixes; if it ever starts seeing
-// exactly-once at every k, the journal-only path grew its own fix and the
-// two modes should be re-compared.
-TEST(ServiceDurabilityTest, JournalOnlyModeReingestsOnTheExactWindowCrash) {
-  FrontendConfig base = DurabilityFrontendConfig("");
-  base.use_wal = false;
-  uint64_t worst = 0;
-  for (uint64_t k = 1; k <= 12; ++k) {
-    SCOPED_TRACE("crash exactly at syscall k=" + std::to_string(k));
-    uint64_t copies = ReportCopiesAfterExactCrash(base, "journal-only", k);
-    EXPECT_GE(copies, 1u);  // whatever else, the report is never LOST
-    worst = std::max(worst, copies);
-  }
-  EXPECT_EQ(worst, 2u) << "the atomicity window did not reproduce; if the "
-                          "journal-only path became atomic, update the "
-                          "recovery matrix in docs/service.md";
 }
 
 // ----------------------- lost dirents: the durable-rename discipline, pinned
@@ -1016,43 +738,71 @@ TEST(ServiceDurabilityTest, EvictedClientRotatesSessionExactlyOnce) {
 
 // ------------------------------------------------------- 10k-session churn
 
+// One (session, seq) report through the production ack wiring, the way a
+// FrameConnection drives it: claim, buffer the fused report+commit record
+// in the WAL, group-commit, then Commit (ACK) or Release (NACK) from the
+// completion.
+void AckedIngest(ShufflerFrontend& frontend, AckRegistry& registry, uint64_t session,
+                 uint64_t seq) {
+  ASSERT_EQ(registry.TryClaim(session, seq), Claim::kNew);
+  const Bytes report = SyntheticReport(session, seq);
+  Status verdict = Error{"unresolved"};
+  ASSERT_TRUE(frontend
+                  .AcceptRoutedReportAsync(
+                      ShardedIngest::ShardOfReport(report, frontend.num_shards()), report,
+                      ReportContext{session, seq},
+                      [&](const Status& status) {
+                        verdict = status;
+                        if (status.ok()) {
+                          registry.Commit(session, seq);
+                        } else {
+                          registry.Release(session, seq);
+                        }
+                      })
+                  .ok());
+  ASSERT_TRUE(frontend.BarrierIngest().ok());
+  ASSERT_TRUE(verdict.ok()) << verdict.error().message;
+}
+
 // The registry's memory must stay bounded under session churn: live
-// sessions never exceed the cap, evicted ids become tombstones, and the
-// journal round-trips the whole final state.
+// sessions never exceed the cap, evicted ids become tombstones, and a
+// checkpoint writes the whole final state through to the session journal,
+// from which a restarted server restores it.
 TEST(ServiceDurabilityTest, SessionChurnStaysBoundedAtCap) {
   ScratchDir dir("durability-churn");
   constexpr size_t kCap = 64;
   constexpr uint64_t kSessions = 10'000;
 
-  SessionJournalConfig journal_config;
-  journal_config.path = dir.path + "/sessions.journal";
-  journal_config.fsync_commits = false;  // buffered: the churn would drown in fsyncs
+  FrontendConfig config = DurabilityFrontendConfig(dir.path);
+  config.fsync_spool = false;  // buffered: the churn would drown in fsyncs
+  config.max_sessions = kCap;
   {
-    SessionJournal journal(journal_config);
-    ASSERT_TRUE(journal.Open().ok());
+    ShufflerFrontend frontend(config);
+    ASSERT_TRUE(frontend.Start().ok());
     AckRegistry registry;
-    registry.set_max_sessions(kCap);
-    registry.AttachJournal(&journal);
+    ASSERT_TRUE(frontend.BindAckRegistry(&registry).ok());
     for (uint64_t s = 1; s <= kSessions; ++s) {
-      ASSERT_EQ(registry.TryClaim(s, 0), Claim::kNew);
-      registry.Commit(s, 0);
+      AckedIngest(frontend, registry, s, 0);
       ASSERT_LE(registry.sessions(), kCap);
     }
     EXPECT_EQ(registry.sessions(), kCap);
     EXPECT_EQ(registry.evictions(), kSessions - kCap);
     EXPECT_EQ(registry.tombstones(), kSessions - kCap);
-    // Evicted sessions answer expired, not duplicate-or-reingest.
-    EXPECT_EQ(registry.TryClaim(1, 1), Claim::kSessionExpired);
-    EXPECT_EQ(registry.TryClaim(kSessions, 0), Claim::kDuplicate);
+    ASSERT_TRUE(frontend.wal()->Checkpoint().ok());
   }
 
-  // The journal round-trips the final shape.
-  SessionJournal reopened(journal_config);
-  auto recovery = reopened.Open();
-  ASSERT_TRUE(recovery.ok());
-  EXPECT_EQ(recovery.value().live.size(), kCap);
-  EXPECT_EQ(recovery.value().evicted.size(), kSessions - kCap);
-  EXPECT_EQ(recovery.value().truncated_bytes, 0u);
+  // The restarted server finds the final shape in the journal alone.
+  ShufflerFrontend after(config);
+  ASSERT_TRUE(after.Start().ok());
+  EXPECT_EQ(after.stats().recovered_wal_session_ops.load(), 0u);
+  EXPECT_EQ(after.stats().recovered_sessions.load(), kCap);
+  AckRegistry registry;
+  ASSERT_TRUE(after.BindAckRegistry(&registry).ok());
+  EXPECT_EQ(registry.sessions(), kCap);
+  EXPECT_EQ(registry.tombstones(), kSessions - kCap);
+  // Evicted sessions answer expired, not duplicate-or-reingest.
+  EXPECT_EQ(registry.TryClaim(1, 1), Claim::kSessionExpired);
+  EXPECT_EQ(registry.TryClaim(kSessions, 0), Claim::kDuplicate);
 }
 
 // ----------------------------------------------- watermark edge behaviors
@@ -1093,28 +843,30 @@ TEST(ServiceDurabilityTest, WatermarkSurvivesReleaseCommitInterleavings) {
 }
 
 // An out-of-order commit burst must fold entirely into the contiguous
-// watermark — verified through the journal, whose replay applies the same
-// sweep: the recovered snapshot has an empty sparse set.
+// watermark — in the registry, and in the journal, whose replay applies the
+// same sweep: the recovered snapshot has an empty sparse set.
 TEST(ServiceDurabilityTest, OutOfOrderCommitBurstCompactsIntoWatermark) {
   ScratchDir dir("durability-ooo");
   SessionJournalConfig journal_config;
   journal_config.path = dir.path + "/sessions.journal";
-  journal_config.fsync_commits = false;
+  journal_config.fsync = false;
   {
     SessionJournal journal(journal_config);
     ASSERT_TRUE(journal.Open().ok());
     AckRegistry registry;
-    registry.AttachJournal(&journal);
     constexpr uint64_t kBurst = 64;
     for (uint64_t s = 0; s < kBurst; ++s) {
       ASSERT_EQ(registry.TryClaim(7, s), Claim::kNew);
     }
+    std::vector<SessionOp> commits;
     for (uint64_t s = kBurst; s-- > 0;) {  // commit in strict reverse order
       registry.Commit(7, s);
+      commits.push_back({SessionOp::kCommit, 7, s});
     }
     for (uint64_t s = 0; s < kBurst; ++s) {
       EXPECT_EQ(registry.TryClaim(7, s), Claim::kDuplicate);
     }
+    ASSERT_TRUE(journal.Append(commits).ok());
   }
   SessionJournal reopened(journal_config);
   auto recovery = reopened.Open();
@@ -1162,16 +914,14 @@ TEST(ServiceDurabilityTest, SeqSpaceSaturatesInsteadOfWrapping) {
 
 TEST(ServiceDurabilityTest, GoodbyeErasesDurableSessionState) {
   ScratchDir dir("durability-goodbye");
-  SessionJournalConfig journal_config;
-  journal_config.path = dir.path + "/sessions.journal";
+  FrontendConfig config = DurabilityFrontendConfig(dir.path);
   {
-    SessionJournal journal(journal_config);
-    ASSERT_TRUE(journal.Open().ok());
+    ShufflerFrontend frontend(config);
+    ASSERT_TRUE(frontend.Start().ok());
     AckRegistry registry;
-    registry.AttachJournal(&journal);
+    ASSERT_TRUE(frontend.BindAckRegistry(&registry).ok());
     for (uint64_t s = 0; s < 10; ++s) {
-      ASSERT_EQ(registry.TryClaim(7, s), Claim::kNew);
-      registry.Commit(7, s);
+      AckedIngest(frontend, registry, 7, s);
     }
     EXPECT_EQ(registry.sessions(), 1u);
 
@@ -1181,14 +931,21 @@ TEST(ServiceDurabilityTest, GoodbyeErasesDurableSessionState) {
     registry.Terminate(7);  // idempotent
     // A reused id starts over as a brand-new session, not as a ghost.
     EXPECT_EQ(registry.TryClaim(7, 0), Claim::kNew);
+    registry.Release(7, 0);
+    ASSERT_TRUE(frontend.wal()->Checkpoint().ok());
   }
-  // The goodbye record replays: the reopened journal has no trace.
-  SessionJournal reopened(journal_config);
-  auto recovery = reopened.Open();
-  ASSERT_TRUE(recovery.ok());
-  EXPECT_TRUE(recovery.value().live.empty());
-  EXPECT_TRUE(recovery.value().evicted.empty());
-  EXPECT_EQ(recovery.value().records, 12u);  // 10 commits + 2 goodbyes
+  // The goodbye records replay from the journal: the restarted server has
+  // no trace of the session.
+  ShufflerFrontend after(config);
+  ASSERT_TRUE(after.Start().ok());
+  EXPECT_EQ(after.stats().recovered_wal_session_ops.load(), 0u);
+  EXPECT_EQ(after.stats().recovered_sessions.load(), 0u);
+  EXPECT_EQ(after.stats().recovered_session_records.load(), 12u);  // 10 commits + 2 goodbyes
+  AckRegistry registry;
+  ASSERT_TRUE(after.BindAckRegistry(&registry).ok());
+  EXPECT_EQ(registry.sessions(), 0u);
+  EXPECT_EQ(registry.tombstones(), 0u);
+  EXPECT_EQ(registry.TryClaim(7, 0), Claim::kNew);
 }
 
 // ------------------------------------- journal torn tails and compaction
@@ -1201,11 +958,11 @@ TEST(ServiceDurabilityTest, JournalTruncatesTornTailAndRemovesStaleCompaction) {
   {
     SessionJournal journal(journal_config);
     ASSERT_TRUE(journal.Open().ok());
+    std::vector<SessionOp> commits;
     for (uint64_t s = 0; s < 5; ++s) {
-      auto lsn = journal.AppendCommit(1, s + 1, s);
-      ASSERT_TRUE(lsn.ok());
-      ASSERT_TRUE(journal.SyncUpTo(lsn.value()).ok());
+      commits.push_back({SessionOp::kCommit, 1, s});
     }
+    ASSERT_TRUE(journal.Append(commits).ok());
   }
   const uint64_t clean_size = stdfs::file_size(path);
   {
@@ -1227,30 +984,60 @@ TEST(ServiceDurabilityTest, JournalTruncatesTornTailAndRemovesStaleCompaction) {
   EXPECT_EQ(stdfs::file_size(path), clean_size);  // tail gone, records intact
 
   // The reopened journal appends cleanly after the repair.
-  auto lsn = reopened.AppendCommit(1, 6, 5);
-  ASSERT_TRUE(lsn.ok());
-  ASSERT_TRUE(reopened.SyncUpTo(lsn.value()).ok());
+  ASSERT_TRUE(reopened.Append({{SessionOp::kCommit, 1, 5}}).ok());
+}
+
+// A failed append — the write lands but its fsync fails — leaves no record
+// behind, so the checkpoint that retries it journals the ops exactly once.
+TEST(ServiceDurabilityTest, FailedJournalAppendRollsBackWholeBatch) {
+  ScratchDir dir("durability-append-fail");
+  const std::string path = dir.path + "/sessions.journal";
+  FaultFs fault;
+  SessionJournalConfig journal_config;
+  journal_config.path = path;
+  journal_config.fs = &fault;
+  {
+    SessionJournal journal(journal_config);
+    ASSERT_TRUE(journal.Open().ok());
+    ASSERT_TRUE(journal.Append({{SessionOp::kCommit, 1, 0}}).ok());
+    const uint64_t before = journal.appended_bytes();
+
+    fault.FailSyncs(true);
+    EXPECT_FALSE(journal.Append({{SessionOp::kCommit, 1, 1}, {SessionOp::kGoodbye, 2, 0}}).ok());
+    EXPECT_EQ(journal.appended_bytes(), before);
+    EXPECT_EQ(stdfs::file_size(path), before);  // rolled back, not torn
+    fault.FailSyncs(false);
+    ASSERT_TRUE(journal.Append({{SessionOp::kCommit, 1, 1}}).ok());
+  }
+  SessionJournal reopened(journal_config);
+  auto recovery = reopened.Open();
+  ASSERT_TRUE(recovery.ok());
+  EXPECT_EQ(recovery.value().records, 2u);
+  ASSERT_EQ(recovery.value().live.size(), 1u);
+  EXPECT_EQ(recovery.value().live[0].watermark, 2u);
 }
 
 // Compaction keeps the log near one snapshot per session instead of one
-// record per commit, and the rename-commit survives a reopen.
+// record per commit, and the rename-commit survives a reopen.  Each round
+// is one checkpoint's write-through followed by the post-checkpoint hook.
 TEST(ServiceDurabilityTest, CompactionBoundsJournalGrowth) {
   ScratchDir dir("durability-compact");
   SessionJournalConfig journal_config;
   journal_config.path = dir.path + "/sessions.journal";
-  journal_config.fsync_commits = false;
+  journal_config.fsync = false;
   journal_config.compact_threshold_bytes = 512;
   {
     SessionJournal journal(journal_config);
     ASSERT_TRUE(journal.Open().ok());
     AckRegistry registry;
-    registry.AttachJournal(&journal);
     constexpr uint64_t kCommits = 500;
     for (uint64_t s = 0; s < kCommits; ++s) {
       ASSERT_EQ(registry.TryClaim(3, s), Claim::kNew);
       registry.Commit(3, s);
+      ASSERT_TRUE(journal.Append({{SessionOp::kCommit, 3, s}}).ok());
+      registry.CompactJournalIfNeeded(journal);
     }
-    // ~500 commit records (~45 bytes each) compacted down to about one
+    // ~500 commit records (~47 bytes each) compacted down to about one
     // snapshot: the live log never strays far past the threshold.
     EXPECT_LT(journal.appended_bytes(), 1024u);
   }

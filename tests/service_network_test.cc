@@ -492,6 +492,48 @@ TEST(ServiceNetworkTest, SealEventDrivesDrainWithoutPolling) {
   ASSERT_TRUE(frontend.CutEpoch().ok());
 }
 
+// ------------------------------------------- stale frames, abandoned lines
+
+// A client abandons a connection (it died, or was killed) and carries on
+// over a new one, but frames it had already written on the old one can
+// reach the server late — even after the session's goodbye erased its dedup
+// state, where they would claim as new.  They must be refused, not ingested
+// a second time.
+TEST(ServiceNetworkTest, StaleFramesFromAnAbandonedConnectionAreNotReingested) {
+  std::atomic<uint64_t> ingested{0};
+  FrameServer server([](Bytes) { return Status::Ok(); },
+                     [&ingested](Bytes, ReportContext, std::function<void(const Status&)> done) {
+                       ingested.fetch_add(1);
+                       done(Status::Ok());
+                     });
+  constexpr uint64_t kSession = 7;
+  const Bytes report = SyntheticReport(1, 0);
+  // The abandoned connection was accepted first; its frames arrive last.
+  std::unique_ptr<ByteStream> abandoned = server.Connect();
+  std::unique_ptr<ByteStream> current = server.Connect();
+  ASSERT_TRUE(current->Write(EncodeHelloFrame(kSession)).ok());
+  ASSERT_TRUE(current->Write(EncodeReportFrame(0, report)).ok());
+  ASSERT_TRUE(current->Write(EncodeGoodbyeFrame(1)).ok());
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (ingested.load() < 1 || server.registry().sessions() != 0) {  // goodbye done
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  current->CloseWrite();
+
+  ASSERT_TRUE(abandoned->Write(EncodeHelloFrame(kSession)).ok());
+  ASSERT_TRUE(abandoned->Write(EncodeReportFrame(0, report)).ok());
+  abandoned->CloseWrite();
+  ASSERT_TRUE(server.Shutdown().ok());
+
+  EXPECT_EQ(ingested.load(), 1u);
+  ConnectionAckBook book = server.ack_book();
+  EXPECT_EQ(book.acked, 1u);
+  EXPECT_EQ(book.nacked, 1u);  // the stale copy, answered on a dead line
+  EXPECT_EQ(book.goodbyes_acked, 1u);
+  EXPECT_EQ(server.stats().frames_report, book.acked + book.nacked + book.duplicates_suppressed);
+}
+
 // ------------------------------------------- e2e: random kills, bit-identity
 
 std::vector<std::pair<std::string, std::string>> WaveInputs(int wave) {

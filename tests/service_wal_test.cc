@@ -1,6 +1,6 @@
 // The unified ingest WAL (src/service/wal.h) under test: torn-tail
 // truncation to the clean prefix, checkpoint write-through + replay
-// bit-identity against the journal-only spool path, group-commit fsync
+// bit-identity against the in-memory serial frontend, group-commit fsync
 // amortization under concurrent clients, ENOSPC/EIO degradation books,
 // and a seeded crash sweep.  The report↔commit atomicity COUPLING — a
 // failed group commit loses both halves together, never one — is pinned
@@ -9,8 +9,6 @@
 //
 // Set PROCHLO_WAL_SEED to reproduce a failing crash schedule.
 #include <gtest/gtest.h>
-
-#include <fcntl.h>
 
 #include <atomic>
 #include <cstdio>
@@ -30,6 +28,7 @@
 #include "src/service/wal.h"
 #include "src/service/wire.h"
 #include "src/util/rng.h"
+#include "tests/support/fault_fs.h"
 
 namespace prochlo {
 namespace {
@@ -51,95 +50,6 @@ struct ScratchDir {
   }
   ~ScratchDir() { stdfs::remove_all(path); }
   std::string path;
-};
-
-// A slim fault seam for the WAL-level drills: ENOSPC on writes, EIO on
-// fsyncs, and a permanent crash at syscall k (the k-th write tears half a
-// block first — exactly how a torn tail forms).  Reads never fault.
-class WalFaultFs : public Fs {
- public:
-  static constexpr uint64_t kNever = ~uint64_t{0};
-
-  WalFaultFs() : real_(Fs::Real()) {}
-
-  Result<int> Open(const std::string& path, int flags, int mode) override {
-    if (NextOp() >= crash_at_.load()) {
-      return Error{"walfault: crashed (open)"};
-    }
-    return real_->Open(path, flags, mode);
-  }
-
-  Result<size_t> Write(int fd, ByteSpan data) override {
-    uint64_t op = NextOp();
-    uint64_t crash_at = crash_at_.load();
-    if (op == crash_at && data.size() > 1) {
-      return real_->Write(fd, ByteSpan(data.data(), data.size() / 2));
-    }
-    if (op >= crash_at) {
-      return Error{"walfault: crashed (write)"};
-    }
-    if (fail_writes_.load()) {
-      return Error{"walfault: injected ENOSPC"};
-    }
-    return real_->Write(fd, data);
-  }
-
-  Status Sync(int fd) override {
-    if (NextOp() >= crash_at_.load()) {
-      return Error{"walfault: crashed (fsync)"};
-    }
-    if (fail_syncs_.load()) {
-      return Error{"walfault: injected EIO on fsync"};
-    }
-    return real_->Sync(fd);
-  }
-
-  void Close(int fd) override { real_->Close(fd); }
-
-  Status Remove(const std::string& path) override {
-    if (NextOp() >= crash_at_.load()) {
-      return Error{"walfault: crashed (remove)"};
-    }
-    return real_->Remove(path);
-  }
-
-  Status Truncate(const std::string& path, uint64_t size) override {
-    if (NextOp() >= crash_at_.load()) {
-      return Error{"walfault: crashed (truncate)"};
-    }
-    return real_->Truncate(path, size);
-  }
-
-  Status Rename(const std::string& from, const std::string& to) override {
-    if (NextOp() >= crash_at_.load()) {
-      return Error{"walfault: crashed (rename)"};
-    }
-    return real_->Rename(from, to);
-  }
-
-  Status SyncDir(const std::string& path) override {
-    if (NextOp() >= crash_at_.load()) {
-      return Error{"walfault: crashed (fsync dir)"};
-    }
-    if (fail_syncs_.load()) {
-      return Error{"walfault: injected EIO on dir fsync"};
-    }
-    return real_->SyncDir(path);
-  }
-
-  void ArmCrash(uint64_t after_ops) { crash_at_.store(ops_.load() + after_ops); }
-  bool crashed() const { return ops_.load() >= crash_at_.load(); }
-  void FailWrites(bool on) { fail_writes_.store(on); }
-  void FailSyncs(bool on) { fail_syncs_.store(on); }
-
- private:
-  uint64_t NextOp() { return ops_.fetch_add(1) + 1; }
-
-  Fs* real_;
-  std::atomic<uint64_t> ops_{0};
-  std::atomic<uint64_t> crash_at_{kNever};
-  std::atomic<bool> fail_writes_{false};
-  std::atomic<bool> fail_syncs_{false};
 };
 
 FrontendConfig WalFrontendConfig(const std::string& spool_dir, size_t threads = 0) {
@@ -172,13 +82,11 @@ std::vector<Bytes> SealCohort(const FrontendConfig& base, const std::string& cli
   return std::move(sealed).value();
 }
 
-// The journal-only reference: same reports, same config, use_wal = false.
-std::map<std::string, uint64_t> JournalOnlyHistogram(const FrontendConfig& base,
-                                                     const std::vector<Bytes>& sealed) {
-  ScratchDir dir("wal-reference");
+// The serial reference: same reports, same config, in-memory epochs.
+std::map<std::string, uint64_t> SerialHistogram(const FrontendConfig& base,
+                                                const std::vector<Bytes>& sealed) {
   FrontendConfig config = base;
-  config.spool_dir = dir.path;
-  config.use_wal = false;
+  config.spool_dir.clear();
   ShufflerFrontend reference(config);
   EXPECT_TRUE(reference.Start().ok());
   for (const auto& report : sealed) {
@@ -212,11 +120,11 @@ std::string NewestWalGen(const std::string& dir) {
 // A group commit torn mid-write by a crash: recovery must truncate the
 // newest generation back to its clean frame prefix, replay exactly the
 // reports that fully landed, and resume the interrupted epoch — the
-// finished epoch drains bit-identically to the journal-only reference.
+// finished epoch drains bit-identically to the serial reference.
 TEST(ServiceWalTest, TornTailTruncatesToCleanPrefixAndReplaysExactly) {
   FrontendConfig base = WalFrontendConfig("");
   const std::vector<Bytes> sealed = SealCohort(base, "wal-torn");
-  const auto expected = JournalOnlyHistogram(base, sealed);
+  const auto expected = SerialHistogram(base, sealed);
   const size_t half = sealed.size() / 2;
 
   ScratchDir dir("wal-torn");
@@ -266,14 +174,14 @@ TEST(ServiceWalTest, TornTailTruncatesToCleanPrefixAndReplaysExactly) {
 
 // Reports that crossed a checkpoint (write-through into spool segments)
 // and reports still in the live generation at the crash must together
-// reconstruct the same epoch the journal-only spool path produces — at
+// reconstruct the same epoch the in-memory serial frontend produces — at
 // every thread count.
-TEST(ServiceWalTest, CheckpointAndReplayStayBitIdenticalToJournalOnlySpool) {
+TEST(ServiceWalTest, CheckpointAndReplayStayBitIdenticalToSerialFrontend) {
   for (size_t threads : {size_t{0}, size_t{4}}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     FrontendConfig base = WalFrontendConfig("", threads);
     const std::vector<Bytes> sealed = SealCohort(base, "wal-ckpt");
-    const auto expected = JournalOnlyHistogram(base, sealed);
+    const auto expected = SerialHistogram(base, sealed);
     const size_t third = sealed.size() / 3;
 
     ScratchDir dir("wal-ckpt-" + std::to_string(threads));
@@ -401,17 +309,17 @@ TEST(ServiceWalTest, GroupCommitAmortizesFsyncsAcrossConcurrentClients) {
 TEST(ServiceWalTest, FailedGroupCommitCouplesReportAndCommitLoss) {
   struct Mode {
     const char* name;
-    void (WalFaultFs::*fail)(bool);
+    void (FaultFs::*fail)(bool);
   };
-  const Mode modes[] = {{"enospc-write", &WalFaultFs::FailWrites},
-                        {"eio-fsync", &WalFaultFs::FailSyncs}};
+  const Mode modes[] = {{"enospc-write", &FaultFs::FailWrites},
+                        {"eio-fsync", &FaultFs::FailSyncs}};
   FrontendConfig base = WalFrontendConfig("");
   const std::vector<Bytes> sealed = SealCohort(base, "wal-coupling");
 
   for (const Mode& mode : modes) {
     SCOPED_TRACE(mode.name);
     ScratchDir dir(std::string("wal-coupling-") + mode.name);
-    WalFaultFs fault;
+    FaultFs fault;
     {
       FrontendConfig config = base;
       config.spool_dir = dir.path;
@@ -495,7 +403,7 @@ TEST(ServiceWalTest, CrashSweepLosesNoGroupCommittedReport) {
     SCOPED_TRACE("schedule=" + std::to_string(schedule) +
                  " crash_after=" + std::to_string(crash_after));
     ScratchDir dir("wal-sweep-" + std::to_string(schedule));
-    WalFaultFs fault;
+    FaultFs fault;
     uint64_t committed = 0;
     {
       FrontendConfig config = base;
