@@ -128,15 +128,11 @@ test -s "$BUILD_DIR/BENCH_ingest.json"
 # skip there would leave the cluster path unsmoked).
 grep -q '"op": "cluster/groups=4,send-ack-merge"' "$BUILD_DIR/BENCH_ingest.json"
 # The WAL durability stage: append/group-commit and checkpoint rows must be
-# present, and group commit must actually amortize — at batch >= 8 the
-# fsync count (the wal_fsyncs row's n) is strictly below the report count,
-# i.e. fsyncs-per-report < 1.  One fsync per report would mean the group
-# commit leader/follower protocol silently stopped batching.
+# present.  That group commit amortizes (fewer fsyncs than reports at a
+# barrier every 8) is a test: ServiceWalTest's
+# BarrierEveryEightReportsFsyncsLessThanOncePerReport.
 grep -q '"op": "wal_commit_batch=8"' "$BUILD_DIR/BENCH_ingest.json"
 grep -q '"op": "wal_checkpoint"' "$BUILD_DIR/BENCH_ingest.json"
-wal_fsyncs=$(sed -n 's/.*"op": "wal_fsyncs_batch=8", "n": \([0-9]*\),.*/\1/p' "$BUILD_DIR/BENCH_ingest.json")
-test -n "$wal_fsyncs"
-test "$wal_fsyncs" -lt 500  # PROCHLO_INGEST_N above
 
 echo "== ct harness smoke =="
 # Functional pass of the ctgrind scenarios (no shadow backend here; the CI

@@ -16,6 +16,13 @@ Rules (each suppressible per line with a trailing `// lint:allow(<rule>)`):
       everything upstream of the analyzer only ever see ciphertext; a stray
       debug printf of a crowd ID is a privacy hole, not a style problem.
 
+  analyzer-boundary
+      No Analyzer, DecryptBatch or analyzer_ token in src/service/ outside
+      src/service/cluster/merge.*.  The paper's trust split (§3.3-3.5): the
+      shuffler tier thresholds crowds on cardinality before anything is
+      decrypted, so a shard group ships ciphertexts and only the cluster
+      merge, after the threshold, hands survivors to the analyzer.
+
   fsync-before-rename
       In the durability tier (src/service/spool.cc, session_journal.cc), a
       Rename() that commits a rewrite must be preceded by a Sync() within the
@@ -66,6 +73,8 @@ RAW_PRIMITIVE = re.compile(
 PRINT_CALL = re.compile(r"\b(printf|fprintf|snprintf|sprintf|puts|fputs)\s*\(|std::(cout|cerr|clog)\b")
 CROWD_ID = re.compile(r"\bcrowd\w*", re.IGNORECASE)
 
+ANALYZER_TOKEN = re.compile(r"\b(?:Analyzer|DecryptBatch|analyzer_)\b")
+
 RENAME_CALL = re.compile(r"->\s*Rename\s*\(")
 SYNC_CALL = re.compile(r"\bSync\s*\(")
 MARKER_CREATE = re.compile(r"Open\s*\(\s*marker")
@@ -96,6 +105,10 @@ ASSIGN = re.compile(r"(?<![.\w>])(\w+)(?:(?:\.|->)\w+)*\s*=(?![=<>])")
 PRIMITIVE_EXEMPT = {os.path.join("src", "util", "thread_annotations.h")}
 # The analyzer is the trust boundary where plaintext crowds legitimately exist.
 CROWD_EXEMPT_PREFIX = os.path.join("src", "analysis") + os.sep
+# The service tier is the shuffler side of the trust split; only the cluster
+# merge, which runs after the threshold, may reach the analyzer.
+SERVICE_PREFIX = os.path.join("src", "service") + os.sep
+ANALYZER_BOUNDARY_EXEMPT_PREFIX = os.path.join("src", "service", "cluster", "merge.")
 # Durability-tier files whose commit idioms are order-checked.
 DURABILITY_FILES = {
     os.path.join("src", "service", "spool.cc"),
@@ -187,6 +200,15 @@ def lint_file(root, rel, findings):
                     findings.append((rel, i, "crowd-plaintext-leak",
                                      "printing a crowd identifier outside src/analysis/ — "
                                      "shufflers must only ever see ciphertext"))
+
+    if rel.startswith(SERVICE_PREFIX) and not rel.startswith(ANALYZER_BOUNDARY_EXEMPT_PREFIX):
+        for i, code in enumerate(code_lines, 1):
+            m = ANALYZER_TOKEN.search(code)
+            if m and not allowed(i, "analyzer-boundary"):
+                findings.append((rel, i, "analyzer-boundary",
+                                 f"'{m.group(0)}' in the shuffler-side service tier — only "
+                                 "src/service/cluster/merge.* may reach the analyzer, after "
+                                 "the threshold"))
 
     if rel not in CT_IMPL_FILES:
         # Collect per-file Secret<> declarations (skipping function
@@ -323,6 +345,11 @@ def self_test():
         ("src/core/bad_raw_mutex.cc",
          "std::mutex mu;\n",
          ["raw-sync-primitive"]),
+        ("src/service/cluster/bad_analyzer.cc",
+         "Result<EpochPartial> Drain(Pipeline& pipeline, const std::vector<Bytes>& boxes) {\n"
+         "  auto payloads = pipeline.analyzer_.DecryptBatch(boxes);\n"
+         "}\n",
+         ["analyzer-boundary"]),
         ("src/core/bad_crowd_print.cc",
          "void f(const std::string& crowd_id) {\n"
          "  printf(\"crowd=%s\", crowd_id.c_str());\n"
@@ -375,6 +402,16 @@ def self_test():
         lint_file(tmp, rel, findings)
         if findings:
             failures.append(f"clean.cc: false positives: {findings}")
+
+        # The merge is the one service file allowed to reach the analyzer.
+        rel = os.path.join("src", "service", "cluster", "merge.cc")
+        os.makedirs(os.path.join(tmp, os.path.dirname(rel)), exist_ok=True)
+        with open(os.path.join(tmp, rel), "w", encoding="utf-8") as f:
+            f.write("std::vector<Bytes> p = analyzer_.DecryptBatch(survivors);\n")
+        findings = []
+        lint_file(tmp, rel, findings)
+        if findings:
+            failures.append(f"merge.cc: false positives: {findings}")
 
     if failures:
         for f in failures:

@@ -6,7 +6,6 @@
 
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -33,13 +32,6 @@ class Analyzer {
   // records are counted and skipped.
   std::vector<Bytes> DecryptBatch(const std::vector<Bytes>& inner_boxes,
                                   ThreadPool* pool = nullptr);
-
-  // Slot-preserving variant: out[i] is inner_boxes[i]'s payload, or nullopt
-  // when undecryptable (still counted in stats()).  The cluster's partial
-  // drain needs the pairing between each payload and its report's crowd, so
-  // it cannot use the compacting DecryptBatch.
-  std::vector<std::optional<Bytes>> DecryptBatchSlots(const std::vector<Bytes>& inner_boxes,
-                                                      ThreadPool* pool = nullptr);
 
   // Materializes a histogram of string-valued payloads — the "database
   // compatible with standard tools" of §3.4.

@@ -131,8 +131,13 @@ Result<PipelineResult> Pipeline::RunReports(RecordStream& reports, SecureRandom&
     result.shuffler_stats = shuffler_->stats();
   }
 
-  // ---- Analyze ----
-  auto t2 = std::chrono::steady_clock::now();
+  Analyze(inner_boxes, result);
+  result.analyzer_stats = analyzer_.stats();
+  return result;
+}
+
+size_t Pipeline::Analyze(const std::vector<Bytes>& inner_boxes, PipelineResult& result) {
+  auto t0 = std::chrono::steady_clock::now();
   std::vector<Bytes> payloads = analyzer_.DecryptBatch(inner_boxes, pool_.get());
   if (config_.secret_share_threshold.has_value()) {
     auto recovered =
@@ -142,9 +147,8 @@ Result<PipelineResult> Pipeline::RunReports(RecordStream& reports, SecureRandom&
   } else {
     result.histogram = Analyzer::HistogramOfValues(payloads);
   }
-  result.analyzer_stats = analyzer_.stats();
-  result.analyze_seconds = SecondsSince(t2);
-  return result;
+  result.analyze_seconds = SecondsSince(t0);
+  return payloads.size();
 }
 
 Result<PipelineResult> Pipeline::RunReports(const std::vector<Bytes>& reports) {
@@ -165,111 +169,66 @@ Result<EpochPartial> Pipeline::RunReportsPartial(RecordStream& reports) {
     return views.error();
   }
   partial.malformed = partial.reports - views.value().size();
-
-  // Decrypt slot-preservingly so each payload stays paired with its
-  // report's crowd; a failed inner box still counts toward its crowd's
-  // threshold cardinality (the serial pipeline thresholds pre-decryption).
-  std::vector<Bytes> inner_boxes;
-  std::vector<uint64_t> crowd_hashes;
-  inner_boxes.reserve(views.value().size());
-  crowd_hashes.reserve(views.value().size());
   for (auto& view : views.value()) {
-    crowd_hashes.push_back(view.crowd.plain_hash);
-    inner_boxes.push_back(std::move(view.inner_box));
-  }
-  std::vector<std::optional<Bytes>> slots =
-      analyzer_.DecryptBatchSlots(inner_boxes, pool_.get());
-  for (size_t i = 0; i < slots.size(); ++i) {
-    CrowdPartial& crowd = partial.crowds[crowd_hashes[i]];
-    if (slots[i].has_value()) {
-      crowd.value_counts[std::move(*slots[i])]++;
-    } else {
-      crowd.undecryptable++;
-    }
+    partial.crowds[view.crowd.plain_hash].push_back(std::move(view.inner_box));
   }
   return partial;
 }
 
-Result<PipelineResult> Pipeline::MergePartials(const std::vector<EpochPartial>& partials,
-                                               Rng& noise_rng) {
+Result<PipelineResult> Pipeline::MergePartials(std::vector<EpochPartial>& partials,
+                                               SecureRandom& rng, Rng& noise_rng) {
   if (config_.use_blinded_crowd_ids) {
     return Error{
         "partial merge requires plain-hash crowd IDs "
         "(blinded mode needs the two-party rendezvous)"};
   }
-  auto t0 = std::chrono::steady_clock::now();
-  EpochPartial folded;
+  PipelineResult result;
+  size_t opened = 0;
   for (const auto& partial : partials) {
-    folded.Fold(partial);
+    result.shuffler_stats.received += partial.reports;
+    result.shuffler_stats.malformed += partial.malformed;
+    opened += partial.reports - partial.malformed;
   }
-
   // The minimum-batch decision is a property of the whole epoch, so it runs
-  // here — over the union — with ProcessStream's exact semantics (and exact
-  // message): the raw report count, malformed included, must clear the bar.
-  const ShufflerConfig& shuffler_config = config_.shuffler;
-  if (folded.reports < shuffler_config.min_batch_size) {
+  // here, over the union, with ProcessStream's exact semantics and message:
+  // the raw report count, malformed included, must clear the bar.  It is
+  // the only failure, and it comes before anything is moved out.
+  if (result.shuffler_stats.received < config_.shuffler.min_batch_size) {
     return Error{"batch below the minimum cardinality; keep batching"};
   }
 
-  PipelineResult result;
-  result.shuffler_stats.received = folded.reports;
-  result.shuffler_stats.malformed = folded.malformed;
-  result.shuffler_stats.crowds_seen = folded.crowds.size();
-
-  // Ascending crowd-hash order — the same sorted-map order
-  // ThresholdAndStrip visits, so under kRandomized each crowd consumes the
-  // identical noise draw the serial drain would have given it.
-  std::vector<Bytes> survivor_payloads;
-  uint64_t undecryptable_survivors = 0;
-  for (const auto& [crowd_hash, crowd] : folded.crowds) {
-    uint64_t count = crowd.Total();
-    if (shuffler_config.threshold_mode == ThresholdMode::kRandomized) {
-      uint64_t d = static_cast<uint64_t>(noise_rng.NextRoundedTruncatedGaussian(
-          shuffler_config.policy.drop_mean, shuffler_config.policy.drop_sigma));
-      d = std::min(d, count);
-      result.shuffler_stats.dropped_noise += d;
-      count -= d;
-    }
-    bool keep = true;
-    if (shuffler_config.threshold_mode != ThresholdMode::kNone) {
-      keep = static_cast<double>(count) >= shuffler_config.policy.threshold;
-    }
-    if (!keep) {
-      result.shuffler_stats.dropped_threshold += count;
-      continue;
-    }
-    result.shuffler_stats.crowds_forwarded++;
-    result.shuffler_stats.forwarded += count;
-    // Survivors: values in ascending payload order first, then the
-    // undecryptable remainder — i.e. noise drops consume undecryptable
-    // members before valued ones (deterministic; see the header's caveat on
-    // mixed-value crowds).
-    uint64_t quota = count;
-    for (const auto& [payload, value_count] : crowd.value_counts) {
-      uint64_t take = std::min(value_count, quota);
-      for (uint64_t k = 0; k < take; ++k) {
-        survivor_payloads.push_back(payload);
-      }
-      quota -= take;
-      if (quota == 0) {
-        break;
+  // From here on this is RunReports after its open, over the union.
+  auto t0 = std::chrono::steady_clock::now();
+  std::vector<ShufflerView> views;
+  views.reserve(opened);
+  for (auto& partial : partials) {
+    for (auto& [crowd_hash, inner_boxes] : partial.crowds) {
+      for (auto& inner_box : inner_boxes) {
+        ShufflerView view;
+        view.crowd.plain_hash = crowd_hash;
+        view.inner_box = std::move(inner_box);
+        views.push_back(std::move(view));
       }
     }
-    undecryptable_survivors += quota;
   }
+  Shuffler::ShuffleViews(views, rng);
+  std::vector<Bytes> survivors =
+      Shuffler::ThresholdAndStrip(std::move(views), config_.shuffler, noise_rng,
+                                  result.shuffler_stats);
+  rng.ShuffleVector(survivors);
+  result.shuffler_stats.forwarded = survivors.size();
+  result.encode_shuffle1_seconds = SecondsSince(t0);
 
-  result.analyzer_stats.received = result.shuffler_stats.forwarded;
-  result.analyzer_stats.undecryptable = undecryptable_survivors;
-  if (config_.secret_share_threshold.has_value()) {
-    auto recovered =
-        Analyzer::RecoverSecretShared(survivor_payloads, *config_.secret_share_threshold);
-    result.histogram = std::move(recovered.values);
-    result.locked_groups = recovered.locked_groups;
-  } else {
-    result.histogram = Analyzer::HistogramOfValues(survivor_payloads);
-  }
-  result.analyze_seconds = SecondsSince(t0);
+  // The analyzer sees only the survivors.
+  size_t decrypted = Analyze(survivors, result);
+  result.analyzer_stats.received = survivors.size();
+  result.analyzer_stats.undecryptable = survivors.size() - decrypted;
   return result;
+}
+
+Result<PipelineResult> Pipeline::MergePartials(std::vector<EpochPartial>& partials,
+                                               Rng& noise_rng) {
+  return MergePartials(partials, rng_, noise_rng);
 }
 
 Result<PipelineResult> Pipeline::RunValues(const std::vector<std::string>& values) {

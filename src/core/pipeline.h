@@ -8,6 +8,7 @@
 #ifndef PROCHLO_SRC_CORE_PIPELINE_H_
 #define PROCHLO_SRC_CORE_PIPELINE_H_
 
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -48,47 +49,16 @@ struct PipelineResult {
   double analyze_seconds = 0;
 };
 
-// One crowd's pre-threshold contribution from one shard group: decrypted
-// payload -> count, plus the reports whose inner box would not open.  The
-// undecryptable count still participates in thresholding — the serial
-// pipeline thresholds on crowd cardinality BEFORE decryption, so a crowd of
-// 20 reports with 3 bad inner boxes passes a T=20 threshold there, and must
-// pass it here too.
-struct CrowdPartial {
-  std::map<Bytes, uint64_t> value_counts;
-  uint64_t undecryptable = 0;
-
-  uint64_t Total() const {
-    uint64_t total = undecryptable;
-    for (const auto& [value, count] : value_counts) {
-      total += count;
-    }
-    return total;
-  }
-  void Fold(const CrowdPartial& other) {
-    undecryptable += other.undecryptable;
-    for (const auto& [value, count] : other.value_counts) {
-      value_counts[value] += count;
-    }
-  }
-};
-
 // One epoch's pre-threshold state from one shard group, the unit
-// HistogramMerge combines: per-crowd value counts keyed by plain crowd
-// hash.  No thresholding, noise, or minimum-batch decision has been made —
-// those are functions of the whole epoch and belong to MergePartials.
+// HistogramMerge combines: each crowd's still-encrypted inner boxes, keyed
+// by plain crowd hash.  The outer layer is open — the shuffler's view —
+// and nothing else has happened: no threshold, noise, minimum-batch or
+// analyzer decision, which are functions of the whole epoch and belong to
+// MergePartials.
 struct EpochPartial {
   uint64_t reports = 0;    // raw reports pulled from the stream
   uint64_t malformed = 0;  // outer opens that failed
-  std::map<uint64_t, CrowdPartial> crowds;
-
-  void Fold(const EpochPartial& other) {
-    reports += other.reports;
-    malformed += other.malformed;
-    for (const auto& [hash, crowd] : other.crowds) {
-      crowds[hash].Fold(crowd);
-    }
-  }
+  std::map<uint64_t, std::vector<Bytes>> crowds;
 };
 
 class Pipeline {
@@ -111,40 +81,43 @@ class Pipeline {
   // drains epochs through.  Reports are pulled from `reports`, so a spooled
   // epoch streams off disk; `rng`/`noise_rng` drive the stage randomness,
   // letting the caller derive them per epoch for drain-order-independent
-  // determinism.  The result's histogram depends only on the report *set*
-  // (not arrival order) under kNone/kNaive thresholding, and additionally
-  // under kRandomized when each crowd maps to one value.
+  // determinism.  The opened views are put in a canonical order before the
+  // shuffle (Shuffler::ShuffleViews), so the result depends only on the
+  // report *set* and the two RNGs, never on arrival order.
   Result<PipelineResult> RunReports(RecordStream& reports, SecureRandom& rng, Rng& noise_rng);
   // Convenience over a materialized batch, using the pipeline's own RNGs.
   Result<PipelineResult> RunReports(const std::vector<Bytes>& reports);
 
   // Cluster split of RunReports, bit-identical when recombined (see
-  // MergePartials).  RunReportsPartial runs only the per-report stages —
-  // open the outer layer, decrypt the inner box, bucket by crowd — and
-  // needs no randomness at all: a group's partial is a pure function of its
-  // report set.  The batch-global stages (minimum-batch check, per-crowd
-  // noise + thresholding, histogram/secret-share recovery) run once in
-  // MergePartials over the folded crowds.  Single-shuffler (plain-hash
+  // MergePartials).  RunReportsPartial is the shuffler side only: it opens
+  // the outer layer and buckets each still-encrypted inner box under its
+  // crowd, and needs no randomness and no analyzer key — a group's partial
+  // is a pure function of its report set.  Single-shuffler (plain-hash
   // crowd ID) mode only: blinded crowd IDs need the two-party rendezvous
   // and return an Error here.
   Result<EpochPartial> RunReportsPartial(RecordStream& reports);
 
   // Combines per-group partials of ONE epoch into the analyzer-facing
-  // result.  `noise_rng` must be the same epoch-derived noise RNG the
-  // serial drain would use: crowds are visited in ascending crowd-hash
-  // order — exactly ThresholdAndStrip's order over the union of reports —
-  // so each crowd consumes the same noise draw and the merged histogram is
-  // bit-identical to the serial single-frontend result regardless of group
-  // count, split, or partial arrival order.  Inherits RunReports'
-  // determinism caveats: always under kNone/kNaive thresholding, and under
-  // kRandomized when each crowd maps to one value (noise drops of a
-  // mixed-value crowd depend on which members the serial shuffle dropped;
-  // here drops consume the undecryptable count first, then values in
-  // ascending payload order).
-  Result<PipelineResult> MergePartials(const std::vector<EpochPartial>& partials,
+  // result, replaying RunReports' stages after the open over the union:
+  // the minimum-batch check, ShuffleViews with `rng`, the shared
+  // Shuffler::ThresholdAndStrip with `noise_rng`, the survivors' re-shuffle,
+  // and then one analyzer DecryptBatch over the survivors only.  With the
+  // serial drain's epoch-derived RNGs the result is bit-identical to
+  // RunReports over the same report set, whatever the group count, split
+  // or partial order.  The inner boxes are moved out of `partials` on
+  // success; on error (the union is below the minimum batch) `partials`
+  // is left intact for a retry.
+  Result<PipelineResult> MergePartials(std::vector<EpochPartial>& partials, SecureRandom& rng,
                                        Rng& noise_rng);
+  // The same with the pipeline's own SecureRandom driving the shuffles.
+  Result<PipelineResult> MergePartials(std::vector<EpochPartial>& partials, Rng& noise_rng);
 
  private:
+  // The analyzer stage: decrypts `inner_boxes` on the pool into the
+  // histogram (or secret-share recovery) and times it.  Returns how many
+  // inner boxes opened.
+  size_t Analyze(const std::vector<Bytes>& inner_boxes, PipelineResult& result);
+
   PipelineConfig config_;
   SecureRandom rng_;
   Rng noise_rng_;

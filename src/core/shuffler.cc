@@ -1,5 +1,6 @@
 #include "src/core/shuffler.h"
 
+#include <algorithm>
 #include <map>
 #include <unordered_set>
 
@@ -14,8 +15,17 @@ Shuffler::Shuffler(KeyPair keys, ShufflerConfig config)
 Shuffler::Shuffler(Enclave& enclave, ShufflerConfig config)
     : keys_(enclave.keys()), config_(config), enclave_(&enclave) {}
 
+void Shuffler::ShuffleViews(std::vector<ShufflerView>& views, SecureRandom& rng) {
+  std::sort(views.begin(), views.end(), [](const ShufflerView& a, const ShufflerView& b) {
+    auto order = a.inner_box <=> b.inner_box;
+    return order != 0 ? order < 0 : a.crowd.plain_hash < b.crowd.plain_hash;
+  });
+  rng.ShuffleVector(views);
+}
+
 std::vector<Bytes> Shuffler::ThresholdAndStrip(std::vector<ShufflerView> views,
-                                               Rng& noise_rng) {
+                                               const ShufflerConfig& config, Rng& noise_rng,
+                                               ShufflerStats& stats) {
   // Group report indices by crowd hash.  (Inside the SGX deployment this is
   // the §4.1.5 private-memory counting pass: one counter per distinct
   // crowd ID, then a filtering pass; domains of up to ~20M fit.)  An ordered
@@ -26,32 +36,31 @@ std::vector<Bytes> Shuffler::ThresholdAndStrip(std::vector<ShufflerView> views,
   for (size_t i = 0; i < views.size(); ++i) {
     crowds[views[i].crowd.plain_hash].push_back(i);
   }
-  stats_.crowds_seen += crowds.size();
+  stats.crowds_seen += crowds.size();
 
   std::vector<Bytes> survivors;
   survivors.reserve(views.size());
   for (auto& [crowd_hash, indices] : crowds) {
     size_t count = indices.size();
-    if (config_.threshold_mode == ThresholdMode::kRandomized) {
+    if (config.threshold_mode == ThresholdMode::kRandomized) {
       // Drop d ~ ⌊N(D, σ²)⌉ items (truncated at 0) before thresholding
       // (paper §3.5); which items are dropped is immaterial post-shuffle, so
       // drop from the tail.
-      size_t d = static_cast<size_t>(
-          noise_rng.NextRoundedTruncatedGaussian(config_.policy.drop_mean,
-                                                 config_.policy.drop_sigma));
+      size_t d = static_cast<size_t>(noise_rng.NextRoundedTruncatedGaussian(
+          config.policy.drop_mean, config.policy.drop_sigma));
       d = std::min(d, count);
-      stats_.dropped_noise += d;
+      stats.dropped_noise += d;
       count -= d;
     }
     bool keep = true;
-    if (config_.threshold_mode != ThresholdMode::kNone) {
-      keep = static_cast<double>(count) >= config_.policy.threshold;
+    if (config.threshold_mode != ThresholdMode::kNone) {
+      keep = static_cast<double>(count) >= config.policy.threshold;
     }
     if (!keep) {
-      stats_.dropped_threshold += count;
+      stats.dropped_threshold += count;
       continue;
     }
-    stats_.crowds_forwarded++;
+    stats.crowds_forwarded++;
     for (size_t k = 0; k < count; ++k) {
       survivors.push_back(std::move(views[indices[k]].inner_box));
     }
@@ -123,7 +132,7 @@ Result<std::vector<Bytes>> Shuffler::ProcessStream(RecordStream& reports, Secure
       return opened.error();
     }
     views = std::move(opened).value();
-    rng.ShuffleVector(views);
+    ShuffleViews(views, rng);
   }
 
   return FinishViews(std::move(views), rng, noise_rng);
@@ -217,7 +226,7 @@ Result<std::vector<Bytes>> Shuffler::FinishViews(std::vector<ShufflerView> views
       survivors.push_back(std::move(record.payload));
     }
   } else {
-    survivors = ThresholdAndStrip(std::move(views), noise_rng);
+    survivors = ThresholdAndStrip(std::move(views), config_, noise_rng, stats_);
   }
   // Re-shuffle after thresholding so grouping order does not leak.
   rng.ShuffleVector(survivors);

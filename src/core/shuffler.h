@@ -97,12 +97,28 @@ class Shuffler {
   const ShufflerStats& stats() const { return stats_; }
   void ResetStats() { stats_ = ShufflerStats{}; }
 
+  // The in-memory shuffle of opened views: sorts them into a canonical
+  // order — (inner box, crowd hash) — then Fisher-Yates with `rng`.  The
+  // order that reaches thresholding, and so which members a noise drop
+  // removes, is then a function of the view *set* and the rng alone, not of
+  // arrival order or of how the views were split across shard groups.
+  static void ShuffleViews(std::vector<ShufflerView>& views, SecureRandom& rng);
+
+  // The one thresholding routine (paper §3.5), over views in shuffled
+  // order, keyed by plain crowd hash: the serial drain and the cluster
+  // merge both decide here.  Crowds are visited in ascending hash order, so
+  // each consumes the same noise draw whatever the batch's arrival order;
+  // a randomized drop removes a crowd's last members in the given order.
+  // Counts crowds_seen, dropped_noise, dropped_threshold and
+  // crowds_forwarded into `stats`; returns the survivors' inner boxes.
+  static std::vector<Bytes> ThresholdAndStrip(std::vector<ShufflerView> views,
+                                              const ShufflerConfig& config, Rng& noise_rng,
+                                              ShufflerStats& stats);
+
  private:
   // Chunked pull + batched ECDH open shared by ProcessStream and
   // OpenStream: raw sealed reports are resident one chunk at a time.
   Result<std::vector<ShufflerView>> OpenViewsChunked(RecordStream& reports, ThreadPool* pool);
-  // Shared thresholding logic over opened views, keyed by plain crowd hash.
-  std::vector<Bytes> ThresholdAndStrip(std::vector<ShufflerView> views, Rng& noise_rng);
   // Thresholding + post-shuffle shared by the batch and stream paths.
   Result<std::vector<Bytes>> FinishViews(std::vector<ShufflerView> views, SecureRandom& rng,
                                          Rng& noise_rng);

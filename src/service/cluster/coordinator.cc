@@ -1,5 +1,7 @@
 #include "src/service/cluster/coordinator.h"
 
+#include <thread>
+
 namespace prochlo {
 
 EpochCoordinator::EpochCoordinator(std::vector<ShardGroup*> groups)
@@ -14,7 +16,7 @@ void EpochCoordinator::Start() {
   started_ = true;
   for (ShardGroup* group : groups_) {
     // Lock-light nudge: the seal path only flips a condition variable; the
-    // actual drain happens on the merging thread.
+    // actual drain happens in MergeEpoch's pump.
     group->frontend().SetSealListener([this] {
       MutexLock lock(mu_);
       seal_cv_.NotifyAll();
@@ -56,27 +58,44 @@ Status EpochCoordinator::CutEpochAll() {
   return first_error;
 }
 
-Status EpochCoordinator::PumpPartials() {
-  Status first_error = Status::Ok();
-  for (ShardGroup* group : groups_) {
-    for (;;) {
-      auto drained = group->frontend().DrainNextEpochPartial();
-      if (!drained.ok()) {
-        // The epoch was requeued intact at its group; a later pump retries.
-        if (first_error.ok()) {
-          first_error = drained.error();
-        }
-        break;
-      }
-      if (!drained.value().has_value()) {
-        break;  // this group's sealed queue is empty
-      }
-      EpochPartialResult result = std::move(*drained.value());
-      MutexLock lock(mu_);
-      partials_[result.epoch][group->group_id()] = std::move(result.partial);
+uint64_t EpochCoordinator::PumpGroup(ShardGroup& group) {
+  // Read before draining: a seal queues its batch before it advances the
+  // epoch, so every epoch below this one is in the queue drained below, or
+  // was empty and discarded by crash recovery.
+  const uint64_t reached = group.frontend().current_epoch();
+  for (;;) {
+    auto drained = group.frontend().DrainNextEpochPartial();
+    if (!drained.ok()) {
+      // The epoch was requeued intact at its group; a later pump retries.
+      return 0;
+    }
+    if (!drained.value().has_value()) {
+      return reached;  // this group's sealed queue is empty
+    }
+    EpochPartialResult result = std::move(*drained.value());
+    MutexLock lock(mu_);
+    partials_[result.epoch][group.group_id()] = std::move(result.partial);
+  }
+}
+
+std::vector<uint64_t> EpochCoordinator::PumpPartials() {
+  // One thread per group — the calling thread takes the first — so the
+  // groups' outer opens run concurrently.
+  std::vector<uint64_t> drained_below(groups_.size(), 0);
+  {
+    // jthreads join when this scope ends, on every path, so no drain
+    // outlives the call or the vector it writes.
+    std::vector<std::jthread> threads;
+    threads.reserve(groups_.size());
+    for (size_t i = 1; i < groups_.size(); ++i) {
+      threads.emplace_back(
+          [this, &drained_below, i] { drained_below[i] = PumpGroup(*groups_[i]); });
+    }
+    if (!groups_.empty()) {
+      drained_below[0] = PumpGroup(*groups_[0]);
     }
   }
-  return first_error;
+  return drained_below;
 }
 
 Result<ClusterEpochResult> EpochCoordinator::MergeEpoch(uint64_t epoch, HistogramMerge& merge,
@@ -85,24 +104,28 @@ Result<ClusterEpochResult> EpochCoordinator::MergeEpoch(uint64_t epoch, Histogra
   bool waited = false;
   std::vector<uint64_t> missing;
   for (;;) {
-    (void)PumpPartials();  // drain errors retry on the next pass until the deadline
+    // A failed drain leaves its epoch requeued; the next pass retries it
+    // until the deadline.
+    const std::vector<uint64_t> drained_below = PumpPartials();
     missing.clear();
     {
       MutexLock lock(mu_);
       auto& epoch_partials = partials_[epoch];
-      for (ShardGroup* group : groups_) {
-        if (epoch_partials.count(group->group_id()) != 0) {
+      for (size_t i = 0; i < groups_.size(); ++i) {
+        const uint64_t group_id = groups_[i]->group_id();
+        if (epoch_partials.count(group_id) != 0) {
           continue;
         }
-        if (group->frontend().current_epoch() > epoch) {
-          // The group is already past this epoch with nothing buffered for
-          // it: the epoch was empty there (crash recovery discards empty
-          // sealed epochs, so no batch will ever arrive).  An explicit
-          // empty contribution keeps the barrier accounting exact.
-          epoch_partials[group->group_id()] = EpochPartial{};
+        if (drained_below[i] > epoch) {
+          // The group had passed this epoch before a drain that emptied
+          // its queue, yet nothing arrived for it: the epoch was empty
+          // there (crash recovery discards empty sealed epochs, so no batch
+          // will ever arrive).  An explicit empty contribution keeps the
+          // barrier accounting exact.
+          epoch_partials[group_id] = EpochPartial{};
           continue;
         }
-        missing.push_back(group->group_id());
+        missing.push_back(group_id);
       }
       if (!missing.empty() && std::chrono::steady_clock::now() < deadline) {
         if (!waited) {

@@ -4,9 +4,14 @@
 // shortfall accounted, never silently dropped.
 //
 //   groups seal epoch e ──listener nudge──► coordinator drains partials
+//                                           (one thread per group, joined)
 //                                               │  all N buffered for e?
 //                                               ▼
 //                                    HistogramMerge::Merge(e, partials)
+//
+// A partial is ciphertext: each crowd's still-encrypted inner boxes after
+// the outer open.  The merge thresholds the union once and decrypts only
+// the survivors (see merge.h).
 //
 // Epoch alignment: CutEpochAll() is the quiescent cut — flush every worker
 // ring (each enqueued report durably ingested), then force-seal every
@@ -14,7 +19,8 @@
 // all groups advance in lockstep and epoch numbers mean the same thing
 // everywhere.  A group that recovered past an empty epoch (crash + reopen
 // discards empty sealed epochs) is recognized by its current_epoch() having
-// moved past e and contributes an empty partial rather than a shortfall.
+// moved past e before a drain that emptied its queue, and contributes an
+// empty partial rather than a shortfall.
 #ifndef PROCHLO_SRC_SERVICE_CLUSTER_COORDINATOR_H_
 #define PROCHLO_SRC_SERVICE_CLUSTER_COORDINATOR_H_
 
@@ -60,7 +66,8 @@ class EpochCoordinator {
   Status CutEpochAll();
 
   // Barrier + merge for epoch `epoch`: drains partials from every group as
-  // they seal, blocks (listener-nudged) until all groups contributed or
+  // they seal (the groups concurrently; every drain thread is joined before
+  // this returns), blocks (listener-nudged) until all groups contributed or
   // `timeout` expired, then merges what arrived.  Counts merge_waits when
   // it had to block and merge_shortfalls per missing group on timeout.
   Result<ClusterEpochResult> MergeEpoch(uint64_t epoch, HistogramMerge& merge,
@@ -71,9 +78,15 @@ class EpochCoordinator {
   FrontendStats& merge_stats() { return merge_stats_; }
 
  private:
-  // Drains every group's sealed epochs into partials_; returns the first
-  // drain error (failed epochs stay requeued at their group for retry).
-  Status PumpPartials();
+  // Drains every group's sealed epochs into partials_, each group on its
+  // own thread, joined before returning.  Returns, per group (groups_
+  // order), the epoch below which that group's partials are all buffered,
+  // or 0 when its drain failed (the failed epoch stays requeued at the
+  // group for the next pass).
+  std::vector<uint64_t> PumpPartials() EXCLUDES(mu_);
+  // One group's drain loop for PumpPartials: the group's current epoch
+  // before draining, or 0 on a drain failure.
+  uint64_t PumpGroup(ShardGroup& group) EXCLUDES(mu_);
 
   std::vector<ShardGroup*> groups_;  // borrowed
   FrontendStats merge_stats_;

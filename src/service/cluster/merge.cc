@@ -3,9 +3,10 @@
 namespace prochlo {
 
 Result<PipelineResult> HistogramMerge::Merge(uint64_t epoch,
-                                             const std::vector<EpochPartial>& partials) {
+                                             std::vector<EpochPartial>& partials) {
+  SecureRandom rng = DeriveEpochRng(config_.seed, epoch);
   Rng noise_rng = DeriveEpochNoiseRng(config_.seed, epoch);
-  return pipeline_.MergePartials(partials, noise_rng);
+  return pipeline_.MergePartials(partials, rng, noise_rng);
 }
 
 }  // namespace prochlo

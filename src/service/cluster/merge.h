@@ -6,11 +6,15 @@
 // minimum-batch decision are functions of the WHOLE epoch, so per-group
 // histograms cannot simply be summed — a crowd split 12/8 across two groups
 // passes a T=20 threshold globally but would die in both halves.  Groups
-// therefore ship pre-threshold per-crowd value counts (EpochPartial), and
-// the batch-global stages run exactly once here, with the same
-// (seed, epoch)-derived noise RNG the serial drain uses, over crowds in the
-// same ascending-hash order.  See Pipeline::MergePartials for the replay
-// contract and its determinism caveats.
+// therefore ship only what the shuffler side sees after the outer open:
+// each crowd's still-encrypted inner boxes (EpochPartial).  The merge runs
+// the rest of the serial drain exactly once over their union, with the
+// serial drain's (seed, epoch)-derived RNGs: the canonical-order shuffle,
+// the threshold and noise decision in the same Shuffler::ThresholdAndStrip
+// the serial drain calls, the survivors' re-shuffle, and then the one
+// analyzer stage of the cluster, which decrypts the survivors and nothing
+// else.  No group-side code path calls the analyzer (scripts/lint.py's
+// analyzer-boundary rule keeps it that way).
 #ifndef PROCHLO_SRC_SERVICE_CLUSTER_MERGE_H_
 #define PROCHLO_SRC_SERVICE_CLUSTER_MERGE_H_
 
@@ -24,14 +28,17 @@ namespace prochlo {
 class HistogramMerge {
  public:
   // `config` must equal the groups' pipeline config (same seed → same
-  // analyzer/shuffler keys, same per-epoch RNG derivations).
+  // analyzer/shuffler keys, same per-epoch RNG derivations).  The survivors
+  // are decrypted on this pipeline's own pool (config.num_threads).
   explicit HistogramMerge(const PipelineConfig& config)
       : config_(config), pipeline_(config) {}
 
   // Merges one epoch's partials (one per contributing group; order
-  // irrelevant) into the final result.  The noise RNG is derived from
-  // (seed, epoch), exactly as the serial drain derives it.
-  Result<PipelineResult> Merge(uint64_t epoch, const std::vector<EpochPartial>& partials);
+  // irrelevant) into the final result.  The RNGs are derived from
+  // (seed, epoch), exactly as the serial drain derives them.  The inner
+  // boxes are moved out of `partials` on success; on error (the epoch's
+  // union is below the minimum batch) `partials` is left intact.
+  Result<PipelineResult> Merge(uint64_t epoch, std::vector<EpochPartial>& partials);
 
  private:
   PipelineConfig config_;

@@ -20,9 +20,9 @@
 // (pipeline seed, epoch number) — not from the pipeline's mutable RNG — so
 // for a fixed seed the per-epoch histogram is a function of the epoch's
 // report *set* alone: independent of ingestion interleaving, of drain
-// order, and of whether a crash/recovery happened mid-epoch.  (Under
-// randomized thresholding this holds when each crowd maps to one value —
-// see Pipeline::RunReports.)
+// order, and of whether a crash/recovery happened mid-epoch, under every
+// threshold mode (the shuffle starts from a canonical order; see
+// Pipeline::RunReports).
 #ifndef PROCHLO_SRC_SERVICE_FRONTEND_H_
 #define PROCHLO_SRC_SERVICE_FRONTEND_H_
 
@@ -139,8 +139,9 @@ struct EpochResult {
 };
 
 // One epoch's pre-threshold contribution from this frontend (cluster mode):
-// per-crowd value counts, not a histogram — thresholding is global, so only
-// the merge step (HistogramMerge) may apply it.
+// each crowd's still-encrypted inner boxes, not a histogram — thresholding
+// is global, so only the merge step (HistogramMerge) may apply it, and only
+// its survivors reach the analyzer.
 struct EpochPartialResult {
   uint64_t epoch = 0;
   size_t reports = 0;
@@ -250,11 +251,12 @@ class ShufflerFrontend {
   DrainReport DrainSealedEpochs();
 
   // Cluster-mode drain: pops the oldest sealed epoch and runs only the
-  // pipeline's open/decrypt stages, returning the epoch's pre-threshold
-  // partial (per-crowd value counts) for HistogramMerge to combine across
-  // groups.  nullopt when no sealed epoch is queued; on failure the epoch
-  // is requeued intact, exactly like DrainSealedEpochs.  An empty sealed
-  // epoch (a seal_if_empty alignment cut) yields an empty partial.
+  // shuffler's outer open, returning the epoch's pre-threshold partial
+  // (each crowd's still-encrypted inner boxes) for HistogramMerge to
+  // combine across groups; the analyzer is never called here.  nullopt
+  // when no sealed epoch is queued; on failure the epoch is requeued
+  // intact, exactly like DrainSealedEpochs.  An empty sealed epoch (a
+  // seal_if_empty alignment cut) yields an empty partial.
   Result<std::optional<EpochPartialResult>> DrainNextEpochPartial();
 
   // Fired after every successful epoch seal; owned by the drain scheduler

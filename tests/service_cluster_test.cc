@@ -15,8 +15,10 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "src/core/pipeline.h"
@@ -190,6 +192,80 @@ std::map<uint64_t, std::map<std::string, uint64_t>> SerialBaseline(
     expected[result.epoch] = result.result.histogram;
   }
   return expected;
+}
+
+// The serial drain of one epoch: the same reports through one in-memory
+// frontend.
+PipelineResult SerialEpoch(const FrontendConfig& base, const std::vector<Bytes>& reports) {
+  FrontendConfig config = base;
+  config.spool_dir.clear();
+  ShufflerFrontend serial(config);
+  EXPECT_TRUE(serial.Start().ok());
+  for (const auto& report : reports) {
+    EXPECT_TRUE(serial.AcceptReport(report).ok());
+  }
+  EXPECT_TRUE(serial.CutEpoch().ok());
+  auto drained = serial.DrainSealedEpochs();
+  EXPECT_TRUE(drained.ok());
+  if (drained.results.size() != 1) {
+    ADD_FAILURE() << "serial drain produced " << drained.results.size() << " epochs";
+    return {};
+  }
+  return std::move(drained.results[0].result);
+}
+
+// A cluster without the network: each report goes straight to the frontend
+// of the group that owns it under the map a Router would publish, then one
+// cluster-wide cut seals epoch 0 everywhere.
+struct DirectCluster {
+  DirectCluster(const std::string& root, const std::vector<FrontendConfig>& configs) {
+    std::vector<uint64_t> ids;
+    for (size_t g = 0; g < configs.size(); ++g) {
+      owned.push_back(MakeGroup(g + 1, root, configs[g]));
+      groups.push_back(owned.back().get());
+      EXPECT_TRUE(groups.back()->Start().ok());
+      ids.push_back(g + 1);
+    }
+    map = GroupMap(1, ids);
+    coordinator = std::make_unique<EpochCoordinator>(groups);
+    coordinator->Start();
+  }
+  ~DirectCluster() {
+    coordinator->Stop();
+    for (ShardGroup* group : groups) {
+      EXPECT_TRUE(group->Stop().ok());
+    }
+  }
+
+  Result<ClusterEpochResult> IngestAndMergeEpoch0(const PipelineConfig& pipeline,
+                                                  const std::vector<Bytes>& reports) {
+    for (const auto& report : reports) {
+      ShardGroup& owner = *groups[map.OwnerOfReport(report) - 1];
+      EXPECT_TRUE(owner.frontend().AcceptReport(report).ok());
+    }
+    EXPECT_TRUE(coordinator->CutEpochAll().ok());
+    HistogramMerge merge(pipeline);
+    return coordinator->MergeEpoch(0, merge, std::chrono::milliseconds(60000));
+  }
+
+  std::vector<std::unique_ptr<ShardGroup>> owned;
+  std::vector<ShardGroup*> groups;
+  GroupMap map;
+  std::unique_ptr<EpochCoordinator> coordinator;
+};
+
+void ExpectSameStats(const PipelineResult& merged, const PipelineResult& serial) {
+  const ShufflerStats& m = merged.shuffler_stats;
+  const ShufflerStats& s = serial.shuffler_stats;
+  EXPECT_EQ(m.received, s.received);
+  EXPECT_EQ(m.malformed, s.malformed);
+  EXPECT_EQ(m.dropped_noise, s.dropped_noise);
+  EXPECT_EQ(m.dropped_threshold, s.dropped_threshold);
+  EXPECT_EQ(m.forwarded, s.forwarded);
+  EXPECT_EQ(m.crowds_seen, s.crowds_seen);
+  EXPECT_EQ(m.crowds_forwarded, s.crowds_forwarded);
+  EXPECT_EQ(merged.analyzer_stats.received, serial.analyzer_stats.received);
+  EXPECT_EQ(merged.analyzer_stats.undecryptable, serial.analyzer_stats.undecryptable);
 }
 
 // Cross-layer balance: every rejection sent exactly one redirect NACK, the
@@ -659,6 +735,155 @@ TEST(ServiceClusterTest, GroupCrashMidEpochFailsOverByRedirectWithoutLossOrDupli
   coordinator.Stop();
   for (ShardGroup* group : groups) {
     ASSERT_TRUE(group->Stop().ok());
+  }
+}
+
+// ------------------------------------- ciphertext partials, one threshold
+
+// Crowd ID != value, several values per crowd: under kRandomized, which
+// members a noise drop removes changes the histogram, so the merge must
+// reproduce the serial drain's member order, not just its crowd counts.
+TEST(ServiceClusterTest, MixedValueCrowdsMergeBitIdenticalUnderEveryThresholdMode) {
+  std::vector<std::pair<std::string, std::string>> inputs;
+  for (int crowd = 0; crowd < 6; ++crowd) {
+    for (int i = 0; i < 26 + 4 * crowd; ++i) {
+      inputs.emplace_back("crowd-" + std::to_string(crowd),
+                          "value-" + std::to_string(crowd) + "-" + std::to_string(i % 3));
+    }
+  }
+  for (int i = 0; i < 5; ++i) {
+    inputs.emplace_back("crowd-rare", "value-rare");
+  }
+  FrontendConfig key_config = ClusterBaseConfig();
+  std::vector<Bytes> sealed;
+  {
+    ShufflerFrontend key_holder(key_config);
+    SecureRandom client_rng(ToBytes("cluster-mixed-clients"));
+    auto batch = key_holder.MakeEncoder().BatchSealReports(inputs, client_rng);
+    ASSERT_TRUE(batch.ok());
+    sealed = std::move(batch).value();
+  }
+
+  for (ThresholdMode mode :
+       {ThresholdMode::kNone, ThresholdMode::kNaive, ThresholdMode::kRandomized}) {
+    SCOPED_TRACE("threshold mode " + std::to_string(static_cast<int>(mode)));
+    FrontendConfig base = key_config;
+    base.pipeline.shuffler.threshold_mode = mode;
+    const PipelineResult serial = SerialEpoch(base, sealed);
+    if (mode == ThresholdMode::kRandomized) {
+      ASSERT_GT(serial.shuffler_stats.dropped_noise, 0u);  // drops actually happened
+    }
+    for (size_t num_groups : {1u, 2u, 4u}) {
+      SCOPED_TRACE("groups=" + std::to_string(num_groups));
+      ScratchDir dir("cluster-mixed-" + std::to_string(num_groups));
+      DirectCluster cluster(dir.path, std::vector<FrontendConfig>(num_groups, base));
+      auto merged = cluster.IngestAndMergeEpoch0(base.pipeline, sealed);
+      ASSERT_TRUE(merged.ok()) << merged.error().message;
+      EXPECT_TRUE(merged.value().complete());
+      EXPECT_EQ(merged.value().merged.result.histogram, serial.histogram);  // bit-identical
+      ExpectSameStats(merged.value().merged.result, serial);
+    }
+  }
+}
+
+// The analyzer stage sees exactly the threshold's survivors.  Reports sealed
+// to a foreign analyzer key still count toward their crowd's cardinality
+// (thresholding happens before any decryption), and are undecryptable at
+// the analyzer only when their crowd survives.
+TEST(ServiceClusterTest, MergeDecryptsExactlyTheSurvivors) {
+  FrontendConfig base = ClusterBaseConfig();  // kNaive, T = 20
+  std::vector<Bytes> sealed;
+  std::vector<Bytes> foreign_survivors;  // foreign-key reports in surviving crowds
+  {
+    ShufflerFrontend key_holder(base);
+    const Encoder encoder = key_holder.MakeEncoder();
+    EncoderConfig foreign_config = encoder.config();
+    SecureRandom key_rng(ToBytes("cluster-foreign-analyzer"));
+    foreign_config.analyzer_public = KeyPair::Generate(key_rng).public_key;
+    const Encoder foreign(foreign_config);
+    SecureRandom rng(ToBytes("cluster-survivor-clients"));
+    // (crowd, good reports, foreign-key reports)
+    const std::vector<std::tuple<std::string, int, int>> crowds = {
+        {"survives-with-foreign", 15, 10},  // 25 >= T
+        {"lifted-by-foreign", 12, 8},       // 20 >= T only with the foreign 8
+        {"dies-with-foreign", 6, 6},        // 12 < T: none reaches the analyzer
+        {"plain", 30, 0},
+    };
+    for (const auto& [crowd, good, bad] : crowds) {
+      for (int i = 0; i < good + bad; ++i) {
+        const Encoder& sealer = i < good ? encoder : foreign;
+        auto report = sealer.EncodeValue(crowd + "-value", crowd, rng);
+        ASSERT_TRUE(report.ok());
+        if (i >= good && crowd != "dies-with-foreign") {
+          foreign_survivors.push_back(report.value());
+        }
+        sealed.push_back(std::move(report).value());
+      }
+    }
+  }
+  const PipelineResult serial = SerialEpoch(base, sealed);
+  EXPECT_EQ(serial.analyzer_stats.received, 75u);
+  EXPECT_EQ(serial.analyzer_stats.undecryptable, 18u);
+  const std::map<std::string, uint64_t> expected = {
+      {"survives-with-foreign-value", 15}, {"lifted-by-foreign-value", 12}, {"plain-value", 30}};
+  EXPECT_EQ(serial.histogram, expected);
+
+  for (size_t num_groups : {1u, 2u, 4u}) {
+    SCOPED_TRACE("groups=" + std::to_string(num_groups));
+    ScratchDir dir("cluster-survivors-" + std::to_string(num_groups));
+    DirectCluster cluster(dir.path, std::vector<FrontendConfig>(num_groups, base));
+    if (num_groups > 1) {
+      // The foreign-key reports are split across groups, so no group alone
+      // could have decided their crowds.
+      std::set<uint64_t> owners;
+      for (const auto& report : foreign_survivors) {
+        owners.insert(cluster.map.OwnerOfReport(report));
+      }
+      EXPECT_GT(owners.size(), 1u);
+    }
+    auto merged = cluster.IngestAndMergeEpoch0(base.pipeline, sealed);
+    ASSERT_TRUE(merged.ok()) << merged.error().message;
+    const PipelineResult& result = merged.value().merged.result;
+    EXPECT_EQ(result.histogram, expected);
+    EXPECT_EQ(result.analyzer_stats.received, result.shuffler_stats.forwarded);
+    ExpectSameStats(result, serial);
+  }
+}
+
+// Groups drain concurrently; one group's drain of the epoch fails once.  The
+// failed epoch is requeued at that group and the next pass drains it: the
+// merge waits for it rather than mistaking the group for one that had an
+// empty epoch, and no other group's partial is drained twice or lost.
+TEST(ServiceClusterTest, ConcurrentPumpRetriesAFailedGroupDrain) {
+  FrontendConfig base = ClusterBaseConfig();
+  std::vector<Bytes> sealed;
+  {
+    ShufflerFrontend key_holder(base);
+    SecureRandom client_rng(ToBytes("cluster-pump-clients"));
+    auto batch = key_holder.MakeEncoder().BatchSealReports(WaveInputs(0), client_rng);
+    ASSERT_TRUE(batch.ok());
+    sealed = std::move(batch).value();
+  }
+  const PipelineResult serial = SerialEpoch(base, sealed);
+
+  ScratchDir dir("cluster-pump-failure");
+  std::vector<FrontendConfig> configs(4, base);
+  configs[2].inject_drain_failure = FrontendConfig::DrainFaultInjection{0, 1};
+  DirectCluster cluster(dir.path, configs);
+  auto merged = cluster.IngestAndMergeEpoch0(base.pipeline, sealed);
+  ASSERT_GT(cluster.groups[2]->frontend().stats().reports_accepted.load(), 0u);
+  ASSERT_TRUE(merged.ok()) << merged.error().message;
+  EXPECT_TRUE(merged.value().complete());
+  EXPECT_EQ(merged.value().groups_merged, 4u);
+  EXPECT_EQ(merged.value().merged.reports, sealed.size());
+  EXPECT_EQ(merged.value().merged.result.histogram, serial.histogram);
+  ExpectSameStats(merged.value().merged.result, serial);
+  // The failure cost exactly one wait for the retry pass, and no shortfall.
+  EXPECT_EQ(cluster.coordinator->merge_stats().merge_waits.load(), 1u);
+  EXPECT_EQ(cluster.coordinator->merge_stats().merge_shortfalls.load(), 0u);
+  for (ShardGroup* group : cluster.groups) {
+    EXPECT_EQ(group->frontend().stats().epochs_drained.load(), 1u)
+        << "group " << group->group_id();
   }
 }
 

@@ -10,6 +10,7 @@
 // Set PROCHLO_WAL_SEED to reproduce a failing crash schedule.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -296,6 +297,46 @@ TEST(ServiceWalTest, GroupCommitAmortizesFsyncsAcrossConcurrentClients) {
   // concurrent phase paid at most one fsync per barrier-holder.
   EXPECT_LE(stats.fsyncs - baseline.fsyncs, 1u + kClients);
   EXPECT_LT(stats.fsyncs - baseline.fsyncs, stats.appends);
+}
+
+// The batch shape of a busy frontend: 500 reports, a barrier after every
+// 8, fsync on.  Group commit must amortize — strictly fewer fsyncs than
+// reports; one fsync per report would mean the leader/follower protocol
+// silently stopped batching.
+TEST(ServiceWalTest, BarrierEveryEightReportsFsyncsLessThanOncePerReport) {
+  ScratchDir dir("wal-batch-8");
+  FrontendConfig config = WalFrontendConfig(dir.path);
+  config.fsync_spool = true;
+  ShufflerFrontend frontend(config);
+  ASSERT_TRUE(frontend.Start().ok());
+  const IngestWal::Stats baseline = frontend.wal()->stats();
+
+  constexpr size_t kReports = 500;
+  constexpr size_t kBatch = 8;
+  std::atomic<uint64_t> committed{0};
+  for (size_t i = 0; i < kReports; i += kBatch) {
+    for (size_t j = i; j < std::min(i + kBatch, kReports); ++j) {
+      Bytes report(64, static_cast<uint8_t>(j));
+      for (int b = 0; b < 8; ++b) {
+        report[b] = static_cast<uint8_t>(j >> (8 * b));
+      }
+      size_t shard = ShardedIngest::ShardOfReport(report, frontend.num_shards());
+      ASSERT_TRUE(frontend
+                      .AcceptRoutedReportAsync(shard, std::move(report), ReportContext{},
+                                               [&committed](const Status& status) {
+                                                 if (status.ok()) {
+                                                   committed.fetch_add(1);
+                                                 }
+                                               })
+                      .ok());
+    }
+    ASSERT_TRUE(frontend.BarrierIngest().ok());
+  }
+  EXPECT_EQ(committed.load(), kReports);
+  const IngestWal::Stats stats = frontend.wal()->stats();
+  EXPECT_EQ(stats.records_flushed - baseline.records_flushed, kReports);
+  EXPECT_GT(stats.fsyncs, baseline.fsyncs);
+  EXPECT_LT(stats.fsyncs - baseline.fsyncs, kReports);
 }
 
 // ------------------------- the coupling: ENOSPC/EIO degradation books
