@@ -1,5 +1,5 @@
 // Ingestion-tier throughput: the shuffler frontend's cost per report from
-// the wire to a drained epoch, component by component, plus the batch
+// the wire to a sealed epoch, component by component, plus the batch
 // encoder fast path that feeds it.
 //
 //   * wire       — frame encode + streaming decode (CRC-checked)
@@ -11,8 +11,9 @@
 //                  pays before the dedup registry can serve)
 //   * seal       — per-report vs batch cohort sealing (BatchSealReports
 //                  amortizes fixed-base mults and affine conversions)
-//   * drain      — framed reports -> sharded spool -> epoch cut -> shuffle
-//                  -> analyzer histogram, end to end
+//
+// The drain and the cluster merge are measured end to end by esabench's
+// `drain`, `cluster` and `mixed` workloads.
 //
 // PROCHLO_INGEST_N scales the report count (default 2000; the paper's
 // shuffler handles millions — this tracks per-report cost, which is what
@@ -31,10 +32,6 @@
 #include "bench/json_out.h"
 #include "bench/table.h"
 #include "src/core/pipeline.h"
-#include "src/service/cluster/coordinator.h"
-#include "src/service/cluster/merge.h"
-#include "src/service/cluster/router.h"
-#include "src/service/cluster/shard_group.h"
 #include "src/service/connection.h"
 #include "src/service/frontend.h"
 #include "src/service/ingest.h"
@@ -438,200 +435,15 @@ void Run() {
     fs::remove_all(tcp_dir);
   }
 
-  // ---- overlap: frames over connections -> rings -> spool, epoch e
-  //      draining while e+1 accumulates ----
-  {
-    std::string overlap_dir = (fs::temp_directory_path() / "prochlo-bench-overlap").string();
-    fs::remove_all(overlap_dir);
-    FrontendConfig overlap_config;
-    overlap_config.pipeline.shuffler.threshold_mode = ThresholdMode::kNaive;
-    overlap_config.pipeline.seed = "bench-ingest-overlap";
-    overlap_config.ingest.num_shards = 4;
-    overlap_config.spool_dir = overlap_dir;
-    overlap_config.fsync_spool = false;
-    ShufflerFrontend frontend(overlap_config);
-    BenchCheck(frontend.Start(), "frontend.Start");
-    const Encoder overlap_encoder = frontend.MakeEncoder();
-    SecureRandom overlap_rng(ToBytes("bench-ingest-overlap-clients"));
-    auto cohort = overlap_encoder.BatchSealReports(inputs, overlap_rng);
-
-    IngestWorkerPool pool(&frontend, WorkerPoolConfig{/*workers=*/2, /*ring_capacity=*/1024});
-    pool.Start();
-    DrainScheduler drainer(&frontend, DrainSchedulerConfig{std::chrono::milliseconds(1)});
-    drainer.Start();
-    t0 = std::chrono::steady_clock::now();
-    size_t half = cohort.value().size() / 2;
-    FrameServer server([&pool](Bytes report) { return pool.Enqueue(std::move(report)); });
-    auto connection = server.Connect();
-    for (size_t i = 0; i < half; ++i) {
-      BenchCheck(connection->Write(EncodeFrame(cohort.value()[i])), "connection->Write");
-    }
-    // The pump thread may still be draining the loopback buffer; Flush only
-    // barriers reports already enqueued.  Wait for the pump to hand over
-    // the whole first half, then flush, so the cut seals a real epoch.
-    while (pool.stats().enqueued < half) {
-      std::this_thread::yield();
-    }
-    BenchCheck(pool.Flush(), "pool.Flush");
-    BenchCheck(frontend.CutEpoch(), "frontend.CutEpoch");
-    drainer.RequestDrain();  // epoch 0 drains while epoch 1 accumulates
-    for (size_t i = half; i < cohort.value().size(); ++i) {
-      BenchCheck(connection->Write(EncodeFrame(cohort.value()[i])), "connection->Write");
-    }
-    connection->CloseWrite();
-    (void)server.Shutdown();  // teardown; per-connection errors already counted
-    BenchCheck(pool.Flush(), "pool.Flush");
-    BenchCheck(frontend.CutEpoch(), "frontend.CutEpoch");
-    drainer.RequestDrain();
-    bool drained_both = drainer.WaitForDrainedEpochs(2, std::chrono::milliseconds(120000));
-    double overlap_seconds = SecondsSince(t0);
-    drainer.Stop();
-    pool.Stop();
-    if (drained_both) {
-      table.AddRow({"drain/overlap-2-epochs", std::to_string(n),
-                    Seconds(overlap_seconds), PerReport(overlap_seconds, n)});
-      json.Add("drain_overlap_2_epochs", n, 1e9 * overlap_seconds / static_cast<double>(n),
-               static_cast<double>(n) / overlap_seconds, /*groups=*/1, /*workers=*/2);
-    } else {
-      std::fprintf(stderr, "overlap drain timed out\n");
-    }
-    fs::remove_all(overlap_dir);
-  }
-
-  // ---- cluster: shard-group fan-out, send -> ACK -> merged histogram ----
-  // One ClusterClient routes the cohort across N groups by consistent hash;
-  // the stage ends only when the coordinator has merged every group's
-  // partial into the final histogram.  Per-report cost should stay flat in
-  // the group count on loopback (the win is horizontal: each group ingests
-  // and drains its share independently).
-  {
-    FrontendConfig cluster_base;
-    cluster_base.pipeline.shuffler.threshold_mode = ThresholdMode::kNaive;
-    cluster_base.pipeline.seed = "bench-ingest-cluster";
-    cluster_base.ingest.num_shards = 4;
-    cluster_base.fsync_spool = false;
-    ShufflerFrontend key_holder(cluster_base);
-    const Encoder cluster_encoder = key_holder.MakeEncoder();
-    SecureRandom cluster_rng(ToBytes("bench-ingest-cluster-clients"));
-    auto cohort = cluster_encoder.BatchSealReports(inputs, cluster_rng);
-    if (!cohort.ok()) {
-      std::fprintf(stderr, "cluster stage: cohort seal failed\n");
-    } else {
-      for (size_t num_groups : {size_t{1}, size_t{2}, size_t{4}}) {
-        std::string root = (fs::temp_directory_path() /
-                            ("prochlo-bench-cluster-" + std::to_string(num_groups)))
-                               .string();
-        fs::remove_all(root);
-        std::vector<std::unique_ptr<ShardGroup>> owned;
-        std::vector<ShardGroup*> groups;
-        bool started = true;
-        for (size_t g = 1; g <= num_groups; ++g) {
-          ShardGroupConfig group_config;
-          group_config.group_id = g;
-          group_config.frontend = cluster_base;
-          group_config.frontend.spool_dir = root + "/group-" + std::to_string(g);
-          group_config.workers = WorkerPoolConfig{/*workers=*/2, /*ring_capacity=*/1024};
-          owned.push_back(std::make_unique<ShardGroup>(group_config));
-          groups.push_back(owned.back().get());
-          started = started && groups.back()->Start().ok();
-        }
-        if (!started) {
-          std::fprintf(stderr, "cluster stage: group start failed\n");
-          continue;
-        }
-        Router router(groups);
-        router.Start();
-        EpochCoordinator coordinator(groups);
-        coordinator.Start();
-        HistogramMerge cluster_merge(cluster_base.pipeline);
-
-        t0 = std::chrono::steady_clock::now();
-        ClusterClient client(
-            router.CurrentMap(),
-            [&groups](uint64_t group_id) -> Result<std::unique_ptr<ByteStream>> {
-              for (ShardGroup* group : groups) {
-                if (group->group_id() == group_id) {
-                  return group->Connect();
-                }
-              }
-              return Error{"bench: unknown group"};
-            });
-        (void)client.Connect();  // a failed connect surfaces as acked=false below
-        for (const auto& report : cohort.value()) {
-          (void)client.SendReport(report);  // failed sends stay owned; WaitForAllAcked is the check
-        }
-        bool acked = client.WaitForAllAcked(std::chrono::milliseconds(120000));
-        (void)coordinator.CutEpochAll();  // a failed cut surfaces as an incomplete merge below
-        auto merged =
-            coordinator.MergeEpoch(0, cluster_merge, std::chrono::milliseconds(120000));
-        double cluster_seconds = SecondsSince(t0);
-        client.Close();
-        if (acked && merged.ok() && merged.value().complete()) {
-          std::string label = "cluster/groups=" + std::to_string(num_groups) +
-                              ",send-ack-merge";
-          table.AddRow({label, std::to_string(n), Seconds(cluster_seconds),
-                        PerReport(cluster_seconds, n)});
-          json.Add(label, n, 1e9 * cluster_seconds / static_cast<double>(n),
-                   static_cast<double>(n) / cluster_seconds, num_groups, /*workers=*/2);
-        } else {
-          std::fprintf(stderr, "cluster stage: groups=%zu did not converge\n", num_groups);
-        }
-        coordinator.Stop();
-        for (ShardGroup* group : groups) {
-          (void)group->Stop();  // teardown; errors were counted in group stats
-        }
-        owned.clear();
-        fs::remove_all(root);
-      }
-    }
-  }
-
-  // ---- drain: framed -> sharded spool -> epoch cut -> histogram ----
-  {
-    std::string drain_dir = (fs::temp_directory_path() / "prochlo-bench-drain").string();
-    fs::remove_all(drain_dir);
-    FrontendConfig frontend_config;
-    frontend_config.pipeline.shuffler.threshold_mode = ThresholdMode::kNaive;
-    frontend_config.pipeline.seed = "bench-ingest-frontend";
-    frontend_config.ingest.num_shards = 4;
-    frontend_config.spool_dir = drain_dir;
-    frontend_config.fsync_spool = false;
-    ShufflerFrontend frontend(frontend_config);
-    BenchCheck(frontend.Start(), "frontend.Start");
-    const Encoder frontend_encoder = frontend.MakeEncoder();
-    SecureRandom client_rng(ToBytes("bench-ingest-clients"));
-    auto cohort = frontend_encoder.BatchSealReports(inputs, client_rng);
-    t0 = std::chrono::steady_clock::now();
-    for (const auto& report : cohort.value()) {
-      BenchCheck(frontend.AcceptFrameStream(EncodeFrame(report)), "frontend.AcceptFrameStream");
-    }
-    BenchCheck(frontend.CutEpoch(), "frontend.CutEpoch");
-    auto drained = frontend.DrainSealedEpochs();
-    double drain_seconds = SecondsSince(t0);
-    if (drained.ok() && !drained.results.empty()) {
-      table.AddRow({"drain/end-to-end", std::to_string(n),
-                    Seconds(drain_seconds),
-                    PerReport(drain_seconds, n)});
-      json.Add("drain_end_to_end", n, 1e9 * drain_seconds / static_cast<double>(n),
-               static_cast<double>(n) / drain_seconds);
-    } else {
-      std::fprintf(stderr, "drain failed\n");
-    }
-    fs::remove_all(drain_dir);
-  }
-
   table.Print();
   json.Write();
   std::printf(
       "\nShape checks: wire and ingest are tens of ns per report (never the bottleneck);\n"
       "spool append/replay are I/O-bound but stream — RAM stays flat in N; seal dominates\n"
-      "client-side cost and the batch path amortizes its EC work; drain is shuffler-bound\n"
-      "(outer-layer ECDH), matching the stash-shuffle bench.  The pool grid should stay\n"
+      "client-side cost and the batch path amortizes its EC work.  The pool grid should stay\n"
       "flat across ring sizes (accept is cheap; rings only buffer bursts); the tcp stage\n"
       "prices the whole network tier — framing, loopback TCP, dedup registry, rings,\n"
-      "spool append, and the ack round-trip — and should stay single-digit us/report;\n"
-      "the overlapped two-epoch drain should beat two sequential end-to-end drains once\n"
-      "cores allow accept and shuffle to proceed concurrently.\n");
+      "spool append, and the ack round-trip — and should stay single-digit us/report.\n");
 }
 
 }  // namespace

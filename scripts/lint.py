@@ -17,11 +17,14 @@ Rules (each suppressible per line with a trailing `// lint:allow(<rule>)`):
       debug printf of a crowd ID is a privacy hole, not a style problem.
 
   analyzer-boundary
-      No Analyzer, DecryptBatch or analyzer_ token in src/service/ outside
-      src/service/cluster/merge.*.  The paper's trust split (§3.3-3.5): the
-      shuffler tier thresholds crowds on cardinality before anything is
-      decrypted, so a shard group ships ciphertexts and only the cluster
-      merge, after the threshold, hands survivors to the analyzer.
+      No Analyzer, DecryptBatch, analyzer_, RunReports or MergePartials
+      token anywhere in src/service/.  The paper's trust split (§3.3-3.5):
+      the shuffler tier thresholds crowds on cardinality before anything is
+      decrypted, so the service reaches the analyzer only through the one
+      merge entry point, Pipeline::MergeEpoch, which thresholds first and
+      hands only the survivors to the analyzer.  The serial drain and the
+      cluster merge both make that call; RunReportsPartial (the outer open)
+      is the only other Pipeline stage the service runs.
 
   fsync-before-rename
       In the durability tier (src/service/spool.cc, session_journal.cc), a
@@ -73,7 +76,7 @@ RAW_PRIMITIVE = re.compile(
 PRINT_CALL = re.compile(r"\b(printf|fprintf|snprintf|sprintf|puts|fputs)\s*\(|std::(cout|cerr|clog)\b")
 CROWD_ID = re.compile(r"\bcrowd\w*", re.IGNORECASE)
 
-ANALYZER_TOKEN = re.compile(r"\b(?:Analyzer|DecryptBatch|analyzer_)\b")
+ANALYZER_TOKEN = re.compile(r"\b(?:Analyzer|DecryptBatch|analyzer_|RunReports|MergePartials)\b")
 
 RENAME_CALL = re.compile(r"->\s*Rename\s*\(")
 SYNC_CALL = re.compile(r"\bSync\s*\(")
@@ -105,10 +108,9 @@ ASSIGN = re.compile(r"(?<![.\w>])(\w+)(?:(?:\.|->)\w+)*\s*=(?![=<>])")
 PRIMITIVE_EXEMPT = {os.path.join("src", "util", "thread_annotations.h")}
 # The analyzer is the trust boundary where plaintext crowds legitimately exist.
 CROWD_EXEMPT_PREFIX = os.path.join("src", "analysis") + os.sep
-# The service tier is the shuffler side of the trust split; only the cluster
-# merge, which runs after the threshold, may reach the analyzer.
+# The service tier is the shuffler side of the trust split; it reaches the
+# analyzer only through Pipeline::MergeEpoch, after the threshold.
 SERVICE_PREFIX = os.path.join("src", "service") + os.sep
-ANALYZER_BOUNDARY_EXEMPT_PREFIX = os.path.join("src", "service", "cluster", "merge.")
 # Durability-tier files whose commit idioms are order-checked.
 DURABILITY_FILES = {
     os.path.join("src", "service", "spool.cc"),
@@ -201,14 +203,14 @@ def lint_file(root, rel, findings):
                                      "printing a crowd identifier outside src/analysis/ — "
                                      "shufflers must only ever see ciphertext"))
 
-    if rel.startswith(SERVICE_PREFIX) and not rel.startswith(ANALYZER_BOUNDARY_EXEMPT_PREFIX):
+    if rel.startswith(SERVICE_PREFIX):
         for i, code in enumerate(code_lines, 1):
             m = ANALYZER_TOKEN.search(code)
             if m and not allowed(i, "analyzer-boundary"):
                 findings.append((rel, i, "analyzer-boundary",
-                                 f"'{m.group(0)}' in the shuffler-side service tier — only "
-                                 "src/service/cluster/merge.* may reach the analyzer, after "
-                                 "the threshold"))
+                                 f"'{m.group(0)}' in the shuffler-side service tier — reach "
+                                 "the analyzer only through Pipeline::MergeEpoch, after the "
+                                 "threshold"))
 
     if rel not in CT_IMPL_FILES:
         # Collect per-file Secret<> declarations (skipping function
@@ -350,6 +352,16 @@ def self_test():
          "  auto payloads = pipeline.analyzer_.DecryptBatch(boxes);\n"
          "}\n",
          ["analyzer-boundary"]),
+        ("src/service/bad_serial_drain.cc",
+         "Result<PipelineResult> Drain(RecordStream& stream, SecureRandom& rng, Rng& noise) {\n"
+         "  return pipeline_.RunReports(stream, rng, noise);\n"
+         "}\n",
+         ["analyzer-boundary"]),
+        ("src/service/cluster/bad_merge.cc",
+         "Result<PipelineResult> Merge(std::vector<EpochPartial>& partials, Rng& noise) {\n"
+         "  return pipeline_.MergePartials(partials, noise);\n"
+         "}\n",
+         ["analyzer-boundary"]),
         ("src/core/bad_crowd_print.cc",
          "void f(const std::string& crowd_id) {\n"
          "  printf(\"crowd=%s\", crowd_id.c_str());\n"
@@ -403,15 +415,17 @@ def self_test():
         if findings:
             failures.append(f"clean.cc: false positives: {findings}")
 
-        # The merge is the one service file allowed to reach the analyzer.
-        rel = os.path.join("src", "service", "cluster", "merge.cc")
+        # The one merge entry point and the outer open are how the service
+        # drains; neither may flag.
+        rel = os.path.join("src", "service", "cluster", "merge.h")
         os.makedirs(os.path.join(tmp, os.path.dirname(rel)), exist_ok=True)
         with open(os.path.join(tmp, rel), "w", encoding="utf-8") as f:
-            f.write("std::vector<Bytes> p = analyzer_.DecryptBatch(survivors);\n")
+            f.write("auto partial = pipeline_.RunReportsPartial(stream);\n"
+                    "return pipeline_.MergeEpoch(epoch, partials);\n")
         findings = []
         lint_file(tmp, rel, findings)
         if findings:
-            failures.append(f"merge.cc: false positives: {findings}")
+            failures.append(f"merge.h: false positives: {findings}")
 
     if failures:
         for f in failures:

@@ -3,13 +3,37 @@
 #include <algorithm>
 #include <chrono>
 
+#include "src/crypto/sha256.h"
+#include "src/util/serialization.h"
+
 namespace prochlo {
 
 namespace {
 double SecondsSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
 }
+
+Sha256Digest EpochDigest(const char* tag, const std::string& seed, uint64_t epoch) {
+  Writer w;
+  w.PutString(seed);
+  w.PutU64(epoch);
+  return Sha256::TaggedHash(tag, w.data());
+}
 }  // namespace
+
+SecureRandom DeriveEpochRng(const std::string& seed, uint64_t epoch) {
+  Sha256Digest digest = EpochDigest("prochlo-epoch-rng", seed, epoch);
+  return SecureRandom(ByteSpan(digest.data(), digest.size()));
+}
+
+Rng DeriveEpochNoiseRng(const std::string& seed, uint64_t epoch) {
+  Sha256Digest digest = EpochDigest("prochlo-epoch-noise", seed, epoch);
+  uint64_t rng_seed = 0;
+  for (int i = 0; i < 8; ++i) {
+    rng_seed |= static_cast<uint64_t>(digest[i]) << (8 * i);
+  }
+  return Rng(rng_seed);
+}
 
 Pipeline::Pipeline(const PipelineConfig& config)
     : config_(config),
@@ -86,53 +110,35 @@ Result<PipelineResult> Pipeline::Run(
   }
 
   // ---- Shuffle + threshold + analyze ----
-  VectorRecordStream stream(valid_reports);
-  auto result = RunReports(stream, rng_, noise_rng_);
-  if (result.ok()) {
-    // Fold the encode stage into the first stage's wall-clock split.
-    result.value().encode_shuffle1_seconds = SecondsSince(t0);
-  }
-  return result;
-}
-
-Result<PipelineResult> Pipeline::RunReports(RecordStream& reports, SecureRandom& rng,
-                                            Rng& noise_rng) {
   PipelineResult result;
-
-  // ---- Shuffle + threshold ----
-  auto t0 = std::chrono::steady_clock::now();
-  std::vector<Bytes> inner_boxes;
   if (config_.use_blinded_crowd_ids) {
-    // The two-party split works on materialized batches (each stage
-    // re-encrypts the full batch anyway).
-    std::vector<Bytes> batch;
-    batch.reserve(reports.size());
-    while (auto record = reports.Next()) {
-      batch.push_back(std::move(*record));
-    }
-    auto stage1 = blind_pair_->ProcessBatch(batch, rng, noise_rng, pool_.get());
-    result.encode_shuffle1_seconds = SecondsSince(t0);
+    // The two-party split (§4.3).  ProcessBatch runs both stages; the Vocab
+    // timing bench drives them separately to split out Shuffler 2's time.
+    auto stage1 = blind_pair_->ProcessBatch(valid_reports, rng_, noise_rng_, pool_.get());
     if (!stage1.ok()) {
       return stage1.error();
     }
-    inner_boxes = std::move(stage1).value();
     result.shuffler1_stats = blind_pair_->stats1();
     result.shuffler_stats = blind_pair_->stats2();
-    // ProcessBatch runs both stages; attribute the Shuffler 2 share of time
-    // by re-measuring: the split is provided by the Vocab timing bench
-    // (which drives the stages separately for Table 3).
+    Analyze(stage1.value(), result);
+    result.analyzer_stats = analyzer_.stats();
   } else {
-    auto shuffled = shuffler_->ProcessStream(reports, rng, noise_rng, pool_.get());
-    result.encode_shuffle1_seconds = SecondsSince(t0);
-    if (!shuffled.ok()) {
-      return shuffled.error();
+    // The service's drain over one partial: the outer open, then the merge.
+    VectorRecordStream stream(valid_reports);
+    auto partial = RunReportsPartial(stream);
+    if (!partial.ok()) {
+      return partial.error();
     }
-    inner_boxes = std::move(shuffled).value();
-    result.shuffler_stats = shuffler_->stats();
+    std::vector<EpochPartial> partials;
+    partials.push_back(std::move(partial).value());
+    auto merged = MergePartials(partials, rng_, noise_rng_);
+    if (!merged.ok()) {
+      return merged.error();
+    }
+    result = std::move(merged).value();
   }
-
-  Analyze(inner_boxes, result);
-  result.analyzer_stats = analyzer_.stats();
+  // Fold the encode stage into the first stage's wall-clock split.
+  result.encode_shuffle1_seconds = SecondsSince(t0);
   return result;
 }
 
@@ -151,16 +157,15 @@ size_t Pipeline::Analyze(const std::vector<Bytes>& inner_boxes, PipelineResult& 
   return payloads.size();
 }
 
-Result<PipelineResult> Pipeline::RunReports(const std::vector<Bytes>& reports) {
-  VectorRecordStream stream(reports);
-  return RunReports(stream, rng_, noise_rng_);
-}
-
 Result<EpochPartial> Pipeline::RunReportsPartial(RecordStream& reports) {
   if (config_.use_blinded_crowd_ids) {
     return Error{
         "partial drain requires plain-hash crowd IDs "
         "(blinded mode needs the two-party rendezvous)"};
+  }
+  if (config_.shuffler.use_stash_shuffle) {
+    // A Pipeline's shuffler holds bare keys: there is no enclave to host it.
+    return Error{"stash shuffle requires an enclave-hosted shuffler"};
   }
   EpochPartial partial;
   partial.reports = reports.size();
@@ -177,11 +182,6 @@ Result<EpochPartial> Pipeline::RunReportsPartial(RecordStream& reports) {
 
 Result<PipelineResult> Pipeline::MergePartials(std::vector<EpochPartial>& partials,
                                                SecureRandom& rng, Rng& noise_rng) {
-  if (config_.use_blinded_crowd_ids) {
-    return Error{
-        "partial merge requires plain-hash crowd IDs "
-        "(blinded mode needs the two-party rendezvous)"};
-  }
   PipelineResult result;
   size_t opened = 0;
   for (const auto& partial : partials) {
@@ -190,14 +190,13 @@ Result<PipelineResult> Pipeline::MergePartials(std::vector<EpochPartial>& partia
     opened += partial.reports - partial.malformed;
   }
   // The minimum-batch decision is a property of the whole epoch, so it runs
-  // here, over the union, with ProcessStream's exact semantics and message:
-  // the raw report count, malformed included, must clear the bar.  It is
-  // the only failure, and it comes before anything is moved out.
+  // here, over the union, with Shuffler::ProcessStream's semantics and
+  // message: the raw report count, malformed included, must clear the bar.
+  // It is the only failure, and it comes before anything is moved out.
   if (result.shuffler_stats.received < config_.shuffler.min_batch_size) {
     return Error{"batch below the minimum cardinality; keep batching"};
   }
 
-  // From here on this is RunReports after its open, over the union.
   auto t0 = std::chrono::steady_clock::now();
   std::vector<ShufflerView> views;
   views.reserve(opened);
@@ -229,6 +228,13 @@ Result<PipelineResult> Pipeline::MergePartials(std::vector<EpochPartial>& partia
 Result<PipelineResult> Pipeline::MergePartials(std::vector<EpochPartial>& partials,
                                                Rng& noise_rng) {
   return MergePartials(partials, rng_, noise_rng);
+}
+
+Result<PipelineResult> Pipeline::MergeEpoch(uint64_t epoch,
+                                            std::vector<EpochPartial>& partials) {
+  SecureRandom rng = DeriveEpochRng(config_.seed, epoch);
+  Rng noise_rng = DeriveEpochNoiseRng(config_.seed, epoch);
+  return MergePartials(partials, rng, noise_rng);
 }
 
 Result<PipelineResult> Pipeline::RunValues(const std::vector<std::string>& values) {

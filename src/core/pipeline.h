@@ -49,17 +49,22 @@ struct PipelineResult {
   double analyze_seconds = 0;
 };
 
-// One epoch's pre-threshold state from one shard group, the unit
-// HistogramMerge combines: each crowd's still-encrypted inner boxes, keyed
-// by plain crowd hash.  The outer layer is open — the shuffler's view —
-// and nothing else has happened: no threshold, noise, minimum-batch or
-// analyzer decision, which are functions of the whole epoch and belong to
-// MergePartials.
+// One epoch's pre-threshold state from one shard group (the serial drain's
+// one group is the whole epoch), the unit MergePartials combines: each
+// crowd's still-encrypted inner boxes, keyed by plain crowd hash.  The outer
+// layer is open — the shuffler's view — and nothing else has happened: no
+// threshold, noise, minimum-batch or analyzer decision, which are functions
+// of the whole epoch and belong to MergePartials.
 struct EpochPartial {
   uint64_t reports = 0;    // raw reports pulled from the stream
   uint64_t malformed = 0;  // outer opens that failed
   std::map<uint64_t, std::vector<Bytes>> crowds;
 };
+
+// Per-epoch derived randomness: for a fixed (seed, epoch) the shuffle and
+// the threshold noise are the same wherever and however often they replay.
+SecureRandom DeriveEpochRng(const std::string& seed, uint64_t epoch);
+Rng DeriveEpochNoiseRng(const std::string& seed, uint64_t epoch);
 
 class Pipeline {
  public:
@@ -76,41 +81,31 @@ class Pipeline {
   // Convenience: crowd ID = value (the Vocab arrangement).
   Result<PipelineResult> RunValues(const std::vector<std::string>& values);
 
-  // The shuffle + analyze stages over externally-supplied sealed reports
-  // (already encoded by clients) — the entry point the ingestion frontend
-  // drains epochs through.  Reports are pulled from `reports`, so a spooled
-  // epoch streams off disk; `rng`/`noise_rng` drive the stage randomness,
-  // letting the caller derive them per epoch for drain-order-independent
-  // determinism.  The opened views are put in a canonical order before the
-  // shuffle (Shuffler::ShuffleViews), so the result depends only on the
-  // report *set* and the two RNGs, never on arrival order.
-  Result<PipelineResult> RunReports(RecordStream& reports, SecureRandom& rng, Rng& noise_rng);
-  // Convenience over a materialized batch, using the pipeline's own RNGs.
-  Result<PipelineResult> RunReports(const std::vector<Bytes>& reports);
-
-  // Cluster split of RunReports, bit-identical when recombined (see
-  // MergePartials).  RunReportsPartial is the shuffler side only: it opens
-  // the outer layer and buckets each still-encrypted inner box under its
-  // crowd, and needs no randomness and no analyzer key — a group's partial
-  // is a pure function of its report set.  Single-shuffler (plain-hash
-  // crowd ID) mode only: blinded crowd IDs need the two-party rendezvous
-  // and return an Error here.
+  // The shuffler side of one epoch's drain: opens the outer layer of every
+  // report pulled from `reports` (so a spooled epoch streams off disk) and
+  // buckets each still-encrypted inner box under its crowd.  It needs no
+  // randomness and no analyzer key, so a partial is a pure function of its
+  // report set.  Plain-hash crowd IDs and the in-memory shuffle only: the
+  // blinded pair and the enclave's Stash Shuffle return an Error here.
   Result<EpochPartial> RunReportsPartial(RecordStream& reports);
 
-  // Combines per-group partials of ONE epoch into the analyzer-facing
-  // result, replaying RunReports' stages after the open over the union:
-  // the minimum-batch check, ShuffleViews with `rng`, the shared
+  // Everything after the open, over one epoch's partials (one per shard
+  // group): the minimum-batch check, ShuffleViews with `rng`, the one
   // Shuffler::ThresholdAndStrip with `noise_rng`, the survivors' re-shuffle,
-  // and then one analyzer DecryptBatch over the survivors only.  With the
-  // serial drain's epoch-derived RNGs the result is bit-identical to
-  // RunReports over the same report set, whatever the group count, split
-  // or partial order.  The inner boxes are moved out of `partials` on
-  // success; on error (the union is below the minimum batch) `partials`
-  // is left intact for a retry.
+  // and one analyzer DecryptBatch over the survivors only.  The result and
+  // its stats depend only on the report *set* and the two RNGs, never on
+  // arrival order, the group count or the partial order.  The inner boxes
+  // are moved out of `partials` on success; on error (the union is below
+  // the minimum batch) `partials` is left intact for a retry.
   Result<PipelineResult> MergePartials(std::vector<EpochPartial>& partials, SecureRandom& rng,
                                        Rng& noise_rng);
   // The same with the pipeline's own SecureRandom driving the shuffles.
   Result<PipelineResult> MergePartials(std::vector<EpochPartial>& partials, Rng& noise_rng);
+
+  // The service's one merge entry point, for the serial drain and the
+  // cluster's HistogramMerge: MergePartials with the RNGs derived from
+  // (config seed, `epoch`).
+  Result<PipelineResult> MergeEpoch(uint64_t epoch, std::vector<EpochPartial>& partials);
 
  private:
   // The analyzer stage: decrypts `inner_boxes` on the pool into the

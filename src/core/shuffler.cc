@@ -81,15 +81,14 @@ Result<std::vector<Bytes>> Shuffler::ProcessStream(RecordStream& reports, Secure
   if (n < config_.min_batch_size) {
     return Error{"batch below the minimum cardinality; keep batching"};
   }
-  stats_.received += n;
 
   std::vector<ShufflerView> views;
-  views.reserve(n);
-
   if (config_.use_stash_shuffle) {
     if (enclave_ == nullptr) {
       return Error{"stash shuffle requires an enclave-hosted shuffler"};
     }
+    stats_.received += n;
+    views.reserve(n);
     StashShuffler::Options options;
     options.open_outer = [this](const Bytes& record) -> std::optional<Bytes> {
       auto view = OpenReport(keys_, record);
@@ -127,7 +126,7 @@ Result<std::vector<Bytes>> Shuffler::ProcessStream(RecordStream& reports, Secure
       views.push_back(std::move(*view));
     }
   } else {
-    auto opened = OpenViewsChunked(reports, pool);
+    auto opened = OpenStream(reports, pool);
     if (!opened.ok()) {
       return opened.error();
     }
@@ -138,13 +137,14 @@ Result<std::vector<Bytes>> Shuffler::ProcessStream(RecordStream& reports, Secure
   return FinishViews(std::move(views), rng, noise_rng);
 }
 
-Result<std::vector<ShufflerView>> Shuffler::OpenViewsChunked(RecordStream& reports,
-                                                             ThreadPool* pool) {
+Result<std::vector<ShufflerView>> Shuffler::OpenStream(RecordStream& reports,
+                                                       ThreadPool* pool) {
   // Pull and open in bounded chunks: the opened views must all be resident
   // for the in-memory Fisher-Yates anyway, but the raw sealed reports need
   // never be held more than a chunk at a time.
   constexpr size_t kOpenChunk = 4096;
   const size_t n = reports.size();
+  stats_.received += n;
   std::vector<ShufflerView> views;
   views.reserve(n);
   std::vector<Bytes> raw;
@@ -172,12 +172,6 @@ Result<std::vector<ShufflerView>> Shuffler::OpenViewsChunked(RecordStream& repor
     remaining -= count;
   }
   return views;
-}
-
-Result<std::vector<ShufflerView>> Shuffler::OpenStream(RecordStream& reports,
-                                                       ThreadPool* pool) {
-  stats_.received += reports.size();
-  return OpenViewsChunked(reports, pool);
 }
 
 Result<std::vector<Bytes>> Shuffler::FinishViews(std::vector<ShufflerView> views,

@@ -88,9 +88,10 @@ class Shuffler {
                                            Rng& noise_rng, ThreadPool* pool = nullptr);
 
   // Opens every report's outer layer — no shuffle, no thresholding, no
-  // min-batch check — for the cluster's per-group partial drain, where
-  // those batch-global stages belong to the merge step.  Malformed reports
-  // are counted into stats() and skipped.
+  // min-batch check — for ProcessStream's in-memory path and for
+  // Pipeline::RunReportsPartial, the drain's first half.  Reports are pulled
+  // and opened in bounded chunks through the batched ECDH path.  Malformed
+  // reports are counted into stats() and skipped.
   Result<std::vector<ShufflerView>> OpenStream(RecordStream& reports,
                                                ThreadPool* pool = nullptr);
 
@@ -116,9 +117,6 @@ class Shuffler {
                                               ShufflerStats& stats);
 
  private:
-  // Chunked pull + batched ECDH open shared by ProcessStream and
-  // OpenStream: raw sealed reports are resident one chunk at a time.
-  Result<std::vector<ShufflerView>> OpenViewsChunked(RecordStream& reports, ThreadPool* pool);
   // Thresholding + post-shuffle shared by the batch and stream paths.
   Result<std::vector<Bytes>> FinishViews(std::vector<ShufflerView> views, SecureRandom& rng,
                                          Rng& noise_rng);

@@ -1,20 +1,29 @@
 #include "src/service/frontend.h"
 
+#include <chrono>
 #include <thread>
 
-#include "src/crypto/sha256.h"
 #include "src/service/connection.h"
-#include "src/util/serialization.h"
 
 namespace prochlo {
 
 namespace {
 
+// Post-drain RemoveEpoch attempts in total, and the pause between them.
+// Transient failures (e.g. a scanner holding the directory) usually clear
+// within one retry.
+constexpr uint32_t kRemoveRetryAttempts = 3;
+constexpr std::chrono::milliseconds kRemoveRetryDelay{2};
+
+double SecondsSince(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+}
+
 // RecordStream over an in-memory EpochBatch's per-shard reports, shard order
 // then arrival order — the same order the spooled path streams.  It borrows
-// the batch and yields copies, so a failed pipeline run leaves the batch
-// intact for requeueing: the batch is the only copy of the epoch's reports
-// in in-memory mode, and consuming it before the run succeeds is exactly the
+// the batch and yields copies, so a failed drain leaves the batch intact for
+// requeueing: the batch is the only copy of the epoch's reports in
+// in-memory mode, and consuming it before the drain succeeds is exactly the
 // data-loss bug this stream exists to prevent.
 class EpochBatchRecordStream : public RecordStream {
  public:
@@ -240,116 +249,80 @@ Status ShufflerFrontend::SyncSpool() {
   return spool_ != nullptr ? spool_->SyncAll() : Status::Ok();
 }
 
-SecureRandom DeriveEpochRng(const std::string& seed, uint64_t epoch) {
-  Writer w;
-  w.PutString(seed);
-  w.PutU64(epoch);
-  Sha256Digest digest = Sha256::TaggedHash("prochlo-epoch-rng", w.data());
-  return SecureRandom(ByteSpan(digest.data(), digest.size()));
-}
-
-Rng DeriveEpochNoiseRng(const std::string& seed, uint64_t epoch) {
-  Writer w;
-  w.PutString(seed);
-  w.PutU64(epoch);
-  Sha256Digest digest = Sha256::TaggedHash("prochlo-epoch-noise", w.data());
-  uint64_t rng_seed = 0;
-  for (int i = 0; i < 8; ++i) {
-    rng_seed |= static_cast<uint64_t>(digest[i]) << (8 * i);
-  }
-  return Rng(rng_seed);
-}
-
-SecureRandom ShufflerFrontend::EpochRng(uint64_t epoch) const {
-  return DeriveEpochRng(config_.pipeline.seed, epoch);
-}
-
-Rng ShufflerFrontend::EpochNoiseRng(uint64_t epoch) const {
-  return DeriveEpochNoiseRng(config_.pipeline.seed, epoch);
-}
-
 DrainReport ShufflerFrontend::DrainSealedEpochs() {
   DrainReport report;
-  while (auto batch = ingest_->PopSealedEpoch()) {
-    EpochResult epoch_result;
-    epoch_result.epoch = batch->epoch;
-    epoch_result.reports = batch->total;
-
-    SecureRandom epoch_rng = EpochRng(batch->epoch);
-    Rng epoch_noise = EpochNoiseRng(batch->epoch);
-
-    Result<PipelineResult> run = Error{"epoch not drained"};
-    if (spool_ != nullptr) {
-      // Stream straight off the epoch's segment files.
-      auto stream = spool_->OpenEpochStream(batch->epoch);
-      run = pipeline_.RunReports(*stream, epoch_rng, epoch_noise);
-    } else {
-      // Borrow the batch — never consume it before the run succeeds: the
-      // batch is the only copy of an in-memory epoch, and a requeue after
-      // moving the reports out would retry an empty shell.
-      EpochBatchRecordStream stream(*batch);
-      run = pipeline_.RunReports(stream, epoch_rng, epoch_noise);
+  while (auto drained = DrainNextEpoch(/*merge=*/true)) {
+    const uint64_t epoch = drained->opened.epoch;
+    if (!drained->status.ok()) {
+      // The epochs already drained this call ride along in the report
+      // rather than being discarded with the error.
+      report.failure = DrainError{epoch, drained->status.error()};
+      break;
     }
-    if (run.ok()) {
-      Status injected = InjectedDrainFailure(batch->epoch);
-      if (!injected.ok()) {
-        run = injected.error();
-      }
-    }
-    if (!run.ok()) {
-      // Put the intact batch back at the head of the queue (in-memory mode
-      // holds the only copy of its reports), so a later DrainSealedEpochs
-      // retries it; spooled segments also stay on disk untouched.  The
-      // epochs already drained this call ride along in the report rather
-      // than being discarded with the error.
-      report.failure = DrainError{batch->epoch, run.error()};
-      ingest_->RequeueSealedEpoch(std::move(*batch));
-      return report;
-    }
-    epoch_result.result = std::move(run).value();
-    FinishDrainedEpoch(batch->epoch);
-    report.results.push_back(std::move(epoch_result));
+    FinishDrainedEpoch(epoch);
+    report.results.push_back(
+        EpochResult{epoch, drained->opened.reports, std::move(drained->merged)});
   }
   return report;
 }
 
 Result<std::optional<EpochPartialResult>> ShufflerFrontend::DrainNextEpochPartial() {
-  auto batch = ingest_->PopSealedEpoch();
-  if (!batch.has_value()) {
+  auto drained = DrainNextEpoch(/*merge=*/false);
+  if (!drained.has_value()) {
     return std::optional<EpochPartialResult>(std::nullopt);
   }
-  EpochPartialResult out;
-  out.epoch = batch->epoch;
-  out.reports = batch->total;
-
-  if (batch->total > 0) {
-    Result<EpochPartial> run = Error{"epoch not drained"};
-    if (spool_ != nullptr) {
-      auto stream = spool_->OpenEpochStream(batch->epoch);
-      run = pipeline_.RunReportsPartial(*stream);
-    } else {
-      // Borrow the batch (see DrainSealedEpochs): a failed run requeues it
-      // intact, and in-memory mode holds the only copy of its reports.
-      EpochBatchRecordStream stream(*batch);
-      run = pipeline_.RunReportsPartial(stream);
-    }
-    if (run.ok()) {
-      Status injected = InjectedDrainFailure(batch->epoch);
-      if (!injected.ok()) {
-        run = injected.error();
-      }
-    }
-    if (!run.ok()) {
-      Error error = run.error();
-      ingest_->RequeueSealedEpoch(std::move(*batch));
-      return error;
-    }
-    out.partial = std::move(run).value();
+  if (!drained->status.ok()) {
+    return drained->status.error();
   }
-
   // An empty alignment epoch still leaves a marker + manifest to remove.
-  FinishDrainedEpoch(batch->epoch);
-  return std::optional<EpochPartialResult>(std::move(out));
+  FinishDrainedEpoch(drained->opened.epoch);
+  return std::optional<EpochPartialResult>(std::move(drained->opened));
+}
+
+std::optional<ShufflerFrontend::DrainedEpoch> ShufflerFrontend::DrainNextEpoch(bool merge) {
+  std::optional<EpochBatch> batch = ingest_->PopSealedEpoch();
+  if (!batch.has_value()) {
+    return std::nullopt;
+  }
+  DrainedEpoch drained;
+  drained.opened.epoch = batch->epoch;
+  drained.opened.reports = batch->total;
+
+  auto t0 = std::chrono::steady_clock::now();
+  Result<EpochPartial> opened = Error{"epoch not drained"};
+  if (spool_ != nullptr) {
+    // Stream straight off the epoch's segment files.
+    auto stream = spool_->OpenEpochStream(batch->epoch);
+    opened = pipeline_.RunReportsPartial(*stream);
+  } else {
+    // Borrow the batch — never consume it before the drain succeeds: the
+    // batch is the only copy of an in-memory epoch, and a requeue after
+    // moving the reports out would retry an empty shell.
+    EpochBatchRecordStream stream(*batch);
+    opened = pipeline_.RunReportsPartial(stream);
+  }
+  const double open_seconds = SecondsSince(t0);
+  drained.status = opened.ok() ? InjectedDrainFailure(batch->epoch) : Status(opened.error());
+  if (drained.status.ok() && merge) {
+    std::vector<EpochPartial> partials;
+    partials.push_back(std::move(opened).value());
+    auto merged = pipeline_.MergeEpoch(batch->epoch, partials);
+    if (merged.ok()) {
+      drained.merged = std::move(merged).value();
+      // The first stage's wall-clock time spans the outer open as well.
+      drained.merged.encode_shuffle1_seconds += open_seconds;
+    } else {
+      drained.status = merged.error();
+    }
+  } else if (drained.status.ok()) {
+    drained.opened.partial = std::move(opened).value();
+  }
+  if (!drained.status.ok()) {
+    // Put the intact batch back at the head of the queue, so a later drain
+    // retries it; spooled segments also stay on disk untouched.
+    ingest_->RequeueSealedEpoch(std::move(*batch));
+  }
+  return drained;
 }
 
 Status ShufflerFrontend::InjectedDrainFailure(uint64_t epoch) {
@@ -363,17 +336,16 @@ Status ShufflerFrontend::InjectedDrainFailure(uint64_t epoch) {
 }
 
 void ShufflerFrontend::FinishDrainedEpoch(uint64_t epoch) {
-  if (spool_ != nullptr && config_.remove_drained_epochs) {
+  if (spool_ != nullptr) {
     // Transient unlink failures (a scanner pinning the directory, EMFILE
     // pressure) usually clear quickly, and a leaked epoch replays as a
     // duplicate after restart — worth a couple of bounded retries before
     // conceding.  The spool keeps failed segments tracked, so each retry
     // re-attempts exactly the files still on disk.
     Status removed = spool_->RemoveEpoch(epoch);
-    for (uint32_t attempt = 1; !removed.ok() && attempt < config_.remove_retry_attempts;
-         ++attempt) {
+    for (uint32_t attempt = 1; !removed.ok() && attempt < kRemoveRetryAttempts; ++attempt) {
       stats_.remove_retries++;
-      std::this_thread::sleep_for(config_.remove_retry_delay);
+      std::this_thread::sleep_for(kRemoveRetryDelay);
       removed = spool_->RemoveEpoch(epoch);
     }
     if (!removed.ok()) {

@@ -12,9 +12,13 @@
 //                      Spool (spool.h: append-only per-(shard,epoch)
 //                          │   segments; epochs survive crashes)
 //                          ▼  epoch sealed
-//                      DrainSealedEpochs ──► Pipeline::RunReports
-//                          (stash/plain shuffle + threshold + analyze on
-//                           the existing thread pool) ──► EpochResult
+//                      DrainSealedEpochs ──► Pipeline::RunReportsPartial
+//                          │   (outer open on the thread pool)
+//                          ▼  one partial
+//                      Pipeline::MergeEpoch (shuffle + threshold, then the
+//                          analyzer decrypts only the survivors; the same
+//                          merge the cluster runs over its groups' partials)
+//                          ──► EpochResult
 //
 // Determinism: each epoch's shuffle/threshold randomness is derived from
 // (pipeline seed, epoch number) — not from the pipeline's mutable RNG — so
@@ -22,12 +26,11 @@
 // report *set* alone: independent of ingestion interleaving, of drain
 // order, and of whether a crash/recovery happened mid-epoch, under every
 // threshold mode (the shuffle starts from a canonical order; see
-// Pipeline::RunReports).
+// Pipeline::MergePartials).
 #ifndef PROCHLO_SRC_SERVICE_FRONTEND_H_
 #define PROCHLO_SRC_SERVICE_FRONTEND_H_
 
 #include <atomic>
-#include <chrono>
 #include <functional>
 #include <memory>
 #include <string>
@@ -55,8 +58,6 @@ struct FrontendConfig {
   // unified group-commit WAL (wal.h); checkpoint it once its
   // flushed-but-unapplied backlog exceeds this.
   uint64_t wal_checkpoint_threshold_bytes = 1ull << 20;
-  // Delete an epoch's segments once drained (keep for audit if false).
-  bool remove_drained_epochs = true;
   // Bound on live AckRegistry sessions when BindAckRegistry wires one up
   // (0 = unbounded).  Past the cap, the stalest idle session is LRU-evicted
   // with its watermark checkpointed to the session journal.
@@ -65,15 +66,9 @@ struct FrontendConfig {
   // (disk-fault suites drive short writes / EIO / ENOSPC / crash-at-k
   // through it).  Null = the real filesystem.
   Fs* fs = nullptr;
-  // Post-drain RemoveEpoch failures are retried this many times total, with
-  // this pause between attempts, before the leak is surfaced in
-  // stats().remove_failures.  Transient failures (e.g. a scanner holding
-  // the directory) usually clear within one retry.
-  uint32_t remove_retry_attempts = 3;
-  std::chrono::milliseconds remove_retry_delay{2};
-  // Fault injection for the drain/retry tests: fail the pipeline run of
-  // `epoch` the first `times` times it is attempted, exactly where a real
-  // shuffle/analyze failure lands.  Production configs leave this unset.
+  // Fault injection for the drain/retry tests: fail the drain of `epoch`
+  // the first `times` times it is attempted, right after its outer open.
+  // Production configs leave this unset.
   struct DrainFaultInjection {
     uint64_t epoch = 0;
     uint32_t times = 0;
@@ -97,7 +92,7 @@ struct FrontendStats {
   std::atomic<uint64_t> recovered_wal_reports{0};
   std::atomic<uint64_t> recovered_wal_session_ops{0};
   // Post-drain spool cleanups (RemoveEpoch) that failed even after the
-  // configured retries.  The epoch's reports are NOT lost — they were
+  // bounded retries.  The epoch's reports are NOT lost — they were
   // already drained into a result — but its segments linger on disk and
   // would be replayed as a duplicate epoch after a restart, so the leak
   // must be visible.
@@ -148,14 +143,7 @@ struct EpochPartialResult {
   EpochPartial partial;
 };
 
-// Per-epoch derived randomness, shared by the serial drain and the cluster
-// merge: for a fixed (seed, epoch) the shuffle permutation and threshold
-// noise are identical wherever they are replayed — the keystone of the
-// merged-histogram bit-identity guarantee.
-SecureRandom DeriveEpochRng(const std::string& seed, uint64_t epoch);
-Rng DeriveEpochNoiseRng(const std::string& seed, uint64_t epoch);
-
-// A drain failure: the pipeline run of `epoch` failed.  The epoch was
+// A drain failure: the open or the merge of `epoch` failed.  The epoch was
 // requeued intact (its reports are safe — in-memory batches keep their
 // shard_reports, spooled segments stay on disk), so a later
 // DrainSealedEpochs retries it.
@@ -241,8 +229,10 @@ class ShufflerFrontend {
   // Durability point: fsyncs all in-progress spool segments.
   Status SyncSpool();
 
-  // Drains every sealed epoch through the pipeline's shuffle/analyze stages,
-  // oldest first.  Stops at the first epoch whose pipeline run fails; that
+  // Drains every sealed epoch, oldest first, as a one-group cluster: the
+  // outer open, then Pipeline::MergeEpoch over the one partial (shuffle,
+  // threshold, and the analyzer on the survivors).  Each result's stats are
+  // that epoch's own.  Stops at the first epoch whose drain fails; that
   // epoch is requeued *intact* (a retrying call sees its full report set
   // again), and the report carries both the epochs already drained and the
   // failure — partial progress is never discarded.  Safe to call
@@ -255,7 +245,7 @@ class ShufflerFrontend {
   // (each crowd's still-encrypted inner boxes) for HistogramMerge to
   // combine across groups; the analyzer is never called here.  nullopt
   // when no sealed epoch is queued; on failure the epoch is requeued
-  // intact, exactly like DrainSealedEpochs.  An empty sealed epoch (a
+  // intact, as in DrainSealedEpochs.  An empty sealed epoch (a
   // seal_if_empty alignment cut) yields an empty partial.
   Result<std::optional<EpochPartialResult>> DrainNextEpochPartial();
 
@@ -273,12 +263,25 @@ class ShufflerFrontend {
   IngestStats ingest_stats() const { return ingest_->stats(); }
 
  private:
-  SecureRandom EpochRng(uint64_t epoch) const;
-  Rng EpochNoiseRng(uint64_t epoch) const;
+  // One popped epoch's drain, as DrainNextEpoch left it.
+  struct DrainedEpoch {
+    EpochPartialResult opened;  // the partial is left empty by a merge
+    PipelineResult merged;      // DrainNextEpoch(/*merge=*/true) only
+    Status status;              // non-Ok: the epoch was requeued intact
+  };
+  // The one drain step behind both drains: pops the oldest sealed epoch,
+  // streams it (off its spool segments, or borrowing the in-memory batch)
+  // through the shuffler's outer open, and applies the injected-failure
+  // hook.  With `merge` — the serial drain — the one partial is then merged
+  // through Pipeline::MergeEpoch, the call HistogramMerge makes, so the
+  // serial drain is the one-group cluster drain.  Any failure requeues the
+  // batch intact.  Does not finish the epoch.  nullopt when no sealed epoch
+  // is queued.
+  std::optional<DrainedEpoch> DrainNextEpoch(bool merge);
   // The config.inject_drain_failure hook: the error a drain of `epoch` must
   // fail with (counting the injection), else Ok.
   Status InjectedDrainFailure(uint64_t epoch);
-  // Shared epilogue of both drains once an epoch's run succeeded: removes
+  // Shared epilogue of both drains once an epoch's drain succeeded: removes
   // its spool files with bounded retries and counts it drained.
   void FinishDrainedEpoch(uint64_t epoch);
 

@@ -850,6 +850,71 @@ TEST(ServiceClusterTest, MergeDecryptsExactlyTheSurvivors) {
   }
 }
 
+// The serial drain is the merge over one partial, so each epoch's result
+// carries that epoch's own stats, never the frontend's running totals, and
+// they match what HistogramMerge reports for the same epoch.
+void RunSerialDrainPerEpochStatsTest(bool spooled) {
+  FrontendConfig base = ClusterBaseConfig();  // kNaive, T = 20
+  std::vector<std::vector<Bytes>> waves;
+  {
+    ShufflerFrontend key_holder(base);
+    SecureRandom client_rng(ToBytes("cluster-per-epoch-stats-clients"));
+    for (int wave = 0; wave < 2; ++wave) {
+      auto batch = key_holder.MakeEncoder().BatchSealReports(WaveInputs(wave), client_rng);
+      ASSERT_TRUE(batch.ok());
+      waves.push_back(std::move(batch).value());
+    }
+  }
+
+  ScratchDir dir(spooled ? "cluster-per-epoch-stats-spooled" : "cluster-per-epoch-stats-memory");
+  FrontendConfig config = base;
+  if (spooled) {
+    config.spool_dir = dir.path;
+  }
+  ShufflerFrontend frontend(config);
+  ASSERT_TRUE(frontend.Start().ok());
+  for (const auto& wave : waves) {
+    for (const auto& report : wave) {
+      ASSERT_TRUE(frontend.AcceptReport(report).ok());
+    }
+    ASSERT_TRUE(frontend.CutEpoch().ok());
+  }
+  auto drained = frontend.DrainSealedEpochs();
+  ASSERT_TRUE(drained.ok()) << drained.failure->error.message;
+  ASSERT_EQ(drained.results.size(), 2u);
+
+  Pipeline group_side(base.pipeline);
+  HistogramMerge merge(base.pipeline);
+  for (uint64_t epoch = 0; epoch < 2; ++epoch) {
+    SCOPED_TRACE("epoch " + std::to_string(epoch));
+    const PipelineResult& serial = drained.results[epoch].result;
+    const uint64_t reports = waves[epoch].size();
+    // Each wave's 4-report rare crowd is below T; every other crowd survives.
+    EXPECT_EQ(serial.shuffler_stats.received, reports);
+    EXPECT_EQ(serial.shuffler_stats.dropped_threshold, 4u);
+    EXPECT_EQ(serial.shuffler_stats.forwarded, reports - 4);
+    EXPECT_EQ(serial.analyzer_stats.received, reports - 4);
+
+    VectorRecordStream stream(waves[epoch]);
+    auto partial = group_side.RunReportsPartial(stream);
+    ASSERT_TRUE(partial.ok()) << partial.error().message;
+    std::vector<EpochPartial> partials;
+    partials.push_back(std::move(partial).value());
+    auto merged = merge.Merge(epoch, partials);
+    ASSERT_TRUE(merged.ok()) << merged.error().message;
+    EXPECT_EQ(merged.value().histogram, serial.histogram);
+    ExpectSameStats(merged.value(), serial);
+  }
+}
+
+TEST(ServiceClusterTest, SerialDrainStatsArePerEpochInMemory) {
+  RunSerialDrainPerEpochStatsTest(/*spooled=*/false);
+}
+
+TEST(ServiceClusterTest, SerialDrainStatsArePerEpochSpooled) {
+  RunSerialDrainPerEpochStatsTest(/*spooled=*/true);
+}
+
 // Groups drain concurrently; one group's drain of the epoch fails once.  The
 // failed epoch is requeued at that group and the next pass drains it: the
 // merge waits for it rather than mistaking the group for one that had an

@@ -639,8 +639,6 @@ TEST(ServiceDurabilityTest, RemoveEpochFailuresRetryBoundedThenSurface) {
   FrontendConfig config = base;
   config.spool_dir = dir.path;
   config.fs = &fault;
-  config.remove_retry_attempts = 3;
-  config.remove_retry_delay = std::chrono::milliseconds(1);
   ShufflerFrontend frontend(config);
   ASSERT_TRUE(frontend.Start().ok());
 

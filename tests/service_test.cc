@@ -62,7 +62,7 @@ std::vector<size_t> ThreadMatrix() {
 
 std::vector<std::pair<std::string, std::string>> CohortInputs() {
   // Crowd ID = value, so results are interleaving-invariant even under
-  // randomized thresholding (see Pipeline::RunReports).
+  // randomized thresholding (see Pipeline::MergePartials).
   std::vector<std::pair<std::string, std::string>> inputs;
   auto add = [&](const std::string& value, int count) {
     for (int i = 0; i < count; ++i) {
@@ -305,29 +305,61 @@ TEST(ServiceTest, RecoveryResumesEpochWhoseOnlySegmentWasTorn) {
 }
 
 TEST(ServiceTest, FailedDrainKeepsEpochQueued) {
-  FrontendConfig config;
-  config.pipeline = ServicePipelineConfig(0);
-  // Force the drain to fail: the shuffler refuses batches this small.
-  config.pipeline.shuffler.min_batch_size = 1000;
-  config.ingest.num_shards = 2;  // in-memory mode: the queue holds the only copy
-  ShufflerFrontend frontend(config);
-  ASSERT_TRUE(frontend.Start().ok());
-  const Encoder encoder = frontend.MakeEncoder();
-  SecureRandom client_rng(ToBytes("requeue-clients"));
-  for (int i = 0; i < 10; ++i) {
-    auto report = encoder.EncodeValue("value", "value", client_rng);
-    ASSERT_TRUE(report.ok());
-    ASSERT_TRUE(frontend.AcceptReport(std::move(report).value()).ok());
+  for (bool spooled : {false, true}) {
+    SCOPED_TRACE(spooled ? "spooled" : "in-memory");
+    ScratchDir dir("drain-keeps-epoch");
+    FrontendConfig config;
+    config.pipeline = ServicePipelineConfig(0);
+    // Force the drain to fail: the merge refuses batches this small.
+    config.pipeline.shuffler.min_batch_size = 1000;
+    config.ingest.num_shards = 2;
+    if (spooled) {
+      config.spool_dir = dir.path;
+    }
+    std::string message;
+    {
+      ShufflerFrontend frontend(config);
+      ASSERT_TRUE(frontend.Start().ok());
+      const Encoder encoder = frontend.MakeEncoder();
+      SecureRandom client_rng(ToBytes("requeue-clients"));
+      for (int i = 0; i < 10; ++i) {
+        auto report = encoder.EncodeValue("value", "value", client_rng);
+        ASSERT_TRUE(report.ok());
+        ASSERT_TRUE(frontend.AcceptReport(std::move(report).value()).ok());
+      }
+      ASSERT_TRUE(frontend.CutEpoch().ok());
+      auto first = frontend.DrainSealedEpochs();
+      ASSERT_FALSE(first.ok());
+      EXPECT_EQ(first.failure->epoch, 0u);
+      // The epoch went back on the queue: a retry sees it again rather than
+      // silently succeeding over nothing.
+      auto second = frontend.DrainSealedEpochs();
+      ASSERT_FALSE(second.ok());
+      EXPECT_EQ(second.failure->error.message, first.failure->error.message);
+      message = first.failure->error.message;
+      EXPECT_EQ(frontend.stats().epochs_drained, 0u);
+    }
+    EXPECT_EQ(message, "batch below the minimum cardinality; keep batching");
+    if (!spooled) {
+      continue;
+    }
+    // The failed merge left the spooled epoch intact on disk, and a
+    // restarted frontend finds it sealed and drains all of it.
+    {
+      Spool spool(SpoolConfig{dir.path, true});
+      ASSERT_TRUE(spool.Open().ok());
+      EXPECT_EQ(spool.EpochFrameCount(0), 10u);
+    }
+    config.pipeline.shuffler.min_batch_size = 0;
+    ShufflerFrontend restarted(config);
+    ASSERT_TRUE(restarted.Start().ok());
+    auto drained = restarted.DrainSealedEpochs();
+    ASSERT_TRUE(drained.ok()) << drained.failure->error.message;
+    ASSERT_EQ(drained.results.size(), 1u);
+    EXPECT_EQ(drained.results[0].epoch, 0u);
+    EXPECT_EQ(drained.results[0].reports, 10u);
+    EXPECT_EQ(drained.results[0].result.shuffler_stats.received, 10u);
   }
-  ASSERT_TRUE(frontend.CutEpoch().ok());
-  auto first = frontend.DrainSealedEpochs();
-  ASSERT_FALSE(first.ok());
-  EXPECT_EQ(first.failure->epoch, 0u);
-  // The epoch went back on the queue: a retry sees it again rather than
-  // silently succeeding over nothing.
-  auto second = frontend.DrainSealedEpochs();
-  ASSERT_FALSE(second.ok());
-  EXPECT_EQ(second.failure->error.message, first.failure->error.message);
 }
 
 // The PR's headline regression: a transiently failing drain must not consume
