@@ -36,8 +36,23 @@ void BM_AesGcmSeal_318B(benchmark::State& state) {
 }
 BENCHMARK(BM_AesGcmSeal_318B);
 
-// Variable-base multiplication (wNAF): the shuffler's outer-layer ECDH open
-// against a fresh ephemeral key every report — nothing to precompute.
+// One P-256 Montgomery multiplication, chained so each call waits for the
+// previous result (latency, the way the point formulas use it).  Inputs are
+// drawn at run time so nothing folds away.
+void BM_FieldMontMul(benchmark::State& state) {
+  SecureRandom rng(ToBytes("bench-field"));
+  const ModField& f = P256::Get().field();
+  U256 acc = rng.RandomScalar(f.modulus());
+  const U256 b = rng.RandomScalar(f.modulus());
+  for (auto _ : state) {
+    acc = f.MontMul(acc, b);
+    benchmark::DoNotOptimize(acc);
+  }
+}
+BENCHMARK(BM_FieldMontMul);
+
+// Variable-base multiplication (wNAF) with a public scalar against an
+// arbitrary point — nothing to precompute.
 void BM_P256_ScalarMult(benchmark::State& state) {
   SecureRandom rng(ToBytes("bench-ec"));
   const P256& curve = P256::Get();
@@ -51,9 +66,8 @@ void BM_P256_ScalarMult(benchmark::State& state) {
 BENCHMARK(BM_P256_ScalarMult);
 
 // The constant-time ladder for Secret<> scalars (fixed-window, full-scan
-// masked lookups): the long-term-key path.  The gap against
-// BM_P256_ScalarMult is the price of timing hygiene — paid per key
-// operation, never on the batch surfaces.
+// masked lookups) on one point: a batch of one, so it pays the table
+// normalization and the Fermat output inversion alone.
 void BM_P256_ScalarMultSecret(benchmark::State& state) {
   SecureRandom rng(ToBytes("bench-ec-ct"));
   const P256& curve = P256::Get();
@@ -80,8 +94,8 @@ void BM_P256_ScalarMult_DoubleAdd(benchmark::State& state) {
 }
 BENCHMARK(BM_P256_ScalarMult_DoubleAdd);
 
-// Batched variable-base multiplication in the decrypt shape: 256 distinct
-// ephemeral points, one private scalar.  All odd-multiple wNAF tables are
+// Batched variable-base multiplication on the public lane, in the open
+// shape: 256 distinct points, one scalar.  All odd-multiple wNAF tables are
 // normalized with one shared inversion (mixed additions in every main loop)
 // and the results with a second.
 void BM_P256_BatchScalarMult256(benchmark::State& state) {
@@ -99,6 +113,24 @@ void BM_P256_BatchScalarMult256(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 256);
 }
 BENCHMARK(BM_P256_BatchScalarMult256);
+
+// The same shape on the constant-time lane: one Secret<> scalar, 256
+// distinct points — the private-key open of both report layers.  Tables
+// share one inversion, the results one Fermat inversion.
+void BM_P256_BatchScalarMultSecret256(benchmark::State& state) {
+  SecureRandom rng(ToBytes("bench-ec-batchsecret"));
+  const P256& curve = P256::Get();
+  Secret<U256> k = rng.RandomSecretScalar(curve.order());
+  std::vector<EcPoint> points;
+  for (int i = 0; i < 256; ++i) {
+    points.push_back(curve.BaseMult(rng.RandomScalar(curve.order())));
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(curve.BatchScalarMultSecret(points, k));
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 256);
+}
+BENCHMARK(BM_P256_BatchScalarMultSecret256);
 
 // The generic double-and-add path on G, bypassing the fixed-base table —
 // the baseline every BaseMult used to pay.

@@ -2,12 +2,14 @@
 # Dynamic constant-time verification (ctgrind-style).
 #
 # Drives build/ct_harness under valgrind:
-#   1. Positives: the four real crypto scenarios (ecdh, elgamal-decrypt,
-#      gcm-verify, hmac-verify) must produce ZERO shadow-state errors —
-#      no branch or memory address may depend on poisoned secret bytes.
-#   2. Negatives: the planted violations (--inject=branch|index|tag-memcmp)
-#      MUST be reported.  A verifier that stays quiet on a planted bug is
-#      not evidence of anything.
+#   1. Positives: the six real crypto scenarios (ecdh, elgamal-decrypt,
+#      batch-ecdh, batch-elgamal-decrypt, gcm-verify, hmac-verify) must
+#      produce ZERO shadow-state errors — no branch or memory address may
+#      depend on poisoned secret bytes.
+#   2. Negatives: the planted violations
+#      (--inject=branch|index|tag-memcmp|wnaf-recode) MUST be reported.  A
+#      verifier that stays quiet on a planted bug is not evidence of
+#      anything.
 #
 # Degrades gracefully: without valgrind (or without the valgrind headers at
 # build time, which leaves the poison hooks inert) it runs the harness as a
@@ -51,7 +53,7 @@ fi
 
 fail=0
 
-for scenario in ecdh elgamal-decrypt gcm-verify hmac-verify; do
+for scenario in ecdh elgamal-decrypt batch-ecdh batch-elgamal-decrypt gcm-verify hmac-verify; do
   log="$(mktemp)"
   if "${VALGRIND[@]}" "$HARNESS" "$scenario" >/dev/null 2>"$log"; then
     echo "ct-verify: PASS $scenario (no secret-dependent branches or indices)"
@@ -63,7 +65,7 @@ for scenario in ecdh elgamal-decrypt gcm-verify hmac-verify; do
   rm -f "$log"
 done
 
-for inject in branch index tag-memcmp; do
+for inject in branch index tag-memcmp wnaf-recode; do
   if "${VALGRIND[@]}" "$HARNESS" --inject="$inject" >/dev/null 2>&1; then
     echo "ct-verify: FAIL inject=$inject — planted violation NOT detected" >&2
     fail=1
@@ -76,4 +78,4 @@ if [ "$fail" -ne 0 ]; then
   echo "ct-verify: FAIL" >&2
   exit 1
 fi
-echo "ct-verify: OK (4 scenarios shadow-clean, 3 planted violations caught)"
+echo "ct-verify: OK (6 scenarios shadow-clean, 4 planted violations caught)"

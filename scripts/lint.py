@@ -26,6 +26,14 @@ Rules (each suppressible per line with a trailing `// lint:allow(<rule>)`):
       cluster merge both make that call; RunReportsPartial (the outer open)
       is the only other Pipeline stage the service runs.
 
+  wnaf-public-only
+      No BatchScalarMult / BatchScalarMultJac call anywhere in src/ outside
+      src/crypto/p256.*.  Those are the variable-time wNAF batch: its recode
+      branches on every scalar bit and indexes its table by the digits, so
+      it is for public scalars only (tests, benches, esabench).  Every
+      private-key batch in src/ goes through BatchScalarMultSecret, the
+      constant-time ladder both report layers open on.
+
   fsync-before-rename
       In the durability tier (src/service/spool.cc, session_journal.cc), a
       Rename() that commits a rewrite must be preceded by a Sync() within the
@@ -78,6 +86,8 @@ CROWD_ID = re.compile(r"\bcrowd\w*", re.IGNORECASE)
 
 ANALYZER_TOKEN = re.compile(r"\b(?:Analyzer|DecryptBatch|analyzer_|RunReports|MergePartials)\b")
 
+WNAF_BATCH_CALL = re.compile(r"\bBatchScalarMult(?:Jac)?\s*\(")
+
 RENAME_CALL = re.compile(r"->\s*Rename\s*\(")
 SYNC_CALL = re.compile(r"\bSync\s*\(")
 MARKER_CREATE = re.compile(r"Open\s*\(\s*marker")
@@ -111,6 +121,11 @@ CROWD_EXEMPT_PREFIX = os.path.join("src", "analysis") + os.sep
 # The service tier is the shuffler side of the trust split; it reaches the
 # analyzer only through Pipeline::MergeEpoch, after the threshold.
 SERVICE_PREFIX = os.path.join("src", "service") + os.sep
+# The variable-time wNAF batch lives here; everywhere else in src/ it is banned.
+WNAF_EXEMPT = {
+    os.path.join("src", "crypto", "p256.h"),
+    os.path.join("src", "crypto", "p256.cc"),
+}
 # Durability-tier files whose commit idioms are order-checked.
 DURABILITY_FILES = {
     os.path.join("src", "service", "spool.cc"),
@@ -211,6 +226,15 @@ def lint_file(root, rel, findings):
                                  f"'{m.group(0)}' in the shuffler-side service tier — reach "
                                  "the analyzer only through Pipeline::MergeEpoch, after the "
                                  "threshold"))
+
+    if rel not in WNAF_EXEMPT:
+        for i, code in enumerate(code_lines, 1):
+            m = WNAF_BATCH_CALL.search(code)
+            if m and not allowed(i, "wnaf-public-only"):
+                findings.append((rel, i, "wnaf-public-only",
+                                 f"'{m.group(0)}' outside src/crypto/p256.* — the wNAF batch "
+                                 "is variable-time in the scalar; private-key batches use "
+                                 "BatchScalarMultSecret"))
 
     if rel not in CT_IMPL_FILES:
         # Collect per-file Secret<> declarations (skipping function
@@ -362,6 +386,12 @@ def self_test():
          "  return pipeline_.MergePartials(partials, noise);\n"
          "}\n",
          ["analyzer-boundary"]),
+        ("src/crypto/bad_wnaf.cc",
+         "std::vector<EcPoint> Open(const P256& curve, const std::vector<EcPoint>& peers,\n"
+         "                          const std::vector<U256>& keys) {\n"
+         "  return curve.BatchNormalize(curve.BatchScalarMultJac(peers, keys));\n"
+         "}\n",
+         ["wnaf-public-only"]),
         ("src/core/bad_crowd_print.cc",
          "void f(const std::string& crowd_id) {\n"
          "  printf(\"crowd=%s\", crowd_id.c_str());\n"
@@ -426,6 +456,22 @@ def self_test():
         lint_file(tmp, rel, findings)
         if findings:
             failures.append(f"merge.h: false positives: {findings}")
+
+        # The ct batch entry points, and the wNAF batch inside p256.* itself,
+        # must not flag.
+        for relname, text in [
+                ("src/crypto/keys.cc",
+                 "auto shared = curve.BatchScalarMultSecret(peers, private_key);\n"
+                 "auto jacs = curve.BatchScalarMultSecretJac(c1s, private_key);\n"),
+                ("src/crypto/p256.cc",
+                 "return BatchNormalize(BatchScalarMultJac(points, scalars));\n")]:
+            rel = relname.replace("/", os.sep)
+            with open(os.path.join(tmp, rel), "w", encoding="utf-8") as f:
+                f.write(text)
+            findings = []
+            lint_file(tmp, rel, findings)
+            if findings:
+                failures.append(f"{relname}: false positives: {findings}")
 
     if failures:
         for f in failures:

@@ -9,26 +9,14 @@ namespace prochlo {
 std::vector<Bytes> Analyzer::DecryptBatch(const std::vector<Bytes>& inner_boxes,
                                           ThreadPool* pool) {
   stats_.received += inner_boxes.size();
-  std::vector<std::optional<Bytes>> slots(inner_boxes.size());
-  auto handle_one = [&](size_t i) {
-    auto padded = OpenInnerBox(keys_, inner_boxes[i]);
-    if (padded.has_value()) {
-      slots[i] = UnpadPayload(*padded);
-    }
-  };
-  if (pool != nullptr) {
-    pool->ParallelFor(inner_boxes.size(), handle_one);
-  } else {
-    for (size_t i = 0; i < inner_boxes.size(); ++i) {
-      handle_one(i);
-    }
-  }
-
+  std::vector<std::optional<Bytes>> opened = BatchOpenInnerBoxes(keys_, inner_boxes, pool);
   std::vector<Bytes> payloads;
   payloads.reserve(inner_boxes.size());
-  for (auto& slot : slots) {
-    if (slot.has_value()) {
-      payloads.push_back(std::move(*slot));
+  for (const auto& padded : opened) {
+    std::optional<Bytes> payload =
+        padded.has_value() ? UnpadPayload(*padded) : std::optional<Bytes>();
+    if (payload.has_value()) {
+      payloads.push_back(std::move(*payload));
     } else {
       stats_.undecryptable++;
     }

@@ -28,8 +28,10 @@ class Analyzer {
 
   const EcPoint& public_key() const { return keys_.public_key; }
 
-  // Decrypts a batch of inner boxes to (unpadded) payloads; undecryptable
-  // records are counted and skipped.
+  // Decrypts a batch of inner boxes to (unpadded) payloads, in input order;
+  // undecryptable records are counted and skipped.  Runs on
+  // BatchOpenInnerBoxes (fixed chunks, batched constant-time ECDH), so the
+  // output is identical with or without a pool and at any thread count.
   std::vector<Bytes> DecryptBatch(const std::vector<Bytes>& inner_boxes,
                                   ThreadPool* pool = nullptr);
 

@@ -189,14 +189,17 @@ std::optional<ShufflerView> OpenReport(const KeyPair& shuffler_keys, ByteSpan re
   return ShufflerView::Deserialize(*plaintext);
 }
 
-std::vector<std::optional<ShufflerView>> BatchOpenReports(const KeyPair& shuffler_keys,
-                                                          const std::vector<Bytes>& reports,
-                                                          ThreadPool* pool) {
-  // Fixed chunk size (not pool-derived) so output is bit-identical at any
-  // thread count, mirroring the El Gamal batch surface.
+namespace {
+// Opens serialized hybrid boxes in fixed 256-box chunks (not pool-derived,
+// so results are identical at any thread count), each chunk through one
+// HybridOpenBatch — one batched constant-time ECDH — with chunks spread
+// across `pool`.  Calls emit(i, plaintext) from the chunk's thread for every
+// box that opens.
+template <typename Emit>
+void BatchOpenBoxes(const KeyPair& keys, const std::vector<Bytes>& wire_boxes,
+                    const std::string& context, ThreadPool* pool, const Emit& emit) {
   constexpr size_t kOpenChunk = 256;
-  const size_t n = reports.size();
-  std::vector<std::optional<ShufflerView>> out(n);
+  const size_t n = wire_boxes.size();
   const size_t num_chunks = (n + kOpenChunk - 1) / kOpenChunk;
   ParallelFor(pool, num_chunks, [&](size_t c) {
     const size_t begin = c * kOpenChunk;
@@ -205,19 +208,38 @@ std::vector<std::optional<ShufflerView>> BatchOpenReports(const KeyPair& shuffle
     // whose empty ephemeral key makes HybridOpenBatch yield nullopt.
     std::vector<HybridBox> boxes(end - begin);
     for (size_t i = begin; i < end; ++i) {
-      auto box = HybridBox::Deserialize(reports[i]);
+      auto box = HybridBox::Deserialize(wire_boxes[i]);
       if (box.has_value()) {
         boxes[i - begin] = std::move(*box);
       }
     }
-    std::vector<std::optional<Bytes>> opened =
-        HybridOpenBatch(shuffler_keys, boxes, kShufflerLayerContext);
+    std::vector<std::optional<Bytes>> opened = HybridOpenBatch(keys, boxes, context);
     for (size_t i = begin; i < end; ++i) {
       if (opened[i - begin].has_value()) {
-        out[i] = ShufflerView::Deserialize(*opened[i - begin]);
+        emit(i, *opened[i - begin]);
       }
     }
   });
+}
+}  // namespace
+
+std::vector<std::optional<ShufflerView>> BatchOpenReports(const KeyPair& shuffler_keys,
+                                                          const std::vector<Bytes>& reports,
+                                                          ThreadPool* pool) {
+  std::vector<std::optional<ShufflerView>> out(reports.size());
+  BatchOpenBoxes(shuffler_keys, reports, kShufflerLayerContext, pool,
+                 [&](size_t i, const Bytes& plaintext) {
+                   out[i] = ShufflerView::Deserialize(plaintext);
+                 });
+  return out;
+}
+
+std::vector<std::optional<Bytes>> BatchOpenInnerBoxes(const KeyPair& analyzer_keys,
+                                                      const std::vector<Bytes>& inner_boxes,
+                                                      ThreadPool* pool) {
+  std::vector<std::optional<Bytes>> out(inner_boxes.size());
+  BatchOpenBoxes(analyzer_keys, inner_boxes, kAnalyzerLayerContext, pool,
+                 [&](size_t i, Bytes& plaintext) { out[i] = std::move(plaintext); });
   return out;
 }
 

@@ -90,16 +90,24 @@ std::optional<ShufflerView> OpenReport(const KeyPair& shuffler_keys, ByteSpan re
 // Batch analogue of OpenReport — the shuffler-side counterpart of
 // BatchSealReports, and the decrypt half of the paper's Table 2/3 cost.
 // Every report carries a distinct ephemeral key, so the outer-layer ECDH
-// runs on the batched variable-base wNAF path (HybridOpenBatch), in fixed
-// 256-report chunks so results are identical with and without a pool; AEAD
-// and parsing fan out across `pool` when one is supplied.  Slot i is
-// nullopt exactly when OpenReport(shuffler_keys, reports[i]) would fail.
+// runs on the batched constant-time ladder (HybridOpenBatch ->
+// P256::BatchScalarMultSecret), in fixed 256-report chunks so results are
+// identical with and without a pool; chunks fan out across `pool` when one
+// is supplied.  Slot i is nullopt exactly when OpenReport(shuffler_keys,
+// reports[i]) would fail.
 std::vector<std::optional<ShufflerView>> BatchOpenReports(const KeyPair& shuffler_keys,
                                                           const std::vector<Bytes>& reports,
                                                           ThreadPool* pool = nullptr);
 
 // Analyzer side: opens an inner box to the padded payload.
 std::optional<Bytes> OpenInnerBox(const KeyPair& analyzer_keys, ByteSpan inner_box);
+
+// Batch analogue of OpenInnerBox, on the same chunked, batched
+// constant-time open as BatchOpenReports.  Slot i is nullopt exactly when
+// OpenInnerBox(analyzer_keys, inner_boxes[i]) would fail.
+std::vector<std::optional<Bytes>> BatchOpenInnerBoxes(const KeyPair& analyzer_keys,
+                                                      const std::vector<Bytes>& inner_boxes,
+                                                      ThreadPool* pool = nullptr);
 
 // Wire size of a report for a given padded payload size and crowd mode —
 // the analogue of the paper's 318-byte records (64-byte data + 8-byte crowd

@@ -88,131 +88,73 @@ uint64_t NegInverse64(uint64_t m) {
 constexpr uint64_t kP256Limbs[4] = {0xFFFFFFFFFFFFFFFFull, 0x00000000FFFFFFFFull, 0ull,
                                     0xFFFFFFFF00000001ull};
 
-// Montgomery reduction of a 512-bit value for the P-256 prime, in place:
-// computes (v + sum_i m_i*p*2^{64i}) >> 256 < 2p, then one conditional
-// subtract.  Because -p^{-1} mod 2^64 = 1, each round's quotient digit is
-// just the current low limb, and because p's limbs are 2^64-1, 2^32-1, 0,
-// and 2^64-2^32+1, the m*p partial products are shifts and subtractions the
-// compiler strength-reduces — no multiplications in the reduction at all.
-// kCt = true produces the constant-time variant: the carry after each
-// round's five fixed limbs propagates unconditionally across the remaining
-// limbs (the variable-time version stops as soon as the carry dies, which
-// leaks how far secret-dependent carries ran), and the final subtract is a
-// masked select instead of a branchy ternary.
-template <bool kCt>
-inline U256 MontRedcP256(uint64_t v[8]) {
-  uint64_t top = 0;  // carries out of v[7]
-  for (int i = 0; i < 4; ++i) {
-    const uint64_t m = v[i];
-    // m * p limb products (constants; strength-reduced to shifts/adds).
-    const __uint128_t q0 = (static_cast<__uint128_t>(m) << 64) - m;  // m * (2^64 - 1)
-    const __uint128_t q1 = (static_cast<__uint128_t>(m) << 32) - m;  // m * (2^32 - 1)
-    const __uint128_t q3 = (static_cast<__uint128_t>(m) << 64) -
-                           (static_cast<__uint128_t>(m) << 32) + m;  // m * p[3]
-    __uint128_t t = static_cast<__uint128_t>(v[i]) + static_cast<uint64_t>(q0);
-    v[i] = static_cast<uint64_t>(t);  // always 0: the round is built to clear it
-    uint64_t c = static_cast<uint64_t>(t >> 64);
-    t = static_cast<__uint128_t>(v[i + 1]) + static_cast<uint64_t>(q1) +
-        static_cast<uint64_t>(q0 >> 64) + c;
-    v[i + 1] = static_cast<uint64_t>(t);
-    c = static_cast<uint64_t>(t >> 64);
-    t = static_cast<__uint128_t>(v[i + 2]) + static_cast<uint64_t>(q1 >> 64) + c;
-    v[i + 2] = static_cast<uint64_t>(t);
-    c = static_cast<uint64_t>(t >> 64);
-    t = static_cast<__uint128_t>(v[i + 3]) + static_cast<uint64_t>(q3) + c;
-    v[i + 3] = static_cast<uint64_t>(t);
-    c = static_cast<uint64_t>(t >> 64);
-    t = static_cast<__uint128_t>(v[i + 4]) + static_cast<uint64_t>(q3 >> 64) + c;
-    v[i + 4] = static_cast<uint64_t>(t);
-    c = static_cast<uint64_t>(t >> 64);
-    if constexpr (kCt) {
-      for (int j = i + 5; j < 8; ++j) {
-        t = static_cast<__uint128_t>(v[j]) + c;
-        v[j] = static_cast<uint64_t>(t);
-        c = static_cast<uint64_t>(t >> 64);
-      }
-    } else {
-      for (int j = i + 5; j < 8 && c != 0; ++j) {
-        t = static_cast<__uint128_t>(v[j]) + c;
-        v[j] = static_cast<uint64_t>(t);
-        c = static_cast<uint64_t>(t >> 64);
-      }
-    }
-    top += c;  // nonzero only when the carry ran off v[7]
-  }
-  U256 result{{v[4], v[5], v[6], v[7]}};
-  const U256 p{{kP256Limbs[0], kP256Limbs[1], kP256Limbs[2], kP256Limbs[3]}};
-  U256 reduced;
-  uint64_t borrow = SubWithBorrow(result, p, &reduced);
-  if constexpr (kCt) {
-    return ct::CtSelect(ct::NonZeroMask(top | (borrow ^ 1)), reduced, result);
-  } else {
-    uint64_t need = top | static_cast<uint64_t>(borrow == 0);
-    for (int i = 0; i < 4; ++i) {
-      result.limbs[i] = need ? reduced.limbs[i] : result.limbs[i];
-    }
-    return result;
-  }
+// Limb-wise a + b + carry_in and a - b - borrow_in on named locals: the
+// carry chains compile to add/adc and sub/sbb with every limb in a register.
+using u128 = unsigned __int128;
+
+inline uint64_t AddLimb(uint64_t a, uint64_t b, uint64_t& carry) {
+  const u128 sum = static_cast<u128>(a) + b + carry;
+  carry = static_cast<uint64_t>(sum >> 64);
+  return static_cast<uint64_t>(sum);
 }
 
-// Full 512-bit square, column-wise (Comba): 10 limb products instead of
-// MulWide's 16, with each column's independent products free to overlap in
-// the pipeline.  Cross products are added twice into a 192-bit accumulator
-// (128-bit acc plus an overflow counter) and diagonals once.
-inline std::array<uint64_t, 8> SqrWide(const U256& a) {
-  const auto& x = a.limbs;
-  std::array<uint64_t, 8> r;
-  __uint128_t acc;
-  uint64_t ex;  // bits 128.. of the column accumulator
-  __uint128_t t;
-  // column 0: x0^2
-  t = static_cast<__uint128_t>(x[0]) * x[0];
-  r[0] = static_cast<uint64_t>(t);
-  acc = t >> 64;
-  ex = 0;
-  // column 1: 2*x0*x1
-  t = static_cast<__uint128_t>(x[0]) * x[1];
-  acc += t; ex += (acc < t);
-  acc += t; ex += (acc < t);
-  r[1] = static_cast<uint64_t>(acc);
-  acc = (acc >> 64) | (static_cast<__uint128_t>(ex) << 64); ex = 0;
-  // column 2: 2*x0*x2 + x1^2
-  t = static_cast<__uint128_t>(x[0]) * x[2];
-  acc += t; ex += (acc < t);
-  acc += t; ex += (acc < t);
-  t = static_cast<__uint128_t>(x[1]) * x[1];
-  acc += t; ex += (acc < t);
-  r[2] = static_cast<uint64_t>(acc);
-  acc = (acc >> 64) | (static_cast<__uint128_t>(ex) << 64); ex = 0;
-  // column 3: 2*x0*x3 + 2*x1*x2
-  t = static_cast<__uint128_t>(x[0]) * x[3];
-  acc += t; ex += (acc < t);
-  acc += t; ex += (acc < t);
-  t = static_cast<__uint128_t>(x[1]) * x[2];
-  acc += t; ex += (acc < t);
-  acc += t; ex += (acc < t);
-  r[3] = static_cast<uint64_t>(acc);
-  acc = (acc >> 64) | (static_cast<__uint128_t>(ex) << 64); ex = 0;
-  // column 4: 2*x1*x3 + x2^2
-  t = static_cast<__uint128_t>(x[1]) * x[3];
-  acc += t; ex += (acc < t);
-  acc += t; ex += (acc < t);
-  t = static_cast<__uint128_t>(x[2]) * x[2];
-  acc += t; ex += (acc < t);
-  r[4] = static_cast<uint64_t>(acc);
-  acc = (acc >> 64) | (static_cast<__uint128_t>(ex) << 64); ex = 0;
-  // column 5: 2*x2*x3
-  t = static_cast<__uint128_t>(x[2]) * x[3];
-  acc += t; ex += (acc < t);
-  acc += t; ex += (acc < t);
-  r[5] = static_cast<uint64_t>(acc);
-  acc = (acc >> 64) | (static_cast<__uint128_t>(ex) << 64);
-  // column 6: x3^2 (no carry past r[7]: a^2 < 2^512)
-  t = static_cast<__uint128_t>(x[3]) * x[3];
-  acc += t;
-  r[6] = static_cast<uint64_t>(acc);
-  r[7] = static_cast<uint64_t>(acc >> 64);
-  return r;
+inline uint64_t SubLimb(uint64_t a, uint64_t b, uint64_t& borrow) {
+  const u128 diff = static_cast<u128>(a) - b - borrow;
+  borrow = static_cast<uint64_t>(diff >> 64) & 1;
+  return static_cast<uint64_t>(diff);
+}
+
+// Montgomery multiplication for the P-256 prime: CIOS (one limb of a
+// multiplied in and one limb reduced away per round), unrolled, with no
+// branch anywhere.  -p^{-1} = 1 mod 2^64, so each round's quotient digit m
+// is just the low limb, and the sparse limbs turn t + m*p (whose low limb is
+// zero by construction) shifted down one limb into
+//   (t >> 64) + (m << 32) + (m * p[3]) << 128,
+// two short carry chains.  Every round keeps t < 2p (a 257-bit value in
+// five limbs), so one masked subtract finishes it.  For any inputs the
+// result equals the schoolbook product + separate REDC it replaced: both
+// compute (a*b + M*p) / 2^256 with the same M = -a*b*p^{-1} mod 2^256.
+// The limbs live in named locals, not arrays, so they stay in registers.
+U256 P256MontMul(const U256& a, const U256& b) {
+  const uint64_t b0 = b.limbs[0], b1 = b.limbs[1], b2 = b.limbs[2], b3 = b.limbs[3];
+  uint64_t t0 = 0, t1 = 0, t2 = 0, t3 = 0, t4 = 0;
+  for (int i = 0; i < 4; ++i) {
+    const uint64_t ai = a.limbs[i];
+    // t += ai * b, five limbs plus a carry bit s5.
+    u128 acc = static_cast<u128>(ai) * b0 + t0;
+    const uint64_t m = static_cast<uint64_t>(acc);
+    acc = static_cast<u128>(ai) * b1 + t1 + static_cast<uint64_t>(acc >> 64);
+    const uint64_t s1 = static_cast<uint64_t>(acc);
+    acc = static_cast<u128>(ai) * b2 + t2 + static_cast<uint64_t>(acc >> 64);
+    const uint64_t s2 = static_cast<uint64_t>(acc);
+    acc = static_cast<u128>(ai) * b3 + t3 + static_cast<uint64_t>(acc >> 64);
+    const uint64_t s3 = static_cast<uint64_t>(acc);
+    acc = static_cast<u128>(t4) + static_cast<uint64_t>(acc >> 64);
+    const uint64_t s4 = static_cast<uint64_t>(acc);
+    const uint64_t s5 = static_cast<uint64_t>(acc >> 64);
+    // t = (t + m*p) >> 64.
+    const u128 mp3 = static_cast<u128>(m) * kP256Limbs[3];
+    acc = static_cast<u128>(s1) + (m << 32);
+    t0 = static_cast<uint64_t>(acc);
+    acc = static_cast<u128>(s2) + (m >> 32) + static_cast<uint64_t>(acc >> 64);
+    t1 = static_cast<uint64_t>(acc);
+    acc = static_cast<u128>(s3) + static_cast<uint64_t>(mp3) + static_cast<uint64_t>(acc >> 64);
+    t2 = static_cast<uint64_t>(acc);
+    acc = static_cast<u128>(s4) + static_cast<uint64_t>(mp3 >> 64) +
+          static_cast<uint64_t>(acc >> 64);
+    t3 = static_cast<uint64_t>(acc);
+    t4 = s5 + static_cast<uint64_t>(acc >> 64);
+  }
+  // r = t - p; keep t when it was already below p (nothing in t4 and the
+  // subtract borrowed).
+  uint64_t borrow = 0;
+  const uint64_t r0 = SubLimb(t0, kP256Limbs[0], borrow);
+  const uint64_t r1 = SubLimb(t1, kP256Limbs[1], borrow);
+  const uint64_t r2 = SubLimb(t2, kP256Limbs[2], borrow);
+  const uint64_t r3 = SubLimb(t3, kP256Limbs[3], borrow);
+  const uint64_t keep = ct::NonZeroMask((t4 ^ 1) & borrow);
+  return U256{{ct::CtSelect(keep, t0, r0), ct::CtSelect(keep, t1, r1), ct::CtSelect(keep, t2, r2),
+               ct::CtSelect(keep, t3, r3)}};
 }
 }  // namespace
 
@@ -237,10 +179,9 @@ ModField::ModField(const U256& modulus) : modulus_(modulus) {
 }
 
 namespace {
-// CIOS Montgomery multiplication core with 4 limbs, shared by the
-// variable-time and constant-time entry points: the loop body is already
-// branch-free with fixed trip counts, so only the final correction differs
-// between the two.  Leaves the (possibly >= modulus) accumulator in t[0..4].
+// Generic CIOS Montgomery multiplication core with 4 limbs, for moduli other
+// than the P-256 prime.  Branch-free with fixed trip counts; leaves the
+// (possibly >= modulus) accumulator in t[0..4].
 inline void MontMulCios(const U256& a, const U256& b, const U256& modulus, uint64_t n0_inv,
                         uint64_t t[6]) {
   for (int j = 0; j < 6; ++j) {
@@ -279,28 +220,67 @@ inline void MontMulCios(const U256& a, const U256& b, const U256& modulus, uint6
 }
 }  // namespace
 
+// The field operations below are branch-free for every modulus: each ends
+// in one masked conditional correction.  The `p256_fast_` branch is fine:
+// it depends on the (public) modulus, never on the operands.
+
+U256 ModField::Add(const U256& a, const U256& b) const {
+  const uint64_t* m = modulus_.limbs.data();
+  uint64_t carry = 0;
+  const uint64_t s0 = AddLimb(a.limbs[0], b.limbs[0], carry);
+  const uint64_t s1 = AddLimb(a.limbs[1], b.limbs[1], carry);
+  const uint64_t s2 = AddLimb(a.limbs[2], b.limbs[2], carry);
+  const uint64_t s3 = AddLimb(a.limbs[3], b.limbs[3], carry);
+  uint64_t borrow = 0;
+  const uint64_t r0 = SubLimb(s0, m[0], borrow);
+  const uint64_t r1 = SubLimb(s1, m[1], borrow);
+  const uint64_t r2 = SubLimb(s2, m[2], borrow);
+  const uint64_t r3 = SubLimb(s3, m[3], borrow);
+  // Keep the unreduced sum iff it neither overflowed 2^256 nor reached m.
+  const uint64_t keep = ct::NonZeroMask((carry ^ 1) & borrow);
+  return U256{{ct::CtSelect(keep, s0, r0), ct::CtSelect(keep, s1, r1), ct::CtSelect(keep, s2, r2),
+               ct::CtSelect(keep, s3, r3)}};
+}
+
+U256 ModField::Sub(const U256& a, const U256& b) const {
+  const uint64_t* m = modulus_.limbs.data();
+  uint64_t borrow = 0;
+  const uint64_t d0 = SubLimb(a.limbs[0], b.limbs[0], borrow);
+  const uint64_t d1 = SubLimb(a.limbs[1], b.limbs[1], borrow);
+  const uint64_t d2 = SubLimb(a.limbs[2], b.limbs[2], borrow);
+  const uint64_t d3 = SubLimb(a.limbs[3], b.limbs[3], borrow);
+  // Add m back when the subtraction wrapped.
+  const uint64_t wrap = ct::NonZeroMask(borrow);
+  uint64_t carry = 0;
+  const uint64_t r0 = AddLimb(d0, m[0] & wrap, carry);
+  const uint64_t r1 = AddLimb(d1, m[1] & wrap, carry);
+  const uint64_t r2 = AddLimb(d2, m[2] & wrap, carry);
+  const uint64_t r3 = AddLimb(d3, m[3] & wrap, carry);
+  return U256{{r0, r1, r2, r3}};
+}
+
+U256 ModField::Neg(const U256& a) const {
+  // m - a, except that 0 stays 0.
+  const uint64_t nonzero = ct::NonZeroMask(a.limbs[0] | a.limbs[1] | a.limbs[2] | a.limbs[3]);
+  const uint64_t* m = modulus_.limbs.data();
+  uint64_t borrow = 0;
+  const uint64_t r0 = SubLimb(m[0] & nonzero, a.limbs[0], borrow);
+  const uint64_t r1 = SubLimb(m[1] & nonzero, a.limbs[1], borrow);
+  const uint64_t r2 = SubLimb(m[2] & nonzero, a.limbs[2], borrow);
+  const uint64_t r3 = SubLimb(m[3] & nonzero, a.limbs[3], borrow);
+  return U256{{r0, r1, r2, r3}};
+}
+
 U256 ModField::MontMul(const U256& a, const U256& b) const {
   if (p256_fast_) {
-    auto wide = MulWide(a, b);
-    return MontRedcP256<false>(wide.data());
+    return P256MontMul(a, b);
   }
   uint64_t t[6];
   MontMulCios(a, b, modulus_, n0_inv_, t);
   U256 result{{t[0], t[1], t[2], t[3]}};
-  if (t[4] != 0 || result >= modulus_) {
-    U256 reduced;
-    SubWithBorrow(result, modulus_, &reduced);
-    return reduced;
-  }
-  return result;
-}
-
-U256 ModField::MontSqr(const U256& a) const {
-  if (p256_fast_) {
-    auto wide = SqrWide(a);
-    return MontRedcP256<false>(wide.data());
-  }
-  return MontMul(a, a);
+  U256 reduced;
+  uint64_t borrow = SubWithBorrow(result, modulus_, &reduced);
+  return ct::CtSelect(ct::NonZeroMask(t[4] | (borrow ^ 1)), reduced, result);
 }
 
 U256 ModField::Mul(const U256& a, const U256& b) const {
@@ -441,54 +421,6 @@ U256 ModField::Reduce(const U256& a) const {
 }
 
 // ------------------------------------------------------- constant-time lane
-//
-// Same values as the entry points above, computed without secret-dependent
-// branches, cmovs, or data-dependent loop trips.  The `p256_fast_` branch is
-// fine: it depends on the (public) modulus, never on the operands.
-
-U256 ModField::AddCt(const U256& a, const U256& b) const {
-  U256 sum;
-  uint64_t carry = AddWithCarry(a, b, &sum);
-  U256 reduced;
-  uint64_t borrow = SubWithBorrow(sum, modulus_, &reduced);
-  // Keep the reduced value iff the add overflowed 2^256 or sum >= modulus.
-  return ct::CtSelect(ct::NonZeroMask(carry | (borrow ^ 1)), reduced, sum);
-}
-
-U256 ModField::SubCt(const U256& a, const U256& b) const {
-  U256 diff;
-  uint64_t borrow = SubWithBorrow(a, b, &diff);
-  U256 wrapped;
-  AddWithCarry(diff, modulus_, &wrapped);
-  return ct::CtSelect(ct::NonZeroMask(borrow), wrapped, diff);
-}
-
-U256 ModField::NegCt(const U256& a) const {
-  U256 out;
-  SubWithBorrow(modulus_, a, &out);
-  return ct::CtSelect(ct::IsZeroMask(a), a, out);
-}
-
-U256 ModField::MontMulCt(const U256& a, const U256& b) const {
-  if (p256_fast_) {
-    auto wide = MulWide(a, b);
-    return MontRedcP256<true>(wide.data());
-  }
-  uint64_t t[6];
-  MontMulCios(a, b, modulus_, n0_inv_, t);
-  U256 result{{t[0], t[1], t[2], t[3]}};
-  U256 reduced;
-  uint64_t borrow = SubWithBorrow(result, modulus_, &reduced);
-  return ct::CtSelect(ct::NonZeroMask(t[4] | (borrow ^ 1)), reduced, result);
-}
-
-U256 ModField::MontSqrCt(const U256& a) const {
-  if (p256_fast_) {
-    auto wide = SqrWide(a);
-    return MontRedcP256<true>(wide.data());
-  }
-  return MontMulCt(a, a);
-}
 
 U256 ModField::MontInvCt(const U256& a_mont) const {
   // Fermat: a^(m-2).  The exponent is the (public) modulus minus two, so

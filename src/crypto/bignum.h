@@ -4,13 +4,14 @@
 // and for the prime-field Shamir secret sharing of §4.2.  `ModField`
 // implements Montgomery multiplication for any odd 256-bit modulus.
 //
-// NOTE on timing: the default entry points (Add/Sub/Mul/MontMul/Inv/...) are
-// variable-time and serve the public- and ephemeral-scalar fast paths.  A
-// parallel constant-time lane (`AddCt`, `SubCt`, `NegCt`, `MontMulCt`,
-// `MontSqrCt`, `MontInvCt`, `ReduceOnceCt`) computes bit-identical results
-// with no secret-dependent branches or early exits; everything operating on
-// `Secret<U256>` data must stay on it.  See src/crypto/ct.h and
-// docs/constant-time.md for the policy.
+// NOTE on timing: the field operations (Add/Sub/Neg/MontMul/MontSqr and
+// everything built from them) are branch-free for every modulus — each ends
+// in one masked conditional correction — so public and `Secret<U256>` data
+// share one implementation.  The `*Ct` names are aliases that mark the call
+// sites relying on that.  Inv (binary xGCD), Exp, Sqrt and BatchInv[Mont]
+// branch on their operands and are for public values only; MontInvCt is the
+// constant-time inverse.  See src/crypto/ct.h and docs/constant-time.md for
+// the policy.
 #ifndef PROCHLO_SRC_CRYPTO_BIGNUM_H_
 #define PROCHLO_SRC_CRYPTO_BIGNUM_H_
 
@@ -93,33 +94,9 @@ class ModField {
 
   const U256& modulus() const { return modulus_; }
 
-  // Add/Sub/Neg are inline for the same reason as AddWithCarry: the point
-  // formulas call them a dozen times per doubling.
-  U256 Add(const U256& a, const U256& b) const {
-    U256 sum;
-    uint64_t carry = AddWithCarry(a, b, &sum);
-    U256 reduced;
-    uint64_t borrow = SubWithBorrow(sum, modulus_, &reduced);
-    return (carry != 0 || borrow == 0) ? reduced : sum;
-  }
-  U256 Sub(const U256& a, const U256& b) const {
-    U256 diff;
-    uint64_t borrow = SubWithBorrow(a, b, &diff);
-    if (borrow != 0) {
-      U256 wrapped;
-      AddWithCarry(diff, modulus_, &wrapped);
-      return wrapped;
-    }
-    return diff;
-  }
-  U256 Neg(const U256& a) const {
-    if (a.IsZero()) {
-      return a;
-    }
-    U256 out;
-    SubWithBorrow(modulus_, a, &out);
-    return out;
-  }
+  U256 Add(const U256& a, const U256& b) const;
+  U256 Sub(const U256& a, const U256& b) const;
+  U256 Neg(const U256& a) const;
   U256 Mul(const U256& a, const U256& b) const;
   U256 Sqr(const U256& a) const { return Mul(a, a); }
   U256 Exp(const U256& base, const U256& exponent) const;
@@ -148,30 +125,26 @@ class ModField {
   // Montgomery-domain primitives, exposed for hot loops (the P-256 point
   // arithmetic keeps coordinates in the Montgomery domain throughout a scalar
   // multiplication and converts only at the edges).  When the modulus is the
-  // P-256 prime, both take a specialized path: the prime's sparse limbs
-  // (2^256 - 2^224 + 2^192 + 2^96 - 1, with -p^{-1} = 1 mod 2^64) turn every
-  // reduction round into shifts and adds, no multiplications.
+  // P-256 prime, MontMul takes an unrolled CIOS specialised to the prime's
+  // sparse limbs (2^256 - 2^224 + 2^192 + 2^96 - 1, with -p^{-1} = 1 mod
+  // 2^64): each round's reduction is shifts and adds plus one multiply by the
+  // top limb.  Other moduli take the generic CIOS.
   U256 MontMul(const U256& a, const U256& b) const;
-  // a*a, using the squaring schoolbook (the ~10-mul cross-term/diagonal
-  // split) on the specialized path; identical result to MontMul(a, a).
-  U256 MontSqr(const U256& a) const;
+  U256 MontSqr(const U256& a) const { return MontMul(a, a); }
   U256 ToMont(const U256& a) const { return MontMul(a, r2_); }
   U256 FromMont(const U256& a) const { return MontMul(a, U256::One()); }
 
   // ------------------------------------------------- constant-time lane
   //
-  // Bit-identical to the variable-time entry points above, but with no
-  // secret-dependent branches, conditional moves, early-exit carry loops, or
-  // data-dependent iteration counts: every select is an arithmetic mask
-  // (src/crypto/ct.h).  Out of line on purpose — the hot public paths keep
-  // the inline/branchy versions, so none of their codegen changes.
-  U256 AddCt(const U256& a, const U256& b) const;
-  U256 SubCt(const U256& a, const U256& b) const;
-  U256 NegCt(const U256& a) const;
-  U256 MontMulCt(const U256& a, const U256& b) const;
-  U256 MontSqrCt(const U256& a) const;
-  U256 ToMontCt(const U256& a) const { return MontMulCt(a, r2_); }
-  U256 FromMontCt(const U256& a) const { return MontMulCt(a, U256::One()); }
+  // The operations above are already constant-time; these names say so at
+  // the call sites that depend on it (everything touching Secret<> data).
+  U256 AddCt(const U256& a, const U256& b) const { return Add(a, b); }
+  U256 SubCt(const U256& a, const U256& b) const { return Sub(a, b); }
+  U256 NegCt(const U256& a) const { return Neg(a); }
+  U256 MontMulCt(const U256& a, const U256& b) const { return MontMul(a, b); }
+  U256 MontSqrCt(const U256& a) const { return MontMul(a, a); }
+  U256 ToMontCt(const U256& a) const { return MontMul(a, r2_); }
+  U256 FromMontCt(const U256& a) const { return MontMul(a, U256::One()); }
   // Montgomery-domain inverse via the Fermat ladder (modulus must be prime):
   // the exponent m-2 is public, so its bits may drive control flow; every
   // multiplication on the secret base uses the Ct primitives.  0 maps to 0.
@@ -183,7 +156,7 @@ class ModField {
   U256 modulus_;
   uint64_t n0_inv_;   // -modulus^{-1} mod 2^64
   U256 r2_;           // R^2 mod modulus, R = 2^256
-  bool p256_fast_;    // modulus is the P-256 prime: fast reduction applies
+  bool p256_fast_;    // modulus is the P-256 prime: the specialised CIOS applies
 };
 
 }  // namespace prochlo

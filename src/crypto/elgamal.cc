@@ -36,13 +36,7 @@ ElGamalCiphertext ElGamalEncrypt(const EcPoint& recipient_public, const EcPoint&
 
 ElGamalCiphertext ElGamalBlind(const ElGamalCiphertext& ciphertext,
                                const Secret<U256>& secret_alpha) {
-  const P256& curve = P256::Get();
-  ElGamalCiphertext out{curve.ScalarMultSecret(ciphertext.c1, secret_alpha),
-                        curve.ScalarMultSecret(ciphertext.c2, secret_alpha)};
-  // The blinded ciphertext is forwarded to Shuffler 2 — public by protocol.
-  ct::UnpoisonObject(out.c1);  // ct:declassify(blinded ciphertext is forwarded on the wire)
-  ct::UnpoisonObject(out.c2);  // ct:declassify(blinded ciphertext is forwarded on the wire)
-  return out;
+  return ElGamalBlindBatch({ciphertext}, secret_alpha)[0];
 }
 
 ElGamalCiphertext ElGamalRerandomize(const ElGamalCiphertext& ciphertext,
@@ -54,17 +48,7 @@ ElGamalCiphertext ElGamalRerandomize(const ElGamalCiphertext& ciphertext,
 }
 
 EcPoint ElGamalDecrypt(const Secret<U256>& private_key, const ElGamalCiphertext& ciphertext) {
-  const P256& curve = P256::Get();
-  // Entirely on the ct lane: ladder for x·c1, masked negation and addition,
-  // Fermat inverse for the affine conversion.  c1 is attacker-chosen input,
-  // so this path is what the poison harness drives.
-  P256::Jacobian shared = curve.JacScalarMultSecret(curve.ToJacobian(ciphertext.c1), private_key);
-  shared.y = curve.field().NegCt(shared.y);
-  EcPoint out = curve.FromJacobianCt(curve.JacAddCt(curve.ToJacobian(ciphertext.c2), shared));
-  // The decrypted point IS the protocol output (a blinded crowd ID that
-  // feeds public thresholding), so it leaves the taint domain here.
-  ct::UnpoisonObject(out);  // ct:declassify(decrypted point is the protocol output)
-  return out;
+  return ElGamalDecryptBatch(private_key, {ciphertext})[0];
 }
 
 namespace {
@@ -83,39 +67,29 @@ void ForEachChunk(size_t n, ThreadPool* pool,
               [&](size_t c) { fn(c * kBatchChunk, std::min(n, (c + 1) * kBatchChunk)); });
 }
 
-// Normalizes the interleaved (c1, c2) Jacobian pairs of one chunk with a
-// single inversion and writes them out as ciphertexts.
-void EmitChunk(const P256& curve, std::vector<P256::Jacobian>& jacs,
-               std::vector<ElGamalCiphertext>& out, size_t begin) {
-  std::vector<EcPoint> points = curve.BatchNormalize(jacs);
-  for (size_t i = 0; i + 1 < points.size(); i += 2) {
-    out[begin + i / 2] = ElGamalCiphertext{points[i], points[i + 1]};
-  }
-}
-
 }  // namespace
 
 std::vector<ElGamalCiphertext> ElGamalBlindBatch(const std::vector<ElGamalCiphertext>& cts,
                                                  const Secret<U256>& secret_alpha,
                                                  ThreadPool* pool) {
   const P256& curve = P256::Get();
-  // Documented policy declassification (see header): the batched wNAF path
-  // carries the shuffler's Table 3 throughput and recodes variable-time.
-  U256 alpha = secret_alpha.Declassify();  // ct:declassify(batch blinding trades ct for bulk throughput by documented policy)
   std::vector<ElGamalCiphertext> out(cts.size());
   ForEachChunk(cts.size(), pool, [&](size_t begin, size_t end) {
-    // Both legs of every ciphertext through the batched wNAF path: all the
-    // odd-multiple tables of the chunk share one affine-normalization
-    // inversion, and the single repeated scalar is recoded once.
+    // Both legs of every ciphertext through one batched ct ladder: all the
+    // chunk's tables share one affine-normalization inversion, and all the
+    // results share one ct inversion.
     std::vector<EcPoint> points;
     points.reserve(2 * (end - begin));
     for (size_t i = begin; i < end; ++i) {
       points.push_back(cts[i].c1);
       points.push_back(cts[i].c2);
     }
-    std::vector<U256> scalars(points.size(), alpha);
-    std::vector<P256::Jacobian> jacs = curve.BatchScalarMultJac(points, scalars);
-    EmitChunk(curve, jacs, out, begin);
+    std::vector<EcPoint> blinded = curve.BatchScalarMultSecret(points, secret_alpha);
+    // The blinded ciphertexts are forwarded to Shuffler 2 — public by protocol.
+    ct::UnpoisonObject(blinded);  // ct:declassify(blinded ciphertext is forwarded on the wire)
+    for (size_t i = begin; i < end; ++i) {
+      out[i] = ElGamalCiphertext{blinded[2 * (i - begin)], blinded[2 * (i - begin) + 1]};
+    }
   });
   return out;
 }
@@ -139,7 +113,10 @@ std::vector<ElGamalCiphertext> ElGamalRerandomizeBatch(
       jacs.push_back(curve.JacAdd(curve.ToJacobian(cts[i].c2),
                                   curve.JacScalarMultCached(recipient_public, s[i])));
     }
-    EmitChunk(curve, jacs, out, begin);
+    std::vector<EcPoint> points = curve.BatchNormalize(jacs);
+    for (size_t i = begin; i < end; ++i) {
+      out[i] = ElGamalCiphertext{points[2 * (i - begin)], points[2 * (i - begin) + 1]};
+    }
   });
   return out;
 }
@@ -149,28 +126,25 @@ std::vector<EcPoint> ElGamalDecryptBatch(const Secret<U256>& private_key,
                                          ThreadPool* pool) {
   const P256& curve = P256::Get();
   const ModField& f = curve.field();
-  // Documented policy declassification (see header), mirroring BlindBatch.
-  U256 priv = private_key.Declassify();  // ct:declassify(batch decrypt trades ct for bulk throughput by documented policy)
   std::vector<EcPoint> out(cts.size());
   ForEachChunk(cts.size(), pool, [&](size_t begin, size_t end) {
-    // x*c1 for the whole chunk via the batched wNAF path (every c1 is a
-    // distinct ephemeral point, so this is pure variable-base work), then
-    // c2 - x*c1, with one final shared inversion for the affine results.
+    // x*c1 for the whole chunk on the batched ct ladder, then c2 - x*c1 with
+    // the ct point ops, and one shared ct inversion for the affine results.
     std::vector<EcPoint> c1s;
     c1s.reserve(end - begin);
     for (size_t i = begin; i < end; ++i) {
       c1s.push_back(cts[i].c1);
     }
-    std::vector<U256> scalars(c1s.size(), priv);
-    std::vector<P256::Jacobian> shared = curve.BatchScalarMultJac(c1s, scalars);
-    std::vector<P256::Jacobian> jacs;
-    jacs.reserve(end - begin);
+    std::vector<P256::Jacobian> jacs = curve.BatchScalarMultSecretJac(c1s, private_key);
     for (size_t i = begin; i < end; ++i) {
-      P256::Jacobian& s = shared[i - begin];
-      s.y = f.Neg(s.y);  // negation is domain-agnostic
-      jacs.push_back(curve.JacAdd(curve.ToJacobian(cts[i].c2), s));
+      P256::Jacobian& s = jacs[i - begin];
+      s.y = f.NegCt(s.y);  // negation is domain-agnostic
+      s = curve.JacAddCt(curve.ToJacobian(cts[i].c2), s);
     }
-    std::vector<EcPoint> points = curve.BatchNormalize(jacs);
+    std::vector<EcPoint> points = curve.BatchNormalizeCt(jacs);
+    // The decrypted points ARE the protocol output (blinded crowd IDs that
+    // feed public thresholding).
+    ct::UnpoisonObject(points);  // ct:declassify(decrypted point is the protocol output)
     for (size_t i = begin; i < end; ++i) {
       out[i] = points[i - begin];
     }

@@ -42,8 +42,8 @@ ElGamalCiphertext ElGamalEncrypt(const EcPoint& recipient_public, const EcPoint&
 // Multiplies both components by the blinding secret α:  Dec(Blind(ct, α)) =
 // α·M.  Blinding commutes with decryption and preserves equality of
 // plaintexts.  α is Shuffler 1's long-term secret — the whole point of the
-// split-shuffler design is that Shuffler 2 never learns it — so the
-// single-ciphertext path runs on the constant-time ladder; the blinded
+// split-shuffler design is that Shuffler 2 never learns it — so this runs on
+// the constant-time lane (a one-ciphertext ElGamalBlindBatch); the blinded
 // output points are public by protocol (they are forwarded to Shuffler 2).
 ElGamalCiphertext ElGamalBlind(const ElGamalCiphertext& ciphertext,
                                const Secret<U256>& secret_alpha);
@@ -54,8 +54,8 @@ ElGamalCiphertext ElGamalRerandomize(const ElGamalCiphertext& ciphertext,
                                      const EcPoint& recipient_public, SecureRandom& rng);
 
 // Decrypts to the (possibly blinded) message point: c2 - x·c1, on the
-// constant-time ladder (c1 is attacker-chosen; x is Shuffler 2's long-term
-// key).  The decrypted point is declassified on return — it is the protocol
+// constant-time lane (a one-ciphertext ElGamalDecryptBatch; c1 is
+// attacker-chosen, x is Shuffler 2's long-term key).  The decrypted point is declassified on return — it is the protocol
 // output (a blinded crowd ID that feeds public counting).
 EcPoint ElGamalDecrypt(const Secret<U256>& private_key, const ElGamalCiphertext& ciphertext);
 
@@ -70,10 +70,10 @@ EcPoint ElGamalDecrypt(const Secret<U256>& private_key, const ElGamalCiphertext&
 // scalar versions in a loop with the same randomness, regardless of whether
 // a pool is supplied.
 
-// Blinds every ciphertext with the same secret α (Shuffler 1's pass).
-// Policy declassification inside: the batched wNAF path recodes α variable-
-// time in exchange for the bulk throughput Table 3 reports — the same
-// documented trade as EcdhSharedSecretBatch (docs/constant-time.md).
+// Blinds every ciphertext with the same secret α (Shuffler 1's pass), on
+// P256::BatchScalarMultSecret: both legs of a chunk's ciphertexts share one
+// table-normalization inversion and one constant-time output inversion.
+// The blinded ciphertexts are declassified on return (forwarded on the wire).
 std::vector<ElGamalCiphertext> ElGamalBlindBatch(const std::vector<ElGamalCiphertext>& cts,
                                                  const Secret<U256>& secret_alpha,
                                                  ThreadPool* pool = nullptr);
@@ -89,10 +89,10 @@ std::vector<ElGamalCiphertext> ElGamalRerandomizeBatch(
     SecureRandom& rng, ThreadPool* pool = nullptr);
 
 // Decrypts every ciphertext (Shuffler 2's pass).  Every c1 is a distinct
-// ephemeral point, so this runs on P256::BatchScalarMult's batched wNAF
-// path: one shared inversion normalizes all the chunk's odd-multiple tables
-// and a second normalizes the results.  Same documented policy
-// declassification of the private scalar as ElGamalBlindBatch.
+// ephemeral point, so x·c1 runs on P256::BatchScalarMultSecret's batched
+// constant-time ladder; c2 - x·c1 uses the ct point ops and one shared ct
+// inversion per chunk.  The decrypted points are declassified on return,
+// as ElGamalDecrypt's are.
 std::vector<EcPoint> ElGamalDecryptBatch(const Secret<U256>& private_key,
                                          const std::vector<ElGamalCiphertext>& cts,
                                          ThreadPool* pool = nullptr);

@@ -10,7 +10,7 @@ namespace prochlo {
 KeyPair KeyPair::Generate(SecureRandom& rng) {
   const P256& curve = P256::Get();
   Secret<U256> priv = rng.RandomSecretScalar(curve.order());
-  // BaseMultSecret: the one-off ~3-4x ladder cost is irrelevant at key
+  // BaseMultSecret: the one-off ladder cost is irrelevant at key
   // generation, and long-term keys never touch the variable-time paths.
   return KeyPair{priv, curve.BaseMultSecret(priv)};
 }
@@ -19,7 +19,7 @@ std::optional<Secret<U256>> EcdhSharedSecret(const Secret<U256>& private_key,
                                              const EcPoint& peer_public) {
   const P256& curve = P256::Get();
   EcPoint shared = curve.ScalarMultSecret(peer_public, private_key);
-  // The infinity flag is declassified by FromJacobianCt: it is public
+  // The infinity flag is declassified by BatchNormalizeCt: it is public
   // protocol state (an invalid peer key), not key-dependent data.
   if (shared.infinity) {  // lint:allow(secret-branch)
     return std::nullopt;
@@ -29,17 +29,11 @@ std::optional<Secret<U256>> EcdhSharedSecret(const Secret<U256>& private_key,
 
 std::vector<std::optional<Secret<U256>>> EcdhSharedSecretBatch(
     const Secret<U256>& private_key, const std::vector<EcPoint>& peer_publics) {
-  const P256& curve = P256::Get();
-  // Documented policy declassification: the batched wNAF path recodes the
-  // scalar variable-time, in exchange for the shared-inversion throughput
-  // the shuffler's bulk opens need.  See the header and
-  // docs/constant-time.md before widening this.
-  U256 priv = private_key.Declassify();  // ct:declassify(batch ECDH trades ct for bulk throughput by documented policy)
-  std::vector<U256> scalars(peer_publics.size(), priv);
-  std::vector<EcPoint> shared = curve.BatchScalarMult(peer_publics, scalars);
+  std::vector<EcPoint> shared = P256::Get().BatchScalarMultSecret(peer_publics, private_key);
   std::vector<std::optional<Secret<U256>>> out(peer_publics.size());
-  for (size_t i = 0; i < shared.size(); ++i) {
-    if (!shared[i].infinity) {
+  for (size_t i = 0; i < peer_publics.size(); ++i) {
+    // The infinity flag is declassified by BatchNormalizeCt.
+    if (!shared[i].infinity) {  // lint:allow(secret-branch)
       out[i] = Secret<U256>(shared[i].x);
     }
   }
@@ -120,8 +114,8 @@ HybridBox HybridSeal(const EcPoint& recipient_public, ByteSpan plaintext,
   // timing probe has nothing to average over.  It therefore stays on the
   // variable-time fast paths (fixed-base table for the public key, wNAF for
   // the shared point) rather than KeyPair::Generate's ct ladder — report
-  // sealing is the client hot path and the ladder would cost ~3-4x per
-  // report (docs/constant-time.md, "ephemeral scalars").
+  // sealing is the client hot path and the ladders cost more per report
+  // (docs/constant-time.md, "ephemeral scalars").
   U256 eph = rng.RandomScalar(curve.order());
   EcPoint eph_public = curve.BaseMult(eph);
   EcPoint shared = curve.ScalarMult(recipient_public, eph);

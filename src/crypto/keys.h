@@ -18,8 +18,7 @@ namespace prochlo {
 
 // A long-term key pair.  The private scalar lives in the Secret<> wrapper
 // from birth: generation runs on the constant-time ladder, and every API
-// that consumes it either stays on the ct lane or declassifies at a
-// documented boundary (see docs/constant-time.md).
+// that consumes it stays on the ct lane (see docs/constant-time.md).
 struct KeyPair {
   Secret<U256> private_key;
   EcPoint public_key;
@@ -36,14 +35,12 @@ struct KeyPair {
 std::optional<Secret<U256>> EcdhSharedSecret(const Secret<U256>& private_key,
                                              const EcPoint& peer_public);
 
-// Batched ECDH against many peers with one private key — the shuffler's
-// outer-layer report opens, where every peer is a distinct ephemeral key
-// that cannot be precomputed.  Runs on P256::BatchScalarMult (shared-
-// inversion wNAF tables), which requires DECLASSIFYING the private scalar
-// internally: the batch surface processes millions of attacker-submitted
-// reports inside the (simulated) enclave, and the reproduction deliberately
-// trades per-scalar timing hygiene for the ~3-4x batch throughput there
-// (docs/constant-time.md, "batch surfaces").  Slot i matches
+// Batched ECDH against many peers with one private key — the private-key
+// half of both report layers' opens (the shuffler's outer layer and the
+// analyzer's inner one), where every peer is a distinct ephemeral key that
+// cannot be precomputed.  Runs on P256::BatchScalarMultSecret: the
+// constant-time ladder, with the per-point tables and the results each
+// normalized through one shared inversion.  Slot i matches
 // EcdhSharedSecret(private_key, peer_publics[i]) exactly, including nullopt
 // on the identity.
 std::vector<std::optional<Secret<U256>>> EcdhSharedSecretBatch(

@@ -310,7 +310,7 @@ inline P256::Jacobian SelectJac(uint64_t mask, const P256::Jacobian& a, const P2
 // and recode control flow here are fixed; only the digit VALUES are secret,
 // and they flow exclusively into masked selects.
 constexpr int kCtDigits = 65;
-constexpr size_t kCtTableSize = 9;  // multiples 0..8 of the base point
+constexpr size_t kCtTableSize = 8;  // multiples 1..8 of the base point
 
 inline void CtRecode(const U256& k, int64_t digits[kCtDigits]) {
   uint64_t carry = 0;
@@ -322,21 +322,6 @@ inline void CtRecode(const U256& k, int64_t digits[kCtDigits]) {
     digits[i] = static_cast<int64_t>(t) - static_cast<int64_t>(ge9 & 16);
   }
   digits[64] = static_cast<int64_t>(carry);
-}
-
-// Full-scan masked read of a Jacobian table: every entry is touched, so the
-// access pattern is independent of `index`.
-inline P256::Jacobian CtTableLookupJac(const P256::Jacobian* table, size_t n, uint64_t index) {
-  P256::Jacobian out{U256::Zero(), U256::Zero(), U256::Zero()};
-  for (size_t i = 0; i < n; ++i) {
-    uint64_t mask = ct::EqMask(static_cast<uint64_t>(i), index);
-    for (int j = 0; j < 4; ++j) {
-      out.x.limbs[j] |= mask & table[i].x.limbs[j];
-      out.y.limbs[j] |= mask & table[i].y.limbs[j];
-      out.z.limbs[j] |= mask & table[i].z.limbs[j];
-    }
-  }
-  return out;
 }
 }  // namespace
 
@@ -402,43 +387,157 @@ P256::Jacobian P256::JacAddCt(const Jacobian& p, const Jacobian& q) const {
   return out;
 }
 
-P256::Jacobian P256::JacScalarMultSecret(const Jacobian& p, const Secret<U256>& secret_scalar) const {
-  // One masked subtract reduces any 256-bit scalar mod n (n > 2^255, so
-  // every U256 is below 2n) — no variable-time compare-and-Reduce.
-  U256 k = fn_.ReduceOnceCt(secret_scalar.Expose());
+P256::Jacobian P256::JacAddAffineCt(const Jacobian& p, const AffineMont& q, uint64_t q_inf,
+                                    bool patch_double) const {
+  // madd-2007-bl computed unconditionally, with the exceptional cases of
+  // JacAddAffine masked in afterwards instead of branched on:
+  //   * p at infinity            -> select (q.x, q.y, 1);
+  //   * q at infinity (q_inf)    -> select p;
+  //   * p == q (h == 0, r == 0)  -> select the unconditional doubling, but
+  //     only when the caller asks for it (patch_double is public: it is the
+  //     ladder's window index, never the scalar);
+  //   * p == -q (h == 0, r != 0) -> the formula already yields z3 = 0.
+  const ModField& f = fp_;
+  U256 z1z1 = f.MontSqrCt(p.z);
+  U256 u2 = f.MontMulCt(q.x, z1z1);
+  U256 s2 = f.MontMulCt(q.y, f.MontMulCt(p.z, z1z1));
+  U256 h = f.SubCt(u2, p.x);
+  U256 r = f.SubCt(s2, p.y);
+  U256 hh = f.MontSqrCt(h);
+  U256 hh2 = f.AddCt(hh, hh);
+  U256 i = f.AddCt(hh2, hh2);
+  U256 j = f.MontMulCt(h, i);
+  U256 r2 = f.AddCt(r, r);
+  U256 v = f.MontMulCt(p.x, i);
+  U256 x3 = f.SubCt(f.SubCt(f.MontSqrCt(r2), j), f.AddCt(v, v));
+  U256 y1j2 = f.MontMulCt(p.y, j);
+  y1j2 = f.AddCt(y1j2, y1j2);
+  U256 y3 = f.SubCt(f.MontMulCt(r2, f.SubCt(v, x3)), y1j2);
+  U256 z3 = f.MontMulCt(f.AddCt(p.z, p.z), h);
+  Jacobian out{x3, y3, z3};
 
-  // Multiples 0..8 of p.  The POINT is public in every use (an El Gamal c1,
-  // a peer's ECDH key); only the scalar is secret, so the table may be
-  // built with the ordinary variable-time ops.  Entry 0 is the identity,
-  // which makes a zero digit just another masked lookup.
-  Jacobian table[kCtTableSize];
-  table[0] = Jacobian{U256::Zero(), one_mont_, U256::Zero()};
-  table[1] = p;
-  for (size_t d = 2; d < kCtTableSize; ++d) {
-    table[d] = JacAdd(table[d - 1], p);
+  const uint64_t p_inf = ct::IsZeroMask(p.z);
+  if (patch_double) {
+    uint64_t is_double = ct::IsZeroMask(h) & ct::IsZeroMask(r) & ~p_inf & ~q_inf;
+    out = SelectJac(is_double, JacDoubleCt(p), out);
+  }
+  out = SelectJac(p_inf, Jacobian{q.x, q.y, one_mont_}, out);
+  // Last, so that identity + identity stays the (z == 0) identity.
+  out = SelectJac(q_inf, p, out);
+  return out;
+}
+
+std::vector<P256::Jacobian> P256::BatchScalarMultSecretJac(
+    const std::vector<EcPoint>& points, const Secret<U256>& secret_scalar) const {
+  const size_t n = points.size();
+  const Jacobian identity{U256::Zero(), one_mont_, U256::Zero()};
+  std::vector<Jacobian> out(n, identity);
+
+  // Multiples 1..8 of every finite point.  The POINTS are public in every
+  // use (ephemeral keys, El Gamal components); only the scalar is secret, so
+  // the tables are built with the ordinary variable-time ops, and all of
+  // them are normalized to affine with one shared inversion — every ladder
+  // addition below is then a mixed addition.  Identity placeholders are
+  // skipped: that branch reads the public point, never the scalar.
+  std::vector<Jacobian> multiples;
+  multiples.reserve(kCtTableSize * n);
+  for (const EcPoint& point : points) {
+    if (point.infinity) {
+      continue;
+    }
+    const Jacobian p = ToJacobian(point);
+    multiples.push_back(p);
+    multiples.push_back(JacDouble(p));
+    for (size_t d = 3; d <= kCtTableSize; ++d) {
+      multiples.push_back(JacAdd(multiples.back(), p));
+    }
+  }
+  NormalizeToAffineMont(multiples);
+  // Split into x and y tables for ct::CtTableLookup.
+  std::vector<U256> xs(multiples.size());
+  std::vector<U256> ys(multiples.size());
+  for (size_t e = 0; e < multiples.size(); ++e) {
+    xs[e] = multiples[e].x;
+    ys[e] = multiples[e].y;
   }
 
+  // One masked subtract reduces any 256-bit scalar mod n (n > 2^255, so
+  // every U256 is below 2n) — no variable-time compare-and-Reduce.
+  const U256 k = fn_.ReduceOnceCt(secret_scalar.Expose());
   int64_t digits[kCtDigits];
   CtRecode(k, digits);
 
-  // Uniform main loop: 65 iterations of exactly 4 doublings, one full table
-  // scan, one conditional-by-mask negation, and one patched addition —
-  // regardless of the scalar.  (The p == q exceptional case inside JacAddCt
-  // cannot fire for reduced scalars — every partial value 16*acc + d stays
-  // below n — but the masked doubling patch covers it anyway.)
-  Jacobian acc = table[0];
-  for (int i = kCtDigits - 1; i >= 0; --i) {
-    for (int d = 0; d < 4; ++d) {
-      acc = JacDoubleCt(acc);
+  // Uniform ladder: 65 windows of exactly 4 doublings, one full-scan lookup
+  // of the |digit| multiple (|digit| = 0 reads nothing and masks the
+  // addition away), one masked negation and one masked mixed addition —
+  // the same sequence for every scalar.  The addition's doubling case
+  // depends only on the scalar: the accumulator before window w's addition
+  // is 16*K*P with K the scalar's digits above w, and for w >= 1 that
+  // cannot equal the window's +-|d|*P for a reduced scalar.  In window 0 it
+  // can, exactly when k = n + 2*d0, i.e. k = n - 2 (d0 = -1), so only
+  // window 0 carries the masked doubling patch.
+  size_t base = 0;
+  for (size_t i = 0; i < n; ++i) {
+    if (points[i].infinity) {
+      continue;
     }
-    uint64_t dv = static_cast<uint64_t>(digits[i]);
-    uint64_t neg = ct::NonZeroMask(dv >> 63);
-    uint64_t mag = (dv ^ neg) - neg;  // two's-complement |digit|, branchless
-    Jacobian e = CtTableLookupJac(table, kCtTableSize, mag);
-    e.y = ct::CtSelect(neg, fp_.NegCt(e.y), e.y);
-    acc = JacAddCt(acc, e);
+    Jacobian acc = identity;
+    for (int w = kCtDigits - 1; w >= 0; --w) {
+      for (int d = 0; d < 4; ++d) {
+        acc = JacDoubleCt(acc);
+      }
+      const uint64_t dv = static_cast<uint64_t>(digits[w]);
+      const uint64_t neg = ct::NonZeroMask(dv >> 63);
+      const uint64_t mag = (dv ^ neg) - neg;  // two's-complement |digit|, branchless
+      // Entry mag - 1; mag == 0 wraps out of range and reads zero.
+      AffineMont e{ct::CtTableLookup(xs.data() + base, kCtTableSize, mag - 1),
+                   ct::CtTableLookup(ys.data() + base, kCtTableSize, mag - 1)};
+      e.y = ct::CtSelect(neg, fp_.NegCt(e.y), e.y);
+      acc = JacAddAffineCt(acc, e, ct::IsZeroMask(mag), /*patch_double=*/w == 0);
+    }
+    out[i] = acc;
+    base += kCtTableSize;
   }
-  return acc;
+  return out;
+}
+
+std::vector<EcPoint> P256::BatchScalarMultSecret(const std::vector<EcPoint>& points,
+                                                 const Secret<U256>& secret_scalar) const {
+  return BatchNormalizeCt(BatchScalarMultSecretJac(points, secret_scalar));
+}
+
+std::vector<EcPoint> P256::BatchNormalizeCt(const std::vector<Jacobian>& points) const {
+  // Montgomery's trick on the ct lane: prefix products of the finite z's
+  // with MontMulCt, one Fermat MontInvCt, and a backward pass.  The
+  // per-slot point-at-infinity bit is public protocol state (an identity
+  // ECDH result is rejected out loud; an identity decrypt is a visible
+  // outcome), so it is the one bit declassified; the coordinates keep their
+  // taint.
+  const size_t n = points.size();
+  std::vector<EcPoint> out(n, EcPoint::Infinity());
+  std::vector<uint8_t> finite(n);
+  std::vector<U256> prefix(n);
+  U256 running = one_mont_;
+  for (size_t i = 0; i < n; ++i) {
+    finite[i] = !ct::DeclassifyBit(ct::IsZeroMask(points[i].z));  // ct:declassify(point-at-infinity flag is public protocol state)
+    prefix[i] = running;
+    if (finite[i]) {
+      running = fp_.MontMulCt(running, points[i].z);
+    }
+  }
+  U256 inv = fp_.MontInvCt(running);  // 1 / prod(finite z)
+  for (size_t i = n; i-- > 0;) {
+    if (!finite[i]) {
+      continue;
+    }
+    const U256 zinv = fp_.MontMulCt(inv, prefix[i]);
+    inv = fp_.MontMulCt(inv, points[i].z);
+    const U256 zinv2 = fp_.MontSqrCt(zinv);
+    const U256 zinv3 = fp_.MontMulCt(zinv2, zinv);
+    out[i] = EcPoint{fp_.FromMontCt(fp_.MontMulCt(points[i].x, zinv2)),
+                     fp_.FromMontCt(fp_.MontMulCt(points[i].y, zinv3)), false};
+  }
+  return out;
 }
 
 P256::Jacobian P256::JacBaseMultSecret(const Secret<U256>& secret_scalar) const {
@@ -465,24 +564,10 @@ P256::Jacobian P256::JacBaseMultSecret(const Secret<U256>& secret_scalar) const 
   return acc;
 }
 
-EcPoint P256::FromJacobianCt(const Jacobian& p) const {
-  // The infinity flag is public protocol state (an identity ECDH result is
-  // rejected out loud; an identity decrypt is a visible outcome), so it is
-  // the one bit declassified here.  The coordinates keep their taint: the
-  // inverse is the Fermat ladder, not the variable-time xGCD.
-  if (ct::DeclassifyBit(ct::IsZeroMask(p.z))) {  // ct:declassify(point-at-infinity flag is public protocol state)
-    return EcPoint::Infinity();
-  }
-  U256 zinv = fp_.MontInvCt(p.z);
-  U256 zinv2 = fp_.MontSqrCt(zinv);
-  U256 zinv3 = fp_.MontMulCt(zinv2, zinv);
-  U256 x = fp_.FromMontCt(fp_.MontMulCt(p.x, zinv2));
-  U256 y = fp_.FromMontCt(fp_.MontMulCt(p.y, zinv3));
-  return EcPoint{x, y, false};
-}
+EcPoint P256::FromJacobianCt(const Jacobian& p) const { return BatchNormalizeCt({p})[0]; }
 
 EcPoint P256::ScalarMultSecret(const EcPoint& point, const Secret<U256>& secret_scalar) const {
-  return FromJacobianCt(JacScalarMultSecret(ToJacobian(point), secret_scalar));
+  return BatchScalarMultSecret({point}, secret_scalar)[0];
 }
 
 EcPoint P256::BaseMultSecret(const Secret<U256>& secret_scalar) const {

@@ -8,18 +8,20 @@
 //     two-shuffler private thresholding.
 //
 // Scalar multiplication uses Jacobian coordinates kept in the Montgomery
-// domain.  Two timing regimes coexist, split by scalar lifetime
+// domain.  Two lanes coexist, split by who may know the scalar
 // (docs/constant-time.md has the full policy):
 //
 //   * The fast paths below (fixed-base tables, width-5 wNAF, batch
 //     normalization) are variable-time and serve PUBLIC and EPHEMERAL
-//     scalars — per-report keys, re-randomizers, and the declassified batch
-//     surfaces.
+//     scalars — per-report keys, re-randomizers, benchmarks.  Lint rule
+//     `wnaf-public-only` keeps BatchScalarMult[Jac] out of the rest of src/.
 //
-//   * `JacScalarMultSecret` / `BaseMultSecret` / the `*Ct` point ops form a
-//     constant-time lane for `Secret<U256>` scalars (long-term private
-//     keys): fixed-window ladder, full-scan masked table reads, branchless
-//     conditional negation, no secret-dependent branches anywhere.
+//   * `BatchScalarMultSecret` / `BaseMultSecret` / the `*Ct` point ops form
+//     the constant-time lane for `Secret<U256>` scalars (long-term private
+//     keys and blinding exponents): fixed-window ladder, full-scan masked
+//     table reads, branchless conditional negation, no secret-dependent
+//     branches anywhere.  Every private-key operation runs on it, batched
+//     or single-shot.
 //
 // Three fast paths serve the shuffler's bulk workloads (§4.1.4, Table 3),
 // where millions of scalar multiplications per pass dominate:
@@ -139,41 +141,50 @@ class P256 {
   std::vector<EcPoint> BatchNormalize(const std::vector<Jacobian>& points) const;
   // scalar[i] * G for every i, normalized with a single inversion.
   std::vector<EcPoint> BatchBaseMult(const std::vector<U256>& scalars) const;
-  // scalars[i] * points[i] for every i — the batch fast path for the
-  // shuffler's per-report ECDH opens, where every base point is a distinct
-  // ephemeral key.  All wNAF odd-multiple tables are normalized to affine
-  // with one shared inversion (so the main loops run on cheap mixed
-  // additions), and the results with a second; bit-identical to calling
-  // ScalarMult per item.
+  // scalars[i] * points[i] for every i with PUBLIC scalars (variable-time
+  // wNAF; private-key batches go through BatchScalarMultSecret).  All wNAF
+  // odd-multiple tables are normalized to affine with one shared inversion
+  // (so the main loops run on cheap mixed additions), and the results with
+  // a second; bit-identical to calling ScalarMult per item.
   std::vector<EcPoint> BatchScalarMult(const std::vector<EcPoint>& points,
                                        const std::vector<U256>& scalars) const;
-  // Jacobian-output variant for hot loops that keep composing (e.g. the
-  // El Gamal open, which still adds c2 before its own batch conversion).
+  // Jacobian-output variant for hot loops that keep composing.
   std::vector<Jacobian> BatchScalarMultJac(const std::vector<EcPoint>& points,
                                            const std::vector<U256>& scalars) const;
 
   // --------------------------------------------- constant-time secret lane
   //
-  // Scalar multiplication for `Secret<U256>` scalars: a signed fixed-window
-  // (w = 4) ladder whose control flow, memory addresses, and field-op
-  // sequence are all independent of the scalar.  Window digits are read via
-  // full-scan masked table lookups, negative digits negate branchlessly,
-  // and the point additions are the patched `JacAddCt`/`JacDoubleCt` below.
-  // Bit-identical to JacScalarMultReference for every scalar (cross-checked
-  // in tests/crypto_ct_test.cc); ~3-4x the cost of the wNAF path, paid only
-  // on long-term-key operations (see docs/constant-time.md).
-  Jacobian JacScalarMultSecret(const Jacobian& p, const Secret<U256>& secret_scalar) const;
+  // scalar * points[i] for every i with one Secret<> scalar: the bulk
+  // private-key ECDH of both report layers and the El Gamal blind/decrypt
+  // passes.  Per point, multiples 1P..8P are built with the variable-time
+  // ops (the points are public) and all tables of the batch are normalized
+  // to affine with one shared inversion.  The ladder is the signed
+  // fixed-window (w = 4) recode: 65 windows of 4 JacDoubleCt, one full-scan
+  // masked affine lookup, a masked negation and a masked mixed addition, so
+  // control flow, memory addresses and the field-op sequence are independent
+  // of the scalar.  Outputs are normalized by BatchNormalizeCt.  Slot i is
+  // bit-identical to JacScalarMultReference(points[i], scalar), identity
+  // inputs included.
+  std::vector<EcPoint> BatchScalarMultSecret(const std::vector<EcPoint>& points,
+                                             const Secret<U256>& secret_scalar) const;
+  // Jacobian-output variant for callers that keep composing (the El Gamal
+  // decrypt adds c2 before its own normalization).
+  std::vector<Jacobian> BatchScalarMultSecretJac(const std::vector<EcPoint>& points,
+                                                 const Secret<U256>& secret_scalar) const;
+  // Affine conversion of a batch of secret-derived points: Montgomery's
+  // trick with MontMulCt and one Fermat MontInvCt.  Only each slot's
+  // point-at-infinity bit is declassified; the coordinates keep their taint.
+  std::vector<EcPoint> BatchNormalizeCt(const std::vector<Jacobian>& points) const;
   // Fixed-base ladder over the generator table: same discipline (every
   // window's 15 entries are scanned; a zero digit selects the identity via
   // masks).  Used by long-term key generation.
   Jacobian JacBaseMultSecret(const Secret<U256>& secret_scalar) const;
-  // Affine conveniences.  The point-at-infinity bit of the result is
-  // declassified (it is public protocol state); the coordinates keep their
-  // taint until a caller declassifies them.
+  // Single-point forms (ScalarMultSecret is a batch of one); the
+  // point-at-infinity bit of the result is declassified (it is public
+  // protocol state), the coordinates keep their taint until a caller
+  // declassifies them.
   EcPoint ScalarMultSecret(const EcPoint& point, const Secret<U256>& secret_scalar) const;
   EcPoint BaseMultSecret(const Secret<U256>& secret_scalar) const;
-  // Affine conversion through the Fermat-ladder inverse (no variable-time
-  // xGCD on a secret-derived z); declassifies only the infinity bit.
   EcPoint FromJacobianCt(const Jacobian& p) const;
   // Branchless point ops: compute the generic formula unconditionally, then
   // mask in the exceptional cases (identity operands, doubling).  Safe for
@@ -206,6 +217,10 @@ class P256 {
   Jacobian JacFixedMult(const FixedBaseTable& table, const U256& scalar) const;
   // Mixed addition p + (qx, qy, 1), all in the Montgomery domain.
   Jacobian JacAddAffine(const Jacobian& p, const AffineMont& q) const;
+  // Its branchless twin for the secret lane: q_inf (a mask) says q is the
+  // identity; patch_double (public) adds the masked p == q case.
+  Jacobian JacAddAffineCt(const Jacobian& p, const AffineMont& q, uint64_t q_inf,
+                          bool patch_double) const;
   // Rewrites every finite point to (affine x, affine y, 1), Montgomery
   // domain, sharing one inversion across the batch.
   void NormalizeToAffineMont(std::vector<Jacobian>& points) const;

@@ -45,8 +45,8 @@ class StashShuffler : public ObliviousShuffler {
     // thread-safe when a pool is supplied (it is called concurrently).
     std::function<std::optional<Bytes>(const Bytes&)> open_outer;
     // Batched variant: opens a whole input bucket at once so the per-report
-    // ECDH runs on the batch fast path (shared-inversion wNAF tables; see
-    // BatchOpenReports).  When set, it is used for bulk opens and
+    // ECDH runs on the batched constant-time ladder (shared-inversion
+    // tables; see BatchOpenReports).  When set, it is used for bulk opens and
     // `open_outer` only for the single-record size probe; slot i must be
     // nullopt exactly when open_outer would fail on record i.
     std::function<std::vector<std::optional<Bytes>>(const std::vector<Bytes>&, ThreadPool*)>

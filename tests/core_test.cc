@@ -279,6 +279,61 @@ TEST(AnalyzerTest, MalformedPayloadsCounted) {
   EXPECT_EQ(result.malformed, 1u);
 }
 
+// DecryptBatch opens fixed-size chunks on the batched ct ladder: its payload
+// order and undecryptable count must not depend on the pool, and every kind
+// of bad box must be counted without disturbing its neighbours' slots.  The
+// input spans three chunks (the last one partial).
+TEST(AnalyzerTest, DecryptBatchIsIdenticalAtAnyThreadCount) {
+  CoreFixture fx;
+  KeyPair foreign = KeyPair::Generate(fx.rng);
+  std::vector<Bytes> boxes;
+  std::vector<Bytes> expected;
+  uint64_t bad = 0;
+  for (int i = 0; i < 600; ++i) {
+    Bytes value = ToBytes("value-" + std::to_string(i));
+    auto padded = PadPayload(value, 64);
+    ASSERT_TRUE(padded.has_value());
+    switch (i % 10) {
+      case 3:  // sealed to another analyzer's key
+        boxes.push_back(
+            HybridSeal(foreign.public_key, *padded, kAnalyzerLayerContext, fx.rng).Serialize());
+        ++bad;
+        break;
+      case 5: {  // truncated mid-ciphertext
+        Bytes box =
+            HybridSeal(fx.analyzer_keys.public_key, *padded, kAnalyzerLayerContext, fx.rng)
+                .Serialize();
+        box.resize(box.size() - 7);
+        boxes.push_back(std::move(box));
+        ++bad;
+        break;
+      }
+      case 7:  // malformed: too short to deserialize, or garbage
+        boxes.push_back(i % 20 == 7 ? Bytes(12, 0x42) : fx.rng.RandomBytes(160));
+        ++bad;
+        break;
+      default:
+        boxes.push_back(
+            HybridSeal(fx.analyzer_keys.public_key, *padded, kAnalyzerLayerContext, fx.rng)
+                .Serialize());
+        expected.push_back(value);
+    }
+  }
+
+  Analyzer serial(fx.analyzer_keys);
+  std::vector<Bytes> reference = serial.DecryptBatch(boxes);
+  EXPECT_EQ(reference, expected);
+  EXPECT_EQ(serial.stats().received, boxes.size());
+  EXPECT_EQ(serial.stats().undecryptable, bad);
+  for (size_t threads : {1u, 2u, 4u}) {
+    ThreadPool pool(threads);
+    Analyzer analyzer(fx.analyzer_keys);
+    EXPECT_EQ(analyzer.DecryptBatch(boxes, &pool), reference) << threads << " threads";
+    EXPECT_EQ(analyzer.stats().received, boxes.size()) << threads << " threads";
+    EXPECT_EQ(analyzer.stats().undecryptable, bad) << threads << " threads";
+  }
+}
+
 TEST(FragmentTest, PairwiseFragments) {
   std::vector<int> items = {1, 2, 3};
   auto pairs = PairwiseFragments(items);

@@ -1,14 +1,17 @@
 // Constant-time lane cross-checks.
 //
-// Three layers, each checked against its variable-time twin:
+// Three layers:
 //   * the ct.h mask/select primitives themselves, over every mask edge case
 //     (zero, one, all-ones, high-bit-only) and out-of-range table indices;
-//   * the ModField *Ct field ops, over both P-256 fields (the fast-reduction
-//     prime field and the generic-CIOS scalar field — the two MontMulCt code
-//     paths);
-//   * the point ops and the full JacScalarMultSecret /JacBaseMultSecret
-//     ladders, bit-identical to JacScalarMultReference over the edge-scalar
-//     set (0, 1, 2, n-1, n, n+1, 2^255, 2^255+1) and 1k random scalars.
+//   * the ModField operations, which are one branch-free implementation for
+//     both lanes, over both P-256 fields (the specialised CIOS of the prime
+//     field and the generic CIOS of the scalar field), checked against the
+//     schoolbook MulWide + bit-serial ReduceWide reference and near-modulus
+//     operands;
+//   * the point ops and the ScalarMultSecret / BatchScalarMultSecret /
+//     JacBaseMultSecret ladders, bit-identical to JacScalarMultReference over
+//     the edge-scalar set (0, 1, 2, n-1, n, n+1, 2^255, 2^255+1), n-1..n-16,
+//     1k random scalars, and batches mixing identities, repeats and P/-P.
 //
 // These are functional checks; the "no secret-dependent branches" property
 // is checked by scripts/lint.py (statically) and tools/ct_harness.cc under
@@ -120,24 +123,67 @@ TEST(CtPrimitiveTest, SecretDeletesFootguns) {
 
 // ------------------------------------------------------------- field ops
 
-void CheckFieldCtLane(const ModField& f, const char* label) {
+// The wide reference: (value mod m) by MulWide + the bit-serial ReduceWide,
+// which share no code with the Montgomery multiply or the masked add/sub.
+U256 WideMod(const ModField& f, const U256& lo, uint64_t carry = 0) {
+  return f.ReduceWide({lo.limbs[0], lo.limbs[1], lo.limbs[2], lo.limbs[3], carry, 0, 0, 0});
+}
+
+// Operands at the edges of the field: the largest residues (whose sums
+// carry out of the top limb), m - 2^32 and m - 2^64 (borrows across the
+// sparse middle limbs of the P-256 prime), values just under a limb
+// boundary, and the halves of m (whose sum lands exactly on m or m + 1).
+std::vector<U256> NearModulusOperands(const ModField& f) {
+  const U256& m = f.modulus();
+  auto minus = [&](const U256& v) {
+    U256 out;
+    SubWithBorrow(m, v, &out);
+    return out;
+  };
+  U256 two_32 = U256::FromU64(1ull << 32);
+  U256 two_64{{0, 1, 0, 0}};
+  U256 two_255{{0, 0, 0, 1ull << 63}};
+  U256 top_limb_just_below{{~0ull, ~0ull, ~0ull, m.limbs[3] - 1}};
+  U256 half_down = ShiftRight1(m);  // (m - 1) / 2
+  U256 half_up;
+  AddWithCarry(half_down, U256::One(), &half_up);  // (m + 1) / 2
+  return {minus(U256::One()), minus(U256::FromU64(2)), minus(two_32), minus(two_64),
+          two_255, top_limb_just_below, half_down, half_up};
+}
+
+void CheckFieldAgainstWideReference(const ModField& f, const char* label) {
   SecureRandom rng(ToBytes(std::string("ct-field-") + label));
-  U256 m_minus_1;
-  SubWithBorrow(f.modulus(), U256::One(), &m_minus_1);
-  std::vector<U256> specials = {U256::Zero(), U256::One(), U256::FromU64(2), m_minus_1};
-  for (int i = 0; i < 64; ++i) {
-    specials.push_back(rng.RandomScalar(f.modulus()));
+  const U256 r_mod_m = f.ReduceWide({0, 0, 0, 0, 1, 0, 0, 0});  // 2^256 mod m
+  std::vector<U256> operands = {U256::Zero(), U256::One(), U256::FromU64(2)};
+  for (const U256& v : NearModulusOperands(f)) {
+    operands.push_back(v);
   }
-  for (const U256& a : specials) {
-    for (const U256& b : specials) {
-      EXPECT_EQ(f.AddCt(a, b), f.Add(a, b)) << label;
-      EXPECT_EQ(f.SubCt(a, b), f.Sub(a, b)) << label;
-      EXPECT_EQ(f.MontMulCt(a, b), f.MontMul(a, b)) << label;
+  for (int i = 0; i < 48; ++i) {
+    operands.push_back(rng.RandomScalar(f.modulus()));
+  }
+  for (const U256& a : operands) {
+    for (const U256& b : operands) {
+      U256 sum;
+      uint64_t carry = AddWithCarry(a, b, &sum);
+      ASSERT_EQ(f.Add(a, b), WideMod(f, sum, carry))
+          << label << " " << a.ToHex() << " + " << b.ToHex();
+      // a - b = a + (m - b), with m - b in (0, m].
+      U256 m_minus_b;
+      SubWithBorrow(f.modulus(), b, &m_minus_b);
+      carry = AddWithCarry(a, m_minus_b, &sum);
+      ASSERT_EQ(f.Sub(a, b), WideMod(f, sum, carry))
+          << label << " " << a.ToHex() << " - " << b.ToHex();
+      // MontMul(a, b) = a*b/R, so MontMul(a, b) * R == a*b (mod m).
+      ASSERT_EQ(f.ReduceWide(MulWide(f.MontMul(a, b), r_mod_m)), f.ReduceWide(MulWide(a, b)))
+          << label << " " << a.ToHex() << " * " << b.ToHex();
     }
-    EXPECT_EQ(f.NegCt(a), f.Neg(a)) << label;
-    EXPECT_EQ(f.MontSqrCt(a), f.MontSqr(a)) << label;
-    EXPECT_EQ(f.ToMontCt(a), f.ToMont(a)) << label;
-    EXPECT_EQ(f.FromMontCt(f.ToMontCt(a)), a) << label;
+    U256 m_minus_a;
+    SubWithBorrow(f.modulus(), a, &m_minus_a);
+    EXPECT_EQ(f.Neg(a), WideMod(f, m_minus_a)) << label << " a=" << a.ToHex();
+    EXPECT_EQ(f.ReduceWide(MulWide(f.MontSqr(a), r_mod_m)), f.ReduceWide(MulWide(a, a)))
+        << label << " a=" << a.ToHex();
+    EXPECT_EQ(f.ToMont(a), f.ReduceWide(MulWide(a, r_mod_m))) << label << " a=" << a.ToHex();
+    EXPECT_EQ(f.FromMont(f.ToMont(a)), a) << label;
     // MontInvCt: Fermat in the Montgomery domain vs the xGCD Inv.
     U256 inv_ct = f.FromMont(f.MontInvCt(f.ToMont(a)));
     EXPECT_EQ(inv_ct, f.Inv(a)) << label << " a=" << a.ToHex();
@@ -151,11 +197,11 @@ void CheckFieldCtLane(const ModField& f, const char* label) {
 }
 
 TEST(CtFieldTest, PrimeFieldMatchesVariableTime) {
-  CheckFieldCtLane(P256::Get().field(), "fp");  // fast-reduction path
+  CheckFieldAgainstWideReference(P256::Get().field(), "fp");  // specialised CIOS
 }
 
 TEST(CtFieldTest, ScalarFieldMatchesVariableTime) {
-  CheckFieldCtLane(P256::Get().scalar_field(), "fn");  // generic CIOS path
+  CheckFieldAgainstWideReference(P256::Get().scalar_field(), "fn");  // generic CIOS
 }
 
 // ------------------------------------------------------------- point ops
@@ -220,8 +266,7 @@ TEST(CtScalarMultTest, EdgeScalarsMatchReference) {
   EcPoint random_base = curve.BaseMult(rng.RandomScalar(curve.order()));
   for (const EcPoint& base : {curve.generator(), random_base}) {
     for (const U256& k : CtEdgeScalars()) {
-      EcPoint ct_result = curve.FromJacobianCt(
-          curve.JacScalarMultSecret(curve.ToJacobian(base), Secret<U256>(k)));
+      EcPoint ct_result = curve.ScalarMultSecret(base, Secret<U256>(k));
       EXPECT_EQ(ct_result, ReferenceMult(base, k)) << "scalar " << k.ToHex();
     }
   }
@@ -235,12 +280,105 @@ TEST(CtScalarMultTest, OneThousandRandomScalarsMatchReference) {
   const P256& curve = P256::Get();
   SecureRandom rng(ToBytes("ct-ladder-1k"));
   EcPoint base = curve.BaseMult(rng.RandomScalar(curve.order()));
-  P256::Jacobian base_jac = curve.ToJacobian(base);
   for (int i = 0; i < 1000; ++i) {
     U256 k = rng.RandomScalar(curve.order());
-    EcPoint ct_result = curve.FromJacobianCt(curve.JacScalarMultSecret(base_jac, Secret<U256>(k)));
+    EcPoint ct_result = curve.ScalarMultSecret(base, Secret<U256>(k));
     ASSERT_EQ(ct_result, ReferenceMult(base, k)) << "scalar " << k.ToHex();
   }
+}
+
+// ------------------------------------------------------ batched secret lane
+
+// Runs BatchScalarMultSecret over `points` and checks every slot against the
+// reference ladder.
+void ExpectBatchMatchesReference(const std::vector<EcPoint>& points, const U256& k) {
+  const P256& curve = P256::Get();
+  std::vector<EcPoint> batch = curve.BatchScalarMultSecret(points, Secret<U256>(k));
+  ASSERT_EQ(batch.size(), points.size());
+  for (size_t i = 0; i < points.size(); ++i) {
+    ASSERT_EQ(batch[i], ReferenceMult(points[i], k)) << "slot " << i << " scalar " << k.ToHex();
+  }
+}
+
+TEST(CtBatchScalarMultTest, EdgeScalarsMatchReference) {
+  const P256& curve = P256::Get();
+  SecureRandom rng(ToBytes("ct-batch-edges"));
+  std::vector<EcPoint> points = {curve.generator(),
+                                 curve.BaseMult(rng.RandomScalar(curve.order())),
+                                 curve.BaseMult(rng.RandomScalar(curve.order()))};
+  for (const U256& k : CtEdgeScalars()) {
+    ExpectBatchMatchesReference(points, k);
+  }
+}
+
+// k = n - 2 is the one reduced scalar whose last-window addition is a
+// doubling (acc = 16*K*P = -P = digit * P); its neighbours bracket it.
+TEST(CtBatchScalarMultTest, ScalarsJustBelowOrderMatchReference) {
+  const P256& curve = P256::Get();
+  SecureRandom rng(ToBytes("ct-batch-n-minus"));
+  std::vector<EcPoint> points = {curve.generator(),
+                                 curve.BaseMult(rng.RandomScalar(curve.order()))};
+  for (uint64_t d = 1; d <= 16; ++d) {
+    U256 k;
+    SubWithBorrow(curve.order(), U256::FromU64(d), &k);
+    ExpectBatchMatchesReference(points, k);
+  }
+}
+
+TEST(CtBatchScalarMultTest, OneThousandRandomScalarsMatchReference) {
+  const P256& curve = P256::Get();
+  SecureRandom rng(ToBytes("ct-batch-1k"));
+  // Two points, so every scalar also runs through a shared table
+  // normalization and a shared output inversion.
+  std::vector<EcPoint> points = {curve.BaseMult(rng.RandomScalar(curve.order())),
+                                 curve.BaseMult(rng.RandomScalar(curve.order()))};
+  for (int i = 0; i < 1000; ++i) {
+    ExpectBatchMatchesReference(points, rng.RandomScalar(curve.order()));
+  }
+}
+
+// Identity placeholders, a repeated point and P/-P pairs in one batch: the
+// placeholders must come out as the identity without disturbing the shared
+// table normalization or the shared output inversion of their neighbours.
+TEST(CtBatchScalarMultTest, MixedBatchMatchesReference) {
+  const P256& curve = P256::Get();
+  SecureRandom rng(ToBytes("ct-batch-mixed"));
+  EcPoint p = curve.BaseMult(rng.RandomScalar(curve.order()));
+  EcPoint q = curve.BaseMult(rng.RandomScalar(curve.order()));
+  std::vector<EcPoint> points = {EcPoint::Infinity(), p,
+                                 curve.Negate(p),     EcPoint::Infinity(),
+                                 q,                   p,
+                                 EcPoint::Infinity(), curve.Negate(q),
+                                 curve.generator(),   curve.Negate(curve.generator())};
+  std::vector<U256> scalars = CtEdgeScalars();
+  for (int i = 0; i < 8; ++i) {
+    scalars.push_back(rng.RandomScalar(curve.order()));
+  }
+  U256 n_minus_2;
+  SubWithBorrow(curve.order(), U256::FromU64(2), &n_minus_2);
+  scalars.push_back(n_minus_2);
+  for (const U256& k : scalars) {
+    ExpectBatchMatchesReference(points, k);
+  }
+  // An all-identity batch and an empty batch.
+  ExpectBatchMatchesReference({EcPoint::Infinity(), EcPoint::Infinity()}, scalars.back());
+  EXPECT_TRUE(curve.BatchScalarMultSecret({}, Secret<U256>(U256::One())).empty());
+}
+
+TEST(CtBatchScalarMultTest, BatchNormalizeCtMatchesBatchNormalize) {
+  const P256& curve = P256::Get();
+  SecureRandom rng(ToBytes("ct-batch-normalize"));
+  std::vector<P256::Jacobian> jacs;
+  for (int i = 0; i < 20; ++i) {
+    // Every third slot is the identity; the rest get a non-trivial z.
+    if (i % 3 == 0) {
+      jacs.push_back(curve.ToJacobian(EcPoint::Infinity()));
+      continue;
+    }
+    jacs.push_back(curve.JacAdd(curve.JacBaseMult(rng.RandomScalar(curve.order())),
+                                curve.JacBaseMult(rng.RandomScalar(curve.order()))));
+  }
+  EXPECT_EQ(curve.BatchNormalizeCt(jacs), curve.BatchNormalize(jacs));
 }
 
 TEST(CtScalarMultTest, BaseMultSecretMatchesBaseMult) {

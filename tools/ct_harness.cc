@@ -7,17 +7,21 @@
 // about names; this harness tracks the actual data flow, so the two cover
 // each other's blind spots.
 //
-// Usage:  ct_harness <scenario> [--inject=branch|index|tag-memcmp]
+// Usage:  ct_harness <scenario> [--inject=branch|index|tag-memcmp|wnaf-recode]
 //
 // Scenarios (all must be shadow-clean under valgrind/MSan):
-//   ecdh             poisoned long-term scalar -> EcdhSharedSecret
-//   elgamal-decrypt  poisoned private key -> ElGamalDecrypt (ct ladder)
-//   gcm-verify       poisoned 16 provided-tag bytes -> AesGcm::Open
-//   hmac-verify      poisoned key and expected MAC -> HmacVerify
-//   all              every scenario above in sequence
+//   ecdh                   poisoned long-term scalar -> EcdhSharedSecret
+//   elgamal-decrypt        poisoned private key -> ElGamalDecrypt (ct ladder)
+//   batch-ecdh             poisoned long-term scalar -> EcdhSharedSecretBatch
+//                          (the batched ct ladder both report layers open on)
+//   batch-elgamal-decrypt  poisoned private key -> ElGamalDecryptBatch
+//   gcm-verify             poisoned 16 provided-tag bytes -> AesGcm::Open
+//   hmac-verify            poisoned key and expected MAC -> HmacVerify
+//   all                    every scenario above in sequence
 //
 // --inject deliberately violates the discipline on poisoned bytes (a branch,
-// a secret-indexed load, an early-exit memcmp).  scripts/ct_verify.sh runs
+// a secret-indexed load, an early-exit memcmp, a wNAF recode of a secret
+// scalar on the public batch path).  scripts/ct_verify.sh runs
 // the positives expecting a clean shadow report AND the negatives expecting
 // the tool to complain — a verifier that can't see planted bugs proves
 // nothing.
@@ -27,7 +31,9 @@
 // `backend-active=no` so the driver knows the run carries no ct evidence.
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "src/crypto/ct.h"
 #include "src/crypto/elgamal.h"
@@ -68,6 +74,53 @@ bool ScenarioElGamalDecrypt() {
   ct::PoisonObject(recipient.private_key.ExposeMutable());
   EcPoint opened = ElGamalDecrypt(recipient.private_key, ciphertext);
   return opened == message;
+}
+
+// A batch with an identity placeholder in the middle, so the public
+// skip-the-identity branch runs next to poisoned-scalar ladders.
+std::vector<EcPoint> HarnessPeers(SecureRandom& rng) {
+  const P256& curve = P256::Get();
+  return {KeyPair::Generate(rng).public_key, EcPoint::Infinity(),
+          KeyPair::Generate(rng).public_key, curve.generator()};
+}
+
+bool ScenarioBatchEcdh() {
+  SecureRandom rng(ToBytes("ct-harness-batch-ecdh"));
+  KeyPair a = KeyPair::Generate(rng);
+  std::vector<EcPoint> peers = HarnessPeers(rng);
+  // Expected values from the unpoisoned single-shot path.
+  std::vector<std::optional<Secret<U256>>> expected;
+  for (const EcPoint& peer : peers) {
+    expected.push_back(EcdhSharedSecret(a.private_key, peer));
+  }
+  ct::PoisonObject(a.private_key.ExposeMutable());
+  auto shared = EcdhSharedSecretBatch(a.private_key, peers);
+  for (size_t i = 0; i < peers.size(); ++i) {
+    if (shared[i].has_value() != expected[i].has_value()) {
+      return false;
+    }
+    // ct:declassify(harness-side agreement check on the finished shared secrets)
+    if (shared[i].has_value() && !(shared[i]->Declassify() == expected[i]->Declassify())) {
+      return false;
+    }
+  }
+  return true;
+}
+
+bool ScenarioBatchElGamalDecrypt() {
+  SecureRandom rng(ToBytes("ct-harness-batch-elgamal"));
+  KeyPair recipient = KeyPair::Generate(rng);
+  std::vector<EcPoint> messages;
+  std::vector<ElGamalCiphertext> ciphertexts;
+  for (int i = 0; i < 4; ++i) {
+    messages.push_back(HashToCurve("ct-harness-batch-message-" + std::to_string(i)));
+    ciphertexts.push_back(ElGamalEncrypt(recipient.public_key, messages.back(), rng));
+  }
+  // An identity c1 (a degenerate but well-formed ciphertext) decrypts to c2.
+  messages.push_back(messages[0]);
+  ciphertexts.push_back(ElGamalCiphertext{EcPoint::Infinity(), messages[0]});
+  ct::PoisonObject(recipient.private_key.ExposeMutable());
+  return ElGamalDecryptBatch(recipient.private_key, ciphertexts) == messages;
 }
 
 bool ScenarioGcmVerify() {
@@ -123,6 +176,17 @@ int RunInjection(const std::string& kind) {
     }
     return 0;
   }
+  if (kind == "wnaf-recode") {
+    // What the batch opens did before they moved to the ct ladder: a
+    // private scalar fed to the public wNAF path, whose recode branches on
+    // every scalar bit and indexes its table by the digits.
+    const P256& curve = P256::Get();
+    U256 scalar = U256::FromBytes(secret);
+    std::vector<EcPoint> points = {curve.generator()};
+    auto out = curve.BatchScalarMult(points, {scalar});
+    g_sink = static_cast<uint8_t>(out.size());
+    return 0;
+  }
   std::fprintf(stderr, "ct_harness: unknown injection '%s'\n", kind.c_str());
   return 2;
 }
@@ -139,6 +203,8 @@ int Run(const std::string& scenario, const std::string& inject) {
   static const Entry kScenarios[] = {
       {"ecdh", &ScenarioEcdh},
       {"elgamal-decrypt", &ScenarioElGamalDecrypt},
+      {"batch-ecdh", &ScenarioBatchEcdh},
+      {"batch-elgamal-decrypt", &ScenarioBatchElGamalDecrypt},
       {"gcm-verify", &ScenarioGcmVerify},
       {"hmac-verify", &ScenarioHmacVerify},
   };
@@ -176,8 +242,8 @@ int main(int argc, char** argv) {
   }
   if (scenario.empty() && inject.empty()) {
     std::fprintf(stderr,
-                 "usage: ct_harness <ecdh|elgamal-decrypt|gcm-verify|hmac-verify|all>"
-                 " [--inject=branch|index|tag-memcmp]\n");
+                 "usage: ct_harness <ecdh|elgamal-decrypt|batch-ecdh|batch-elgamal-decrypt|"
+                 "gcm-verify|hmac-verify|all> [--inject=branch|index|tag-memcmp|wnaf-recode]\n");
     return 2;
   }
   if (scenario.empty()) {
