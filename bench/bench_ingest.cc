@@ -3,46 +3,43 @@
 // encoder fast path that feeds it.
 //
 //   * wire       — frame encode + streaming decode (CRC-checked)
-//   * tcp        — 4 FrameClients over real sockets through TcpListener,
-//                  per-report cost measured send -> ACK (durably spooled)
 //   * ingest     — shard + accumulate (in-memory) across shard counts
-//   * spool      — frame append to disk segments + recovery scan + replay
 //   * recovery   — session-journal replay vs. session count (what a restart
 //                  pays before the dedup registry can serve)
+//   * pool       — concurrent accept through the worker rings
 //   * seal       — per-report vs batch cohort sealing (BatchSealReports
 //                  amortizes fixed-base mults and affine conversions)
 //
-// The drain and the cluster merge are measured end to end by esabench's
-// `drain`, `cluster` and `mixed` workloads.
+// The durable path is measured by esabench (esabench/README.md): its ACK
+// rows time send -> ACK over TCP, its traced replay the WAL group commit
+// (wal.commit_us), the checkpoint (wal.checkpoint_ms) and the drain's read
+// of a sealed epoch (spool.replay_us), and its `drain`, `cluster` and
+// `mixed` workloads the drain and the cluster merge end to end.
 //
 // PROCHLO_INGEST_N scales the report count (default 2000; the paper's
 // shuffler handles millions — this tracks per-report cost, which is what
 // must stay flat).  Results land in BENCH_ingest.json.
-#include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <string>
-#include <vector>
-
 #include <thread>
+#include <vector>
 
 #include "bench/json_out.h"
 #include "bench/table.h"
 #include "src/core/pipeline.h"
-#include "src/service/connection.h"
 #include "src/service/frontend.h"
 #include "src/service/ingest.h"
 #include "src/service/runtime.h"
 #include "src/service/session_journal.h"
-#include "src/service/spool.h"
-#include "src/service/wal.h"
 #include "src/service/wire.h"
 
 namespace prochlo {
 namespace {
+
+namespace fs = std::filesystem;
 
 double SecondsSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
@@ -161,7 +158,7 @@ void Run() {
   for (size_t shards : {1u, 4u, 16u}) {
     IngestConfig ingest_config;
     ingest_config.num_shards = shards;
-    ShardedIngest ingest(ingest_config, nullptr);
+    ShardedIngest ingest(ingest_config);
     t0 = std::chrono::steady_clock::now();
     for (const auto& report : reports) {
       BenchCheck(ingest.Accept(report), "ingest.Accept");
@@ -172,124 +169,6 @@ void Run() {
                   PerReport(ingest_seconds, n)});
     json.Add(label, n, 1e9 * ingest_seconds / static_cast<double>(n),
              static_cast<double>(n) / ingest_seconds);
-  }
-
-  // ---- spool: append, recover, replay ----
-  namespace fs = std::filesystem;
-  std::string spool_dir = (fs::temp_directory_path() / "prochlo-bench-ingest").string();
-  fs::remove_all(spool_dir);
-  {
-    Spool spool(SpoolConfig{spool_dir, /*fsync_on_seal=*/false});
-    BenchCheck(spool.Open(), "spool.Open");
-    t0 = std::chrono::steady_clock::now();
-    for (size_t i = 0; i < reports.size(); ++i) {
-      BenchCheck(spool.Append(ShardedIngest::ShardOfReport(reports[i], 4), 0, reports[i]), "spool.Append");
-    }
-    BenchCheck(spool.SealEpoch(0), "spool.SealEpoch");
-    double append_seconds = SecondsSince(t0);
-    table.AddRow({"spool/append", std::to_string(n),
-                  Seconds(append_seconds),
-                  PerReport(append_seconds, n)});
-    json.Add("spool_append", n, 1e9 * append_seconds / static_cast<double>(n),
-             static_cast<double>(n) / append_seconds);
-  }
-  {
-    Spool spool(SpoolConfig{spool_dir, false});
-    t0 = std::chrono::steady_clock::now();
-    auto recovery = spool.Open();
-    double recover_seconds = SecondsSince(t0);
-    if (recovery.ok()) {
-      table.AddRow({"spool/recover", std::to_string(n),
-                    Seconds(recover_seconds),
-                    PerReport(recover_seconds, n)});
-      json.Add("spool_recover", n, 1e9 * recover_seconds / static_cast<double>(n),
-               static_cast<double>(n) / recover_seconds);
-    }
-    t0 = std::chrono::steady_clock::now();
-    auto epoch_stream = spool.OpenEpochStream(0);
-    uint64_t replayed = 0;
-    while (epoch_stream->Next()) {
-      replayed++;
-    }
-    double replay_seconds = SecondsSince(t0);
-    table.AddRow({"spool/replay", std::to_string(replayed),
-                  Seconds(replay_seconds),
-                  PerReport(replay_seconds, n)});
-    json.Add("spool_replay", n, 1e9 * replay_seconds / static_cast<double>(n),
-             static_cast<double>(n) / replay_seconds);
-  }
-  fs::remove_all(spool_dir);
-
-  // ---- wal: the unified report+commit group commit — the durability path
-  //      a production frontend actually runs, fsync ON.  Batch is how many
-  //      buffered appends share one barrier; group commit's whole point is
-  //      fsyncs-per-report < 1 once batches form (the wal_fsyncs rows pin
-  //      it: at batch >= 8 strictly fewer fsyncs than reports). ----
-  for (uint64_t batch : {uint64_t{1}, uint64_t{8}, uint64_t{64}}) {
-    std::string wal_dir =
-        (fs::temp_directory_path() / ("prochlo-bench-wal-" + std::to_string(batch))).string();
-    fs::remove_all(wal_dir);
-    FrontendConfig wal_config;
-    wal_config.pipeline.seed = "bench-ingest-wal";
-    wal_config.ingest.num_shards = 4;
-    wal_config.spool_dir = wal_dir;
-    wal_config.fsync_spool = true;  // group commit is an fsync bench
-    ShufflerFrontend frontend(wal_config);
-    BenchCheck(frontend.Start(), "wal frontend.Start");
-    const IngestWal::Stats before = frontend.wal()->stats();
-
-    std::atomic<uint64_t> committed{0};
-    t0 = std::chrono::steady_clock::now();
-    for (size_t i = 0; i < reports.size(); i += batch) {
-      size_t end = std::min(i + batch, reports.size());
-      for (size_t j = i; j < end; ++j) {
-        size_t shard = ShardedIngest::ShardOfReport(reports[j], 4);
-        BenchCheck(frontend.AcceptRoutedReportAsync(
-                       shard, reports[j], ReportContext{},
-                       [&committed](const Status& status) {
-                         if (status.ok()) {
-                           committed.fetch_add(1);
-                         }
-                       }),
-                   "wal AcceptRoutedReportAsync");
-      }
-      BenchCheck(frontend.BarrierIngest(), "wal BarrierIngest");
-    }
-    double commit_seconds = SecondsSince(t0);
-    const IngestWal::Stats after = frontend.wal()->stats();
-    if (committed.load() != reports.size()) {
-      std::fprintf(stderr, "wal stage: %llu of %zu reports committed\n",
-                   static_cast<unsigned long long>(committed.load()), reports.size());
-      std::abort();
-    }
-    uint64_t fsyncs = after.fsyncs - before.fsyncs;
-    std::string label = "wal/commit-batch=" + std::to_string(batch);
-    table.AddRow({label, std::to_string(n), Seconds(commit_seconds),
-                  PerReport(commit_seconds, n)});
-    json.Add("wal_commit_batch=" + std::to_string(batch), n,
-             1e9 * commit_seconds / static_cast<double>(n),
-             static_cast<double>(n) / commit_seconds);
-    // The fsync ledger for this batch size: n is the fsync COUNT, so
-    // fsyncs-per-report is this row's n over the commit row's n.
-    table.AddRow({"wal/fsyncs-batch=" + std::to_string(batch), std::to_string(fsyncs),
-                  Seconds(commit_seconds),
-                  fsyncs > 0 ? PerReport(commit_seconds, fsyncs) : "n/a"});
-    json.Add("wal_fsyncs_batch=" + std::to_string(batch), fsyncs,
-             fsyncs > 0 ? 1e9 * commit_seconds / static_cast<double>(fsyncs) : 0.0,
-             static_cast<double>(fsyncs) / commit_seconds);
-
-    if (batch == 64) {
-      // Checkpoint: drain the WAL backlog into per-epoch spool segments and
-      // truncate.  Per-report cost of making the WAL's claim permanent.
-      t0 = std::chrono::steady_clock::now();
-      BenchCheck(frontend.wal()->Checkpoint(), "wal Checkpoint");
-      double checkpoint_seconds = SecondsSince(t0);
-      table.AddRow({"wal/checkpoint", std::to_string(n), Seconds(checkpoint_seconds),
-                    PerReport(checkpoint_seconds, n)});
-      json.Add("wal_checkpoint", n, 1e9 * checkpoint_seconds / static_cast<double>(n),
-               static_cast<double>(n) / checkpoint_seconds);
-    }
-    fs::remove_all(wal_dir);
   }
 
   // ---- recovery: session-journal replay vs. session count ----
@@ -372,78 +251,13 @@ void Run() {
     }
   }
 
-  // ---- tcp: the full network tier over real sockets — 4 FrameClients
-  //      dial the TcpListener, and a report only counts when its ACK is
-  //      back, i.e. after the durable spool append ----
-  {
-    std::string tcp_dir = (fs::temp_directory_path() / "prochlo-bench-tcp").string();
-    fs::remove_all(tcp_dir);
-    FrontendConfig tcp_config;
-    tcp_config.pipeline.seed = "bench-ingest-tcp";
-    tcp_config.ingest.num_shards = 4;
-    tcp_config.spool_dir = tcp_dir;
-    tcp_config.fsync_spool = false;
-    ShufflerFrontend frontend(tcp_config);
-    BenchCheck(frontend.Start(), "frontend.Start");
-    IngestWorkerPool pool(&frontend, WorkerPoolConfig{/*workers=*/2, /*ring_capacity=*/1024});
-    pool.Start();
-    FrameServer server(
-        [&pool](Bytes report) { return pool.Enqueue(std::move(report)); },
-        [&pool](Bytes report, ReportContext ctx, std::function<void(const Status&)> done) {
-          pool.EnqueueAsync(std::move(report), ctx, std::move(done));
-        });
-    server.BindFrontendStats(&frontend.stats());
-    TcpListener listener(&server);
-    if (!listener.Start().ok()) {
-      std::fprintf(stderr, "tcp listener failed to start; skipping socket stage\n");
-    } else {
-      constexpr size_t kTcpClients = 4;
-      t0 = std::chrono::steady_clock::now();
-      std::vector<std::thread> clients;
-      for (size_t c = 0; c < kTcpClients; ++c) {
-        clients.emplace_back([&, c] {
-          FrameClient client(FrameClientConfig{/*session_id=*/c + 1});
-          auto stream = TcpConnect("127.0.0.1", listener.port());
-          if (!stream.ok() || !client.Connect(std::move(stream).value()).ok()) {
-            return;
-          }
-          for (size_t i = c; i < reports.size(); i += kTcpClients) {
-            (void)client.SendReport(reports[i]);  // failed sends stay owned for replay; acked book is the check
-          }
-          client.WaitForAcks(std::chrono::milliseconds(120000));
-          client.Close();
-        });
-      }
-      for (auto& client : clients) {
-        client.join();
-      }
-      double tcp_seconds = SecondsSince(t0);
-      listener.Stop();
-      (void)server.Shutdown();  // teardown; per-connection errors already counted
-      pool.Stop();
-      ConnectionAckBook book = server.ack_book();
-      std::string label = "tcp/clients=" + std::to_string(kTcpClients) + ",acked";
-      table.AddRow({label, std::to_string(book.acked), Seconds(tcp_seconds),
-                    PerReport(tcp_seconds, n)});
-      json.Add(label, n, 1e9 * tcp_seconds / static_cast<double>(n),
-               static_cast<double>(n) / tcp_seconds, /*groups=*/1, /*workers=*/2);
-      if (book.acked != reports.size()) {
-        std::fprintf(stderr, "tcp stage: %llu of %zu reports acked\n",
-                     static_cast<unsigned long long>(book.acked), reports.size());
-      }
-    }
-    fs::remove_all(tcp_dir);
-  }
-
   table.Print();
   json.Write();
   std::printf(
       "\nShape checks: wire and ingest are tens of ns per report (never the bottleneck);\n"
-      "spool append/replay are I/O-bound but stream — RAM stays flat in N; seal dominates\n"
-      "client-side cost and the batch path amortizes its EC work.  The pool grid should stay\n"
-      "flat across ring sizes (accept is cheap; rings only buffer bursts); the tcp stage\n"
-      "prices the whole network tier — framing, loopback TCP, dedup registry, rings,\n"
-      "spool append, and the ack round-trip — and should stay single-digit us/report.\n");
+      "seal dominates client-side cost and the batch path amortizes its EC work.  Journal\n"
+      "replay stays flat per session.  The pool grid should stay flat across ring sizes\n"
+      "(accept is cheap; rings only buffer bursts).\n");
 }
 
 }  // namespace

@@ -79,7 +79,7 @@ class Shuffler {
                                           Rng& noise_rng, ThreadPool* pool = nullptr);
 
   // Streaming variant for spooled epochs: reports are pulled from `reports`
-  // (e.g. straight off the ingestion tier's on-disk segments).  In the
+  // (e.g. straight off the ingestion tier's WAL generations).  In the
   // stash-shuffle path the records stream through the enclave one input
   // bucket at a time, so an epoch larger than RAM never materializes; the
   // trusted-deployment Fisher-Yates path must hold the opened views in

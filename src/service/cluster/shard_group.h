@@ -6,8 +6,8 @@
 //              + FrameServer      (ack protocol; group's AckRegistry)
 //              + TcpListener      (optional; loopback Connect() otherwise)
 //
-// Each group owns its durability domain end to end: spool segments, epoch
-// manifests/markers, and the sessions journal all live under the group's
+// Each group owns its durability domain end to end: WAL generations, epoch
+// seal markers, and the sessions journal all live under the group's
 // private spool directory, so a group can crash and reopen (a fresh
 // ShardGroup over the same directory) without touching its peers.  The
 // exactly-once contract is therefore per (group, session): the Router's job

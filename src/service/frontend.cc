@@ -63,54 +63,39 @@ class EpochBatchRecordStream : public RecordStream {
 }  // namespace
 
 ShufflerFrontend::ShufflerFrontend(FrontendConfig config)
-    : config_(std::move(config)), pipeline_(config_.pipeline) {
-  if (!config_.spool_dir.empty()) {
-    SpoolConfig spool_config;
-    spool_config.root = config_.spool_dir;
-    spool_config.fsync_on_seal = config_.fsync_spool;
-    spool_config.fs = config_.fs;
-    spool_ = std::make_unique<Spool>(spool_config);
-  }
-  ingest_ = std::make_unique<ShardedIngest>(config_.ingest, spool_.get());
-}
+    : config_(std::move(config)),
+      pipeline_(config_.pipeline),
+      ingest_(std::make_unique<ShardedIngest>(config_.ingest)) {}
 
 Status ShufflerFrontend::Start() {
   if (started_) {
     return Status::Ok();
   }
-  if (spool_ != nullptr) {
-    // WAL recovery phase 1 runs BEFORE the spool opens: it rolls unsealed
-    // segments back to their checkpointed sizes and replays the
-    // un-checkpointed generations' report records into the segment files,
-    // so the spool's own recovery below counts them like any other durable
-    // frame.
+  if (!config_.spool_dir.empty()) {
+    // WAL recovery phase 1: one read-only pass over the generations, which
+    // yields every epoch's report counts and the session ops past wal.ckpt.
     IngestWalConfig wal_config;
     wal_config.dir = config_.spool_dir;
     wal_config.fsync = config_.fsync_spool;
     wal_config.checkpoint_threshold_bytes = config_.wal_checkpoint_threshold_bytes;
     wal_config.fs = config_.fs;
     wal_ = std::make_unique<IngestWal>(wal_config);
-    auto wal_recovery = wal_->RecoverBeforeSpoolOpen();
-    if (!wal_recovery.ok()) {
-      return wal_recovery.error();
-    }
-    const std::vector<SessionOp>& wal_session_ops = wal_recovery.value().session_ops;
-    stats_.recovered_wal_reports += wal_recovery.value().replayed_reports;
-    stats_.recovered_wal_session_ops += wal_session_ops.size();
-    stats_.recovered_truncated_bytes += wal_recovery.value().truncated_bytes;
-
-    auto recovery = spool_->Open();
+    auto recovery = wal_->Recover();
     if (!recovery.ok()) {
       return recovery.error();
     }
-    for (const auto& segment : recovery.value().segments) {
-      stats_.recovered_reports += segment.frames;
-    }
+    const std::vector<SessionOp>& wal_session_ops = recovery.value().session_ops;
+    stats_.recovered_wal_reports += recovery.value().replayed_reports;
+    stats_.recovered_wal_session_ops += wal_session_ops.size();
     stats_.recovered_truncated_bytes += recovery.value().truncated_bytes;
-    ingest_->RestoreFromRecovery(recovery.value());
+    for (const auto& [epoch, recovered] : recovery.value().epochs) {
+      for (uint64_t count : recovered.shard_counts) {
+        stats_.recovered_reports += count;
+      }
+    }
 
-    // The session journal lives inside the spool directory (just created
-    // above) and shares the spool's durability knobs: the same fsync policy
+    // The session journal lives inside the spool directory (created by
+    // Recover) and shares the WAL's durability knobs: the same fsync policy
     // and the same injectable filesystem.
     SessionJournalConfig journal_config;
     journal_config.path = config_.spool_dir + "/sessions.journal";
@@ -124,17 +109,18 @@ Status ShufflerFrontend::Start() {
     // Re-journal the replayed session ops so the journal alone once again
     // reconstructs session state, then merge them into the recovery image
     // the AckRegistry will be seeded from.  Only after they are durable may
-    // FinishRecovery delete the generations that carried them.
+    // FinishRecovery cover the generations that carried them.
     Status journaled = journal_->Append(wal_session_ops);
     if (!journaled.ok()) {
       return journaled;
     }
     journal_recovery_ = ApplySessionOps(std::move(replayed).value(), wal_session_ops);
+    wal_->AttachJournal(journal_.get());
     Status finished = wal_->FinishRecovery();
     if (!finished.ok()) {
       return finished;
     }
-    wal_->AttachTargets(spool_.get(), journal_.get());
+    ingest_->RestoreFromRecovery(recovery.value());
     wal_->set_rollback_callback([this](size_t shard, uint64_t epoch) {
       ingest_->RollbackAccepted(shard, epoch);
       stats_.reports_accepted--;
@@ -154,8 +140,8 @@ Status ShufflerFrontend::BindAckRegistry(AckRegistry* registry) {
   registry->set_max_sessions(config_.max_sessions);
   if (wal_ != nullptr) {
     // Restore, then route commits, evictions and goodbyes through the WAL.
-    // Checkpoints write them through to the journal, so journal compaction
-    // rides the checkpoint cadence.
+    // Checkpoints append them to the journal, so journal compaction rides
+    // the checkpoint cadence.
     registry->RestoreFromRecovery(journal_recovery_);
     registry->AttachWal(wal_.get());
     SessionJournal* journal = journal_.get();
@@ -237,17 +223,7 @@ Status ShufflerFrontend::CutEpoch(bool seal_if_empty) {
   return ingest_->CutEpoch(seal_if_empty);
 }
 
-Status ShufflerFrontend::SyncSpool() {
-  if (wal_ != nullptr) {
-    // Buffered reports live in the WAL until a checkpoint; the barrier makes
-    // them durable before the segment fsync below.
-    Status synced = wal_->Sync();
-    if (!synced.ok()) {
-      return synced;
-    }
-  }
-  return spool_ != nullptr ? spool_->SyncAll() : Status::Ok();
-}
+Status ShufflerFrontend::SyncSpool() { return BarrierIngest(); }
 
 DrainReport ShufflerFrontend::DrainSealedEpochs() {
   DrainReport report;
@@ -274,7 +250,7 @@ Result<std::optional<EpochPartialResult>> ShufflerFrontend::DrainNextEpochPartia
   if (!drained->status.ok()) {
     return drained->status.error();
   }
-  // An empty alignment epoch still leaves a marker + manifest to remove.
+  // An empty alignment epoch still leaves a marker to remove.
   FinishDrainedEpoch(drained->opened.epoch);
   return std::optional<EpochPartialResult>(std::move(drained->opened));
 }
@@ -290,9 +266,9 @@ std::optional<ShufflerFrontend::DrainedEpoch> ShufflerFrontend::DrainNextEpoch(b
 
   auto t0 = std::chrono::steady_clock::now();
   Result<EpochPartial> opened = Error{"epoch not drained"};
-  if (spool_ != nullptr) {
-    // Stream straight off the epoch's segment files.
-    auto stream = spool_->OpenEpochStream(batch->epoch);
+  if (wal_ != nullptr) {
+    // Stream straight off the epoch's WAL generations.
+    auto stream = wal_->OpenEpochStream(batch->epoch);
     opened = pipeline_.RunReportsPartial(*stream);
   } else {
     // Borrow the batch — never consume it before the drain succeeds: the
@@ -319,7 +295,7 @@ std::optional<ShufflerFrontend::DrainedEpoch> ShufflerFrontend::DrainNextEpoch(b
   }
   if (!drained.status.ok()) {
     // Put the intact batch back at the head of the queue, so a later drain
-    // retries it; spooled segments also stay on disk untouched.
+    // retries it; its generations also stay on disk untouched.
     ingest_->RequeueSealedEpoch(std::move(*batch));
   }
   return drained;
@@ -336,22 +312,21 @@ Status ShufflerFrontend::InjectedDrainFailure(uint64_t epoch) {
 }
 
 void ShufflerFrontend::FinishDrainedEpoch(uint64_t epoch) {
-  if (spool_ != nullptr) {
+  if (wal_ != nullptr) {
     // Transient unlink failures (a scanner pinning the directory, EMFILE
-    // pressure) usually clear quickly, and a leaked epoch replays as a
-    // duplicate after restart — worth a couple of bounded retries before
-    // conceding.  The spool keeps failed segments tracked, so each retry
-    // re-attempts exactly the files still on disk.
-    Status removed = spool_->RemoveEpoch(epoch);
+    // pressure) usually clear quickly, and a leaked epoch lingers on disk —
+    // worth a couple of bounded retries before conceding.  The WAL keeps
+    // what it failed to remove tracked, so each retry resumes there.
+    Status removed = wal_->RemoveEpoch(epoch);
     for (uint32_t attempt = 1; !removed.ok() && attempt < kRemoveRetryAttempts; ++attempt) {
       stats_.remove_retries++;
       std::this_thread::sleep_for(kRemoveRetryDelay);
-      removed = spool_->RemoveEpoch(epoch);
+      removed = wal_->RemoveEpoch(epoch);
     }
     if (!removed.ok()) {
-      // The epoch's reports are safe (already drained into the result);
-      // what leaked is disk space plus a restart replaying the epoch as a
-      // duplicate.  Count it so operators see the leak.
+      // The epoch's reports are safe (already drained into a result); what
+      // leaked is disk space — and, if not one generation went, a restart
+      // that drains the epoch again.  Count it so operators see the leak.
       stats_.remove_failures++;
     }
   }

@@ -9,8 +9,9 @@
 //                      ShardedIngest (ingest.h: content-hash shards,
 //                          │   size/age epoch-cut policy)
 //                          ▼
-//                      Spool (spool.h: append-only per-(shard,epoch)
-//                          │   segments; epochs survive crashes)
+//                      IngestWal (wal.h: group-committed generations; a
+//                          │   sealed epoch is its generations, which
+//                          │   survive crashes)
 //                          ▼  epoch sealed
 //                      DrainSealedEpochs ──► Pipeline::RunReportsPartial
 //                          │   (outer open on the thread pool)
@@ -40,7 +41,6 @@
 #include "src/service/fs.h"
 #include "src/service/ingest.h"
 #include "src/service/session_journal.h"
-#include "src/service/spool.h"
 #include "src/service/wal.h"
 #include "src/service/wire.h"
 
@@ -51,18 +51,19 @@ class AckRegistry;
 struct FrontendConfig {
   PipelineConfig pipeline;
   IngestConfig ingest;
-  // Directory for spool segments; empty = accumulate epochs in memory.
+  // Directory for the WAL generations that spool epochs; empty =
+  // accumulate epochs in memory.
   std::string spool_dir;
   bool fsync_spool = true;
   // Spooled mode routes reports (and their ack commits) through the
-  // unified group-commit WAL (wal.h); checkpoint it once its
-  // flushed-but-unapplied backlog exceeds this.
+  // unified group-commit WAL (wal.h); a scheduling tick checkpoints it once
+  // the active generation exceeds this.
   uint64_t wal_checkpoint_threshold_bytes = 1ull << 20;
   // Bound on live AckRegistry sessions when BindAckRegistry wires one up
   // (0 = unbounded).  Past the cap, the stalest idle session is LRU-evicted
   // with its watermark checkpointed to the session journal.
   size_t max_sessions = 0;
-  // Injectable filesystem seam shared by the spool and the session journal
+  // Injectable filesystem seam shared by the WAL and the session journal
   // (disk-fault suites drive short writes / EIO / ENOSPC / crash-at-k
   // through it).  Null = the real filesystem.
   Fs* fs = nullptr;
@@ -84,17 +85,18 @@ struct FrontendStats {
   std::atomic<uint64_t> frames_corrupt{0};
   std::atomic<uint64_t> bytes_skipped{0};
   std::atomic<uint64_t> epochs_drained{0};
-  std::atomic<uint64_t> recovered_reports{0};   // replayed from the spool at Start()
-  std::atomic<uint64_t> recovered_truncated_bytes{0};  // torn tails discarded
-  // WAL recovery: report records replayed from un-checkpointed generations
-  // into spool segments, and session ops (commit/evict/goodbye) re-journaled
-  // from the same suffix.  Both subsets of the totals above/below.
+  std::atomic<uint64_t> recovered_reports{0};   // found in the WAL at Start()
+  std::atomic<uint64_t> recovered_truncated_bytes{0};  // torn tail discarded
+  // WAL recovery: reports in generations past wal.ckpt, and the session ops
+  // (commit/evict/goodbye) re-journaled from the same suffix.  Both subsets
+  // of the totals above/below.
   std::atomic<uint64_t> recovered_wal_reports{0};
   std::atomic<uint64_t> recovered_wal_session_ops{0};
-  // Post-drain spool cleanups (RemoveEpoch) that failed even after the
-  // bounded retries.  The epoch's reports are NOT lost — they were
-  // already drained into a result — but its segments linger on disk and
-  // would be replayed as a duplicate epoch after a restart, so the leak
+  // Post-drain cleanups (IngestWal::RemoveEpoch) that failed even after
+  // the bounded retries.  The epoch's reports are NOT lost — they were
+  // already drained into a result.  If the marker outlived any of its
+  // generations, a restart finishes the removal; if none went, a restart
+  // drains the whole epoch again, bit-identically.  Either way the leak
   // must be visible.
   std::atomic<uint64_t> remove_failures{0};
   // RemoveEpoch retry attempts that were needed (transient failures).
@@ -105,7 +107,7 @@ struct FrontendStats {
   std::atomic<uint64_t> recovered_session_records{0};
   // Acknowledgment-protocol books, mirrored from every finished
   // connection's ConnectionAckBook by FrameServer::BindFrontendStats.  An
-  // ack is sent only after the report's durable spool append, so
+  // ack is sent only after the report's WAL group commit, so
   // acks_sent <= reports_accepted always, with the difference being
   // ack-less (legacy / direct AcceptReport) ingestion.
   std::atomic<uint64_t> acks_sent{0};
@@ -145,7 +147,7 @@ struct EpochPartialResult {
 
 // A drain failure: the open or the merge of `epoch` failed.  The epoch was
 // requeued intact (its reports are safe — in-memory batches keep their
-// shard_reports, spooled segments stay on disk), so a later
+// shard_reports, WAL generations stay on disk), so a later
 // DrainSealedEpochs retries it.
 struct DrainError {
   uint64_t epoch = 0;
@@ -167,9 +169,9 @@ class ShufflerFrontend {
  public:
   explicit ShufflerFrontend(FrontendConfig config);
 
-  // Opens the spool (creating/recovering it) and readies ingestion.  After
-  // a crash, sealed epochs re-enter the drain queue and the newest unsealed
-  // epoch resumes accumulating exactly where its durable frames end.  With
+  // Opens the WAL (creating/recovering it) and readies ingestion.  After a
+  // crash, sealed epochs re-enter the drain queue and the unsealed epoch
+  // resumes accumulating exactly where its durable records end.  With
   // a spool_dir, also opens and replays <spool_dir>/sessions.journal — the
   // durable half of the exactly-once dedup contract.
   Status Start();
@@ -188,7 +190,7 @@ class ShufflerFrontend {
   Encoder MakeEncoder() const { return pipeline_.MakeEncoder(); }
 
   // Ingests a buffer of wire frames (zero or more).  Corrupt frames are
-  // skipped with stats kept; the call only fails on spool I/O errors.
+  // skipped with stats kept; the call only fails on WAL errors.
   Status AcceptFrameStream(ByteSpan stream);
   // Ingests one already-unframed sealed report.
   Status AcceptReport(Bytes sealed_report);
@@ -218,7 +220,7 @@ class ShufflerFrontend {
   Status BarrierIngest();
 
   // Advances the epoch-age clock (call on the service's scheduling cadence).
-  // Reports the seal outcome when the tick age-cuts the epoch: a spool
+  // Reports the seal outcome when the tick age-cuts the epoch: a WAL
   // failure is returned here (and counted in ingest_stats().seal_failures)
   // rather than silently swallowed; the epoch stays open for a later retry.
   Status Tick();
@@ -226,7 +228,7 @@ class ShufflerFrontend {
   // seals and advances even a zero-report epoch — the cluster coordinator's
   // epoch-alignment cut (see ShardedIngest::CutEpoch).
   Status CutEpoch(bool seal_if_empty = false);
-  // Durability point: fsyncs all in-progress spool segments.
+  // Durability point: group-commits every buffered report.
   Status SyncSpool();
 
   // Drains every sealed epoch, oldest first, as a one-group cluster: the
@@ -270,7 +272,7 @@ class ShufflerFrontend {
     Status status;              // non-Ok: the epoch was requeued intact
   };
   // The one drain step behind both drains: pops the oldest sealed epoch,
-  // streams it (off its spool segments, or borrowing the in-memory batch)
+  // streams it (off its WAL generations, or borrowing the in-memory batch)
   // through the shuffler's outer open, and applies the injected-failure
   // hook.  With `merge` — the serial drain — the one partial is then merged
   // through Pipeline::MergeEpoch, the call HistogramMerge makes, so the
@@ -282,16 +284,15 @@ class ShufflerFrontend {
   // fail with (counting the injection), else Ok.
   Status InjectedDrainFailure(uint64_t epoch);
   // Shared epilogue of both drains once an epoch's drain succeeded: removes
-  // its spool files with bounded retries and counts it drained.
+  // its generations and marker with bounded retries, and counts it drained.
   void FinishDrainedEpoch(uint64_t epoch);
 
   FrontendConfig config_;
   Pipeline pipeline_;
-  std::unique_ptr<Spool> spool_;          // null in in-memory mode
   std::unique_ptr<ShardedIngest> ingest_;
   std::unique_ptr<SessionJournal> journal_;  // null in in-memory mode
-  // Declared after journal_/spool_ so it is destroyed first: the WAL's
-  // destructor flushes its pending block, which may touch both.
+  // Declared after journal_ so it is destroyed first: the WAL's destructor
+  // flushes its pending block.
   std::unique_ptr<IngestWal> wal_;           // null in in-memory mode
   JournalRecovery journal_recovery_;         // held for BindAckRegistry
   FrontendStats stats_;

@@ -1,12 +1,14 @@
-// The injectable filesystem seam under the spool and the session journal.
+// The injectable filesystem seam under the ingest WAL (whose generations
+// are the spool) and the session journal.
 //
 // Every *write-side* syscall the durability tier performs — open, write,
 // fsync, close, remove, truncate, rename — routes through this interface,
 // so the disk-fault suites can inject short writes, fsync EIO, ENOSPC, and
 // crash-at-syscall-k schedules (mirroring the network tier's
-// KillSwitchStream) without touching production code paths.  Reads stay on
-// the plain stdio path: recovery reads whatever bytes actually landed, which
-// is exactly what a post-crash reopen sees.
+// KillSwitchStream) without touching production code paths.  Reads — the
+// recovery scan and the drain's stream over a sealed epoch's generations —
+// stay on the plain stdio path: they read whatever bytes actually landed,
+// which is exactly what a post-crash reopen sees.
 //
 // Production uses RealFs (a process-wide singleton; stateless, thread-safe).
 // Tests wrap it: a fault Fs forwards to RealFs until its schedule trips,
@@ -40,7 +42,8 @@ class Fs {
   // idempotent), any other failure is the error.
   virtual Status Remove(const std::string& path) = 0;
   virtual Status Truncate(const std::string& path, uint64_t size) = 0;
-  // rename(2): atomic replace, the journal-compaction commit point.
+  // rename(2): atomic replace — the commit point of wal.ckpt, seal markers
+  // and journal compaction.
   virtual Status Rename(const std::string& from, const std::string& to) = 0;
   // fsync(2) of the directory itself: makes freshly created / renamed /
   // removed *directory entries* durable.  Creating a file and fsyncing its

@@ -1,10 +1,8 @@
 #include "src/service/ingest.h"
 
 #include <algorithm>
-#include <map>
 
 #include "src/crypto/sha256.h"
-#include "src/service/wal.h"
 
 namespace prochlo {
 
@@ -20,8 +18,7 @@ size_t ShardedIngest::ShardOfReport(ByteSpan sealed_report, size_t num_shards) {
   return static_cast<size_t>(h % num_shards);
 }
 
-ShardedIngest::ShardedIngest(IngestConfig config, Spool* spool)
-    : config_(config), spool_(spool) {
+ShardedIngest::ShardedIngest(IngestConfig config) : config_(config) {
   if (config_.num_shards == 0) {
     config_.num_shards = 1;
   }
@@ -62,11 +59,6 @@ Status ShardedIngest::AcceptToShard(size_t shard_index, Bytes sealed_report,
       if (!lsn.ok()) {
         return lsn.error();  // not buffered: the client may retry
       }
-    } else if (spool_ != nullptr) {
-      Status status = spool_->Append(shard_index, current_epoch_.load(), sealed_report);
-      if (!status.ok()) {
-        return status;  // not ingested: the client may retry without duplicating
-      }
     } else {
       shard.reports.push_back(std::move(sealed_report));
     }
@@ -85,7 +77,7 @@ Status ShardedIngest::AcceptToShard(size_t shard_index, Bytes sealed_report,
         stats_.size_cuts++;
       }
       // A failed seal is NOT this report's failure: the report was already
-      // durably appended (or stored in memory) above, so propagating the
+      // buffered into the WAL (or stored in memory) above, so propagating the
       // error would tell the client "not ingested" and a retry would inject
       // a duplicate.  The epoch stays open with the failure recorded in
       // seal_failures/last_seal_error; the next Accept over the size
@@ -154,38 +146,11 @@ Status ShardedIngest::CutEpoch(bool seal_if_empty) {
 Status ShardedIngest::SealCurrentLocked() {
   uint64_t epoch = current_epoch_.load();
   if (wal_ != nullptr) {
-    // Checkpoint BEFORE snapshotting the shard counts: the checkpoint's
-    // group-commit flush can fail and roll buffered reports back (which
-    // decrements the counts), and its write-through is what puts the
-    // epoch's buffered reports into the segments the manifest below will
-    // describe.  After a successful checkpoint the WAL holds nothing for
-    // this epoch, so the seal marker's claim is complete.
-    Status status = wal_->Checkpoint();
-    if (!status.ok()) {
-      MutexLock sealed_lock(sealed_mu_);
-      stats_.seal_failures++;
-      stats_.last_seal_error = status.error().message;
-      return status;
-    }
-  }
-  EpochBatch batch;
-  batch.epoch = epoch;
-  batch.total = current_total_.load();
-  batch.shard_counts.resize(config_.num_shards);
-  if (spool_ == nullptr) {
-    batch.shard_reports.resize(config_.num_shards);
-  }
-  // Snapshot the shard counts WITHOUT resetting them: the spool seal below
-  // can fail, and a failed seal must leave the epoch fully intact so a
-  // retry seals the same accounting (epoch_mu_ is held exclusively, so no
-  // Accept can slip in between the snapshot and the commit).
-  for (size_t s = 0; s < config_.num_shards; ++s) {
-    Shard& shard = *shards_[s];
-    MutexLock shard_lock(shard.mu);
-    batch.shard_counts[s] = shard.count;
-  }
-  if (spool_ != nullptr) {
-    Status status = spool_->SealEpoch(epoch);
+    // Seal BEFORE snapshotting the shard counts: the seal's group-commit
+    // flush can fail and roll buffered reports back (which decrements the
+    // counts).  A failed seal leaves the epoch fully intact, so a retry
+    // seals the same accounting.
+    Status status = wal_->SealEpoch(epoch);
     if (!status.ok()) {
       // Account the failure before propagating it: every failed seal is
       // visible in stats even if the caller drops the Status.
@@ -194,16 +159,22 @@ Status ShardedIngest::SealCurrentLocked() {
       stats_.last_seal_error = status.error().message;
       return status;
     }
-    if (wal_ != nullptr) {
-      wal_->NoteEpochSealed(epoch);
-    }
   }
-  // Commit: the epoch is durably sealed (or in-memory); reset the shards.
+  // Commit: the epoch is durably sealed (or in-memory); take and reset the
+  // shards (epoch_mu_ is held exclusively, so no Accept slips in).
+  EpochBatch batch;
+  batch.epoch = epoch;
+  batch.total = current_total_.load();
+  batch.shard_counts.resize(config_.num_shards);
+  if (wal_ == nullptr) {
+    batch.shard_reports.resize(config_.num_shards);
+  }
   for (size_t s = 0; s < config_.num_shards; ++s) {
     Shard& shard = *shards_[s];
     MutexLock shard_lock(shard.mu);
+    batch.shard_counts[s] = shard.count;
     shard.count = 0;
-    if (spool_ == nullptr) {
+    if (wal_ == nullptr) {
       batch.shard_reports[s] = std::move(shard.reports);
       shard.reports.clear();
     }
@@ -247,76 +218,39 @@ void ShardedIngest::RequeueSealedEpoch(EpochBatch batch) {
   sealed_.push_front(std::move(batch));
 }
 
-void ShardedIngest::RestoreFromRecovery(const Spool::RecoveryReport& recovery) {
+void ShardedIngest::RestoreFromRecovery(const IngestWal::Recovery& recovery) {
   WriterMutexLock epoch_lock(epoch_mu_);
-  // Group recovered segment counts by epoch.
-  std::map<uint64_t, std::vector<size_t>> per_epoch;  // epoch -> shard counts
-  for (const auto& segment : recovery.segments) {
-    auto& counts = per_epoch[segment.epoch];
-    if (counts.size() < config_.num_shards) {
-      counts.resize(config_.num_shards, 0);
-    }
-    if (segment.shard < counts.size()) {
-      counts[segment.shard] += segment.frames;
-    }
-  }
-
-  // The newest unsealed epoch resumes accumulating; older unsealed epochs
-  // (which cannot legally accept more reports) are sealed as-is.
   uint64_t next_epoch = 0;
-  std::optional<uint64_t> resume_epoch;
-  for (const auto& [epoch, counts] : per_epoch) {
+  bool resumed = false;
+  for (const auto& [epoch, recovered] : recovery.epochs) {
     next_epoch = std::max(next_epoch, epoch + 1);
-    if (recovery.sealed_epochs.count(epoch) == 0) {
-      if (!resume_epoch.has_value() || epoch > *resume_epoch) {
-        resume_epoch = epoch;
+    size_t total = 0;
+    std::vector<size_t> counts(config_.num_shards, 0);
+    for (size_t s = 0; s < recovered.shard_counts.size(); ++s) {
+      total += recovered.shard_counts[s];
+      if (s < counts.size()) {
+        counts[s] = recovered.shard_counts[s];
       }
     }
-  }
-  for (const auto& [epoch, counts] : per_epoch) {
-    size_t total = 0;
-    for (size_t c : counts) {
-      total += c;
-    }
-    if (resume_epoch.has_value() && epoch == *resume_epoch) {
-      // Resume even a zero-frame epoch (e.g. its only segment was a torn
-      // tail, truncated away): new reports must land here, never in an
-      // older epoch whose seal marker already exists.
-      for (size_t s = 0; s < config_.num_shards && s < counts.size(); ++s) {
+    if (!recovered.sealed) {
+      // New reports land here, never in an older epoch whose seal marker
+      // already exists.
+      for (size_t s = 0; s < config_.num_shards; ++s) {
         MutexLock shard_lock(shards_[s]->mu);
         shards_[s]->count = counts[s];
       }
       current_epoch_.store(epoch);
       current_total_.store(total);
       current_age_ = 0;
+      resumed = true;
       continue;
     }
-    if (total == 0) {
-      continue;  // empty sealed epoch: nothing to drain
-    }
-    EpochBatch batch;
-    batch.epoch = epoch;
-    batch.total = total;
-    batch.shard_counts = counts;
-    if (recovery.sealed_epochs.count(epoch) == 0 && spool_ != nullptr) {
-      // An older unsealed epoch: seal it now so its marker exists.  A failed
-      // seal must not vanish — the epoch still enters the drain queue (its
-      // segments were recovered and are drainable), but without a marker
-      // another crash would re-classify it, so the failure is recorded where
-      // operators look for a wedged spool.
-      Status sealed = spool_->SealEpoch(epoch);
-      if (!sealed.ok()) {
-        MutexLock sealed_lock(sealed_mu_);
-        stats_.seal_failures++;
-        stats_.last_seal_error = sealed.error().message;
-      }
-    }
     MutexLock sealed_lock(sealed_mu_);
-    stats_.accepted += batch.total;
+    stats_.accepted += total;
     stats_.epochs_sealed++;
-    sealed_.push_back(std::move(batch));
+    sealed_.push_back(EpochBatch{epoch, total, std::move(counts), {}});
   }
-  if (!resume_epoch.has_value()) {
+  if (!resumed) {
     current_epoch_.store(next_epoch);
     current_total_.store(0);
     current_age_ = 0;

@@ -30,14 +30,12 @@
 #include <string>
 #include <vector>
 
-#include "src/service/spool.h"
+#include "src/service/wal.h"
 #include "src/service/wire.h"
 #include "src/util/status.h"
 #include "src/util/thread_annotations.h"
 
 namespace prochlo {
-
-class IngestWal;
 
 struct IngestConfig {
   size_t num_shards = 4;
@@ -54,7 +52,7 @@ struct IngestStats {
   uint64_t epochs_sealed = 0;
   uint64_t size_cuts = 0;
   uint64_t age_cuts = 0;
-  // Seal attempts that failed (spool SealEpoch errors).  A failure leaves
+  // Seal attempts that failed (WAL SealEpoch errors).  A failure leaves
   // the epoch open — its reports are not lost — but it must be visible:
   // these two fields keep the books balanced and surface the last error so
   // operators see a wedged spool instead of a silently ageing epoch.
@@ -63,8 +61,9 @@ struct IngestStats {
 };
 
 // A sealed epoch ready for draining.  Spooled mode carries only counts (the
-// reports live in segment files; stream them via Spool::OpenEpochStream);
-// in-memory mode carries the reports per shard in arrival order.
+// reports live in WAL generations; stream them via
+// IngestWal::OpenEpochStream); in-memory mode carries the reports per shard
+// in arrival order.
 struct EpochBatch {
   uint64_t epoch = 0;
   size_t total = 0;
@@ -76,14 +75,14 @@ struct EpochBatch {
 
 class ShardedIngest {
  public:
-  // `spool` is borrowed and may be null (pure in-memory accumulation).
-  ShardedIngest(IngestConfig config, Spool* spool);
+  // Accumulates in memory until SetWal attaches the write-ahead log.
+  explicit ShardedIngest(IngestConfig config);
 
   // Routes one sealed report to its shard; thread-safe.  May seal the
   // current epoch when the size trigger fires.
   //
   // Error contract: a non-Ok return means the report was NOT ingested (the
-  // client may safely retry it).  A size-cut whose spool SealEpoch fails
+  // client may safely retry it).  A size-cut whose SealEpoch fails
   // still returns Ok — the report itself is durably accepted, and returning
   // the seal error here would make a retrying client inject a duplicate.
   // The seal failure is surfaced via stats().seal_failures/last_seal_error
@@ -97,30 +96,30 @@ class ShardedIngest {
   Status AcceptToShard(size_t shard_index, Bytes sealed_report);
 
   // WAL-mode accept: the report (and, when ctx.session_id != 0, its ack
-  // commit) buffers into the WAL instead of writing the spool directly.  On
-  // success *done (may be null / empty) is consumed by the WAL and fires
-  // after the next group-commit barrier; on failure it is untouched and Ok
-  // means "accepted" exactly as in Accept.  Without an attached WAL this is
-  // plain AcceptToShard and *done stays with the caller.
+  // commit) buffers into the WAL as one record.  On success *done (may be
+  // null / empty) is consumed by the WAL and fires after the next
+  // group-commit barrier; on failure it is untouched and Ok means
+  // "accepted" exactly as in Accept.  Without an attached WAL this is plain
+  // in-memory AcceptToShard and *done stays with the caller.
   Status AcceptToShard(size_t shard_index, Bytes sealed_report, ReportContext ctx,
                        std::function<void(const Status&)>* done);
 
   // Undo the accounting of one WAL-buffered report that a failed group
   // commit dropped.  WAL records always belong to the still-current epoch
-  // (a seal checkpoints — and thereby resolves — every buffered record
-  // first), so this only touches the live shard counters.  Deliberately
-  // takes no epoch lock: the caller may already hold it exclusively (a
-  // seal-time checkpoint whose flush failed).
+  // (a seal flushes — and thereby resolves — every buffered record first),
+  // so this only touches the live shard counters.  Deliberately takes no
+  // epoch lock: the caller may already hold it exclusively (a seal whose
+  // flush failed).
   void RollbackAccepted(size_t shard_index, uint64_t epoch);
 
   // Attaches the write-ahead log.  From then on accepts buffer into it, and
-  // every seal checkpoints it first (so segments + manifest are complete
-  // before the marker claims they are).  Call before any Accept traffic.
+  // every seal is IngestWal::SealEpoch: the epoch's generations, closed and
+  // named by its marker.  Call before any Accept traffic.
   void SetWal(IngestWal* wal);
 
   // Advances the logical epoch clock (the frontend calls this on its
   // scheduling cadence); may seal the current epoch by age.  Returns the
-  // seal outcome: Ok when no cut was due or the cut succeeded, the spool
+  // seal outcome: Ok when no cut was due or the cut succeeded, the WAL
   // error when an age-cut's SealEpoch failed (also recorded in
   // stats().seal_failures / last_seal_error).
   Status Tick();
@@ -149,11 +148,11 @@ class ShardedIngest {
   // returns no seal is mid-call into the old listener.
   void SetSealListener(std::function<void()> listener);
 
-  // Adopts state recovered from a reopened spool: segments of marker-sealed
-  // epochs re-enter the sealed queue; segments of the newest unsealed epoch
-  // become the current epoch's accumulation (its age restarts); any older
-  // unsealed epochs are sealed (they can no longer accept reports).
-  void RestoreFromRecovery(const Spool::RecoveryReport& recovery);
+  // Adopts the epochs a reopened WAL recovered: sealed epochs re-enter the
+  // sealed queue; the unsealed one (IngestWal seals any older ones) becomes
+  // the current epoch's accumulation, its age restarted.  Without one, the
+  // clock resumes past the newest recovered epoch.
+  void RestoreFromRecovery(const IngestWal::Recovery& recovery);
 
   uint64_t current_epoch() const { return current_epoch_; }
   size_t current_epoch_size() const { return current_total_.load(); }
@@ -174,8 +173,7 @@ class ShardedIngest {
   Status SealCurrentLocked() REQUIRES(epoch_mu_);
 
   IngestConfig config_;
-  Spool* spool_;  // borrowed; may be null
-  IngestWal* wal_ = nullptr;  // borrowed; null = direct spool writes
+  IngestWal* wal_ = nullptr;  // borrowed; null = in-memory accumulation
 
   // Shared: Accept; exclusive: epoch transitions (cut, tick-cut, restore).
   mutable SharedMutex epoch_mu_;

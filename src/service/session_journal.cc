@@ -225,7 +225,7 @@ Result<JournalRecovery> SessionJournal::Open() {
   while (auto payload = reader.Next()) {
     ApplyRecord(*payload, sessions, &recovery.records);
   }
-  // Same discipline as segment recovery: everything past the first tear is
+  // Same discipline as WAL recovery: everything past the first tear is
   // suspect; truncating restores the append-only invariant for new records.
   uint64_t clean_end = reader.clean_prefix_end();
   if (clean_end < log.size()) {

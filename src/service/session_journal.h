@@ -8,8 +8,8 @@
 //   <spool root>/sessions.journal.new    in-progress compaction (stale copies
 //                                        are removed at Open)
 //
-// Each record is an ordinary wire frame (the same CRC framing as spool
-// segments) whose payload encodes one of:
+// Each record is an ordinary wire frame (the same CRC framing as the WAL's
+// blocks) whose payload encodes one of:
 //
 //   commit   (session, watermark_after, seq)   a seq became durable
 //   evict    (session, floor)                  session LRU-evicted; its
@@ -24,7 +24,7 @@
 // (Commits are written with watermark_after = 0; replay rebuilds the
 // watermark from the seq set.)
 //
-// Durability discipline mirrors the spool's segments: Append encodes a whole
+// Durability discipline mirrors the WAL's group commit: Append encodes a whole
 // checkpoint's ops, then issues one write and one fsync (it has a single
 // caller at a time — the WAL checkpoint or startup recovery — so there is
 // no group commit here); reopen scans with FrameReader and truncates the

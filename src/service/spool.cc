@@ -1,625 +1,59 @@
 #include "src/service/spool.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#include <algorithm>
-#include <cstdio>
-#include <cstring>
-#include <filesystem>
-#include <tuple>
-
-#include "src/service/wire.h"
-#include "src/util/serialization.h"
+#include "src/service/wal.h"
 
 namespace prochlo {
 
-namespace fs = std::filesystem;
-
-// ------------------------------------------------------------ SegmentWriter
-
-SegmentWriter::~SegmentWriter() {
-  if (fd_ >= 0) {
-    fs_->Close(fd_);
-  }
-}
-
-Result<std::unique_ptr<SegmentWriter>> SegmentWriter::Open(const std::string& path, Fs* fs) {
-  if (fs == nullptr) {
-    fs = Fs::Real();
-  }
-  auto fd = fs->Open(path, O_CREAT | O_WRONLY | O_APPEND, 0644);
-  if (!fd.ok()) {
-    return Error{"spool: cannot open segment " + path + ": " + fd.error().message};
-  }
-  return std::unique_ptr<SegmentWriter>(new SegmentWriter(path, fd.value(), fs));
-}
-
-Status SegmentWriter::Append(ByteSpan report) {
-  if (report.size() > kMaxFramePayload) {
-    // Never write a frame the reader is specified to reject: it would read
-    // as a torn tail and truncate away on the next recovery.
-    return Error{"spool: report exceeds the frame payload limit"};
-  }
-  Bytes frame = EncodeFrame(report);
-  size_t done = 0;
-  while (done < frame.size()) {
-    auto n = fs_->Write(fd_, ByteSpan(frame).subspan(done));
-    if (!n.ok()) {
-      // A short write followed by failure leaves a torn frame at the tail;
-      // that is exactly what recovery's clean-prefix truncation repairs.
-      return Error{"spool: write failed on " + path_ + ": " + n.error().message};
-    }
-    if (n.value() == 0) {
-      return Error{"spool: write made no progress on " + path_};
-    }
-    done += n.value();
-  }
-  frames_++;
-  bytes_ += frame.size();
-  return Status::Ok();
-}
-
-Status SegmentWriter::Sync() {
-  Status status = fs_->Sync(fd_);
-  if (!status.ok()) {
-    return Error{"spool: fsync failed on " + path_ + ": " + status.error().message};
-  }
-  return Status::Ok();
-}
-
-// -------------------------------------------------------------------- Spool
-
-std::string SpoolSegmentPath(const std::string& root, size_t shard, uint64_t epoch) {
-  return root + "/shard-" + std::to_string(shard) + "-epoch-" + std::to_string(epoch) +
-         ".seg";
-}
-
-std::string SpoolMarkerPath(const std::string& root, uint64_t epoch) {
-  return root + "/epoch-" + std::to_string(epoch) + ".sealed";
-}
-
-std::string SpoolManifestPath(const std::string& root, uint64_t epoch) {
-  return root + "/epoch-" + std::to_string(epoch) + ".manifest";
-}
-
-std::string Spool::SegmentPath(size_t shard, uint64_t epoch) const {
-  return SpoolSegmentPath(config_.root, shard, epoch);
-}
-
-std::string Spool::MarkerPath(uint64_t epoch) const {
-  return SpoolMarkerPath(config_.root, epoch);
-}
-
-std::string Spool::ManifestPath(uint64_t epoch) const {
-  return SpoolManifestPath(config_.root, epoch);
-}
-
 namespace {
 
-// Parsed manifest: shard -> (frames, bytes).  nullopt on any defect —
-// missing file, torn bytes, CRC mismatch, wrong epoch, trailing garbage —
-// in which case recovery falls back to the frame-by-frame scan.
-using ManifestEntries = std::map<uint64_t, std::pair<uint64_t, uint64_t>>;
-
-std::optional<ManifestEntries> ReadManifestFile(const std::string& path, uint64_t epoch) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return std::nullopt;
-  }
-  Bytes data;
-  uint8_t buffer[4096];
-  size_t got = 0;
-  while ((got = std::fread(buffer, 1, sizeof(buffer), f)) > 0) {
-    data.insert(data.end(), buffer, buffer + got);
-  }
-  std::fclose(f);
-  auto payload = DecodeFrame(data);
-  if (!payload.ok() || data.size() != FrameWireSize(payload.value().size())) {
-    return std::nullopt;
-  }
-  Reader reader(payload.value());
-  uint64_t manifest_epoch = 0;
-  uint32_t count = 0;
-  if (!reader.GetU64(&manifest_epoch) || manifest_epoch != epoch ||
-      !reader.GetU32(&count)) {
-    return std::nullopt;
-  }
-  ManifestEntries entries;
-  for (uint32_t i = 0; i < count; ++i) {
-    uint64_t shard = 0;
-    uint64_t frames = 0;
-    uint64_t bytes = 0;
-    if (!reader.GetU64(&shard) || !reader.GetU64(&frames) || !reader.GetU64(&bytes)) {
-      return std::nullopt;
-    }
-    entries[shard] = {frames, bytes};
-  }
-  if (reader.remaining() != 0) {
-    return std::nullopt;
-  }
-  return entries;
-}
+// A bulk load group-commits every MiB, so the WAL never buffers more than
+// one block of it.
+constexpr uint64_t kSpoolCommitBytes = 1 << 20;
 
 }  // namespace
 
-Result<Spool::RecoveryReport> Spool::Open() {
-  MutexLock lock(mu_);
-  std::error_code ec;
-  fs::create_directories(config_.root, ec);
-  if (ec) {
-    return Error{"spool: cannot create root " + config_.root + ": " + ec.message()};
+Spool::Spool(SpoolConfig config) : config_(std::move(config)) {
+  IngestWalConfig wal_config;
+  wal_config.dir = config_.root;
+  wal_config.fsync = config_.fsync_on_seal;
+  wal_config.fs = config_.fs;
+  wal_ = std::make_unique<IngestWal>(wal_config);
+}
+
+Spool::~Spool() = default;
+
+Status Spool::Open() {
+  auto recovery = wal_->Recover();
+  if (!recovery.ok()) {
+    return recovery.error();
   }
-
-  RecoveryReport report;
-  struct PendingSegment {
-    size_t shard = 0;
-    uint64_t epoch = 0;
-    uintmax_t size = 0;
-    std::string path;
-    std::string name;
-  };
-  std::vector<PendingSegment> pending;
-  std::set<uint64_t> manifest_epochs;
-  for (const auto& entry : fs::directory_iterator(config_.root, ec)) {
-    std::string name = entry.path().filename().string();
-    uint64_t epoch = 0;
-    // Match the suffix explicitly: sscanf("epoch-%lu.sealed") would return 1
-    // for "epoch-5.manifest" too (the conversion succeeds before the literal
-    // mismatch stops the scan), silently sealing the wrong epochs.
-    char suffix[16] = {0};
-    if (std::sscanf(name.c_str(), "epoch-%lu.%15s", &epoch, suffix) == 2) {
-      if (std::strcmp(suffix, "sealed") == 0) {
-        report.sealed_epochs.insert(epoch);
-        continue;
-      }
-      if (std::strcmp(suffix, "manifest") == 0) {
-        manifest_epochs.insert(epoch);
-        continue;
-      }
-    }
-    unsigned long shard = 0;
-    if (std::sscanf(name.c_str(), "shard-%lu-epoch-%lu.seg", &shard, &epoch) != 2) {
-      continue;  // foreign file; leave it alone
-    }
-    std::error_code size_ec;
-    uintmax_t file_size = fs::file_size(entry.path(), size_ec);
-    if (size_ec) {
-      return Error{"spool: cannot stat " + name};
-    }
-    pending.push_back({shard, epoch, file_size, entry.path().string(), name});
+  if (!recovery.value().session_ops.empty()) {
+    // Only a frontend, with its session journal, can take these over.
+    return Error{"spool: " + config_.root + " holds session state; open it with ShufflerFrontend"};
   }
-
-  // One manifest read per sealed epoch replaces the per-segment scans below
-  // whenever the recorded byte size still matches the file exactly.
-  std::map<uint64_t, ManifestEntries> manifests;
-  for (uint64_t epoch : manifest_epochs) {
-    if (report.sealed_epochs.count(epoch) == 0) {
-      continue;  // no marker: the epoch is not sealed, scan its segments
-    }
-    auto entries = ReadManifestFile(ManifestPath(epoch), epoch);
-    if (entries.has_value()) {
-      manifests.emplace(epoch, std::move(*entries));
-    }
-  }
-
-  for (const PendingSegment& segment : pending) {
-    const std::string& name = segment.name;
-    uintmax_t file_size = segment.size;
-    if (report.sealed_epochs.count(segment.epoch) > 0) {
-      auto manifest = manifests.find(segment.epoch);
-      const std::pair<uint64_t, uint64_t>* recorded = nullptr;
-      if (manifest != manifests.end()) {
-        auto entry = manifest->second.find(segment.shard);
-        if (entry != manifest->second.end()) {
-          recorded = &entry->second;
-        }
-      }
-      if (recorded != nullptr && recorded->second == file_size) {
-        report.manifest_hits++;
-        SegmentInfo info;
-        info.shard = segment.shard;
-        info.epoch = segment.epoch;
-        info.frames = recorded->first;
-        info.bytes = file_size;
-        info.path = segment.path;
-        frame_counts_[{segment.epoch, segment.shard}] = recorded->first;
-        report.segments.push_back(std::move(info));
-        continue;
-      }
-      report.manifest_fallbacks++;
-    }
-
-    // Scan the segment's frames with a bounded buffer — one frame resident
-    // at a time, so recovering a larger-than-RAM segment stays O(1) in
-    // memory — and truncate at the clean prefix: the append-only discipline
-    // means everything past the first tear is suspect.
-    uint64_t frames = 0;
-    uintmax_t clean_end = 0;
-    {
-      std::FILE* f = std::fopen(segment.path.c_str(), "rb");
-      if (f == nullptr) {
-        return Error{"spool: cannot read " + name};
-      }
-      Bytes frame;
-      while (true) {
-        uint8_t header[kFrameHeaderSize];
-        size_t got = std::fread(header, 1, sizeof(header), f);
-        if (got < sizeof(header)) {
-          // Clean EOF (got == 0) or torn header — except that a first
-          // "frame" too short for this version's header can also be a
-          // whole tiny segment from an *older* wire version, which must
-          // not be "recovered" to zero bytes (see the version check
-          // below).  Magic is at offset 0, version at 4 in every version.
-          if (frames == 0 && got >= 5) {
-            uint32_t magic = static_cast<uint32_t>(header[0]) |
-                             static_cast<uint32_t>(header[1]) << 8 |
-                             static_cast<uint32_t>(header[2]) << 16 |
-                             static_cast<uint32_t>(header[3]) << 24;
-            if (magic == kFrameMagic && header[4] != kWireVersion) {
-              std::fclose(f);
-              return Error{"spool: segment " + name + " has unsupported wire version " +
-                           std::to_string(header[4]) + "; refusing to truncate"};
-            }
-          }
-          break;
-        }
-        FrameHeader parsed;
-        if (!ParseFrameHeader(ByteSpan(header, sizeof(header)), &parsed)) {
-          break;
-        }
-        if (!PlausibleFrameHeader(parsed)) {
-          // A whole segment in a *different* wire version is not a torn
-          // tail: truncating it would destroy durably acknowledged reports
-          // wholesale.  Refuse to open and leave the data for the operator
-          // (or a migration tool) instead of "recovering" it to zero bytes.
-          if (frames == 0 && parsed.magic == kFrameMagic &&
-              parsed.version != kWireVersion) {
-            std::fclose(f);
-            return Error{"spool: segment " + name + " has unsupported wire version " +
-                         std::to_string(parsed.version) + "; refusing to truncate"};
-          }
-          break;
-        }
-        frame.resize(kFrameHeaderSize + parsed.length);
-        std::memcpy(frame.data(), header, sizeof(header));
-        if (std::fread(frame.data() + kFrameHeaderSize, 1, parsed.length, f) !=
-            parsed.length) {
-          break;  // torn payload
-        }
-        if (!DecodeFrame(frame).ok()) {
-          break;  // CRC mismatch
-        }
-        frames++;
-        clean_end += FrameWireSize(parsed.length);
-      }
-      std::fclose(f);
-    }
-    if (clean_end < file_size) {
-      report.corrupt_frames++;  // at least one frame lost in the torn tail
-      report.truncated_bytes += file_size - clean_end;
-      Status truncated = fs_->Truncate(segment.path, clean_end);
-      if (!truncated.ok()) {
-        return Error{"spool: cannot truncate " + name + ": " + truncated.error().message};
-      }
-    }
-
-    SegmentInfo info;
-    info.shard = segment.shard;
-    info.epoch = segment.epoch;
-    info.frames = frames;
-    info.bytes = clean_end;
-    info.path = segment.path;
-    frame_counts_[{segment.epoch, segment.shard}] = frames;
-    report.segments.push_back(std::move(info));
-  }
-
-  std::sort(report.segments.begin(), report.segments.end(),
-            [](const SegmentInfo& a, const SegmentInfo& b) {
-              return std::tie(a.epoch, a.shard) < std::tie(b.epoch, b.shard);
-            });
-  return report;
+  return wal_->FinishRecovery();
 }
 
 Status Spool::Append(size_t shard, uint64_t epoch, ByteSpan report) {
-  SegmentWriter* writer = nullptr;
-  {
-    MutexLock lock(mu_);
-    auto key = std::make_pair(epoch, shard);
-    auto it = writers_.find(key);
-    if (it == writers_.end()) {
-      auto opened = SegmentWriter::Open(SegmentPath(shard, epoch), fs_);
-      if (!opened.ok()) {
-        return opened.error();
-      }
-      it = writers_.emplace(key, std::move(opened).value()).first;
-    }
-    writer = it->second.get();
+  auto lsn = wal_->AppendReport(shard, epoch, report, /*session_id=*/0, /*seq=*/0, nullptr);
+  if (!lsn.ok()) {
+    return lsn.error();
   }
-  // Per-shard appends are serialized by the caller (ingest holds the shard
-  // lock), so writing outside mu_ is safe and keeps shards independent.
-  Status status = writer->Append(report);
-  if (status.ok()) {
-    MutexLock lock(mu_);
-    frame_counts_[{epoch, shard}]++;
+  buffered_bytes_ += report.size();
+  if (buffered_bytes_ < kSpoolCommitBytes) {
+    return Status::Ok();
   }
-  return status;
-}
-
-Status Spool::SyncAll() {
-  MutexLock lock(mu_);
-  for (auto& [key, writer] : writers_) {
-    Status status = writer->Sync();
-    if (!status.ok()) {
-      return status;
-    }
-  }
-  return Status::Ok();
+  buffered_bytes_ = 0;
+  return wal_->SyncUpTo(lsn.value());
 }
 
 Status Spool::SealEpoch(uint64_t epoch) {
-  MutexLock lock(mu_);
-  // Sync and close every segment of the epoch first...
-  for (auto it = writers_.begin(); it != writers_.end();) {
-    if (it->first.first != epoch) {
-      ++it;
-      continue;
-    }
-    if (config_.fsync_on_seal) {
-      Status status = it->second->Sync();
-      if (!status.ok()) {
-        return status;
-      }
-    }
-    it = writers_.erase(it);  // destructor closes the fd
-  }
-  // ...then the manifest (recovery's one-read fast path; a crash that loses
-  // it merely falls back to the scan)...
-  Status manifest = WriteManifestLocked(epoch);
-  if (!manifest.ok()) {
-    return manifest;
-  }
-  // ...then write the marker, so its presence implies complete segments.
-  std::string marker = MarkerPath(epoch);
-  auto fd = fs_->Open(marker, O_CREAT | O_WRONLY | O_TRUNC, 0644);
-  if (!fd.ok()) {
-    return Error{"spool: cannot write marker " + marker + ": " + fd.error().message};
-  }
-  Status result = Status::Ok();
-  if (config_.fsync_on_seal) {
-    result = fs_->Sync(fd.value());
-    if (!result.ok()) {
-      // An unfsynced marker may vanish in a crash, silently unsealing the
-      // epoch; surface the failure so the frontend retries the seal.
-      result = Error{"spool: cannot fsync marker " + marker + ": " + result.error().message};
-    }
-  }
-  fs_->Close(fd.value());
-  if (result.ok() && config_.fsync_on_seal) {
-    // fsync(marker fd) persisted the marker's bytes, not its *name*: the
-    // dirent for a freshly created file lives in the directory, and losing
-    // it in a crash silently unseals the epoch.  One directory fsync covers
-    // the marker and the manifest created just above.
-    result = fs_->SyncDir(config_.root);
-  }
-  return result;
+  buffered_bytes_ = 0;
+  return wal_->SealEpoch(epoch);
 }
-
-Status Spool::TruncateSegmentTo(size_t shard, uint64_t epoch, uint64_t target_bytes,
-                                uint64_t frames_removed) {
-  MutexLock lock(mu_);
-  // Close any open writer first: its fd position and byte counter are stale
-  // once the file shrinks under it, and the next Append reopens at the
-  // (truncated) end via O_APPEND.
-  writers_.erase({epoch, shard});
-  Status truncated = fs_->Truncate(SegmentPath(shard, epoch), target_bytes);
-  if (!truncated.ok()) {
-    return truncated;
-  }
-  auto it = frame_counts_.find({epoch, shard});
-  if (it != frame_counts_.end()) {
-    it->second = it->second >= frames_removed ? it->second - frames_removed : 0;
-  }
-  return Status::Ok();
-}
-
-Status Spool::WriteManifestLocked(uint64_t epoch) {
-  Writer w;
-  w.PutU64(epoch);
-  std::vector<std::tuple<uint64_t, uint64_t, uint64_t>> entries;
-  for (auto it = frame_counts_.lower_bound({epoch, 0});
-       it != frame_counts_.end() && it->first.first == epoch; ++it) {
-    std::error_code size_ec;
-    uintmax_t size = fs::file_size(SegmentPath(it->first.second, epoch), size_ec);
-    if (size_ec) {
-      // The manifest is purely recovery's fast path: a sealed epoch without
-      // one falls back to the frame-by-frame scan.  An unstatable segment
-      // (e.g. the directory was wedged and recreated around still-open fds)
-      // must therefore skip the manifest, not fail the seal.
-      return Status::Ok();
-    }
-    entries.emplace_back(it->first.second, it->second, size);
-  }
-  w.PutU32(static_cast<uint32_t>(entries.size()));
-  for (const auto& [shard, frames, bytes] : entries) {
-    w.PutU64(shard);
-    w.PutU64(frames);
-    w.PutU64(bytes);
-  }
-  // The manifest rides in an ordinary wire frame: the CRC that guards spool
-  // segments guards it too, and a torn write fails decode instead of being
-  // believed.
-  Bytes frame = EncodeFrame(w.Take());
-  std::string path = ManifestPath(epoch);
-  auto fd = fs_->Open(path, O_CREAT | O_WRONLY | O_TRUNC, 0644);
-  if (!fd.ok()) {
-    return Error{"spool: cannot write manifest " + path + ": " + fd.error().message};
-  }
-  size_t done = 0;
-  while (done < frame.size()) {
-    auto n = fs_->Write(fd.value(), ByteSpan(frame).subspan(done));
-    if (!n.ok() || n.value() == 0) {
-      fs_->Close(fd.value());
-      return Error{"spool: write failed on manifest " + path +
-                   (n.ok() ? "" : ": " + n.error().message)};
-    }
-    done += n.value();
-  }
-  Status result = Status::Ok();
-  if (config_.fsync_on_seal) {
-    result = fs_->Sync(fd.value());
-    if (!result.ok()) {
-      result = Error{"spool: cannot fsync manifest " + path + ": " +
-                     result.error().message};
-    }
-  }
-  fs_->Close(fd.value());
-  return result;
-}
-
-uint64_t Spool::FrameCount(size_t shard, uint64_t epoch) const {
-  MutexLock lock(mu_);
-  auto it = frame_counts_.find({epoch, shard});
-  return it == frame_counts_.end() ? 0 : it->second;
-}
-
-uint64_t Spool::EpochFrameCount(uint64_t epoch) const {
-  MutexLock lock(mu_);
-  uint64_t total = 0;
-  for (auto it = frame_counts_.lower_bound({epoch, 0});
-       it != frame_counts_.end() && it->first.first == epoch; ++it) {
-    total += it->second;
-  }
-  return total;
-}
-
-namespace {
-
-// RecordStream over an epoch's segment files, one frame read at a time.
-class SpoolEpochStream : public RecordStream {
- public:
-  SpoolEpochStream(std::vector<std::string> paths, size_t total)
-      : paths_(std::move(paths)), total_(total) {}
-
-  ~SpoolEpochStream() override { CloseCurrent(); }
-
-  size_t size() const override { return total_; }
-
-  std::optional<Bytes> Next() override {
-    while (true) {
-      if (file_ == nullptr) {
-        if (next_path_ >= paths_.size()) {
-          return std::nullopt;
-        }
-        file_ = std::fopen(paths_[next_path_].c_str(), "rb");
-        next_path_++;
-        if (file_ == nullptr) {
-          continue;  // segment absent (empty shard): move on
-        }
-      }
-      auto payload = ReadFrame();
-      if (payload.has_value()) {
-        return payload;
-      }
-      CloseCurrent();
-    }
-  }
-
-  void Reset() override {
-    CloseCurrent();
-    next_path_ = 0;
-  }
-
- private:
-  void CloseCurrent() {
-    if (file_ != nullptr) {
-      std::fclose(file_);
-      file_ = nullptr;
-    }
-  }
-
-  // Reads one frame from the current file; nullopt at EOF or on a torn
-  // frame (recovery has already truncated sealed segments, so a tear here
-  // means the file changed underneath us — stop cleanly).
-  std::optional<Bytes> ReadFrame() {
-    uint8_t header[kFrameHeaderSize];
-    if (std::fread(header, 1, sizeof(header), file_) != sizeof(header)) {
-      return std::nullopt;
-    }
-    FrameHeader parsed;
-    if (!ParseFrameHeader(ByteSpan(header, sizeof(header)), &parsed) ||
-        !PlausibleFrameHeader(parsed)) {
-      return std::nullopt;
-    }
-    Bytes frame(kFrameHeaderSize + parsed.length);
-    std::memcpy(frame.data(), header, sizeof(header));
-    if (std::fread(frame.data() + kFrameHeaderSize, 1, parsed.length, file_) !=
-        parsed.length) {
-      return std::nullopt;
-    }
-    auto decoded = DecodeFrame(frame);
-    if (!decoded.ok()) {
-      return std::nullopt;
-    }
-    return std::move(decoded).value();
-  }
-
-  std::vector<std::string> paths_;
-  size_t total_;
-  size_t next_path_ = 0;
-  std::FILE* file_ = nullptr;
-};
-
-}  // namespace
 
 std::unique_ptr<RecordStream> Spool::OpenEpochStream(uint64_t epoch) {
-  MutexLock lock(mu_);
-  std::vector<std::string> paths;
-  size_t total = 0;
-  for (auto it = frame_counts_.lower_bound({epoch, 0});
-       it != frame_counts_.end() && it->first.first == epoch; ++it) {
-    if (it->second == 0) {
-      continue;
-    }
-    paths.push_back(SegmentPath(it->first.second, epoch));
-    total += it->second;
-  }
-  return std::make_unique<SpoolEpochStream>(std::move(paths), total);
-}
-
-Status Spool::RemoveEpoch(uint64_t epoch) {
-  MutexLock lock(mu_);
-  Status result = Status::Ok();
-  for (auto it = frame_counts_.lower_bound({epoch, 0});
-       it != frame_counts_.end() && it->first.first == epoch;) {
-    writers_.erase(it->first);
-    // A missing file is fine (Fs::Remove treats ENOENT as success); an
-    // actual failure (e.g. EACCES) leaves the segment behind, where a
-    // restart would replay it as a duplicate epoch — surface the first one.
-    // The failed entry stays tracked so a RemoveEpoch retry re-attempts
-    // this segment's unlink rather than finding nothing to do.
-    Status removed = fs_->Remove(SegmentPath(it->first.second, epoch));
-    if (!removed.ok()) {
-      if (result.ok()) {
-        result = Error{"spool: cannot remove segment for epoch " + std::to_string(epoch) +
-                       ": " + removed.error().message};
-      }
-      ++it;
-      continue;
-    }
-    it = frame_counts_.erase(it);
-  }
-  Status manifest_removed = fs_->Remove(ManifestPath(epoch));
-  if (!manifest_removed.ok() && result.ok()) {
-    result = Error{"spool: cannot remove manifest for epoch " + std::to_string(epoch) +
-                   ": " + manifest_removed.error().message};
-  }
-  Status removed = fs_->Remove(MarkerPath(epoch));
-  if (!removed.ok() && result.ok()) {
-    result = Error{"spool: cannot remove marker for epoch " + std::to_string(epoch) + ": " +
-                   removed.error().message};
-  }
-  return result;
+  return wal_->OpenEpochStream(epoch);
 }
 
 }  // namespace prochlo

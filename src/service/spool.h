@@ -1,167 +1,57 @@
-// Spill-to-disk epoch spooling for the shuffler frontend.
+// The spool: where an epoch's reports wait for its drain (paper §4.2).  It
+// is the ingest WAL's generations (wal.h): a report's one durable copy is
+// its WAL record, a sealed epoch is the generations its seal marker names,
+// and the drain streams the reports straight out of them.
 //
-// Accumulated batches can exceed RAM (the paper shuffles hundreds of
-// millions of reports per epoch), so the ingestion tier appends each sealed
-// report to an on-disk segment file keyed by (shard, epoch) and streams it
-// back into the shuffle at drain time.  The layout follows the append-only
-// segment discipline of write-optimized stores (cf. the betrfs log-segment
-// design): segments are only ever appended to or deleted whole, never
-// rewritten in place.
-//
-//   <root>/shard-<s>-epoch-<e>.seg   frames (wire.h) of sealed reports
-//   <root>/epoch-<e>.manifest        frame counts + byte sizes per segment,
-//                                    one CRC-framed record (written at seal)
-//   <root>/epoch-<e>.sealed          marker: epoch e cut; segments complete
-//
-// Durability contract: SealEpoch fsyncs every segment of the epoch, then
-// writes (and fsyncs) the manifest, then the marker, so a marker implies
-// complete segments and a manifest at least as durable as itself.  On
-// reopen, Recover() trusts a sealed epoch's manifest when each entry's byte
-// size matches the segment file exactly — one small read per epoch instead
-// of an O(segments) frame-by-frame scan — and falls back to the scan when
-// the manifest is missing, fails CRC, or disagrees with the file size.
-// Scanned segments are truncated at the end of their clean prefix
-// (clean_prefix_end), discarding a torn tail from a crash mid-append;
-// epochs without a marker resume accumulating.
+// Spool is the thin adapter for callers that write an epoch directly rather
+// than through ShufflerFrontend (the drain benchmark's replay): ack-less
+// reports go through the WAL's group commit into its generations, and come
+// back through the same block-at-a-time reader the drain uses.
 #ifndef PROCHLO_SRC_SERVICE_SPOOL_H_
 #define PROCHLO_SRC_SERVICE_SPOOL_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <set>
 #include <string>
-#include <vector>
 
 #include "src/service/fs.h"
 #include "src/util/record_stream.h"
 #include "src/util/status.h"
-#include "src/util/thread_annotations.h"
 
 namespace prochlo {
 
-// Spool file-layout helpers, shared with the ingest WAL (whose recovery
-// truncates / replays segment files before the Spool object exists).
-std::string SpoolSegmentPath(const std::string& root, size_t shard, uint64_t epoch);
-std::string SpoolMarkerPath(const std::string& root, uint64_t epoch);
-std::string SpoolManifestPath(const std::string& root, uint64_t epoch);
+class IngestWal;
 
 struct SpoolConfig {
-  std::string root;          // directory; created if absent
-  bool fsync_on_seal = true; // fsync segments + marker at epoch seal
-  // Every write-side syscall (open/write/fsync/unlink/truncate) routes
-  // through this seam so the disk-fault suites can inject short writes,
-  // EIO, ENOSPC, and crash-at-syscall-k schedules.  Null = Fs::Real().
+  std::string root;           // directory; created if absent
+  bool fsync_on_seal = true;  // fsync group commits, markers and dirents
+  // Write-side syscalls route through this seam (null = Fs::Real()).
   Fs* fs = nullptr;
-};
-
-// One append-only segment file; writes are one frame per Append call.
-class SegmentWriter {
- public:
-  ~SegmentWriter();
-  SegmentWriter(const SegmentWriter&) = delete;
-  SegmentWriter& operator=(const SegmentWriter&) = delete;
-
-  static Result<std::unique_ptr<SegmentWriter>> Open(const std::string& path, Fs* fs = nullptr);
-
-  Status Append(ByteSpan report);
-  Status Sync();  // flush to the device (fsync)
-
-  uint64_t frames() const { return frames_; }
-  uint64_t bytes() const { return bytes_; }
-  const std::string& path() const { return path_; }
-
- private:
-  SegmentWriter(std::string path, int fd, Fs* fs)
-      : path_(std::move(path)), fd_(fd), fs_(fs) {}
-
-  std::string path_;
-  int fd_ = -1;
-  Fs* fs_;  // borrowed (or the Real() singleton)
-  uint64_t frames_ = 0;
-  uint64_t bytes_ = 0;
 };
 
 class Spool {
  public:
-  explicit Spool(SpoolConfig config)
-      : config_(std::move(config)),
-        fs_(config_.fs != nullptr ? config_.fs : Fs::Real()) {}
+  explicit Spool(SpoolConfig config);
+  ~Spool();
 
-  struct SegmentInfo {
-    size_t shard = 0;
-    uint64_t epoch = 0;
-    uint64_t frames = 0;  // valid frames in the clean prefix
-    uint64_t bytes = 0;   // file size after truncation
-    std::string path;
-  };
+  // Creates the root directory (if needed) and recovers what it holds.
+  Status Open();
 
-  struct RecoveryReport {
-    std::vector<SegmentInfo> segments;  // sorted by (epoch, shard)
-    std::set<uint64_t> sealed_epochs;   // epochs with a seal marker
-    uint64_t truncated_bytes = 0;       // torn tails removed
-    uint64_t corrupt_frames = 0;        // segments with a torn tail (>= 1 frame lost each)
-    // Manifest fast path: segments of sealed epochs whose frame counts came
-    // from the epoch manifest (byte size verified against the file) vs.
-    // segments of sealed epochs that had to be scanned anyway (manifest
-    // missing, corrupt, entry absent, or size mismatch).
-    uint64_t manifest_hits = 0;
-    uint64_t manifest_fallbacks = 0;
-  };
-
-  // Creates the root directory (if needed) and replays existing segments:
-  // each is scanned frame-by-frame and truncated at its clean prefix.
-  Result<RecoveryReport> Open();
-
-  // Appends one sealed report to the (shard, epoch) segment, opening the
-  // writer on demand.  Thread-safe across shards; callers serialize
-  // per-shard appends (the ingest tier holds a per-shard lock).
+  // Appends one sealed report to `epoch`.  An epoch's reports follow the
+  // previous epoch's SealEpoch.
   Status Append(size_t shard, uint64_t epoch, ByteSpan report);
 
-  // Fsyncs every open segment (a durability point mid-epoch).
-  Status SyncAll();
-
-  // Seals an epoch: fsyncs and closes its segments, then writes the marker.
+  // Seals `epoch`: every report appended since the previous seal.
   Status SealEpoch(uint64_t epoch);
 
-  // Streaming reader over every report of a sealed epoch, shard order then
-  // append order; size() is the tracked frame count.  The stream reads one
-  // frame at a time — an epoch larger than RAM never materializes.
+  // Streams a sealed epoch's reports in append order, one WAL block
+  // resident at a time; size() is the sealed count.
   std::unique_ptr<RecordStream> OpenEpochStream(uint64_t epoch);
 
-  // Deletes an epoch's segments and marker after a successful drain.
-  Status RemoveEpoch(uint64_t epoch);
-
-  // Rolls the (shard, epoch) segment back to `target_bytes`, closing any
-  // open writer first, and forgets `frames_removed` tracked frames.  The
-  // WAL checkpoint uses this to undo a partially-applied write-through when
-  // a later append in the same checkpoint fails.
-  Status TruncateSegmentTo(size_t shard, uint64_t epoch, uint64_t target_bytes,
-                           uint64_t frames_removed);
-
-  // Tracked frame count for (shard, epoch) — recovery plus appends.
-  uint64_t FrameCount(size_t shard, uint64_t epoch) const;
-  uint64_t EpochFrameCount(uint64_t epoch) const;
-
-  const std::string& root() const { return config_.root; }
-
  private:
-  std::string SegmentPath(size_t shard, uint64_t epoch) const;
-  std::string MarkerPath(uint64_t epoch) const;
-  std::string ManifestPath(uint64_t epoch) const;
-  // Writes <root>/epoch-<e>.manifest from the tracked frame counts and the
-  // segments' on-disk sizes; called under mu_ after the epoch's segments
-  // are synced and before the marker is written.
-  Status WriteManifestLocked(uint64_t epoch) REQUIRES(mu_);
-
   SpoolConfig config_;
-  Fs* fs_;  // borrowed (or the Real() singleton)
-  mutable Mutex mu_;
-  // Open writers for the in-progress epoch, keyed by (epoch, shard).
-  std::map<std::pair<uint64_t, size_t>, std::unique_ptr<SegmentWriter>> writers_
-      GUARDED_BY(mu_);
-  // Frame counts per (epoch, shard), surviving writer close.
-  std::map<std::pair<uint64_t, size_t>, uint64_t> frame_counts_ GUARDED_BY(mu_);
+  std::unique_ptr<IngestWal> wal_;
+  uint64_t buffered_bytes_ = 0;  // appended since the last group commit
 };
 
 }  // namespace prochlo

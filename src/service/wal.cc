@@ -3,9 +3,10 @@
 #include <fcntl.h>
 
 #include <algorithm>
-#include <cinttypes>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
+#include <optional>
 #include <set>
 
 #include "src/service/wire.h"
@@ -18,11 +19,10 @@ namespace {
 namespace fs = std::filesystem;
 
 // Record kinds inside a WAL block.  A block is one ordinary wire frame whose
-// payload concatenates records — the CRC that guards spool segments guards
-// the log, and the 22 B frame header is paid once per group commit, not once
-// per report.
+// payload concatenates records — the frame CRC guards the log, and the 22 B
+// frame header is paid once per group commit, not once per report.
 enum WalRecordKind : uint8_t {
-  kWalReport = 1,        // shard, epoch, report (ack-less legacy sink)
+  kWalReport = 1,        // shard, epoch, report (ack-less sink)
   kWalReportCommit = 2,  // shard, epoch, session, seq, report — THE unified
                          // record: report durability and the ack commit are
                          // one atomic append
@@ -30,7 +30,9 @@ enum WalRecordKind : uint8_t {
   kWalGoodbye = 4,       // session
 };
 
-constexpr char kMarkerName[] = "wal.ckpt";
+constexpr char kCheckpointName[] = "wal.ckpt";
+
+bool IsReport(uint8_t kind) { return kind == kWalReport || kind == kWalReportCommit; }
 
 uint64_t EncodedRecordSize(uint8_t kind, size_t report_size) {
   switch (kind) {
@@ -46,6 +48,269 @@ uint64_t EncodedRecordSize(uint8_t kind, size_t report_size) {
       return 0;
   }
 }
+
+// One decoded (or to-be-encoded) WAL record.
+struct WalRecord {
+  uint8_t kind = 0;
+  uint64_t shard = 0;
+  uint64_t epoch = 0;
+  uint64_t session_id = 0;
+  uint64_t value = 0;  // seq (commit) or watermark floor (evict)
+  Bytes report;
+};
+
+void EncodeRecord(Writer& w, uint8_t kind, uint64_t shard, uint64_t epoch,
+                  uint64_t session_id, uint64_t value, ByteSpan report) {
+  w.PutU8(kind);
+  if (IsReport(kind)) {
+    w.PutU64(shard);
+    w.PutU64(epoch);
+  }
+  if (kind != kWalReport) {
+    w.PutU64(session_id);
+  }
+  if (kind == kWalReportCommit || kind == kWalEvict) {
+    w.PutU64(value);
+  }
+  if (IsReport(kind)) {
+    w.PutLengthPrefixed(report);
+  }
+}
+
+enum class Parsed { kRecord, kEnd, kMalformed };
+
+// Decodes the next record of a block.  Unknown kinds have unknown lengths,
+// so nothing after one can be framed; the block's CRC passed, so it is a
+// newer writer's record — the rest of the block is skipped.
+Parsed NextRecord(Reader& r, WalRecord& rec) {
+  if (r.AtEnd()) {
+    return Parsed::kEnd;
+  }
+  rec = WalRecord{};
+  if (!r.GetU8(&rec.kind)) {
+    return Parsed::kMalformed;
+  }
+  if (rec.kind < kWalReport || rec.kind > kWalGoodbye) {
+    r = Reader(ByteSpan());
+    return Parsed::kEnd;
+  }
+  bool ok = true;
+  if (IsReport(rec.kind)) {
+    ok = r.GetU64(&rec.shard) && r.GetU64(&rec.epoch);
+  }
+  if (ok && rec.kind != kWalReport) {
+    ok = r.GetU64(&rec.session_id);
+  }
+  if (ok && (rec.kind == kWalReportCommit || rec.kind == kWalEvict)) {
+    ok = r.GetU64(&rec.value);
+  }
+  if (ok && IsReport(rec.kind)) {
+    ok = r.GetLengthPrefixed(&rec.report);
+  }
+  return ok ? Parsed::kRecord : Parsed::kMalformed;
+}
+
+std::optional<SessionOp> SessionOpOf(uint8_t kind, uint64_t session_id, uint64_t value) {
+  switch (kind) {
+    case kWalReportCommit:
+      return SessionOp{SessionOp::kCommit, session_id, value};
+    case kWalEvict:
+      return SessionOp{SessionOp::kEvict, session_id, value};
+    case kWalGoodbye:
+      return SessionOp{SessionOp::kGoodbye, session_id, 0};
+    default:
+      return std::nullopt;
+  }
+}
+
+// Reads a generation one CRC-checked block at a time: at most one block is
+// resident, never the whole file.  Reads stay on the plain stdio path, like
+// every recovery read: a post-crash reopen sees whatever bytes landed.
+class BlockReader {
+ public:
+  explicit BlockReader(const std::string& path) : file_(std::fopen(path.c_str(), "rb")) {}
+  ~BlockReader() {
+    if (file_ != nullptr) {
+      std::fclose(file_);
+    }
+  }
+  BlockReader(const BlockReader&) = delete;
+  BlockReader& operator=(const BlockReader&) = delete;
+
+  // The next block's payload; nullopt at the end of the file or at the
+  // first block that fails to read or check (bad() tells them apart).
+  std::optional<Bytes> Next() {
+    if (bad_) {
+      return std::nullopt;
+    }
+    if (file_ == nullptr) {
+      bad_ = true;
+      return std::nullopt;
+    }
+    uint8_t header[kFrameHeaderSize];
+    size_t got = std::fread(header, 1, sizeof(header), file_);
+    if (got == 0) {
+      return std::nullopt;
+    }
+    FrameHeader parsed;
+    if (!ParseFrameHeader(ByteSpan(header, got), &parsed) || !PlausibleFrameHeader(parsed)) {
+      bad_ = true;
+      return std::nullopt;
+    }
+    Bytes frame(kFrameHeaderSize + parsed.length);
+    std::memcpy(frame.data(), header, sizeof(header));
+    if (std::fread(frame.data() + kFrameHeaderSize, 1, parsed.length, file_) != parsed.length) {
+      bad_ = true;
+      return std::nullopt;
+    }
+    auto payload = DecodeFrame(frame);
+    if (!payload.ok()) {
+      bad_ = true;
+      return std::nullopt;
+    }
+    offset_ += frame.size();
+    return std::move(payload).value();
+  }
+
+  bool bad() const { return bad_; }
+  // End of the clean prefix: the blocks read so far.
+  uint64_t offset() const { return offset_; }
+
+ private:
+  std::FILE* file_;
+  uint64_t offset_ = 0;
+  bool bad_ = false;
+};
+
+// Whether the bytes of `path` from `offset` on are a torn write — the
+// remains of one interrupted block — rather than damage: no CRC-valid frame
+// may follow them (bit rot leaves the blocks after it intact), and they
+// must not start a block of another wire version.
+bool IsTornTail(const std::string& path, uint64_t offset) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr || std::fseek(f, static_cast<long>(offset), SEEK_SET) != 0) {
+    if (f != nullptr) {
+      std::fclose(f);
+    }
+    return false;
+  }
+  uint8_t buffer[1 << 16] = {};
+  size_t got = std::fread(buffer, 1, sizeof(buffer), f);
+  // Magic at offset 0 and version at 4, in every wire version.
+  const uint32_t magic = static_cast<uint32_t>(buffer[0]) | static_cast<uint32_t>(buffer[1]) << 8 |
+                         static_cast<uint32_t>(buffer[2]) << 16 |
+                         static_cast<uint32_t>(buffer[3]) << 24;
+  bool torn = !(got >= 5 && magic == kFrameMagic && buffer[4] != kWireVersion);
+  StreamingFrameDecoder decoder;
+  std::vector<Frame> frames;
+  size_t skip = 1;  // the bad block's own first byte
+  while (torn && got > skip) {
+    decoder.Feed(ByteSpan(buffer + skip, got - skip), frames);
+    torn = frames.empty();
+    skip = 0;
+    got = std::fread(buffer, 1, sizeof(buffer), f);
+  }
+  std::fclose(f);
+  if (torn) {
+    decoder.Finish(&frames);
+    torn = frames.empty();
+  }
+  return torn;
+}
+
+// A small CRC-framed file (wal.ckpt, a seal marker) read whole; nullopt on a
+// missing, torn or corrupt file.
+std::optional<Bytes> ReadFramedFile(const std::string& path) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) {
+    return std::nullopt;
+  }
+  Bytes raw;
+  uint8_t buffer[4096];
+  size_t got = 0;
+  while ((got = std::fread(buffer, 1, sizeof(buffer), f)) > 0) {
+    raw.insert(raw.end(), buffer, buffer + got);
+  }
+  std::fclose(f);
+  auto payload = DecodeFrame(raw);
+  if (!payload.ok() || raw.size() != FrameWireSize(payload.value().size())) {
+    return std::nullopt;
+  }
+  return std::move(payload).value();
+}
+
+Status WriteAllFs(Fs* fs, int fd, ByteSpan data) {
+  size_t done = 0;
+  while (done < data.size()) {
+    auto n = fs->Write(fd, data.subspan(done));
+    if (!n.ok()) {
+      return n.error();
+    }
+    done += n.value();
+  }
+  return Status::Ok();
+}
+
+// RecordStream over a sealed epoch's generations: the epoch's reports in
+// log order, one block resident at a time.
+class GenerationStream : public RecordStream {
+ public:
+  GenerationStream(std::vector<std::string> paths, uint64_t epoch, size_t total)
+      : paths_(std::move(paths)), epoch_(epoch), total_(total) {}
+
+  size_t size() const override { return total_; }
+
+  std::optional<Bytes> Next() override {
+    WalRecord rec;
+    while (!failed_) {
+      if (block_.has_value()) {
+        Parsed parsed = NextRecord(records_, rec);
+        if (parsed == Parsed::kRecord) {
+          if (IsReport(rec.kind) && rec.epoch == epoch_) {
+            return std::move(rec.report);
+          }
+          continue;
+        }
+        failed_ = parsed == Parsed::kMalformed;
+        block_.reset();
+        continue;
+      }
+      if (file_ == nullptr) {
+        if (next_path_ == paths_.size()) {
+          return std::nullopt;
+        }
+        file_ = std::make_unique<BlockReader>(paths_[next_path_++]);
+      }
+      block_ = file_->Next();
+      if (block_.has_value()) {
+        records_ = Reader(*block_);
+      } else {
+        // A bad block ends the stream short of size(): the drain fails
+        // instead of releasing part of the epoch.
+        failed_ = file_->bad();
+        file_.reset();
+      }
+    }
+    return std::nullopt;
+  }
+
+  void Reset() override {
+    file_.reset();
+    block_.reset();
+    next_path_ = 0;
+    failed_ = false;
+  }
+
+ private:
+  std::vector<std::string> paths_;
+  uint64_t epoch_;
+  size_t total_;
+  size_t next_path_ = 0;
+  std::unique_ptr<BlockReader> file_;
+  std::optional<Bytes> block_;
+  Reader records_{ByteSpan()};
+  bool failed_ = false;
+};
 
 }  // namespace
 
@@ -69,59 +334,17 @@ std::string IngestWal::GenPath(uint64_t gen) const {
   return config_.dir + "/ingest-" + std::to_string(gen) + ".wal";
 }
 
-std::string IngestWal::MarkerPath() const { return config_.dir + "/" + kMarkerName; }
-
-namespace {
-
-// Whole-file read on the plain stdio path, like every other recovery read:
-// post-crash reopen sees whatever bytes actually landed.
-Bytes ReadWholeFile(const std::string& path) {
-  Bytes out;
-  if (std::FILE* f = std::fopen(path.c_str(), "rb")) {
-    uint8_t buffer[1 << 16];
-    size_t got = 0;
-    while ((got = std::fread(buffer, 1, sizeof(buffer), f)) > 0) {
-      out.insert(out.end(), buffer, buffer + got);
-    }
-    std::fclose(f);
-  }
-  return out;
+std::string IngestWal::MarkerPath(uint64_t epoch) const {
+  return config_.dir + "/epoch-" + std::to_string(epoch) + ".sealed";
 }
 
-Status WriteAllFs(Fs* fs, int fd, ByteSpan data) {
-  size_t done = 0;
-  while (done < data.size()) {
-    auto n = fs->Write(fd, data.subspan(done));
-    if (!n.ok()) {
-      return n.error();
-    }
-    done += n.value();
-  }
-  return Status::Ok();
-}
-
-}  // namespace
-
-Status IngestWal::WriteMarker(
-    uint64_t covered_gen,
-    const std::map<std::pair<uint64_t, uint64_t>, uint64_t>& segment_sizes) {
-  Writer w;
-  w.PutU64(covered_gen);
-  w.PutU32(static_cast<uint32_t>(segment_sizes.size()));
-  for (const auto& [key, bytes] : segment_sizes) {
-    w.PutU64(key.first);   // epoch
-    w.PutU64(key.second);  // shard
-    w.PutU64(bytes);
-  }
-  Bytes frame = EncodeFrame(w.Take());
-
-  const std::string marker = MarkerPath();
-  const std::string tmp = marker + ".tmp";
+Status IngestWal::PublishFile(const std::string& path, ByteSpan payload) {
+  const std::string tmp = path + ".tmp";
   auto fd = fs_->Open(tmp, O_CREAT | O_WRONLY | O_TRUNC, 0644);
   if (!fd.ok()) {
-    return fd.error();
+    return Error{"wal: cannot write " + tmp + ": " + fd.error().message};
   }
-  Status result = WriteAllFs(fs_, fd.value(), frame);
+  Status result = WriteAllFs(fs_, fd.value(), EncodeFrame(payload));
   if (result.ok() && config_.fsync) {
     result = fs_->Sync(fd.value());
     if (result.ok()) {
@@ -131,10 +354,9 @@ Status IngestWal::WriteMarker(
   }
   fs_->Close(fd.value());
   if (result.ok()) {
-    // The atomic commit point for the checkpoint: before the rename the old
-    // marker's truncate-and-replay instructions are authoritative, after it
-    // the new ones are.
-    result = fs_->Rename(tmp, marker);
+    // The atomic commit point: before the rename the old file is
+    // authoritative, after it the new one is.
+    result = fs_->Rename(tmp, path);
   }
   if (result.ok() && config_.fsync) {
     // And the rename only holds once the dirent is durable.
@@ -146,9 +368,69 @@ Status IngestWal::WriteMarker(
   return result;
 }
 
+Status IngestWal::WriteCheckpoint(uint64_t covered_gen) {
+  Writer w;
+  w.PutU64(covered_gen);
+  return PublishFile(config_.dir + "/" + kCheckpointName, w.data());
+}
+
+Status IngestWal::WriteSealMarker(uint64_t epoch, const EpochFiles& files) {
+  Writer w;
+  w.PutU64(epoch);
+  w.PutU32(static_cast<uint32_t>(files.gens.size()));
+  for (const GenFile& gen : files.gens) {
+    w.PutU64(gen.gen);
+    w.PutU64(gen.bytes);
+  }
+  w.PutU32(static_cast<uint32_t>(files.counts.size()));
+  for (uint64_t count : files.counts) {
+    w.PutU64(count);
+  }
+  return PublishFile(MarkerPath(epoch), w.data());
+}
+
+std::optional<IngestWal::EpochFiles> IngestWal::ReadSealMarker(uint64_t epoch) const {
+  auto payload = ReadFramedFile(MarkerPath(epoch));
+  if (!payload.has_value()) {
+    return std::nullopt;
+  }
+  Reader r(*payload);
+  EpochFiles files;
+  uint64_t marker_epoch = 0;
+  uint32_t count = 0;
+  bool ok = r.GetU64(&marker_epoch) && marker_epoch == epoch && r.GetU32(&count);
+  for (uint32_t i = 0; ok && i < count; ++i) {
+    GenFile gen;
+    ok = r.GetU64(&gen.gen) && r.GetU64(&gen.bytes);
+    files.gens.push_back(gen);
+  }
+  ok = ok && r.GetU32(&count);
+  for (uint32_t i = 0; ok && i < count; ++i) {
+    files.counts.emplace_back();
+    ok = r.GetU64(&files.counts.back());
+  }
+  if (!ok || !r.AtEnd()) {
+    return std::nullopt;
+  }
+  return files;
+}
+
 // ----------------------------------------------------------------- recovery
 
-Result<IngestWal::Recovery> IngestWal::RecoverBeforeSpoolOpen() {
+struct IngestWal::RecoveryPlan {
+  uint64_t covered = 0;  // what wal.ckpt covers once recovery finishes
+  // The newest generation's clean length, when it ends in a torn write.
+  std::optional<std::pair<uint64_t, uint64_t>> torn;
+  std::map<uint64_t, EpochFiles> epochs;  // every epoch holding reports
+  std::optional<uint64_t> open_epoch;     // the one that resumes
+  std::set<uint64_t> reseal;              // epochs that need a new marker
+  // Epochs whose files go: removal interrupted by a crash, or no reports.
+  std::map<uint64_t, std::vector<uint64_t>> drop_epochs;  // epoch -> gens
+  std::vector<uint64_t> drop_gens;        // covered, unnamed, no reports
+  std::vector<std::string> stale_temps;
+};
+
+Result<IngestWal::Recovery> IngestWal::Recover() {
   // Startup is single-threaded: no appender or barrier can exist before
   // FinishRecovery hands out the open WAL, so plain member access is safe.
   std::error_code ec;
@@ -156,310 +438,253 @@ Result<IngestWal::Recovery> IngestWal::RecoverBeforeSpoolOpen() {
   if (ec) {
     return Error{"wal: cannot create " + config_.dir + ": " + ec.message()};
   }
-  // A crash between writing and renaming the marker temp leaves it behind;
-  // the rename never happened, so the real marker is authoritative.
-  Status removed = fs_->Remove(MarkerPath() + ".tmp");
-  if (!removed.ok()) {
-    return removed.error();
-  }
-
-  std::set<uint64_t> sealed;
-  std::map<std::pair<uint64_t, uint64_t>, uint64_t> unsealed_sizes;  // (epoch, shard)
-  std::map<uint64_t, std::string> gens;
-  bool have_marker = false;
-  std::vector<std::pair<uint64_t, uint64_t>> segment_files;  // (epoch, shard)
+  auto plan = std::make_unique<RecoveryPlan>();
+  std::map<uint64_t, uint64_t> gens;  // gen -> file size
+  std::set<uint64_t> markers;
+  bool have_checkpoint = false;
   for (const auto& entry : fs::directory_iterator(config_.dir, ec)) {
     const std::string name = entry.path().filename().string();
-    unsigned long a = 0, b = 0;
-    char suffix[16] = {0};
-    if (name == kMarkerName) {
-      have_marker = true;
-    } else if (std::sscanf(name.c_str(), "ingest-%lu.wal", &a) == 1 &&
-               name == "ingest-" + std::to_string(a) + ".wal") {
-      gens[a] = entry.path().string();
-    } else if (std::sscanf(name.c_str(), "epoch-%lu.%15s", &a, suffix) == 2 &&
-               std::string(suffix) == "sealed") {
-      sealed.insert(a);
-    } else if (std::sscanf(name.c_str(), "shard-%lu-epoch-%lu.seg", &a, &b) == 2) {
-      segment_files.emplace_back(b, a);  // (epoch, shard)
+    unsigned long n = 0;
+    if (name == kCheckpointName) {
+      have_checkpoint = true;
+    } else if (std::sscanf(name.c_str(), "ingest-%lu.wal", &n) == 1 &&
+               name == "ingest-" + std::to_string(n) + ".wal") {
+      std::error_code size_ec;
+      gens[n] = fs::file_size(entry.path(), size_ec);
+      if (size_ec) {
+        return Error{"wal: cannot stat " + entry.path().string()};
+      }
+    } else if (std::sscanf(name.c_str(), "epoch-%lu.sealed", &n) == 1) {
+      const std::string marker = "epoch-" + std::to_string(n) + ".sealed";
+      if (name == marker) {
+        markers.insert(n);
+      } else if (name == marker + ".tmp") {
+        plan->stale_temps.push_back(entry.path().string());
+      }
+    } else if (name == std::string(kCheckpointName) + ".tmp") {
+      // A crash between writing and renaming; the rename never happened.
+      plan->stale_temps.push_back(entry.path().string());
     }
   }
   if (ec) {
     return Error{"wal: cannot scan " + config_.dir + ": " + ec.message()};
   }
-  for (const auto& key : segment_files) {
-    if (sealed.count(key.first) != 0) {
-      continue;  // sealed epochs are complete; recovery never touches them
-    }
-    std::error_code size_ec;
-    uintmax_t size = fs::file_size(
-        SpoolSegmentPath(config_.dir, key.second, key.first), size_ec);
-    unsealed_sizes[key] = size_ec ? 0 : static_cast<uint64_t>(size);
-  }
-
-  Recovery out;
-  uint64_t covered = 0;
-  std::map<std::pair<uint64_t, uint64_t>, uint64_t> marker_sizes;
-  if (have_marker) {
-    Bytes raw = ReadWholeFile(MarkerPath());
-    FrameReader reader(raw);
-    auto payload = reader.Next();
-    bool parsed = false;
-    if (payload) {
-      Reader r(*payload);
-      uint32_t count = 0;
-      if (r.GetU64(&covered) && r.GetU32(&count)) {
-        parsed = true;
-        for (uint32_t i = 0; i < count && parsed; ++i) {
-          uint64_t epoch = 0, shard = 0, bytes = 0;
-          parsed = r.GetU64(&epoch) && r.GetU64(&shard) && r.GetU64(&bytes);
-          if (parsed) {
-            marker_sizes[{epoch, shard}] = bytes;
-          }
-        }
-      }
-    }
-    if (!parsed) {
-      // The marker is written via tmp + fsync + rename + dir fsync; a torn
-      // one means the discipline was violated underneath us.  Guessing
-      // risks double-ingesting checkpointed records — refuse instead.
-      return Error{"wal: corrupt checkpoint marker " + MarkerPath()};
-    }
-    // Roll every unsealed segment back to its checkpointed size, and drop
-    // segments the marker has never heard of (debris of a checkpoint or
-    // replay that died before publishing).  The replay below reconstructs
-    // everything past these sizes from the log.
-    for (const auto& [key, disk_bytes] : unsealed_sizes) {
-      auto it = marker_sizes.find(key);
-      const std::string path = SpoolSegmentPath(config_.dir, key.second, key.first);
-      if (it == marker_sizes.end()) {
-        out.reset_segment_bytes += disk_bytes;
-        Status dropped = fs_->Remove(path);
-        if (!dropped.ok()) {
-          return dropped.error();
-        }
-      } else if (disk_bytes > it->second) {
-        out.reset_segment_bytes += disk_bytes - it->second;
-        Status truncated = fs_->Truncate(path, it->second);
-        if (!truncated.ok()) {
-          return truncated.error();
-        }
-      }
-    }
-  } else if (!gens.empty()) {
-    // FinishRecovery publishes the marker (and fsyncs the dirent) before
-    // generation 1 is ever created, so generations without a marker mean
-    // the directory has been tampered with; replaying them blind could
-    // double-apply checkpointed records.
+  if (!have_checkpoint && !gens.empty()) {
+    // FinishRecovery publishes wal.ckpt before generation 1 exists, so
+    // generations without it mean the directory was tampered with.
     return Error{"wal: generations present but no checkpoint marker in " + config_.dir};
   }
+  uint64_t covered = 0;
+  if (have_checkpoint) {
+    const std::string path = config_.dir + "/" + kCheckpointName;
+    auto payload = ReadFramedFile(path);
+    if (!payload.has_value()) {
+      // Published via tmp + fsync + rename + dir fsync; a torn one means the
+      // discipline was violated underneath us.  Guessing risks replaying
+      // journaled session ops out of order — refuse instead.
+      return Error{"wal: corrupt checkpoint marker " + path};
+    }
+    Reader r(*payload);
+    if (!r.GetU64(&covered) || !r.AtEnd()) {
+      return Error{"wal: corrupt checkpoint marker " + path};
+    }
+  }
 
-  // Replay the un-checkpointed suffix, oldest generation first, appending
-  // report records straight into their segment files (so Spool::Open counts
-  // them like any other durable frame) and collecting session ops in order.
-  std::map<std::pair<uint64_t, uint64_t>, int> segment_fds;
-  Status replay = Status::Ok();
-  bool torn = false;  // everything after the first tear is suspect
-  for (const auto& [gen, path] : gens) {
-    recovered_gens_.push_back(gen);
-    recovered_max_gen_ = std::max(recovered_max_gen_, gen);
-    if (gen <= covered || torn || !replay.ok()) {
+  // Seal markers.  A marker naming a generation that is gone belongs to an
+  // epoch whose drained files were mid-removal: finish removing it rather
+  // than drain what is left.  One whose generations all still have their
+  // recorded sizes (and sit under wal.ckpt) is trusted without a scan.
+  std::map<uint64_t, uint64_t> owner;  // gen -> sealed epoch naming it
+  std::set<uint64_t> trusted;
+  for (uint64_t epoch : markers) {
+    auto parsed = ReadSealMarker(epoch);
+    if (!parsed.has_value()) {
+      return Error{"wal: corrupt seal marker " + MarkerPath(epoch)};
+    }
+    const EpochFiles& named = *parsed;
+    bool complete = true;
+    bool matches = true;
+    for (const GenFile& gen : named.gens) {
+      auto it = gens.find(gen.gen);
+      complete = complete && it != gens.end();
+      matches = matches && it != gens.end() && it->second == gen.bytes && gen.gen <= covered;
+    }
+    if (!complete || named.gens.empty()) {
+      plan->drop_epochs[epoch];  // its surviving generations join below
+    } else if (matches) {
+      trusted.insert(epoch);
+      plan->epochs[epoch].counts = named.counts;
+    } else {
+      plan->reseal.insert(epoch);  // rescanned: the new marker records what is there
+    }
+    for (const GenFile& gen : named.gens) {
+      owner[gen.gen] = epoch;
+    }
+  }
+
+  // One pass over the generations, oldest first, one block at a time.
+  Recovery out;
+  const uint64_t newest = gens.empty() ? 0 : gens.rbegin()->first;
+  for (auto& [gen, size] : gens) {
+    const std::string path = GenPath(gen);
+    auto own = owner.find(gen);
+    std::optional<uint64_t> epoch;
+    if (own != owner.end()) {
+      epoch = own->second;
+    }
+    GenFile file{gen, size, 0};
+    std::vector<uint64_t> counts;
+    const bool known = epoch.has_value() &&
+                       (trusted.count(*epoch) != 0 || plan->drop_epochs.count(*epoch) != 0);
+    if (!known || gen > covered) {
+      BlockReader reader(path);
+      WalRecord rec;
+      while (auto block = reader.Next()) {
+        Reader records(*block);
+        Parsed parsed;
+        while ((parsed = NextRecord(records, rec)) == Parsed::kRecord) {
+          if (gen > covered) {
+            if (auto op = SessionOpOf(rec.kind, rec.session_id, rec.value)) {
+              out.session_ops.push_back(*op);
+            }
+          }
+          if (!IsReport(rec.kind)) {
+            continue;
+          }
+          if (epoch.has_value() && *epoch != rec.epoch) {
+            return Error{"wal: " + path + " holds reports of epochs " + std::to_string(*epoch) +
+                         " and " + std::to_string(rec.epoch)};
+          }
+          epoch = rec.epoch;
+          file.reports++;
+          if (counts.size() <= rec.shard) {
+            counts.resize(rec.shard + 1, 0);
+          }
+          counts[rec.shard]++;
+        }
+        if (parsed == Parsed::kMalformed) {
+          return Error{"wal: truncated record inside a CRC-valid block of " + path +
+                       " before offset " + std::to_string(reader.offset())};
+        }
+      }
+      if (reader.bad()) {
+        // Only a crash mid group commit may leave a bad block, and only at
+        // the end of the newest generation, which no marker names (a seal
+        // closes its generations).  Anything else is damage: truncating it
+        // would silently drop acknowledged reports.
+        if (gen != newest || own != owner.end() || !IsTornTail(path, reader.offset())) {
+          return Error{"wal: corrupt block in " + path + " at offset " +
+                       std::to_string(reader.offset()) + "; refusing to truncate"};
+        }
+        out.truncated_bytes = size - reader.offset();
+        size = file.bytes = reader.offset();
+        plan->torn.emplace(gen, size);
+      }
+    }
+    if (!epoch.has_value()) {
+      plan->drop_gens.push_back(gen);  // no reports: nothing to keep once covered
       continue;
     }
-    Bytes raw = ReadWholeFile(path);
-    // First pass finds the clean prefix; the second replays only it.  A torn
-    // block tail is legal in the newest generation (a crash mid group
-    // commit); anything valid *after* a tear is not replayable, because
-    // session ops are only correct in order.
-    {
-      FrameReader probe(raw);
-      while (probe.Next()) {
-      }
-      if (probe.clean_prefix_end() < raw.size()) {
-        torn = true;
-        out.truncated_bytes += raw.size() - probe.clean_prefix_end();
-        raw.resize(probe.clean_prefix_end());
-      }
+    if (plan->drop_epochs.count(*epoch) != 0) {
+      plan->drop_epochs[*epoch].push_back(gen);
+      continue;
     }
-    FrameReader reader(raw);
-    while (auto block = reader.Next()) {
-      out.replayed_blocks++;
-      Reader r(*block);
-      while (r.ok() && !r.AtEnd() && replay.ok()) {
-        uint8_t kind = 0;
-        if (!r.GetU8(&kind)) {
-          break;
-        }
-        switch (kind) {
-          case kWalReport:
-          case kWalReportCommit: {
-            uint64_t shard = 0, epoch = 0, session = 0, seq = 0;
-            Bytes report;
-            bool got = r.GetU64(&shard) && r.GetU64(&epoch);
-            if (got && kind == kWalReportCommit) {
-              got = r.GetU64(&session) && r.GetU64(&seq);
-            }
-            if (!got || !r.GetLengthPrefixed(&report)) {
-              replay = Error{"wal: truncated record inside a CRC-valid block"};
-              break;
-            }
-            if (sealed.count(epoch) != 0) {
-              break;  // defensive: the epoch sealed after this record was
-                      // checkpointed; its segments are already complete
-            }
-            auto fd_it = segment_fds.find({epoch, shard});
-            if (fd_it == segment_fds.end()) {
-              const std::string seg = SpoolSegmentPath(config_.dir, shard, epoch);
-              auto fd = fs_->Open(seg, O_CREAT | O_WRONLY | O_APPEND, 0644);
-              if (!fd.ok()) {
-                replay = fd.error();
-                break;
-              }
-              fd_it = segment_fds.emplace(std::make_pair(epoch, shard), fd.value()).first;
-              replayed_segment_paths_.push_back(seg);
-            }
-            replay = WriteAllFs(fs_, fd_it->second, EncodeFrame(report));
-            if (replay.ok()) {
-              out.replayed_reports++;
-              if (kind == kWalReportCommit) {
-                out.session_ops.push_back({SessionOp::kCommit, session, seq});
-              }
-            }
-            break;
-          }
-          case kWalEvict: {
-            uint64_t session = 0, floor = 0;
-            if (!r.GetU64(&session) || !r.GetU64(&floor)) {
-              replay = Error{"wal: truncated evict record"};
-              break;
-            }
-            out.session_ops.push_back({SessionOp::kEvict, session, floor});
-            break;
-          }
-          case kWalGoodbye: {
-            uint64_t session = 0;
-            if (!r.GetU64(&session)) {
-              replay = Error{"wal: truncated goodbye record"};
-              break;
-            }
-            out.session_ops.push_back({SessionOp::kGoodbye, session, 0});
-            break;
-          }
-          default:
-            // Unknown kinds have unknown lengths; nothing after this point
-            // in the block can be framed.  The block's CRC passed, so this
-            // is a newer writer's record — skip the remainder of the block,
-            // keep later blocks.
-            r = Reader(ByteSpan());
-            break;
-        }
-      }
-      if (!replay.ok()) {
-        break;
-      }
+    if (gen > covered) {
+      out.replayed_reports += file.reports;
     }
-    if (!replay.ok()) {
-      break;
+    if (own == owner.end() && markers.count(*epoch) != 0) {
+      plan->reseal.insert(*epoch);  // reports the marker does not name
     }
-  }
-  for (const auto& [key, fd] : segment_fds) {
-    fs_->Close(fd);
-  }
-  if (!replay.ok()) {
-    return replay.error();
+    EpochFiles& files = plan->epochs[*epoch];
+    files.gens.push_back(file);
+    if (files.counts.size() < counts.size()) {
+      files.counts.resize(counts.size(), 0);
+    }
+    for (size_t s = 0; s < counts.size(); ++s) {
+      files.counts[s] += counts[s];
+    }
   }
 
-  {
-    MutexLock lock(mu_);
-    covered_gen_ = covered;
+  // The newest unsealed epoch resumes; older unsealed ones can no longer
+  // take reports and are sealed as found.  A sealed epoch without reports
+  // has nothing to drain: its files go.
+  for (auto it = plan->epochs.begin(); it != plan->epochs.end();) {
+    const uint64_t epoch = it->first;
+    uint64_t total = 0;
+    for (uint64_t count : it->second.counts) {
+      total += count;
+    }
+    if (markers.count(epoch) == 0) {
+      if (plan->open_epoch.has_value()) {
+        plan->reseal.insert(*plan->open_epoch);
+      }
+      plan->open_epoch = epoch;
+    } else if (total == 0) {
+      for (const GenFile& gen : it->second.gens) {
+        plan->drop_epochs[epoch].push_back(gen.gen);
+      }
+      plan->reseal.erase(epoch);
+      it = plan->epochs.erase(it);
+      continue;
+    }
+    ++it;
   }
-  recovered_ = true;
+  if (plan->open_epoch.has_value()) {
+    plan->reseal.erase(*plan->open_epoch);
+  }
+  for (const auto& [epoch, files] : plan->epochs) {
+    out.epochs[epoch] = RecoveredEpoch{files.counts, epoch != plan->open_epoch};
+  }
+  plan->covered = std::max(covered, newest);
+  plan_ = std::move(plan);
   return out;
 }
 
 Status IngestWal::FinishRecovery() {
-  if (!recovered_) {
-    return Error{"wal: FinishRecovery without RecoverBeforeSpoolOpen"};
+  if (plan_ == nullptr) {
+    return Error{"wal: FinishRecovery without Recover"};
   }
-  // The replayed segment bytes must be durable before the new marker claims
-  // them as checkpointed (the marker's sizes are truncation targets — they
-  // must never exceed what survives a crash).
-  if (config_.fsync) {
-    std::sort(replayed_segment_paths_.begin(), replayed_segment_paths_.end());
-    replayed_segment_paths_.erase(
-        std::unique(replayed_segment_paths_.begin(), replayed_segment_paths_.end()),
-        replayed_segment_paths_.end());
-    for (const std::string& path : replayed_segment_paths_) {
-      auto fd = fs_->Open(path, O_WRONLY, 0644);
-      if (!fd.ok()) {
-        return fd.error();
-      }
-      Status synced = fs_->Sync(fd.value());
-      fs_->Close(fd.value());
-      if (!synced.ok()) {
-        return synced;
-      }
-    }
-    // Cover replay-created segment files' dirents too.
-    Status dir = fs_->SyncDir(config_.dir);
-    if (!dir.ok()) {
-      return dir;
+  RecoveryPlan& plan = *plan_;
+  if (plan.torn.has_value()) {
+    Status truncated = fs_->Truncate(GenPath(plan.torn->first), plan.torn->second);
+    if (!truncated.ok()) {
+      return truncated;
     }
   }
-
-  // Re-stat every unsealed segment: the caller has run Spool::Open() since
-  // phase 1, which may have truncated pre-WAL torn tails; whatever is on
-  // disk now is exactly the checkpointed state the new marker describes.
-  std::error_code ec;
-  std::set<uint64_t> sealed;
-  std::vector<std::pair<uint64_t, uint64_t>> segment_files;
-  for (const auto& entry : fs::directory_iterator(config_.dir, ec)) {
-    const std::string name = entry.path().filename().string();
-    unsigned long a = 0, b = 0;
-    char suffix[16] = {0};
-    if (std::sscanf(name.c_str(), "epoch-%lu.%15s", &a, suffix) == 2 &&
-        std::string(suffix) == "sealed") {
-      sealed.insert(a);
-    } else if (std::sscanf(name.c_str(), "shard-%lu-epoch-%lu.seg", &a, &b) == 2) {
-      segment_files.emplace_back(b, a);
+  // The caller has journaled every replayed session op: cover them all.
+  Status published = WriteCheckpoint(plan.covered);
+  if (!published.ok()) {
+    return published;
+  }
+  for (uint64_t epoch : plan.reseal) {
+    published = WriteSealMarker(epoch, plan.epochs[epoch]);
+    if (!published.ok()) {
+      return published;
     }
   }
-  if (ec) {
-    return Error{"wal: cannot scan " + config_.dir + ": " + ec.message()};
-  }
-  std::map<std::pair<uint64_t, uint64_t>, uint64_t> sizes;
-  for (const auto& key : segment_files) {
-    if (sealed.count(key.first) != 0) {
-      continue;
+  // Best effort from here: a file left behind is found again next time.
+  // An epoch's marker goes only after all its generations did, so a
+  // half-finished removal stays recognizable as one.
+  for (const auto& [epoch, gen_list] : plan.drop_epochs) {
+    bool removed = true;
+    for (uint64_t gen : gen_list) {
+      removed = fs_->Remove(GenPath(gen)).ok() && removed;
     }
-    std::error_code size_ec;
-    uintmax_t size =
-        fs::file_size(SpoolSegmentPath(config_.dir, key.second, key.first), size_ec);
-    if (!size_ec) {
-      sizes[key] = static_cast<uint64_t>(size);
+    if (removed) {
+      (void)fs_->Remove(MarkerPath(epoch));
     }
   }
-
-  uint64_t covered = 0;
-  {
-    MutexLock lock(mu_);
-    covered = std::max(covered_gen_, recovered_max_gen_);
-  }
-  Status marker = WriteMarker(covered, sizes);
-  if (!marker.ok()) {
-    return marker;
-  }
-  // The marker no longer references the replayed generations: delete them.
-  // Failures are non-fatal — a stale generation <= covered_gen is skipped by
-  // the next recovery.
-  for (uint64_t gen : recovered_gens_) {
+  for (uint64_t gen : plan.drop_gens) {
     (void)fs_->Remove(GenPath(gen));
   }
+  for (const std::string& tmp : plan.stale_temps) {
+    (void)fs_->Remove(tmp);
+  }
 
-  // Open the first live generation past the marker.  Its dirent must be
-  // durable before any group commit relies on it: fsync(fd) persists bytes,
-  // the directory fsync persists the name.
-  const uint64_t active = covered + 1;
+  // Open the first generation past every existing one.  Its dirent must be
+  // durable before any group commit relies on it: fsync(fd) persists
+  // bytes, the directory fsync persists the name.
+  const uint64_t active = plan.covered + 1;
   auto fd = fs_->Open(GenPath(active), O_CREAT | O_WRONLY | O_APPEND | O_TRUNC, 0644);
   if (!fd.ok()) {
     return fd.error();
@@ -477,22 +702,25 @@ Status IngestWal::FinishRecovery() {
     fd_ = fd.value();
     gen_ = active;
     gen_bytes_ = 0;
-    covered_gen_ = covered;
-    durable_sizes_ = std::move(sizes);
+    gen_reports_ = 0;
+    covered_gen_ = plan.covered;
     next_lsn_ = 1;
     synced_lsn_ = 0;
+    for (auto& [epoch, files] : plan.epochs) {
+      if (epoch == plan.open_epoch) {
+        open_ = std::move(files);
+      } else {
+        sealed_[epoch] = std::move(files);
+      }
+    }
   }
-  replayed_segment_paths_.clear();
-  recovered_gens_.clear();
+  plan_.reset();
   return Status::Ok();
 }
 
 // ------------------------------------------------------------------ appends
 
-void IngestWal::AttachTargets(Spool* spool, SessionJournal* journal) {
-  spool_ = spool;
-  journal_ = journal;
-}
+void IngestWal::AttachJournal(SessionJournal* journal) { journal_ = journal; }
 
 void IngestWal::set_rollback_callback(RollbackCallback cb) { rollback_ = std::move(cb); }
 
@@ -603,8 +831,8 @@ Status IngestWal::FlushAsLeader() {
   if (dirty) {
     // A previous failed flush left garbage past the durable prefix and its
     // rollback truncate also failed.  Retry it before writing anything: a
-    // clean frame appended after the garbage would make recovery's
-    // clean-prefix probe replay the dead records sitting in front of it.
+    // clean frame appended after the garbage would make recovery refuse
+    // the generation as corrupt.
     result = fs_->Truncate(GenPath(active_gen), pre_bytes);
     if (result.ok()) {
       MutexLock lock(mu_);
@@ -626,34 +854,11 @@ Status IngestWal::FlushAsLeader() {
       }
     };
     for (const PendingRecord& r : block) {
-      const uint64_t size = EncodedRecordSize(r.kind, r.report.size());
-      if (payload.data().size() + size > kMaxFramePayload) {
+      if (payload.data().size() + EncodedRecordSize(r.kind, r.report.size()) >
+          kMaxFramePayload) {
         flush_frame();
       }
-      payload.PutU8(r.kind);
-      switch (r.kind) {
-        case kWalReport:
-          payload.PutU64(r.shard);
-          payload.PutU64(r.epoch);
-          payload.PutLengthPrefixed(r.report);
-          break;
-        case kWalReportCommit:
-          payload.PutU64(r.shard);
-          payload.PutU64(r.epoch);
-          payload.PutU64(r.session_id);
-          payload.PutU64(r.value);
-          payload.PutLengthPrefixed(r.report);
-          break;
-        case kWalEvict:
-          payload.PutU64(r.session_id);
-          payload.PutU64(r.value);
-          break;
-        case kWalGoodbye:
-          payload.PutU64(r.session_id);
-          break;
-        default:
-          break;
-      }
+      EncodeRecord(payload, r.kind, r.shard, r.epoch, r.session_id, r.value, r.report);
     }
     flush_frame();
     flushed_bytes = out.size();
@@ -675,18 +880,22 @@ Status IngestWal::FlushAsLeader() {
       }
     }
   } else if (wrote) {
+    // The records are durable: count the open epoch's reports, queue the
+    // session ops for the journal.  No report bytes are kept — the
+    // generation is their one durable copy.
     MutexLock lock(mu_);
     gen_bytes_ = pre_bytes + flushed_bytes;
-    for (PendingRecord& r : block) {
-      FlushedRecord flushed;
-      flushed.kind = r.kind;
-      flushed.shard = r.shard;
-      flushed.epoch = r.epoch;
-      flushed.session_id = r.session_id;
-      flushed.value = r.value;
-      flushed.report = r.report;  // copy: completions below still hold r
-      unapplied_.push_back(std::move(flushed));
-      unapplied_bytes_ += EncodedRecordSize(r.kind, r.report.size());
+    for (const PendingRecord& r : block) {
+      if (IsReport(r.kind)) {
+        gen_reports_++;
+        if (open_.counts.size() <= r.shard) {
+          open_.counts.resize(r.shard + 1, 0);
+        }
+        open_.counts[r.shard]++;
+      }
+      if (auto op = SessionOpOf(r.kind, r.session_id, r.value)) {
+        unapplied_.push_back(*op);
+      }
     }
   }
 
@@ -710,8 +919,7 @@ Status IngestWal::FlushAsLeader() {
   // visible — so a barrier returning implies the completion already ran,
   // and a stack-allocated completion context cannot dangle.
   for (PendingRecord& r : block) {
-    if (!result.ok() && rollback_ &&
-        (r.kind == kWalReport || r.kind == kWalReportCommit)) {
+    if (!result.ok() && rollback_ && IsReport(r.kind)) {
       rollback_(static_cast<size_t>(r.shard), r.epoch);
     }
     if (r.done) {
@@ -794,16 +1002,40 @@ Status IngestWal::Sync() {
   }
 }
 
-// --------------------------------------------------------------- checkpoint
+// ------------------------------------------------- checkpoint, seal, drain
+
+Status IngestWal::RotateLocked() {
+  if (gen_bytes_ == 0) {
+    return Status::Ok();  // the active generation holds nothing to close
+  }
+  auto fd = fs_->Open(GenPath(gen_ + 1), O_CREAT | O_WRONLY | O_APPEND | O_TRUNC, 0644);
+  if (!fd.ok()) {
+    return fd.error();
+  }
+  Status dir = config_.fsync ? fs_->SyncDir(config_.dir) : Status::Ok();
+  if (!dir.ok()) {
+    fs_->Close(fd.value());
+    (void)fs_->Remove(GenPath(gen_ + 1));  // best effort
+    return dir;
+  }
+  fs_->Close(fd_);
+  open_.gens.push_back(GenFile{gen_, gen_bytes_, gen_reports_});
+  fd_ = fd.value();
+  gen_++;
+  gen_bytes_ = 0;
+  gen_reports_ = 0;
+  return Status::Ok();
+}
 
 Status IngestWal::Checkpoint() {
   MutexLock ckpt_lock(ckpt_mu_);
+  return CheckpointLocked();
+}
 
-  // Phase A — under group-commit leadership: flush the pending block, then
-  // rotate to a fresh generation and take the unapplied backlog.  Barriers
-  // and appends resume the moment leadership is released; the write-through
-  // below touches no WAL lock, so group commits proceed concurrently with
-  // the checkpoint's segment writes.
+Status IngestWal::CheckpointLocked() {
+  // Phase A — under group-commit leadership: flush the pending block, close
+  // the active generation, take the session ops the closed generations
+  // hold.  Barriers and appends resume the moment leadership is released.
   {
     MutexLock sync_lock(sync_mu_);
     while (sync_inflight_) {
@@ -811,156 +1043,70 @@ Status IngestWal::Checkpoint() {
     }
     sync_inflight_ = true;
   }
-  Status flushed = FlushAsLeader();
-  std::deque<FlushedRecord> batch;
-  uint64_t batch_bytes = 0;
+  Status status = FlushAsLeader();
+  std::vector<SessionOp> ops;
   uint64_t covered = 0;
   uint64_t prev_covered = 0;
-  std::map<std::pair<uint64_t, uint64_t>, uint64_t> pre_sizes;
-  Status rotated = Status::Ok();
-  if (flushed.ok()) {
+  if (status.ok()) {
     MutexLock lock(mu_);
-    if (!unapplied_.empty()) {
-      auto fd = fs_->Open(GenPath(gen_ + 1), O_CREAT | O_WRONLY | O_APPEND | O_TRUNC, 0644);
-      if (!fd.ok()) {
-        rotated = fd.error();
-      } else {
-        Status dir = config_.fsync ? fs_->SyncDir(config_.dir) : Status::Ok();
-        if (!dir.ok()) {
-          fs_->Close(fd.value());
-          (void)fs_->Remove(GenPath(gen_ + 1));  // best effort
-          rotated = dir;
-        } else {
-          fs_->Close(fd_);
-          fd_ = fd.value();
-          gen_++;
-          gen_bytes_ = 0;
-          batch = std::move(unapplied_);
-          unapplied_.clear();
-          batch_bytes = unapplied_bytes_;
-          unapplied_bytes_ = 0;
-          covered = gen_ - 1;
-          prev_covered = covered_gen_;
-          pre_sizes = durable_sizes_;
-        }
-      }
-    }
+    status = RotateLocked();
+    ops.swap(unapplied_);
+    covered = gen_ - 1;
+    prev_covered = covered_gen_;
   }
   {
     MutexLock sync_lock(sync_mu_);
     sync_inflight_ = false;
     sync_cv_.NotifyAll();
   }
-  if (!flushed.ok() || !rotated.ok()) {
+  if (status.ok() && ops.empty() && covered == prev_covered) {
+    return Status::Ok();  // nothing new since the last checkpoint
+  }
+
+  // Phase B — journal the session ops in order with one append, then
+  // publish the new wal.ckpt.
+  if (status.ok() && !ops.empty()) {
+    status = journal_ != nullptr ? journal_->Append(ops)
+                                 : Error{"wal: session ops but no journal attached"};
+  }
+  if (!status.ok()) {
+    // The journal rolled a failed append back: requeue the ops ahead of
+    // anything flushed since, so the retry keeps log order.
+    MutexLock lock(mu_);
+    unapplied_.insert(unapplied_.begin(), ops.begin(), ops.end());
+  } else {
+    // Should this fail, the ops are journaled but the old wal.ckpt stays
+    // authoritative: a crash replays them once more, which is idempotent,
+    // and the next checkpoint covers them.
+    status = WriteCheckpoint(covered);
+  }
+  if (!status.ok()) {
     MutexLock stats_lock(stats_mu_);
     stats_.checkpoint_failures++;
-    return flushed.ok() ? rotated : flushed;
-  }
-  if (batch.empty()) {
-    return Status::Ok();
+    return status;
   }
 
-  // Phase B — write-through.  Reports append to their spool segments (the
-  // spool's frame counts stay authoritative), session ops journal in order
-  // with one append, then everything fsyncs before the marker publishes the
-  // new truncate-to sizes.
-  struct TouchedSegment {
-    uint64_t pre_bytes = 0;
-    uint64_t frames_added = 0;
-    uint64_t bytes_added = 0;
-  };
-  std::map<std::pair<uint64_t, uint64_t>, TouchedSegment> touched;
-  std::vector<SessionOp> session_ops;
-  Status applied = Status::Ok();
-  for (const FlushedRecord& r : batch) {
-    if (r.kind == kWalEvict) {
-      session_ops.push_back({SessionOp::kEvict, r.session_id, r.value});
-      continue;
-    }
-    if (r.kind == kWalGoodbye) {
-      session_ops.push_back({SessionOp::kGoodbye, r.session_id, 0});
-      continue;
-    }
-    applied = spool_->Append(static_cast<size_t>(r.shard), r.epoch, r.report);
-    if (!applied.ok()) {
-      break;
-    }
-    auto [it, fresh] = touched.try_emplace(std::make_pair(r.epoch, r.shard));
-    if (fresh) {
-      auto pre = pre_sizes.find({r.epoch, r.shard});
-      it->second.pre_bytes = pre != pre_sizes.end() ? pre->second : 0;
-    }
-    it->second.frames_added++;
-    it->second.bytes_added += FrameWireSize(r.report.size());
-    if (r.kind == kWalReportCommit) {
-      session_ops.push_back({SessionOp::kCommit, r.session_id, r.value});
-    }
-  }
-  if (applied.ok()) {
-    applied = journal_->Append(session_ops);
-  }
-  if (applied.ok() && config_.fsync) {
-    applied = spool_->SyncAll();
-  }
-  if (applied.ok() && config_.fsync) {
-    // Segments created by this write-through must have DURABLE dirents
-    // before the marker publishes truncate-to sizes that reference them —
-    // a marker that survives a crash its segments did not would truncate
-    // and replay against files that no longer exist.
-    applied = fs_->SyncDir(config_.dir);
-  }
-
-  if (!applied.ok()) {
-    // Undo the partial write-through: segments roll back to their
-    // pre-checkpoint sizes (a failed journal append has already rolled
-    // itself back, and a successful one re-applied on retry is harmless —
-    // replay is idempotent), and the batch returns to the FRONT of the
-    // queue so the retry preserves record order.
-    for (const auto& [key, t] : touched) {
-      (void)spool_->TruncateSegmentTo(static_cast<size_t>(key.second), key.first,
-                                      t.pre_bytes, t.frames_added);
-    }
-    {
-      MutexLock lock(mu_);
-      unapplied_bytes_ += batch_bytes;
-      unapplied_.insert(unapplied_.begin(), std::make_move_iterator(batch.begin()),
-                        std::make_move_iterator(batch.end()));
-    }
-    MutexLock stats_lock(stats_mu_);
-    stats_.checkpoint_failures++;
-    return applied;
-  }
-
-  std::map<std::pair<uint64_t, uint64_t>, uint64_t> marker_sizes;
+  // Covered generations without reports have nothing left to give.
+  std::vector<uint64_t> spent;
   {
     MutexLock lock(mu_);
-    for (const auto& [key, t] : touched) {
-      durable_sizes_[key] = t.pre_bytes + t.bytes_added;
-    }
     covered_gen_ = covered;
-    marker_sizes = durable_sizes_;
+    auto& gens = open_.gens;
+    for (auto it = gens.begin(); it != gens.end();) {
+      if (it->reports == 0) {
+        spent.push_back(it->gen);
+        it = gens.erase(it);
+      } else {
+        ++it;
+      }
+    }
   }
-  Status marker = WriteMarker(covered, marker_sizes);
-  if (!marker.ok()) {
-    // The records ARE durably applied; only the marker is stale.  A crash
-    // now truncates the segments back to the old marker's sizes and replays
-    // the still-present generations — byte-identical, exactly once.  Revert
-    // the covered watermark so the next checkpoint's marker re-covers these
-    // generations (and its unlink sweep removes them).
-    MutexLock lock(mu_);
-    covered_gen_ = prev_covered;
-    MutexLock stats_lock(stats_mu_);
-    stats_.checkpoint_failures++;
-    return marker;
-  }
-  for (uint64_t gen = prev_covered + 1; gen <= covered; ++gen) {
-    // Best effort: a stale generation <= covered_gen is skipped by recovery.
-    (void)fs_->Remove(GenPath(gen));
+  for (uint64_t gen : spent) {
+    (void)fs_->Remove(GenPath(gen));  // best effort: recovery drops it too
   }
   {
     MutexLock stats_lock(stats_mu_);
     stats_.checkpoints++;
-    stats_.checkpointed_records += batch.size();
   }
   if (post_checkpoint_) {
     post_checkpoint_();
@@ -971,29 +1117,89 @@ Status IngestWal::Checkpoint() {
 Status IngestWal::MaybeCheckpoint() {
   {
     MutexLock lock(mu_);
-    if (unapplied_bytes_ + pending_bytes_ < config_.checkpoint_threshold_bytes) {
+    if (gen_bytes_ + pending_bytes_ < config_.checkpoint_threshold_bytes) {
       return Status::Ok();
     }
   }
   return Checkpoint();
 }
 
-void IngestWal::NoteEpochSealed(uint64_t epoch) {
-  MutexLock lock(mu_);
-  for (auto it = durable_sizes_.lower_bound({epoch, 0});
-       it != durable_sizes_.end() && it->first.first == epoch;) {
-    it = durable_sizes_.erase(it);
+Status IngestWal::SealEpoch(uint64_t epoch) {
+  MutexLock ckpt_lock(ckpt_mu_);
+  // The checkpoint closes the epoch's last generation and journals every
+  // session op in it, so the marker only ever names covered generations.
+  Status status = CheckpointLocked();
+  if (!status.ok()) {
+    return status;
   }
+  EpochFiles files;
+  {
+    MutexLock lock(mu_);
+    files = open_;
+  }
+  status = WriteSealMarker(epoch, files);
+  if (!status.ok()) {
+    return status;
+  }
+  MutexLock lock(mu_);
+  open_ = EpochFiles{};
+  sealed_[epoch] = std::move(files);
+  return Status::Ok();
+}
+
+std::unique_ptr<RecordStream> IngestWal::OpenEpochStream(uint64_t epoch) const {
+  std::vector<std::string> paths;
+  uint64_t total = 0;
+  {
+    MutexLock lock(mu_);
+    auto it = sealed_.find(epoch);
+    if (it != sealed_.end()) {
+      for (const GenFile& gen : it->second.gens) {
+        paths.push_back(GenPath(gen.gen));
+      }
+      for (uint64_t count : it->second.counts) {
+        total += count;
+      }
+    }
+  }
+  return std::make_unique<GenerationStream>(std::move(paths), epoch, total);
+}
+
+Status IngestWal::RemoveEpoch(uint64_t epoch) {
+  std::vector<uint64_t> gens;
+  {
+    MutexLock lock(mu_);
+    auto it = sealed_.find(epoch);
+    if (it != sealed_.end()) {
+      for (const GenFile& gen : it->second.gens) {
+        gens.push_back(gen.gen);
+      }
+    }
+  }
+  // Generations first, the marker last: a crash in between leaves a marker
+  // naming a generation that is gone, and recovery finishes the removal
+  // instead of draining — and releasing — what is left of the epoch.
+  for (uint64_t gen : gens) {
+    Status removed = fs_->Remove(GenPath(gen));
+    if (!removed.ok()) {
+      return Error{"wal: cannot remove " + GenPath(gen) + ": " + removed.error().message};
+    }
+    MutexLock lock(mu_);
+    auto& remaining = sealed_[epoch].gens;
+    remaining.erase(remaining.begin());
+  }
+  Status removed = fs_->Remove(MarkerPath(epoch));
+  if (!removed.ok()) {
+    return Error{"wal: cannot remove " + MarkerPath(epoch) + ": " + removed.error().message};
+  }
+  MutexLock lock(mu_);
+  sealed_.erase(epoch);
+  return Status::Ok();
 }
 
 IngestWal::Stats IngestWal::stats() const {
   MutexLock lock(stats_mu_);
   return stats_;
-}
-
-uint64_t IngestWal::unapplied_bytes() const {
-  MutexLock lock(mu_);
-  return unapplied_bytes_ + pending_bytes_;
 }
 
 }  // namespace prochlo

@@ -1,13 +1,22 @@
-// Unified group-commit write-ahead log for the ingest spool: the single
+// Unified group-commit write-ahead log for the ingest tier: the single
 // commit point through which a report or a session-state change becomes
-// durable.
+// durable, and — since a sealed epoch is nothing but its WAL generations —
+// the spool the drain reads.
 //
 // A report and its (session, seq) commit are ONE record in ONE log, appended
 // (and made durable) atomically, so there is no crash point at which the
 // report survives without its commit and a client replay re-ingests it as a
 // duplicate.  Session evictions and goodbyes ride the same log, so every
-// session-state mutation is totally ordered with the report stream.  The
-// spool segments and the session journal are only checkpoint targets.
+// session-state mutation is totally ordered with the report stream.
+//
+// On-disk layout (all under `dir`, the spool root):
+//
+//   ingest-<gen>.wal    CRC-framed blocks of records; reports of ONE epoch
+//   wal.ckpt            the highest generation whose session ops are
+//                       journaled (tmp + fsync + rename + dir-fsync)
+//   epoch-<e>.sealed    marker: epoch e's generations with their byte
+//                       sizes, and its per-shard report counts
+//   sessions.journal    checkpoint target for session state
 //
 // Layered on the single commit point:
 //
@@ -20,63 +29,73 @@
 //   * Block packing.  A flush writes one CRC-framed block whose payload
 //     packs every pending record, amortizing the 22 B v2 frame header that
 //     costs ~5% on ~450 B sealed reports when paid per record.
-//   * Checkpointing.  `Checkpoint()` rotates to a fresh WAL generation and
-//     writes the flushed-but-unapplied records through to their final homes
-//     — spool segments for reports, one `SessionJournal::Append` for the
-//     session ops — then atomically publishes a checkpoint marker (`wal.ckpt`, written
-//     tmp + fsync + rename + parent-dir fsync) and deletes the consumed
-//     generations.  Recovery replays only the un-checkpointed suffix.
+//   * Checkpointing.  `Checkpoint()` rotates to a fresh generation, appends
+//     the flushed session ops to the session journal, and publishes
+//     `wal.ckpt`.  It copies no report bytes: a report's one durable copy
+//     is its WAL record.  Generations that hold no reports are unlinked
+//     once covered; the rest wait for their epoch to drain.
+//   * Sealing.  `SealEpoch(e)` checkpoints (so e's last generation closes
+//     and every session op in it is journaled), then publishes
+//     `epoch-<e>.sealed` naming e's generations.  No generation therefore
+//     holds reports of two epochs, though a mid-epoch checkpoint can spread
+//     one epoch over several generations.  `OpenEpochStream(e)` reads the
+//     reports back one CRC-checked block at a time; `RemoveEpoch(e)` unlinks
+//     the generations first and the marker last.
 //
 // Failure semantics: a failed group commit rolls the active generation back
 // to its durable prefix, fires the dead records' completions with the error
 // (the caller NACKs — with the unified record, "commit lost" always implies
 // "report lost", so degradation can no longer manufacture a post-restart
 // duplicate), and invokes the rollback callback so ingest accounting
-// forgets the buffered reports.  A failed checkpoint restores the
-// unapplied queue and truncates any partially-written segment bytes; the
-// old generations and marker stay, so a later retry (or a restart) sees a
-// consistent prefix.
+// forgets the buffered reports.  A failed journal append keeps its session
+// ops queued for the next checkpoint; a failed marker leaves the old one
+// authoritative, so a later retry (or a restart) sees a consistent prefix.
 //
-// Recovery is two-phase around `Spool::Open()`:
-//   1. `RecoverBeforeSpoolOpen()` — roll unsealed segments back to their
-//      checkpointed sizes (undoing any partially-applied checkpoint),
-//      then replay every generation past the marker, appending report
-//      records to their segment files (so the spool's own recovery counts
-//      them like any other durable frame) and returning the session ops in
-//      log order.
-//   2. caller opens the spool + journal, re-journals the returned session
-//      ops, then `FinishRecovery()` — fsync the replayed segments, publish
-//      a fresh marker, delete the consumed generations, open a new active
-//      generation.  A crash anywhere before `FinishRecovery`'s marker
-//      rename re-runs the same replay against the old marker: idempotent.
+// Recovery is two-phase around the session journal:
+//   1. `Recover()` — one read-only pass over the generations, one block at a
+//      time.  A sealed epoch's counts come from its marker when the named
+//      generations still have their recorded sizes; every other generation
+//      is scanned for per-(epoch, shard) report counts, and those past
+//      `wal.ckpt` also for their session ops, returned in log order.  Only
+//      the newest generation may end in a torn write — a bad block with no
+//      CRC-valid frame after it; any other bad block fails recovery with
+//      the file and offset, leaving every file as it was.
+//   2. the caller journals the returned session ops, then `FinishRecovery()`
+//      truncates the torn tail, publishes `wal.ckpt` over every generation,
+//      seals (or re-seals) epochs that need a marker, finishes removing
+//      epochs a crash interrupted mid-removal, unlinks covered generations
+//      that hold no reports, and opens a fresh generation.  A crash anywhere
+//      in between re-runs the same recovery against the old files.
 #ifndef PROCHLO_SRC_SERVICE_WAL_H_
 #define PROCHLO_SRC_SERVICE_WAL_H_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
+#include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "src/service/fs.h"
 #include "src/service/session_journal.h"
-#include "src/service/spool.h"
 #include "src/util/bytes.h"
+#include "src/util/record_stream.h"
 #include "src/util/status.h"
 #include "src/util/thread_annotations.h"
 
 namespace prochlo {
 
 struct IngestWalConfig {
-  // Directory the WAL lives in — the spool root, so segments, journal, and
-  // log share one crash domain (and one parent-dir fsync).
+  // Directory the WAL lives in — the spool root, so generations, markers
+  // and the journal share one crash domain (and one parent-dir fsync).
   std::string dir;
   // Group commits fsync before completions fire.  Off = page-cache
   // durability: process-kill safe, power-loss not (mirrors fsync_spool).
   bool fsync = true;
-  // Checkpoint when the flushed-but-unapplied backlog exceeds this.
+  // Checkpoint when the active generation (plus the pending block) exceeds
+  // this many bytes.
   uint64_t checkpoint_threshold_bytes = 1ull << 20;
   // Filesystem seam; nullptr uses Fs::Real().
   Fs* fs = nullptr;
@@ -89,15 +108,23 @@ class IngestWal {
   // commit, so ingest shard counts forget the buffered report.
   using RollbackCallback = std::function<void(size_t, uint64_t)>;
 
+  // One epoch as it stands once recovery finishes: its reports per shard,
+  // and whether it is sealed (queued for drain) or still accumulating.
+  struct RecoveredEpoch {
+    std::vector<uint64_t> shard_counts;
+    bool sealed = false;
+  };
+
   struct Recovery {
-    // Commit/evict/goodbye records of the replayed suffix, in log order.
+    // Commit/evict/goodbye records past wal.ckpt, in log order.
     std::vector<SessionOp> session_ops;
+    // Every epoch that holds reports, keyed by epoch.  At most one is
+    // unsealed: older unsealed epochs are sealed by FinishRecovery.
+    std::map<uint64_t, RecoveredEpoch> epochs;
+    // Reports in generations past wal.ckpt.
     uint64_t replayed_reports = 0;
-    uint64_t replayed_blocks = 0;
     // Torn tail dropped from the newest generation.
     uint64_t truncated_bytes = 0;
-    // Un-checkpointed segment bytes rolled back before replay.
-    uint64_t reset_segment_bytes = 0;
   };
 
   struct Stats {
@@ -109,7 +136,6 @@ class IngestWal {
     uint64_t rolled_back_records = 0;
     uint64_t checkpoints = 0;
     uint64_t checkpoint_failures = 0;
-    uint64_t checkpointed_records = 0;
   };
 
   explicit IngestWal(const IngestWalConfig& config);
@@ -118,14 +144,16 @@ class IngestWal {
   IngestWal(const IngestWal&) = delete;
   IngestWal& operator=(const IngestWal&) = delete;
 
-  // Recovery phase 1; see the file comment.  Call before Spool::Open().
-  Result<Recovery> RecoverBeforeSpoolOpen();
-  // Recovery phase 2; call after the returned session ops are durable in
+  // Recovery phase 1; see the file comment.  Creates the directory if
+  // needed and modifies no file.
+  Result<Recovery> Recover();
+  // Recovery phase 2; call once the returned session ops are durable in
   // the session journal.  Leaves the WAL open for appends.
   Status FinishRecovery();
 
-  // Steady-state checkpoint targets.  Must outlive this WAL.
-  void AttachTargets(Spool* spool, SessionJournal* journal);
+  // Checkpoint target for session ops.  May stay null while no record
+  // carries one (a spool with ack-less reports only).  Must outlive this WAL.
+  void AttachJournal(SessionJournal* journal);
   void set_rollback_callback(RollbackCallback cb);
   // Runs after every successful checkpoint (e.g. journal compaction).
   void set_post_checkpoint_hook(std::function<void()> hook);
@@ -134,7 +162,8 @@ class IngestWal {
   // On success, ownership of *done moves into the WAL: it fires exactly
   // once — Ok after a group commit covers the record, the flush error if
   // the record is rolled back.  On failure *done is untouched and the
-  // caller resolves it.  Returns the record's LSN.
+  // caller resolves it.  Returns the record's LSN.  Reports of an epoch
+  // must follow the previous epoch's SealEpoch.
   Result<uint64_t> AppendReport(size_t shard, uint64_t epoch, ByteSpan report,
                                 uint64_t session_id, uint64_t seq,
                                 Completion* done);
@@ -152,18 +181,25 @@ class IngestWal {
   // Whether a failed group commit dropped this LSN.
   bool WasRolledBack(uint64_t lsn) const;
 
-  // Write the unapplied backlog through to the spool + journal, publish a
-  // new marker, truncate the log.  Serialized; safe to call concurrently
-  // with appends and barriers.
+  // Rotate, journal the flushed session ops, publish wal.ckpt.  Serialized;
+  // safe to call concurrently with appends and barriers.
   Status Checkpoint();
-  // Checkpoint iff the unapplied backlog exceeds the configured threshold.
+  // Checkpoint iff the active generation exceeds the configured threshold.
   Status MaybeCheckpoint();
-  // The epoch's segments are sealed: drop their checkpoint-marker entries
-  // (recovery never touches sealed epochs).
-  void NoteEpochSealed(uint64_t epoch);
+  // Seals `epoch`, whose reports are every report flushed since the last
+  // seal: checkpoint, then publish its marker.  The caller keeps new
+  // reports of `epoch` out until this returns; on failure the epoch stays
+  // open and a retry seals everything it has gathered since.
+  Status SealEpoch(uint64_t epoch);
+  // Streams a sealed epoch's reports in log order, one block resident at a
+  // time; size() is the sealed count.  A bad block ends the stream early,
+  // which the drain reports as an error.
+  std::unique_ptr<RecordStream> OpenEpochStream(uint64_t epoch) const;
+  // Unlinks a drained epoch's generations, then its marker.  A failed call
+  // keeps what is left tracked, so a retry resumes where it stopped.
+  Status RemoveEpoch(uint64_t epoch);
 
   Stats stats() const;
-  uint64_t unapplied_bytes() const;
 
  private:
   struct PendingRecord {
@@ -176,14 +212,6 @@ class IngestWal {
     Bytes report;
     Completion done;
   };
-  struct FlushedRecord {
-    uint8_t kind = 0;
-    uint64_t shard = 0;
-    uint64_t epoch = 0;
-    uint64_t session_id = 0;
-    uint64_t value = 0;
-    Bytes report;
-  };
 
   // Moves from `record` only on success, so the caller can hand a failed
   // record's completion back to its origin.
@@ -192,21 +220,42 @@ class IngestWal {
   // sync watermark.  Precondition: this thread holds sync leadership
   // (sync_inflight_ set under sync_mu_).
   Status FlushAsLeader() EXCLUDES(sync_mu_, mu_);
+  // Closes the active generation into the open epoch's list and opens the
+  // next one, unless the active generation is empty.
+  Status RotateLocked() REQUIRES(mu_);
+  Status CheckpointLocked() REQUIRES(ckpt_mu_);
   bool IsRolledBackLocked(uint64_t lsn) const REQUIRES(sync_mu_);
 
   std::string GenPath(uint64_t gen) const;
-  std::string MarkerPath() const;
-  Status WriteMarker(uint64_t covered_gen,
-                     const std::map<std::pair<uint64_t, uint64_t>, uint64_t>&
-                         segment_sizes);
+  std::string MarkerPath(uint64_t epoch) const;
+  // Publishes `payload` as one CRC-framed file at `path`: tmp + fsync +
+  // rename + dir-fsync.
+  Status PublishFile(const std::string& path, ByteSpan payload);
+  Status WriteCheckpoint(uint64_t covered_gen);
+
+  struct GenFile {
+    uint64_t gen = 0;
+    uint64_t bytes = 0;
+    uint64_t reports = 0;
+  };
+  // An epoch's generations and per-shard report counts: the contents of
+  // its seal marker.
+  struct EpochFiles {
+    std::vector<GenFile> gens;
+    std::vector<uint64_t> counts;
+  };
+  Status WriteSealMarker(uint64_t epoch, const EpochFiles& files);
+  // The marker's contents; nullopt when it is missing, torn or corrupt.
+  std::optional<EpochFiles> ReadSealMarker(uint64_t epoch) const;
 
   IngestWalConfig config_;
   Fs* fs_;
 
   // Lock order: ckpt_mu_ -> sync_mu_ -> mu_.  sync_mu_ runs the group
-  // commit leader election; mu_ guards the append buffer and the active
-  // generation; ckpt_mu_ serializes checkpoints (held across the
-  // write-through, which takes no other WAL lock).
+  // commit leader election; mu_ guards the append buffer, the active
+  // generation and the epoch bookkeeping; ckpt_mu_ serializes checkpoints
+  // and seals (held across the journal append and marker writes, which
+  // take no other WAL lock).
   Mutex ckpt_mu_;
   mutable Mutex sync_mu_ ACQUIRED_AFTER(ckpt_mu_);
   CondVar sync_cv_;
@@ -221,40 +270,37 @@ class IngestWal {
   int fd_ GUARDED_BY(mu_) = -1;
   uint64_t gen_ GUARDED_BY(mu_) = 0;
   // Bytes durably flushed to the active generation — the truncation target
-  // when a flush fails partway.
+  // when a flush fails partway — and the reports among them.
   uint64_t gen_bytes_ GUARDED_BY(mu_) = 0;
+  uint64_t gen_reports_ GUARDED_BY(mu_) = 0;
   uint64_t next_lsn_ GUARDED_BY(mu_) = 1;
   std::vector<PendingRecord> pending_ GUARDED_BY(mu_);
   uint64_t pending_bytes_ GUARDED_BY(mu_) = 0;
-  // Flushed (durable in some generation) but not yet checkpointed, in LSN
-  // order.  A failed checkpoint restores its slice to the front.
-  std::deque<FlushedRecord> unapplied_ GUARDED_BY(mu_);
-  uint64_t unapplied_bytes_ GUARDED_BY(mu_) = 0;
-  // (epoch, shard) -> segment bytes covered by the last marker; the sizes
-  // recovery truncates unsealed segments back to.
-  std::map<std::pair<uint64_t, uint64_t>, uint64_t> durable_sizes_
-      GUARDED_BY(mu_);
-  // Highest generation the on-disk marker covers; generations above it
-  // replay at recovery, generations at or below it get unlinked.
+  // Session ops flushed but not yet journaled, in LSN order.
+  std::vector<SessionOp> unapplied_ GUARDED_BY(mu_);
+  // Highest generation the on-disk wal.ckpt covers; recovery replays the
+  // session ops of generations above it.
   uint64_t covered_gen_ GUARDED_BY(mu_) = 0;
+  // The open epoch: its closed generations and its flushed reports per
+  // shard (the active generation's join at the next rotation).
+  EpochFiles open_ GUARDED_BY(mu_);
+  // Sealed epochs whose files await RemoveEpoch.
+  std::map<uint64_t, EpochFiles> sealed_ GUARDED_BY(mu_);
   // A failed group commit whose rollback truncate ALSO failed leaves garbage
   // past gen_bytes_ in the active generation.  The next flush must truncate
   // it away before writing anything (a clean frame after the garbage would
-  // make recovery's clean-prefix probe replay the dead records); until that
-  // succeeds every flush fails and the service degrades to NACKs.  Appends
-  // keep buffering, so the condition heals as soon as the filesystem does.
+  // make recovery refuse the generation as corrupt); until that succeeds
+  // every flush fails and the service degrades to NACKs.  Appends keep
+  // buffering, so the condition heals as soon as the filesystem does.
   bool dirty_tail_ GUARDED_BY(mu_) = false;
 
-  Spool* spool_ = nullptr;
   SessionJournal* journal_ = nullptr;
   RollbackCallback rollback_;
   std::function<void()> post_checkpoint_;
 
-  // Recovery scratch, valid between the two phases.
-  bool recovered_ = false;
-  uint64_t recovered_max_gen_ = 0;
-  std::vector<uint64_t> recovered_gens_;
-  std::vector<std::string> replayed_segment_paths_;
+  // Recovery plan, valid between the two phases.
+  struct RecoveryPlan;
+  std::unique_ptr<RecoveryPlan> plan_;
 
   mutable Mutex stats_mu_;
   Stats stats_ GUARDED_BY(stats_mu_);

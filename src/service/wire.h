@@ -1,6 +1,6 @@
 // The shuffler-frontend wire format: how sealed reports travel from clients
-// to the ingestion tier, how the service acknowledges them, and how they are
-// laid out inside spool segments.
+// to the ingestion tier, how the service acknowledges them, and how the
+// ingest WAL frames its blocks on disk.
 //
 // A frame is a versioned, typed, length-prefixed, CRC-checked envelope:
 //
@@ -17,8 +17,8 @@
 //
 //   kReport  client -> server.  payload = the sealed report (the outer
 //            HybridBox bytes of report.h); seq = the client's per-session
-//            sequence number (0 inside spool segments, which predate the
-//            connection and need no acknowledgment).
+//            sequence number (0 for a WAL block, which lives on disk and
+//            needs no acknowledgment).
 //   kAck     server -> client.  seq echoes the report frame's seq; sent only
 //            AFTER ShardedIngest::Accept returned Ok, so an ack means the
 //            report is durably spooled (report-safe), never merely received.
@@ -174,8 +174,8 @@ constexpr size_t FrameWireSize(size_t payload_size) {
 }
 
 // Appends a frame to an existing buffer.  The payload-only overload writes a
-// report frame with seq 0 — the spool's append path, where frames live in
-// segment files and are never acknowledged.
+// report frame with seq 0 — the WAL's block path, where frames live in
+// files and are never acknowledged.
 void AppendFrame(Bytes& out, ByteSpan payload);
 void AppendFrame(Bytes& out, FrameType type, uint64_t seq, ByteSpan payload);
 
@@ -252,8 +252,8 @@ struct FrameStreamStats {
 // Streaming reader over a byte buffer containing zero or more frames.
 // NextFrame() yields each valid frame in order; corrupt frames are skipped
 // (with stats kept) by scanning forward for the next magic.  Next() is the
-// payload-only view for streams known to hold report frames (spool
-// segments, legacy buffers).
+// payload-only view for streams known to hold report frames (files of
+// frames, legacy buffers).
 class FrameReader {
  public:
   explicit FrameReader(ByteSpan stream) : stream_(stream) {}
@@ -267,8 +267,8 @@ class FrameReader {
 
   // Byte offset just past the last frame of the unbroken valid prefix: every
   // frame before it decoded cleanly and no corruption had yet been seen.
-  // The spool truncates a reopened segment here, discarding a torn tail
-  // without touching durable frames.
+  // The session journal truncates a reopened log here, discarding a torn
+  // tail without touching durable frames.
   size_t clean_prefix_end() const { return clean_prefix_end_; }
 
  private:

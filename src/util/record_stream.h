@@ -20,8 +20,8 @@ class RecordStream {
  public:
   virtual ~RecordStream() = default;
 
-  // Total records the stream will yield (known up front: epoch segment
-  // counts are tracked by the spool, vectors know their size).
+  // Total records the stream will yield (known up front: a sealed epoch's
+  // seal marker records its count, vectors know their size).
   virtual size_t size() const = 0;
 
   // Next record, or nullopt once size() records have been yielded.

@@ -34,7 +34,7 @@
 #include "src/service/ingest.h"
 #include "src/service/runtime.h"
 #include "src/service/session_journal.h"
-#include "src/service/spool.h"
+#include "src/service/wal.h"
 #include "src/service/wire.h"
 #include "src/util/rng.h"
 #include "tests/support/fault_fs.h"
@@ -668,6 +668,66 @@ TEST(ServiceDurabilityTest, RemoveEpochFailuresRetryBoundedThenSurface) {
   ASSERT_EQ(drained.results.size(), 1u);
   EXPECT_EQ(frontend.stats().remove_failures.load(), 1u);
   fault.FailRemoves(0);
+}
+
+// ----------------------- a drained epoch's removal, crashed at every step
+
+// Removing a drained epoch unlinks its generations, then its seal marker.
+// A crash part-way must never let a restart drain what is left: a second,
+// thinner release of the same epoch differs from the first by crowds
+// smaller than T, exactly what thresholding hides.  The epoch spans three
+// generations; the process dies at every syscall k of the removal, and the
+// restart drains the whole epoch again, bit-identically, only when nothing
+// was removed — otherwise it finishes the removal and drains nothing.
+TEST(ServiceDurabilityTest, CrashDuringDrainedEpochRemovalNeverRedrainsAPartialEpoch) {
+  FrontendConfig base = DurabilityFrontendConfig("");
+  const std::vector<Bytes> sealed = SealCohort(base);
+  const auto expected = SerialHistograms(base, sealed);
+  ASSERT_EQ(expected.count(0), 1u);
+  const size_t third = sealed.size() / 3;
+
+  // Three generation unlinks and the marker's; k = 5 lands after them all.
+  for (uint64_t k = 1; k <= 5; ++k) {
+    SCOPED_TRACE("crash at removal syscall k=" + std::to_string(k));
+    ScratchDir dir("durability-removal-" + std::to_string(k));
+    FrontendConfig config = base;
+    config.spool_dir = dir.path;
+    FaultFs fault;
+    {
+      FrontendConfig faulty = config;
+      faulty.fs = &fault;
+      ShufflerFrontend frontend(faulty);
+      ASSERT_TRUE(frontend.Start().ok());
+      for (size_t i = 0; i < sealed.size(); ++i) {
+        ASSERT_TRUE(frontend.AcceptReport(sealed[i]).ok());
+        if (i + 1 == third || i + 1 == 2 * third) {
+          ASSERT_TRUE(frontend.wal()->Checkpoint().ok());  // the next generation
+        }
+      }
+      ASSERT_TRUE(frontend.CutEpoch().ok());
+      fault.ArmCrash(k);
+      auto drained = frontend.DrainSealedEpochs();
+      ASSERT_TRUE(drained.ok());
+      ASSERT_EQ(drained.results.size(), 1u);
+      EXPECT_EQ(drained.results[0].result.histogram, expected.at(0));
+      EXPECT_EQ(frontend.stats().remove_failures.load(), k <= 4 ? 1u : 0u);
+    }  // the process dies with the removal wherever it stopped
+
+    ShufflerFrontend after(config);
+    ASSERT_TRUE(after.Start().ok());
+    auto again = after.DrainSealedEpochs();
+    ASSERT_TRUE(again.ok()) << again.failure->error.message;
+    EXPECT_FALSE(stdfs::exists(dir.path + "/epoch-0.sealed"));
+    if (k == 1) {
+      // Nothing went: the whole epoch drains again, bit-identically.
+      ASSERT_EQ(again.results.size(), 1u);
+      EXPECT_EQ(again.results[0].reports, sealed.size());
+      EXPECT_EQ(again.results[0].result.histogram, expected.at(0));
+    } else {
+      EXPECT_TRUE(again.results.empty());
+      EXPECT_EQ(after.stats().recovered_reports.load(), 0u);
+    }
+  }
 }
 
 // ------------------------------------------- eviction → rotation, end-to-end

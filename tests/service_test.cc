@@ -1,5 +1,6 @@
 // The shuffler-frontend ingestion subsystem end to end: content-hash
-// sharding, epoch-cut policy, spool durability and torn-tail recovery, the
+// sharding, epoch-cut policy, the spool (sealed epochs as WAL generations)
+// and torn-tail recovery, the
 // batch encoder fast path, streaming stash-shuffle input, and the
 // acceptance scenario — reports framed, ingested across >= 4 shards,
 // spooled to disk, epoch-cut, shuffled, and analyzed to a histogram
@@ -17,6 +18,7 @@
 #include "src/service/frontend.h"
 #include "src/service/ingest.h"
 #include "src/service/spool.h"
+#include "src/service/wal.h"
 #include "src/service/wire.h"
 #include "src/sgx/attestation.h"
 #include "src/shuffle/stash_shuffle.h"
@@ -113,11 +115,52 @@ Bytes NumberedReport(uint64_t i) {
   return report;
 }
 
+// A WAL over `dir` (the spool root), recovered and open for appends.
+std::unique_ptr<IngestWal> OpenWal(const std::string& dir) {
+  IngestWalConfig config;
+  config.dir = dir;
+  config.fsync = false;
+  auto wal = std::make_unique<IngestWal>(config);
+  EXPECT_TRUE(wal->Recover().ok());
+  EXPECT_TRUE(wal->FinishRecovery().ok());
+  return wal;
+}
+
+// Appends half of one more frame to the newest WAL generation: the group
+// commit a crash tore.
+void TearNewestGeneration(const std::string& dir, const Bytes& payload) {
+  std::string victim;
+  unsigned long best_gen = 0;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    unsigned long gen = 0;
+    if (std::sscanf(name.c_str(), "ingest-%lu.wal", &gen) == 1 && gen >= best_gen) {
+      best_gen = gen;
+      victim = entry.path().string();
+    }
+  }
+  ASSERT_FALSE(victim.empty());
+  std::FILE* f = std::fopen(victim.c_str(), "ab");
+  ASSERT_NE(f, nullptr);
+  Bytes torn = EncodeFrame(payload);
+  torn.resize(torn.size() / 2);
+  std::fwrite(torn.data(), 1, torn.size(), f);
+  std::fclose(f);
+}
+
+uint64_t Total(const std::vector<uint64_t>& counts) {
+  uint64_t total = 0;
+  for (uint64_t count : counts) {
+    total += count;
+  }
+  return total;
+}
+
 TEST(ServiceTest, SizeTriggerSealsEpochs) {
   IngestConfig config;
   config.num_shards = 4;
   config.max_epoch_reports = 10;
-  ShardedIngest ingest(config, /*spool=*/nullptr);
+  ShardedIngest ingest(config);
   for (uint64_t i = 0; i < 25; ++i) {
     ASSERT_TRUE(ingest.Accept(NumberedReport(i)).ok());
   }
@@ -145,7 +188,7 @@ TEST(ServiceTest, AgeTriggerWaitsForAnonymityFloor) {
   config.num_shards = 2;
   config.max_epoch_age = 2;
   config.min_epoch_reports = 5;
-  ShardedIngest ingest(config, /*spool=*/nullptr);
+  ShardedIngest ingest(config);
   for (uint64_t i = 0; i < 3; ++i) {
     ASSERT_TRUE(ingest.Accept(NumberedReport(i)).ok());
   }
@@ -163,20 +206,21 @@ TEST(ServiceTest, AgeTriggerWaitsForAnonymityFloor) {
 }
 
 TEST(ServiceTest, TickSurfacesAndCountsSealFailures) {
-  // A spool whose directory vanishes mid-epoch: the age-cut's SealEpoch
-  // fails.  The failure must not vanish with it — Tick returns the error,
-  // stats record it, and the epoch stays open for a retry.
+  // A spool whose directory vanishes mid-epoch: the age-cut's seal cannot
+  // open the epoch's next generation.  The failure must not vanish with it
+  // — Tick returns the error, stats record it, and the epoch stays open for
+  // a retry.
   ScratchDir dir("seal-failure");
-  Spool spool(SpoolConfig{dir.path, /*fsync_on_seal=*/false});
-  ASSERT_TRUE(spool.Open().ok());
+  auto wal = OpenWal(dir.path);
   IngestConfig config;
   config.num_shards = 2;
   config.max_epoch_age = 1;
-  ShardedIngest ingest(config, &spool);
+  ShardedIngest ingest(config);
+  ingest.SetWal(wal.get());
   for (uint64_t i = 0; i < 4; ++i) {
     ASSERT_TRUE(ingest.Accept(NumberedReport(i)).ok());
   }
-  fs::remove_all(dir.path);  // wedge the spool: the seal marker can't be written
+  fs::remove_all(dir.path);  // wedge the spool: the seal can't rotate or mark
 
   Status tick = ingest.Tick();
   EXPECT_FALSE(tick.ok());
@@ -204,6 +248,7 @@ TEST(ServiceTest, TickSurfacesAndCountsSealFailures) {
     shard_sum += count;
   }
   EXPECT_EQ(shard_sum, 4u);
+  EXPECT_EQ(wal->OpenEpochStream(0)->size(), 4u);  // the marker names all four
 }
 
 // ------------------------------------------------------------------ spool
@@ -212,38 +257,37 @@ TEST(ServiceTest, SpoolRoundTripAndTornTailRecovery) {
   ScratchDir dir("spool-recovery");
   std::vector<Bytes> epoch0;
   {
-    Spool spool(SpoolConfig{dir.path, /*fsync_on_seal=*/true});
-    ASSERT_TRUE(spool.Open().ok());
+    auto wal = OpenWal(dir.path);
     for (uint64_t i = 0; i < 5; ++i) {
       epoch0.push_back(NumberedReport(i));
-      ASSERT_TRUE(spool.Append(/*shard=*/0, /*epoch=*/0, epoch0.back()).ok());
+      ASSERT_TRUE(wal->AppendReport(/*shard=*/0, /*epoch=*/0, epoch0.back(), 0, 0, nullptr).ok());
     }
     for (uint64_t i = 5; i < 8; ++i) {
       epoch0.push_back(NumberedReport(i));
-      ASSERT_TRUE(spool.Append(/*shard=*/1, /*epoch=*/0, epoch0.back()).ok());
+      ASSERT_TRUE(wal->AppendReport(/*shard=*/1, /*epoch=*/0, epoch0.back(), 0, 0, nullptr).ok());
     }
-    ASSERT_TRUE(spool.SealEpoch(0).ok());
-    ASSERT_TRUE(spool.Append(/*shard=*/0, /*epoch=*/1, NumberedReport(100)).ok());
-    ASSERT_TRUE(spool.Append(/*shard=*/0, /*epoch=*/1, NumberedReport(101)).ok());
-    ASSERT_TRUE(spool.SyncAll().ok());
+    ASSERT_TRUE(wal->SealEpoch(0).ok());
+    ASSERT_TRUE(wal->AppendReport(0, 1, NumberedReport(100), 0, 0, nullptr).ok());
+    ASSERT_TRUE(wal->AppendReport(0, 1, NumberedReport(101), 0, 0, nullptr).ok());
+    ASSERT_TRUE(wal->Sync().ok());
   }
-  // Crash: append a torn half-frame to the in-progress epoch-1 segment.
-  {
-    std::FILE* f = std::fopen((dir.path + "/shard-0-epoch-1.seg").c_str(), "ab");
-    ASSERT_NE(f, nullptr);
-    Bytes torn = EncodeFrame(NumberedReport(102));
-    torn.resize(torn.size() - 7);
-    std::fwrite(torn.data(), 1, torn.size(), f);
-    std::fclose(f);
-  }
+  // Crash: a torn half-frame at the end of epoch 1's generation.
+  TearNewestGeneration(dir.path, NumberedReport(102));
 
-  Spool reopened(SpoolConfig{dir.path, true});
-  auto recovery = reopened.Open();
+  IngestWalConfig config;
+  config.dir = dir.path;
+  IngestWal reopened(config);
+  auto recovery = reopened.Recover();
   ASSERT_TRUE(recovery.ok()) << recovery.error().message;
-  EXPECT_EQ(recovery.value().sealed_epochs, std::set<uint64_t>{0});
+  ASSERT_EQ(recovery.value().epochs.size(), 2u);
+  const IngestWal::RecoveredEpoch& sealed = recovery.value().epochs.at(0);
+  EXPECT_TRUE(sealed.sealed);
+  EXPECT_EQ(sealed.shard_counts, (std::vector<uint64_t>{5, 3}));
+  const IngestWal::RecoveredEpoch& open = recovery.value().epochs.at(1);
+  EXPECT_FALSE(open.sealed);
+  EXPECT_EQ(Total(open.shard_counts), 2u);  // torn record discarded
   EXPECT_GT(recovery.value().truncated_bytes, 0u);
-  EXPECT_EQ(reopened.EpochFrameCount(0), 8u);
-  EXPECT_EQ(reopened.EpochFrameCount(1), 2u);  // torn record discarded
+  ASSERT_TRUE(reopened.FinishRecovery().ok());
 
   auto stream = reopened.OpenEpochStream(0);
   ASSERT_EQ(stream->size(), 8u);
@@ -251,7 +295,7 @@ TEST(ServiceTest, SpoolRoundTripAndTornTailRecovery) {
   while (auto record = stream->Next()) {
     yielded.push_back(std::move(*record));
   }
-  EXPECT_EQ(yielded, epoch0);  // shard order, append order within shard
+  EXPECT_EQ(yielded, epoch0);  // append order
 
   // Reset rewinds for shuffle retries.
   stream->Reset();
@@ -262,46 +306,49 @@ TEST(ServiceTest, SpoolRoundTripAndTornTailRecovery) {
   EXPECT_EQ(again, 8u);
 
   ASSERT_TRUE(reopened.RemoveEpoch(0).ok());
-  EXPECT_EQ(reopened.EpochFrameCount(0), 0u);
-  EXPECT_FALSE(fs::exists(dir.path + "/shard-0-epoch-0.seg"));
+  EXPECT_EQ(reopened.OpenEpochStream(0)->size(), 0u);
+  EXPECT_FALSE(fs::exists(dir.path + "/epoch-0.sealed"));
+  EXPECT_FALSE(fs::exists(dir.path + "/ingest-1.wal"));  // epoch 0's generation
 }
 
 TEST(ServiceTest, RecoveryResumesEpochWhoseOnlySegmentWasTorn) {
   ScratchDir dir("zero-frame-resume");
   {
-    Spool spool(SpoolConfig{dir.path, true});
-    ASSERT_TRUE(spool.Open().ok());
+    auto wal = OpenWal(dir.path);
     for (uint64_t i = 0; i < 6; ++i) {
-      ASSERT_TRUE(spool.Append(0, 0, NumberedReport(i)).ok());
+      ASSERT_TRUE(wal->AppendReport(0, 0, NumberedReport(i), 0, 0, nullptr).ok());
     }
-    ASSERT_TRUE(spool.SealEpoch(0).ok());
+    ASSERT_TRUE(wal->SealEpoch(0).ok());
   }
-  // Epoch 1 crashed so early that its only segment is a single torn frame;
-  // recovery truncates it to zero frames.
-  {
-    std::FILE* f = std::fopen((dir.path + "/shard-2-epoch-1.seg").c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    Bytes torn = EncodeFrame(NumberedReport(50));
-    torn.resize(torn.size() - 5);
-    std::fwrite(torn.data(), 1, torn.size(), f);
-    std::fclose(f);
-  }
+  // Epoch 1 crashed so early that its only generation is a single torn
+  // frame; recovery truncates it to nothing.
+  TearNewestGeneration(dir.path, NumberedReport(50));
 
-  Spool reopened(SpoolConfig{dir.path, true});
-  auto recovery = reopened.Open();
-  ASSERT_TRUE(recovery.ok());
+  IngestWalConfig wal_config;
+  wal_config.dir = dir.path;
+  IngestWal reopened(wal_config);
+  auto recovery = reopened.Recover();
+  ASSERT_TRUE(recovery.ok()) << recovery.error().message;
+  EXPECT_GT(recovery.value().truncated_bytes, 0u);
+  ASSERT_TRUE(reopened.FinishRecovery().ok());
   IngestConfig config;
   config.num_shards = 4;
-  ShardedIngest ingest(config, &reopened);
+  ShardedIngest ingest(config);
   ingest.RestoreFromRecovery(recovery.value());
+  ingest.SetWal(&reopened);
 
-  // The zero-frame epoch 1 must still be the resume point: new reports may
+  // The report-less epoch 1 must still be the resume point: new reports may
   // never be appended to epoch 0, whose seal marker already exists.
   EXPECT_EQ(ingest.current_epoch(), 1u);
   EXPECT_EQ(ingest.current_epoch_size(), 0u);
   ASSERT_TRUE(ingest.Accept(NumberedReport(60)).ok());
-  EXPECT_EQ(reopened.EpochFrameCount(0), 6u);  // sealed epoch untouched
-  EXPECT_EQ(reopened.EpochFrameCount(1), 1u);
+  ASSERT_TRUE(ingest.CutEpoch().ok());
+  EXPECT_EQ(reopened.OpenEpochStream(0)->size(), 6u);  // sealed epoch untouched
+  EXPECT_EQ(reopened.OpenEpochStream(1)->size(), 1u);
+  auto first = ingest.PopSealedEpoch();
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(first->epoch, 0u);
+  EXPECT_EQ(first->total, 6u);
 }
 
 TEST(ServiceTest, FailedDrainKeepsEpochQueued) {
@@ -345,14 +392,11 @@ TEST(ServiceTest, FailedDrainKeepsEpochQueued) {
     }
     // The failed merge left the spooled epoch intact on disk, and a
     // restarted frontend finds it sealed and drains all of it.
-    {
-      Spool spool(SpoolConfig{dir.path, true});
-      ASSERT_TRUE(spool.Open().ok());
-      EXPECT_EQ(spool.EpochFrameCount(0), 10u);
-    }
     config.pipeline.shuffler.min_batch_size = 0;
     ShufflerFrontend restarted(config);
     ASSERT_TRUE(restarted.Start().ok());
+    EXPECT_EQ(restarted.stats().recovered_reports, 10u);
+    EXPECT_EQ(restarted.current_epoch(), 1u);  // epoch 0 is sealed, not resumed
     auto drained = restarted.DrainSealedEpochs();
     ASSERT_TRUE(drained.ok()) << drained.failure->error.message;
     ASSERT_EQ(drained.results.size(), 1u);
@@ -466,7 +510,7 @@ TEST(ServiceTest, SizeCutSealFailureStillAcceptsTheReport) {
   ScratchDir dir("size-cut-seal-failure");
   FrontendConfig config;
   config.pipeline = ServicePipelineConfig(0);
-  config.ingest.num_shards = 1;  // one shard: the segment writer is already open
+  config.ingest.num_shards = 1;
   config.ingest.max_epoch_reports = 4;
   config.spool_dir = dir.path;
   config.fsync_spool = false;
@@ -475,11 +519,12 @@ TEST(ServiceTest, SizeCutSealFailureStillAcceptsTheReport) {
   for (uint64_t i = 0; i < 3; ++i) {
     ASSERT_TRUE(frontend.AcceptReport(NumberedReport(i)).ok());
   }
-  fs::remove_all(dir.path);  // wedge the spool: the seal marker can't be written
+  fs::remove_all(dir.path);  // wedge the spool: the seal can't rotate or mark
 
-  // The 4th report lands on the open segment fd (durable append succeeds),
-  // then the size-cut's SealEpoch fails.  That is the epoch's problem, not
-  // this report's: Accept returns Ok and the report is counted once.
+  // The size-cut's seal flushes the 4th report with the others to the open
+  // generation's fd, then fails to open the next generation.  That is the
+  // epoch's problem, not this report's: Accept returns Ok and the report is
+  // counted once.
   Status accepted = frontend.AcceptReport(NumberedReport(3));
   EXPECT_TRUE(accepted.ok()) << accepted.error().message;
   EXPECT_EQ(frontend.stats().reports_accepted, 4u);

@@ -1,8 +1,9 @@
 // The unified ingest WAL (src/service/wal.h) under test: torn-tail
-// truncation to the clean prefix, checkpoint write-through + replay
-// bit-identity against the in-memory serial frontend, group-commit fsync
-// amortization under concurrent clients, ENOSPC/EIO degradation books,
-// and a seeded crash sweep.  The report↔commit atomicity COUPLING — a
+// truncation to the clean prefix, bit rot refused rather than truncated,
+// checkpoint + replay and multi-generation epochs bit-identical to the
+// in-memory serial frontend, group-commit fsync amortization under
+// concurrent clients, ENOSPC/EIO degradation books, and a seeded crash
+// sweep.  The report↔commit atomicity COUPLING — a
 // failed group commit loses both halves together, never one — is pinned
 // here at the frontend level; the full networked exactly-once drills live
 // in service_durability_test.cc.
@@ -15,8 +16,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -173,10 +177,9 @@ TEST(ServiceWalTest, TornTailTruncatesToCleanPrefixAndReplaysExactly) {
 
 // -------------------------------------- checkpoint/replay bit-identity
 
-// Reports that crossed a checkpoint (write-through into spool segments)
-// and reports still in the live generation at the crash must together
-// reconstruct the same epoch the in-memory serial frontend produces — at
-// every thread count.
+// Reports in a checkpointed generation and reports still in the live
+// generation at the crash must together reconstruct the same epoch the
+// in-memory serial frontend produces — at every thread count.
 TEST(ServiceWalTest, CheckpointAndReplayStayBitIdenticalToSerialFrontend) {
   for (size_t threads : {size_t{0}, size_t{4}}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
@@ -191,7 +194,7 @@ TEST(ServiceWalTest, CheckpointAndReplayStayBitIdenticalToSerialFrontend) {
     {
       ShufflerFrontend before(config);
       ASSERT_TRUE(before.Start().ok());
-      // First third: checkpointed into segments (the backlog write-through).
+      // First third: in a generation the checkpoint closed and covered.
       for (size_t i = 0; i < third; ++i) {
         ASSERT_TRUE(before.AcceptReport(sealed[i]).ok());
       }
@@ -202,7 +205,7 @@ TEST(ServiceWalTest, CheckpointAndReplayStayBitIdenticalToSerialFrontend) {
         ASSERT_TRUE(before.AcceptReport(sealed[i]).ok());
       }
       ASSERT_TRUE(before.SyncSpool().ok());
-    }  // crash: segments + marker cover the first third, the WAL the second
+    }  // crash: wal.ckpt covers the first third's generation, not the second's
 
     ShufflerFrontend after(config);
     ASSERT_TRUE(after.Start().ok());
@@ -218,6 +221,140 @@ TEST(ServiceWalTest, CheckpointAndReplayStayBitIdenticalToSerialFrontend) {
     ASSERT_EQ(drained.results.size(), 1u);
     EXPECT_EQ(drained.results[0].reports, sealed.size());
     EXPECT_EQ(drained.results[0].result.histogram, expected);
+  }
+}
+
+// ------------------------------------- an epoch over several generations
+
+// A tiny checkpoint threshold makes every scheduling tick rotate the WAL,
+// so one epoch's reports span several generations.  The epoch drains every
+// report exactly once, bit-identical to the serial frontend at every
+// thread count, and its drain leaves the spool directory holding only
+// wal.ckpt, the session journal and the active generation.
+TEST(ServiceWalTest, EpochSpanningGenerationsDrainsOnceAndLeavesOnlyTheActiveGeneration) {
+  for (size_t threads : {size_t{0}, size_t{4}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    FrontendConfig base = WalFrontendConfig("", threads);
+    const std::vector<Bytes> sealed = SealCohort(base, "wal-span");
+    const auto expected = SerialHistogram(base, sealed);
+    const size_t third = sealed.size() / 3;
+
+    ScratchDir dir("wal-span-" + std::to_string(threads));
+    FrontendConfig config = base;
+    config.spool_dir = dir.path;
+    config.wal_checkpoint_threshold_bytes = 1;
+    ShufflerFrontend frontend(config);
+    ASSERT_TRUE(frontend.Start().ok());
+    for (size_t i = 0; i < sealed.size(); ++i) {
+      ASSERT_TRUE(frontend.AcceptReport(sealed[i]).ok());
+      if ((i + 1) % third == 0) {
+        ASSERT_TRUE(frontend.Tick().ok());  // checkpoint: a new generation
+      }
+    }
+    ASSERT_TRUE(frontend.CutEpoch().ok());
+    auto list = [&] {
+      std::set<std::string> names;
+      for (const auto& entry : stdfs::directory_iterator(dir.path)) {
+        names.insert(entry.path().filename().string());
+      }
+      return names;
+    };
+    size_t generations = 0;
+    for (const std::string& name : list()) {
+      generations += name.rfind("ingest-", 0) == 0 ? 1 : 0;
+    }
+    EXPECT_GE(generations, 4u);  // >= 3 of the epoch's, plus the active one
+
+    auto drained = frontend.DrainSealedEpochs();
+    ASSERT_TRUE(drained.ok()) << drained.failure->error.message;
+    ASSERT_EQ(drained.results.size(), 1u);
+    EXPECT_EQ(drained.results[0].reports, sealed.size());
+    EXPECT_EQ(drained.results[0].result.shuffler_stats.received, sealed.size());
+    EXPECT_EQ(drained.results[0].result.histogram, expected);
+    const std::string active = stdfs::path(NewestWalGen(dir.path)).filename().string();
+    EXPECT_EQ(list(), (std::set<std::string>{"wal.ckpt", "sessions.journal", active}));
+  }
+}
+
+// ------------------------------------------- bit rot is refused, not cut
+
+// A flipped byte is damage, not a torn write.  Recovery refuses it —
+// naming the file and offset, changing no file — whether intact blocks
+// follow it in the newest generation or it sits in an older one;
+// truncating there would silently drop acknowledged reports.  Inside a
+// sealed generation that recovery trusts from its marker, the drain's CRC
+// check catches it instead: the epoch fails and stays queued, never
+// released in part.
+TEST(ServiceWalTest, BitRotIsRefusedNeverTruncated) {
+  FrontendConfig base = WalFrontendConfig("");
+  const std::vector<Bytes> sealed = SealCohort(base, "wal-rot");
+  ASSERT_GE(sealed.size(), 48u);
+  enum class Where { kNewest, kOlder, kSealed };
+  for (Where where : {Where::kNewest, Where::kOlder, Where::kSealed}) {
+    SCOPED_TRACE("case " + std::to_string(static_cast<int>(where)));
+    ScratchDir dir("wal-rot-" + std::to_string(static_cast<int>(where)));
+    FrontendConfig config = base;
+    config.spool_dir = dir.path;
+    std::string victim;
+    {
+      ShufflerFrontend before(config);
+      ASSERT_TRUE(before.Start().ok());
+      // 48 acked reports in 3 group-commit blocks; the older and sealed
+      // cases close the first generation after one block.
+      for (size_t block = 0; block < 3; ++block) {
+        for (size_t i = 16 * block; i < 16 * (block + 1); ++i) {
+          ASSERT_TRUE(before.AcceptReport(sealed[i]).ok());
+        }
+        ASSERT_TRUE(before.SyncSpool().ok());
+        if (block == 0 && where == Where::kOlder) {
+          victim = NewestWalGen(dir.path);
+          ASSERT_TRUE(before.wal()->Checkpoint().ok());
+        }
+      }
+      if (where == Where::kSealed) {
+        victim = NewestWalGen(dir.path);
+        ASSERT_TRUE(before.CutEpoch().ok());
+      } else if (where == Where::kNewest) {
+        victim = NewestWalGen(dir.path);
+      }
+    }  // crash
+    ASSERT_FALSE(victim.empty());
+    const uint64_t size = stdfs::file_size(victim);
+    {
+      std::fstream f(victim, std::ios::in | std::ios::out | std::ios::binary);
+      f.seekg(static_cast<std::streamoff>(size / 2));
+      char byte = 0;
+      f.read(&byte, 1);
+      f.seekp(static_cast<std::streamoff>(size / 2));
+      byte = static_cast<char>(byte ^ 0x40);
+      f.write(&byte, 1);
+    }
+    auto snapshot = [&] {
+      std::map<std::string, std::string> files;
+      for (const auto& entry : stdfs::directory_iterator(dir.path)) {
+        std::ifstream in(entry.path(), std::ios::binary);
+        files[entry.path().filename().string()] =
+            std::string(std::istreambuf_iterator<char>(in), {});
+      }
+      return files;
+    };
+    const auto rotted = snapshot();
+
+    ShufflerFrontend after(config);
+    Status started = after.Start();
+    if (where == Where::kSealed) {
+      ASSERT_TRUE(started.ok()) << started.error().message;
+      auto drained = after.DrainSealedEpochs();
+      ASSERT_FALSE(drained.ok());
+      EXPECT_EQ(drained.failure->epoch, 0u);
+      EXPECT_EQ(after.stats().epochs_drained.load(), 0u);
+      continue;
+    }
+    ASSERT_FALSE(started.ok());
+    EXPECT_NE(started.error().message.find(victim), std::string::npos)
+        << started.error().message;
+    EXPECT_NE(started.error().message.find("offset"), std::string::npos);
+    EXPECT_EQ(snapshot(), rotted);  // byte-identical: nothing truncated
   }
 }
 
