@@ -57,7 +57,7 @@ Status ShardGroup::Stop() {
   // (its workers feed the frontend), then the durability point.
   Status status = server_.Shutdown();
   pool_.Stop();
-  Status synced = frontend_.SyncSpool();
+  Status synced = frontend_.BarrierIngest();
   return status.ok() ? synced : status;
 }
 

@@ -88,6 +88,7 @@ Status ShufflerFrontend::Start() {
     stats_.recovered_wal_reports += recovery.value().replayed_reports;
     stats_.recovered_wal_session_ops += wal_session_ops.size();
     stats_.recovered_truncated_bytes += recovery.value().truncated_bytes;
+    stats_.recovered_removals += recovery.value().finished_removals;
     for (const auto& [epoch, recovered] : recovery.value().epochs) {
       for (uint64_t count : recovered.shard_counts) {
         stats_.recovered_reports += count;
@@ -222,8 +223,6 @@ Status ShufflerFrontend::Tick() {
 Status ShufflerFrontend::CutEpoch(bool seal_if_empty) {
   return ingest_->CutEpoch(seal_if_empty);
 }
-
-Status ShufflerFrontend::SyncSpool() { return BarrierIngest(); }
 
 DrainReport ShufflerFrontend::DrainSealedEpochs() {
   DrainReport report;

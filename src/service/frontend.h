@@ -101,6 +101,8 @@ struct FrontendStats {
   std::atomic<uint64_t> remove_failures{0};
   // RemoveEpoch retry attempts that were needed (transient failures).
   std::atomic<uint64_t> remove_retries{0};
+  // Drained epochs whose removal a crash interrupted, finished at Start().
+  std::atomic<uint64_t> recovered_removals{0};
   // Session-journal recovery: live sessions restored and records replayed
   // at Start().
   std::atomic<uint64_t> recovered_sessions{0};
@@ -228,8 +230,6 @@ class ShufflerFrontend {
   // seals and advances even a zero-report epoch — the cluster coordinator's
   // epoch-alignment cut (see ShardedIngest::CutEpoch).
   Status CutEpoch(bool seal_if_empty = false);
-  // Durability point: group-commits every buffered report.
-  Status SyncSpool();
 
   // Drains every sealed epoch, oldest first, as a one-group cluster: the
   // outer open, then Pipeline::MergeEpoch over the one partial (shuffle,

@@ -16,7 +16,6 @@ Spool::Spool(SpoolConfig config) : config_(std::move(config)) {
   IngestWalConfig wal_config;
   wal_config.dir = config_.root;
   wal_config.fsync = config_.fsync_on_seal;
-  wal_config.fs = config_.fs;
   wal_ = std::make_unique<IngestWal>(wal_config);
 }
 

@@ -14,7 +14,6 @@
 #include <memory>
 #include <string>
 
-#include "src/service/fs.h"
 #include "src/util/record_stream.h"
 #include "src/util/status.h"
 
@@ -25,8 +24,6 @@ class IngestWal;
 struct SpoolConfig {
   std::string root;           // directory; created if absent
   bool fsync_on_seal = true;  // fsync group commits, markers and dirents
-  // Write-side syscalls route through this seam (null = Fs::Real()).
-  Fs* fs = nullptr;
 };
 
 class Spool {

@@ -368,6 +368,18 @@ Status IngestWal::PublishFile(const std::string& path, ByteSpan payload) {
   return result;
 }
 
+Status IngestWal::RemoveInOrder(const std::string& path) {
+  if (config_.fsync) {
+    // The dir fsync makes every earlier unlink durable first, so a power
+    // loss can undo only the tail of a removal, never leave a hole in it.
+    Status synced = fs_->SyncDir(config_.dir);
+    if (!synced.ok()) {
+      return synced;
+    }
+  }
+  return fs_->Remove(path);
+}
+
 Status IngestWal::WriteCheckpoint(uint64_t covered_gen) {
   Writer w;
   w.PutU64(covered_gen);
@@ -492,8 +504,12 @@ Result<IngestWal::Recovery> IngestWal::Recover() {
 
   // Seal markers.  A marker naming a generation that is gone belongs to an
   // epoch whose drained files were mid-removal: finish removing it rather
-  // than drain what is left.  One whose generations all still have their
-  // recorded sizes (and sit under wal.ckpt) is trusted without a scan.
+  // than drain what is left.  Removal goes in the marker's order, so only a
+  // prefix of the named generations can be gone; a hole anywhere else is
+  // damage, and finishing the "removal" would drop acknowledged reports.
+  // A marker whose generations all still have their recorded sizes (and
+  // sit under wal.ckpt) is trusted without a scan.
+  Recovery out;
   std::map<uint64_t, uint64_t> owner;  // gen -> sealed epoch naming it
   std::set<uint64_t> trusted;
   for (uint64_t epoch : markers) {
@@ -502,14 +518,24 @@ Result<IngestWal::Recovery> IngestWal::Recover() {
       return Error{"wal: corrupt seal marker " + MarkerPath(epoch)};
     }
     const EpochFiles& named = *parsed;
-    bool complete = true;
-    bool matches = true;
-    for (const GenFile& gen : named.gens) {
-      auto it = gens.find(gen.gen);
-      complete = complete && it != gens.end();
-      matches = matches && it != gens.end() && it->second == gen.bytes && gen.gen <= covered;
+    size_t removed = 0;
+    while (removed < named.gens.size() && gens.count(named.gens[removed].gen) == 0) {
+      removed++;
     }
-    if (!complete || named.gens.empty()) {
+    bool matches = true;
+    for (size_t i = removed; i < named.gens.size(); ++i) {
+      const GenFile& gen = named.gens[i];
+      auto it = gens.find(gen.gen);
+      if (it == gens.end()) {
+        return Error{"wal: " + GenPath(gen.gen) + " named by " + MarkerPath(epoch) +
+                     " is missing while earlier ones remain; refusing to drop the epoch"};
+      }
+      matches = matches && it->second == gen.bytes && gen.gen <= covered;
+    }
+    if (removed > 0) {
+      out.finished_removals++;
+    }
+    if (removed > 0 || named.gens.empty()) {
       plan->drop_epochs[epoch];  // its surviving generations join below
     } else if (matches) {
       trusted.insert(epoch);
@@ -523,7 +549,6 @@ Result<IngestWal::Recovery> IngestWal::Recover() {
   }
 
   // One pass over the generations, oldest first, one block at a time.
-  Recovery out;
   const uint64_t newest = gens.empty() ? 0 : gens.rbegin()->first;
   for (auto& [gen, size] : gens) {
     const std::string path = GenPath(gen);
@@ -668,10 +693,10 @@ Status IngestWal::FinishRecovery() {
   for (const auto& [epoch, gen_list] : plan.drop_epochs) {
     bool removed = true;
     for (uint64_t gen : gen_list) {
-      removed = fs_->Remove(GenPath(gen)).ok() && removed;
+      removed = removed && RemoveInOrder(GenPath(gen)).ok();
     }
     if (removed) {
-      (void)fs_->Remove(MarkerPath(epoch));
+      (void)RemoveInOrder(MarkerPath(epoch));
     }
   }
   for (uint64_t gen : plan.drop_gens) {
@@ -1176,11 +1201,12 @@ Status IngestWal::RemoveEpoch(uint64_t epoch) {
       }
     }
   }
-  // Generations first, the marker last: a crash in between leaves a marker
-  // naming a generation that is gone, and recovery finishes the removal
-  // instead of draining — and releasing — what is left of the epoch.
+  // Generations first, in the marker's order, the marker last: a crash in
+  // between leaves a marker naming a missing prefix of its generations, and
+  // recovery finishes the removal instead of draining — and releasing —
+  // what is left of the epoch.
   for (uint64_t gen : gens) {
-    Status removed = fs_->Remove(GenPath(gen));
+    Status removed = RemoveInOrder(GenPath(gen));
     if (!removed.ok()) {
       return Error{"wal: cannot remove " + GenPath(gen) + ": " + removed.error().message};
     }
@@ -1188,7 +1214,7 @@ Status IngestWal::RemoveEpoch(uint64_t epoch) {
     auto& remaining = sealed_[epoch].gens;
     remaining.erase(remaining.begin());
   }
-  Status removed = fs_->Remove(MarkerPath(epoch));
+  Status removed = RemoveInOrder(MarkerPath(epoch));
   if (!removed.ok()) {
     return Error{"wal: cannot remove " + MarkerPath(epoch) + ": " + removed.error().message};
   }

@@ -40,7 +40,10 @@
 //     holds reports of two epochs, though a mid-epoch checkpoint can spread
 //     one epoch over several generations.  `OpenEpochStream(e)` reads the
 //     reports back one CRC-checked block at a time; `RemoveEpoch(e)` unlinks
-//     the generations first and the marker last.
+//     the generations in the marker's order and the marker last, each
+//     unlink (with fsync on) only once the ones before it are durable.  An
+//     interrupted removal therefore leaves the marker naming a missing
+//     prefix of its generations, even across a power loss.
 //
 // Failure semantics: a failed group commit rolls the active generation back
 // to its durable prefix, fires the dead records' completions with the error
@@ -59,7 +62,10 @@
 //      `wal.ckpt` also for their session ops, returned in log order.  Only
 //      the newest generation may end in a torn write — a bad block with no
 //      CRC-valid frame after it; any other bad block fails recovery with
-//      the file and offset, leaving every file as it was.
+//      the file and offset, leaving every file as it was.  So does a marker
+//      whose missing generations are not a prefix of the ones it names: no
+//      interrupted removal leaves that, and dropping the rest would
+//      silently lose acknowledged reports.
 //   2. the caller journals the returned session ops, then `FinishRecovery()`
 //      truncates the torn tail, publishes `wal.ckpt` over every generation,
 //      seals (or re-seals) epochs that need a marker, finishes removing
@@ -125,6 +131,9 @@ class IngestWal {
     uint64_t replayed_reports = 0;
     // Torn tail dropped from the newest generation.
     uint64_t truncated_bytes = 0;
+    // Drained epochs whose removal a crash interrupted; FinishRecovery
+    // unlinks what is left of them.
+    uint64_t finished_removals = 0;
   };
 
   struct Stats {
@@ -195,8 +204,9 @@ class IngestWal {
   // time; size() is the sealed count.  A bad block ends the stream early,
   // which the drain reports as an error.
   std::unique_ptr<RecordStream> OpenEpochStream(uint64_t epoch) const;
-  // Unlinks a drained epoch's generations, then its marker.  A failed call
-  // keeps what is left tracked, so a retry resumes where it stopped.
+  // Unlinks a drained epoch's generations in order, then its marker.  A
+  // failed call keeps what is left tracked, so a retry resumes where it
+  // stopped.
   Status RemoveEpoch(uint64_t epoch);
 
   Stats stats() const;
@@ -232,6 +242,9 @@ class IngestWal {
   // rename + dir-fsync.
   Status PublishFile(const std::string& path, ByteSpan payload);
   Status WriteCheckpoint(uint64_t covered_gen);
+  // Unlinks `path` once every earlier unlink in the directory is durable
+  // (with fsync on): removals land in the order they are issued.
+  Status RemoveInOrder(const std::string& path);
 
   struct GenFile {
     uint64_t gen = 0;

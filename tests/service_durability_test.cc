@@ -16,9 +16,11 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -599,7 +601,7 @@ TEST(ServiceDurabilityTest, SealedAndCheckpointedMetadataSurvivesLostDirents) {
     for (size_t i = 0; i < half; ++i) {
       ASSERT_TRUE(frontend.AcceptReport(sealed[i]).ok());
     }
-    ASSERT_TRUE(frontend.SyncSpool().ok());
+    ASSERT_TRUE(frontend.BarrierIngest().ok());
     EXPECT_GT(fault.syncdirs(), 0u);
   }  // crash
 
@@ -678,7 +680,12 @@ TEST(ServiceDurabilityTest, RemoveEpochFailuresRetryBoundedThenSurface) {
 // smaller than T, exactly what thresholding hides.  The epoch spans three
 // generations; the process dies at every syscall k of the removal, and the
 // restart drains the whole epoch again, bit-identically, only when nothing
-// was removed — otherwise it finishes the removal and drains nothing.
+// was removed — otherwise it finishes the removal and drains nothing.  The
+// power-loss passes also forget unlinks whose directory was never fsynced
+// afterwards: all of them, or all but the marker's (the disk reordered
+// them).  Each unlink waits for the ones before it to be durable, so the
+// loss can only take back the last one, never leave a generation without
+// its marker.
 TEST(ServiceDurabilityTest, CrashDuringDrainedEpochRemovalNeverRedrainsAPartialEpoch) {
   FrontendConfig base = DurabilityFrontendConfig("");
   const std::vector<Bytes> sealed = SealCohort(base);
@@ -686,48 +693,120 @@ TEST(ServiceDurabilityTest, CrashDuringDrainedEpochRemovalNeverRedrainsAPartialE
   ASSERT_EQ(expected.count(0), 1u);
   const size_t third = sealed.size() / 3;
 
-  // Three generation unlinks and the marker's; k = 5 lands after them all.
-  for (uint64_t k = 1; k <= 5; ++k) {
-    SCOPED_TRACE("crash at removal syscall k=" + std::to_string(k));
-    ScratchDir dir("durability-removal-" + std::to_string(k));
-    FrontendConfig config = base;
-    config.spool_dir = dir.path;
-    FaultFs fault;
-    {
-      FrontendConfig faulty = config;
-      faulty.fs = &fault;
-      ShufflerFrontend frontend(faulty);
-      ASSERT_TRUE(frontend.Start().ok());
-      for (size_t i = 0; i < sealed.size(); ++i) {
-        ASSERT_TRUE(frontend.AcceptReport(sealed[i]).ok());
-        if (i + 1 == third || i + 1 == 2 * third) {
-          ASSERT_TRUE(frontend.wal()->Checkpoint().ok());  // the next generation
+  // Three generation unlinks and the marker's, each after a dir fsync:
+  // eight syscalls, so k = 9 lands after them all.  Unlink i (1-based) is
+  // syscall 2i; it is durable once syscall 2i + 1 succeeds.
+  constexpr uint64_t kRemovalOps = 8;
+  enum class Loss { kProcessCrash, kPowerLoss, kPowerLossKeepingMarkerUnlink };
+  for (Loss loss : {Loss::kProcessCrash, Loss::kPowerLoss, Loss::kPowerLossKeepingMarkerUnlink}) {
+    const bool power_loss = loss != Loss::kProcessCrash;
+    for (uint64_t k = 1; k <= kRemovalOps + 1; ++k) {
+      SCOPED_TRACE("loss mode " + std::to_string(static_cast<int>(loss)) +
+                   " at removal syscall k=" + std::to_string(k));
+      ScratchDir dir("durability-removal-" + std::to_string(static_cast<int>(loss)) + "-" +
+                     std::to_string(k));
+      FrontendConfig config = base;
+      config.spool_dir = dir.path;
+      FaultFs fault;
+      {
+        FrontendConfig faulty = config;
+        faulty.fs = &fault;
+        ShufflerFrontend frontend(faulty);
+        ASSERT_TRUE(frontend.Start().ok());
+        for (size_t i = 0; i < sealed.size(); ++i) {
+          ASSERT_TRUE(frontend.AcceptReport(sealed[i]).ok());
+          if (i + 1 == third || i + 1 == 2 * third) {
+            ASSERT_TRUE(frontend.wal()->Checkpoint().ok());  // the next generation
+          }
         }
+        ASSERT_TRUE(frontend.CutEpoch().ok());
+        fault.TrackDirents(true);
+        fault.ArmCrash(k);
+        auto drained = frontend.DrainSealedEpochs();
+        ASSERT_TRUE(drained.ok());
+        ASSERT_EQ(drained.results.size(), 1u);
+        EXPECT_EQ(drained.results[0].result.histogram, expected.at(0));
+        EXPECT_EQ(frontend.stats().remove_failures.load(), k <= kRemovalOps ? 1u : 0u);
+      }  // the process dies with the removal wherever it stopped
+      if (loss == Loss::kPowerLoss) {
+        fault.DropUnsyncedDirents();
+      } else if (loss == Loss::kPowerLossKeepingMarkerUnlink) {
+        fault.DropUnsyncedDirents(
+            [](const std::string& path) { return path.find(".sealed") == std::string::npos; });
       }
-      ASSERT_TRUE(frontend.CutEpoch().ok());
-      fault.ArmCrash(k);
-      auto drained = frontend.DrainSealedEpochs();
-      ASSERT_TRUE(drained.ok());
-      ASSERT_EQ(drained.results.size(), 1u);
-      EXPECT_EQ(drained.results[0].result.histogram, expected.at(0));
-      EXPECT_EQ(frontend.stats().remove_failures.load(), k <= 4 ? 1u : 0u);
-    }  // the process dies with the removal wherever it stopped
 
-    ShufflerFrontend after(config);
-    ASSERT_TRUE(after.Start().ok());
-    auto again = after.DrainSealedEpochs();
-    ASSERT_TRUE(again.ok()) << again.failure->error.message;
-    EXPECT_FALSE(stdfs::exists(dir.path + "/epoch-0.sealed"));
-    if (k == 1) {
-      // Nothing went: the whole epoch drains again, bit-identically.
-      ASSERT_EQ(again.results.size(), 1u);
-      EXPECT_EQ(again.results[0].reports, sealed.size());
-      EXPECT_EQ(again.results[0].result.histogram, expected.at(0));
-    } else {
-      EXPECT_TRUE(again.results.empty());
-      EXPECT_EQ(after.stats().recovered_reports.load(), 0u);
+      // The first unlink happened at syscall 2 and is durable from syscall 3.
+      const bool nothing_removed = k <= (power_loss ? 3u : 2u);
+      // The marker's unlink, the last syscall, is never followed by a fsync.
+      const bool marker_survived = k <= kRemovalOps || loss == Loss::kPowerLoss;
+      ShufflerFrontend after(config);
+      ASSERT_TRUE(after.Start().ok());
+      auto again = after.DrainSealedEpochs();
+      ASSERT_TRUE(again.ok()) << again.failure->error.message;
+      EXPECT_FALSE(stdfs::exists(dir.path + "/epoch-0.sealed"));
+      if (nothing_removed) {
+        // Nothing went: the whole epoch drains again, bit-identically.
+        ASSERT_EQ(again.results.size(), 1u);
+        EXPECT_EQ(again.results[0].reports, sealed.size());
+        EXPECT_EQ(again.results[0].result.histogram, expected.at(0));
+        EXPECT_EQ(after.stats().recovered_removals.load(), 0u);
+      } else {
+        EXPECT_TRUE(again.results.empty());
+        EXPECT_EQ(after.stats().recovered_reports.load(), 0u);
+        EXPECT_EQ(after.stats().recovered_removals.load(), marker_survived ? 1u : 0u);
+      }
     }
   }
+}
+
+// A marker whose missing generations are not a prefix of the ones it names
+// is no interrupted removal: Start() refuses, naming the missing file, and
+// leaves every file as it was rather than drop the acknowledged reports
+// the surviving generations hold.
+TEST(ServiceDurabilityTest, MarkerMissingAMiddleGenerationIsRefused) {
+  FrontendConfig base = DurabilityFrontendConfig("");
+  const std::vector<Bytes> sealed = SealCohort(base);
+  const size_t third = sealed.size() / 3;
+  ScratchDir dir("durability-removal-hole");
+  FrontendConfig config = base;
+  config.spool_dir = dir.path;
+  std::vector<uint64_t> gens;
+  {
+    ShufflerFrontend frontend(config);
+    ASSERT_TRUE(frontend.Start().ok());
+    for (size_t i = 0; i < sealed.size(); ++i) {
+      ASSERT_TRUE(frontend.AcceptReport(sealed[i]).ok());
+      if (i + 1 == third || i + 1 == 2 * third) {
+        ASSERT_TRUE(frontend.wal()->Checkpoint().ok());
+      }
+    }
+    ASSERT_TRUE(frontend.CutEpoch().ok());
+  }
+  for (const auto& entry : stdfs::directory_iterator(dir.path)) {
+    unsigned long gen = 0;
+    if (std::sscanf(entry.path().filename().c_str(), "ingest-%lu.wal", &gen) == 1) {
+      gens.push_back(gen);
+    }
+  }
+  std::sort(gens.begin(), gens.end());
+  ASSERT_GE(gens.size(), 4u);  // the epoch's three, and the active one
+  const std::string hole = dir.path + "/ingest-" + std::to_string(gens[1]) + ".wal";
+  ASSERT_TRUE(stdfs::remove(hole));
+  auto snapshot = [&] {
+    std::map<std::string, std::string> files;
+    for (const auto& entry : stdfs::directory_iterator(dir.path)) {
+      std::ifstream in(entry.path(), std::ios::binary);
+      files[entry.path().filename().string()] = std::string(std::istreambuf_iterator<char>(in), {});
+    }
+    return files;
+  };
+  const auto before = snapshot();
+
+  ShufflerFrontend after(config);
+  Status started = after.Start();
+  ASSERT_FALSE(started.ok());
+  EXPECT_NE(started.error().message.find(hole), std::string::npos) << started.error().message;
+  EXPECT_EQ(snapshot(), before);  // byte-identical: nothing dropped
 }
 
 // ------------------------------------------- eviction → rotation, end-to-end

@@ -270,7 +270,7 @@ void RunConcurrentE2E(size_t workers, size_t ring_capacity, bool crash_mid_epoch
       }
       drainer.reset();
       pool.reset();
-      ASSERT_TRUE(frontend->SyncSpool().ok());
+      ASSERT_TRUE(frontend->BarrierIngest().ok());
       size_t resume_size = frontend->current_epoch_size();
       frontend.reset();
       {

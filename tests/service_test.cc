@@ -718,7 +718,7 @@ TEST(ServiceTest, EndToEndSurvivesCrashAndReopenMidEpoch) {
       for (size_t i = 0; i < half; ++i) {
         ASSERT_TRUE(before.AcceptFrameStream(frames[i]).ok());
       }
-      ASSERT_TRUE(before.SyncSpool().ok());  // the durability point
+      ASSERT_TRUE(before.BarrierIngest().ok());  // the durability point
       // Crash: `before` is dropped mid-epoch, no seal, no drain.
     }
     // A torn half-frame from a group commit in flight at crash time.  Before

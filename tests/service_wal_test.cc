@@ -141,7 +141,7 @@ TEST(ServiceWalTest, TornTailTruncatesToCleanPrefixAndReplaysExactly) {
     for (size_t i = 0; i < half; ++i) {
       ASSERT_TRUE(before.AcceptReport(sealed[i]).ok());
     }
-    ASSERT_TRUE(before.SyncSpool().ok());  // the durability point
+    ASSERT_TRUE(before.BarrierIngest().ok());  // the durability point
   }  // crash mid-epoch: no seal, no checkpoint
 
   // The write in flight at crash time: half a frame dangles off the tail.
@@ -204,7 +204,7 @@ TEST(ServiceWalTest, CheckpointAndReplayStayBitIdenticalToSerialFrontend) {
       for (size_t i = third; i < 2 * third; ++i) {
         ASSERT_TRUE(before.AcceptReport(sealed[i]).ok());
       }
-      ASSERT_TRUE(before.SyncSpool().ok());
+      ASSERT_TRUE(before.BarrierIngest().ok());
     }  // crash: wal.ckpt covers the first third's generation, not the second's
 
     ShufflerFrontend after(config);
@@ -305,7 +305,7 @@ TEST(ServiceWalTest, BitRotIsRefusedNeverTruncated) {
         for (size_t i = 16 * block; i < 16 * (block + 1); ++i) {
           ASSERT_TRUE(before.AcceptReport(sealed[i]).ok());
         }
-        ASSERT_TRUE(before.SyncSpool().ok());
+        ASSERT_TRUE(before.BarrierIngest().ok());
         if (block == 0 && where == Where::kOlder) {
           victim = NewestWalGen(dir.path);
           ASSERT_TRUE(before.wal()->Checkpoint().ok());

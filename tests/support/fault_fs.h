@@ -14,12 +14,12 @@
 //     ones succeed.  Pairs with tearing down the whole stack right after:
 //     the process died between two specific syscalls, and the reopening
 //     stack (same FaultFs) finds a healthy disk.
-//   * TrackDirents()/DropUnsyncedDirents(): records file creates and
-//     renames per parent directory and forgets them when that directory is
-//     fsynced; DropUnsyncedDirents() then undoes whatever was never made
+//   * TrackDirents()/DropUnsyncedDirents(): records file creates, renames
+//     and unlinks per parent directory and forgets them when that directory
+//     is fsynced; DropUnsyncedDirents() then undoes whatever was never made
 //     durable — the dirent the crash lost because nobody fsynced the
 //     parent.  A missing SyncDir in the production code shows up here as a
-//     vanished seal marker or checkpoint manifest.
+//     vanished seal marker or checkpoint, or an unlinked file come back.
 // Close always forwards (a dying process still releases fds), and reads
 // never fault: recovery reads whatever bytes actually landed.
 #ifndef PROCHLO_TESTS_SUPPORT_FAULT_FS_H_
@@ -31,6 +31,9 @@
 #include <atomic>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
+#include <functional>
+#include <iterator>
 #include <mutex>
 #include <string>
 #include <utility>
@@ -97,7 +100,17 @@ class FaultFs : public Fs {
       return Error{"faultfs: injected unlink failure"};
     }
     remove_faults_.fetch_add(1);  // keep the counter from drifting below 0
-    return real_->Remove(path);
+    std::string contents;  // what an undone unlink brings back
+    const bool track = track_dirents_.load();
+    if (track) {
+      std::ifstream in(path, std::ios::binary);
+      contents.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+    }
+    Status removed = real_->Remove(path);
+    if (removed.ok() && track) {
+      RecordDirent(DirentOp::kRemove, path, std::move(contents));
+    }
+    return removed;
   }
 
   Status Truncate(const std::string& path, uint64_t size) override {
@@ -157,21 +170,32 @@ class FaultFs : public Fs {
 
   void TrackDirents(bool on) { track_dirents_.store(on); }
 
-  // The crash's metadata casualty: every create and rename whose parent
-  // directory was never fsynced afterwards is rolled back (newest first) —
-  // created files vanish, renamed files snap back to their old names.
-  // Returns how many dirents were lost.
-  size_t DropUnsyncedDirents() {
-    std::vector<PendingDirent> doomed;
+  // The crash's metadata casualty: every create, rename and unlink whose
+  // parent directory was never fsynced afterwards is rolled back (newest
+  // first) — created files vanish, renamed files snap back to their old
+  // names, unlinked files reappear with the bytes they had.  `lost`, when
+  // given, picks which of them the crash takes (by the path created,
+  // renamed to or unlinked); the rest count as having reached the disk in
+  // whatever order it chose.  Returns how many dirents were lost.
+  size_t DropUnsyncedDirents(const std::function<bool(const std::string&)>& lost = {}) {
+    std::vector<PendingDirent> pending;
     {
       std::lock_guard<std::mutex> lock(dirent_mu_);
-      doomed.swap(pending_dirents_);
+      pending.swap(pending_dirents_);
+    }
+    std::vector<PendingDirent> doomed;
+    for (PendingDirent& d : pending) {
+      if (!lost || lost(d.op == DirentOp::kRename ? d.b : d.a)) {
+        doomed.push_back(std::move(d));
+      }
     }
     for (auto it = doomed.rbegin(); it != doomed.rend(); ++it) {
       if (it->op == DirentOp::kCreate) {
         (void)real_->Remove(it->a);
-      } else {
+      } else if (it->op == DirentOp::kRename) {
         (void)real_->Rename(it->b, it->a);
+      } else {
+        std::ofstream(it->a, std::ios::binary) << it->b;
       }
     }
     return doomed.size();
@@ -181,12 +205,12 @@ class FaultFs : public Fs {
   uint64_t syncdirs() const { return syncdirs_.load(); }
 
  private:
-  enum class DirentOp { kCreate, kRename };
+  enum class DirentOp { kCreate, kRename, kRemove };
   struct PendingDirent {
     DirentOp op;
     std::string dir;  // parent directory whose fsync would make it durable
-    std::string a;    // created path / rename source
-    std::string b;    // rename destination
+    std::string a;    // created / renamed-from / unlinked path
+    std::string b;    // rename destination / the unlinked file's bytes
   };
 
   uint64_t NextOp() { return ops_.fetch_add(1) + 1; }
