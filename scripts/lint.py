@@ -35,11 +35,13 @@ Rules (each suppressible per line with a trailing `// lint:allow(<rule>)`):
       constant-time ladder both report layers open on.
 
   fsync-before-rename
-      In the durability tier (src/service/spool.cc, session_journal.cc), a
-      Rename() that commits a rewrite must be preceded by a Sync() within the
-      same window of code, and a seal-marker create must follow the segment
-      Sync.  Rename-before-fsync turns the atomic-commit idiom into a
-      crash-window; this catches the ordering regressing by accident.
+      In the durability tier (src/service/wal.cc, spool.cc), a Rename()
+      that commits a rewrite — PublishFile's wal.ckpt snapshot and seal
+      markers — must be preceded by a Sync() earlier in the same function
+      (within a bounded window), and a seal-marker create must follow the
+      segment Sync.
+      Rename-before-fsync turns the atomic-commit idiom into a crash-window;
+      this catches the ordering regressing by accident.
 
   secret-branch / secret-index / secret-compare
       Constant-time taint discipline (src/crypto/ct.h): data that is
@@ -129,7 +131,6 @@ WNAF_EXEMPT = {
 # Durability-tier files whose commit idioms are order-checked.
 DURABILITY_FILES = {
     os.path.join("src", "service", "spool.cc"),
-    os.path.join("src", "service", "session_journal.cc"),
     os.path.join("src", "service", "wal.cc"),
 }
 # The ct primitive implementation: masks, selects, and the declassification
@@ -308,15 +309,24 @@ def lint_file(root, rel, findings):
                                  "taint domain must be self-justifying"))
 
     if rel in DURABILITY_FILES:
+        def sync_window(i):
+            # The preceding lines of the same function: the lookback stops
+            # at the previous top-level closing brace, so a Sync() in an
+            # earlier function cannot vouch for this one's Rename.
+            window = code_lines[max(0, i - 1 - FSYNC_WINDOW):i - 1]
+            ends = [j for j, w in enumerate(window) if w.startswith("}")]
+            return window[ends[-1] + 1:] if ends else window
+
         for i, code in enumerate(code_lines, 1):
             if RENAME_CALL.search(code) and not allowed(i, "fsync-before-rename"):
-                window = code_lines[max(0, i - 1 - FSYNC_WINDOW):i - 1]
+                window = sync_window(i)
                 if not any(SYNC_CALL.search(w) for w in window):
                     findings.append((rel, i, "fsync-before-rename",
-                                     f"Rename with no Sync in the preceding {FSYNC_WINDOW} "
-                                     "lines — the atomic-commit idiom requires fsync first"))
+                                     "Rename with no Sync earlier in its function (within "
+                                     f"{FSYNC_WINDOW} lines) — the atomic-commit idiom "
+                                     "requires fsync first"))
             if MARKER_CREATE.search(code) and not allowed(i, "fsync-before-rename"):
-                window = code_lines[max(0, i - 1 - FSYNC_WINDOW):i - 1]
+                window = sync_window(i)
                 if not any(SYNC_CALL.search(w) for w in window):
                     findings.append((rel, i, "fsync-before-rename",
                                      "seal-marker create with no segment Sync in the "
@@ -392,6 +402,15 @@ def self_test():
          "  return curve.BatchNormalize(curve.BatchScalarMultJac(peers, keys));\n"
          "}\n",
          ["wnaf-public-only"]),
+        ("src/service/wal.cc",
+         "IngestWal::~IngestWal() {\n"
+         "  (void)Sync();\n"
+         "}\n"
+         "Status IngestWal::PublishFile(const std::string& path, ByteSpan header) {\n"
+         "  Status result = WriteAllFs(fs_, fd.value(), EncodeFrame(header));\n"
+         "  return fs_->Rename(path + \".tmp\", path);\n"
+         "}\n",
+         ["fsync-before-rename"]),
         ("src/core/bad_crowd_print.cc",
          "void f(const std::string& crowd_id) {\n"
          "  printf(\"crowd=%s\", crowd_id.c_str());\n"

@@ -1,14 +1,14 @@
 // One shard group: a complete, privately-spooled ingestion stack — the unit
 // the cluster router distributes reports across.
 //
-//   ShardGroup = ShufflerFrontend (own spool dir + session journal)
+//   ShardGroup = ShufflerFrontend (own spool dir: WAL + session snapshot)
 //              + IngestWorkerPool (per-shard worker rings)
 //              + FrameServer      (ack protocol; group's AckRegistry)
 //              + TcpListener      (optional; loopback Connect() otherwise)
 //
 // Each group owns its durability domain end to end: WAL generations, epoch
-// seal markers, and the sessions journal all live under the group's
-// private spool directory, so a group can crash and reopen (a fresh
+// seal markers, and the wal.ckpt session snapshot all live under the
+// group's private spool directory, so a group can crash and reopen (a fresh
 // ShardGroup over the same directory) without touching its peers.  The
 // exactly-once contract is therefore per (group, session): the Router's job
 // is to make sure each report only ever talks to one group's registry per
@@ -45,10 +45,10 @@ class ShardGroup {
   ShardGroup(const ShardGroup&) = delete;
   ShardGroup& operator=(const ShardGroup&) = delete;
 
-  // Opens (or crash-recovers) the spool + session journal, binds the
-  // server's AckRegistry to the journal, and starts the worker pool and
-  // the optional TCP listener.  Install routing hooks (Router::Start)
-  // before serving clients.
+  // Opens (or crash-recovers) the spool and its session snapshot, binds
+  // the server's AckRegistry to the recovered sessions, and starts the
+  // worker pool and the optional TCP listener.  Install routing hooks
+  // (Router::Start) before serving clients.
   Status Start();
   // Stops accepting, drains every served connection and worker ring, and
   // syncs the spool.  Idempotent.  The frontend's sealed epochs remain

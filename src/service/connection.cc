@@ -304,31 +304,6 @@ void AckRegistry::EvictForAdmissionLocked() {
   }
 }
 
-void AckRegistry::CompactJournalIfNeeded(SessionJournal& journal) {
-  if (journal.compact_threshold_bytes() == 0 ||
-      journal.appended_bytes() < journal.compact_threshold_bytes()) {
-    return;
-  }
-  // Snapshot under mu_ and compact while still holding it: any commit that
-  // updated memory before this point is inside the snapshot, and the WAL
-  // still holds whatever its next checkpoint writes on top of it (replay is
-  // idempotent), so no acknowledged state can fall between the two files.
-  MutexLock lock(mu_);
-  std::vector<SessionSnapshot> live;
-  live.reserve(sessions_.size());
-  for (const auto& [id, session] : sessions_) {
-    SessionSnapshot snapshot;
-    snapshot.session_id = id;
-    snapshot.watermark = session.contiguous;
-    snapshot.sparse.assign(session.sparse.begin(), session.sparse.end());
-    live.push_back(std::move(snapshot));
-  }
-  std::vector<std::pair<uint64_t, uint64_t>> evicted(tombstones_.begin(), tombstones_.end());
-  // A failed compaction leaves the old log authoritative; the next
-  // checkpoint retries it.
-  (void)journal.Compact(live, evicted);
-}
-
 void AckRegistry::Commit(uint64_t session_id, uint64_t seq) {
   MutexLock lock(mu_);
   auto it = sessions_.find(session_id);
@@ -417,16 +392,16 @@ void AckRegistry::AttachWal(IngestWal* wal) {
   wal_ = wal;
 }
 
-void AckRegistry::RestoreFromRecovery(const JournalRecovery& recovery) {
+void AckRegistry::RestoreFromRecovery(const SessionImage& image) {
   MutexLock lock(mu_);
-  for (const auto& snapshot : recovery.live) {
+  for (const auto& [session_id, snapshot] : image.live) {
     SessionState session;
     session.contiguous = snapshot.watermark;
-    session.sparse.insert(snapshot.sparse.begin(), snapshot.sparse.end());
+    session.sparse = snapshot.sparse;
     session.last_use = ++lru_clock_;
-    sessions_[snapshot.session_id] = std::move(session);
+    sessions_[session_id] = std::move(session);
   }
-  for (const auto& [session_id, floor] : recovery.evicted) {
+  for (const auto& [session_id, floor] : image.evicted) {
     tombstones_[session_id] = floor;
   }
 }

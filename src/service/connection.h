@@ -44,7 +44,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/service/session_journal.h"
 #include "src/service/wire.h"
 #include "src/util/bytes.h"
 #include "src/util/status.h"
@@ -54,6 +53,7 @@ namespace prochlo {
 
 struct FrontendStats;
 class IngestWal;
+struct SessionImage;
 
 // A duplex byte-stream endpoint.  Reads block until data, EOF, or error;
 // writes block while the peer's buffer is full (back-pressure, never drop).
@@ -115,7 +115,7 @@ Result<std::unique_ptr<ByteStream>> TcpConnect(const std::string& address, uint1
 // finished a session sends kGoodbye, and Terminate drops every trace of it.
 // Coercively: with max_sessions set, admitting a new session past the cap
 // LRU-evicts the stalest idle session (never one with in-flight claims) —
-// its watermark is checkpointed into a single evict record and the session
+// its watermark is logged in a single evict record and the session
 // moves to a tombstone, so later claims on it get kSessionExpired instead
 // of silently re-ingesting what the dropped sparse state can no longer
 // deduplicate.  The correctness cost is honest and visible: an evicted
@@ -134,7 +134,7 @@ Result<std::unique_ptr<ByteStream>> TcpConnect(const std::string& address, uint1
 // "commit lost" always implies "report lost", which is exactly what makes
 // the NACK safe to retry.  Evictions and goodbyes append to the WAL too, so
 // every session-state mutation stays totally ordered with the report
-// stream; WAL checkpoints write them through to the session journal.
+// stream, and WAL checkpoints fold all three into the wal.ckpt snapshot.
 // Without a WAL (in-memory mode) dedup lives in memory only.
 class AckRegistry {
  public:
@@ -159,7 +159,7 @@ class AckRegistry {
   void Commit(uint64_t session_id, uint64_t seq);
   void Release(uint64_t session_id, uint64_t seq);
 
-  // The kGoodbye handshake: journals the termination and drops the
+  // The kGoodbye handshake: logs the termination and drops the
   // session's entire state — watermark, sparse set, tombstone, everything.
   // Idempotent; unknown sessions are a no-op (the ACK still goes out).
   void Terminate(uint64_t session_id);
@@ -183,15 +183,10 @@ class AckRegistry {
   void CloseConnection(uint64_t connection_id);
 
   // Durable dedup plumbing (see the class comment).  AttachWal borrows;
-  // RestoreFromRecovery seeds sessions and tombstones from a replayed
-  // journal — call both before serving connections.
+  // RestoreFromRecovery seeds sessions and tombstones from the WAL's
+  // recovered session image — call both before serving connections.
   void AttachWal(IngestWal* wal);
-  void RestoreFromRecovery(const JournalRecovery& recovery);
-
-  // Rewrites `journal` as a snapshot of this registry if its log crossed
-  // the compaction threshold.  Runs from the WAL's post-checkpoint hook —
-  // checkpoints are the journal's only writer.
-  void CompactJournalIfNeeded(SessionJournal& journal);
+  void RestoreFromRecovery(const SessionImage& image);
 
   bool IsDurable(uint64_t session_id, uint64_t seq) const;
   size_t sessions() const;
@@ -216,7 +211,7 @@ class AckRegistry {
 
   mutable Mutex mu_;
   std::unordered_map<uint64_t, SessionState> sessions_ GUARDED_BY(mu_);
-  // Evicted sessions: id -> checkpointed watermark floor.  Claims on these
+  // Evicted sessions: id -> logged watermark floor.  Claims on these
   // answer kSessionExpired.  Entries are small (16 bytes) and dropped by a
   // goodbye; they are the price of never silently re-ingesting.
   std::unordered_map<uint64_t, uint64_t> tombstones_ GUARDED_BY(mu_);

@@ -72,8 +72,8 @@ Status ShufflerFrontend::Start() {
     return Status::Ok();
   }
   if (!config_.spool_dir.empty()) {
-    // WAL recovery phase 1: one read-only pass over the generations, which
-    // yields every epoch's report counts and the session ops past wal.ckpt.
+    // WAL recovery: every epoch's report counts, and the session image —
+    // wal.ckpt's snapshot with the session ops past it folded in.
     IngestWalConfig wal_config;
     wal_config.dir = config_.spool_dir;
     wal_config.fsync = config_.fsync_spool;
@@ -84,42 +84,15 @@ Status ShufflerFrontend::Start() {
     if (!recovery.ok()) {
       return recovery.error();
     }
-    const std::vector<SessionOp>& wal_session_ops = recovery.value().session_ops;
     stats_.recovered_wal_reports += recovery.value().replayed_reports;
-    stats_.recovered_wal_session_ops += wal_session_ops.size();
+    stats_.recovered_wal_session_ops += recovery.value().replayed_session_ops;
     stats_.recovered_truncated_bytes += recovery.value().truncated_bytes;
     stats_.recovered_removals += recovery.value().finished_removals;
+    stats_.recovered_sessions += recovery.value().sessions.live.size();
     for (const auto& [epoch, recovered] : recovery.value().epochs) {
       for (uint64_t count : recovered.shard_counts) {
         stats_.recovered_reports += count;
       }
-    }
-
-    // The session journal lives inside the spool directory (created by
-    // Recover) and shares the WAL's durability knobs: the same fsync policy
-    // and the same injectable filesystem.
-    SessionJournalConfig journal_config;
-    journal_config.path = config_.spool_dir + "/sessions.journal";
-    journal_config.fsync = config_.fsync_spool;
-    journal_config.fs = config_.fs;
-    journal_ = std::make_unique<SessionJournal>(journal_config);
-    auto replayed = journal_->Open();
-    if (!replayed.ok()) {
-      return replayed.error();
-    }
-    // Re-journal the replayed session ops so the journal alone once again
-    // reconstructs session state, then merge them into the recovery image
-    // the AckRegistry will be seeded from.  Only after they are durable may
-    // FinishRecovery cover the generations that carried them.
-    Status journaled = journal_->Append(wal_session_ops);
-    if (!journaled.ok()) {
-      return journaled;
-    }
-    journal_recovery_ = ApplySessionOps(std::move(replayed).value(), wal_session_ops);
-    wal_->AttachJournal(journal_.get());
-    Status finished = wal_->FinishRecovery();
-    if (!finished.ok()) {
-      return finished;
     }
     ingest_->RestoreFromRecovery(recovery.value());
     wal_->set_rollback_callback([this](size_t shard, uint64_t epoch) {
@@ -127,8 +100,6 @@ Status ShufflerFrontend::Start() {
       stats_.reports_accepted--;
     });
     ingest_->SetWal(wal_.get());
-    stats_.recovered_sessions += journal_recovery_.live.size();
-    stats_.recovered_session_records += journal_recovery_.records;
   }
   started_ = true;
   return Status::Ok();
@@ -140,14 +111,10 @@ Status ShufflerFrontend::BindAckRegistry(AckRegistry* registry) {
   }
   registry->set_max_sessions(config_.max_sessions);
   if (wal_ != nullptr) {
-    // Restore, then route commits, evictions and goodbyes through the WAL.
-    // Checkpoints append them to the journal, so journal compaction rides
-    // the checkpoint cadence.
-    registry->RestoreFromRecovery(journal_recovery_);
+    // Restore, then route commits, evictions and goodbyes through the WAL,
+    // whose checkpoints fold them into the wal.ckpt snapshot.
+    registry->RestoreFromRecovery(wal_->sessions());
     registry->AttachWal(wal_.get());
-    SessionJournal* journal = journal_.get();
-    wal_->set_post_checkpoint_hook(
-        [registry, journal] { registry->CompactJournalIfNeeded(*journal); });
   }
   return Status::Ok();
 }

@@ -40,7 +40,6 @@
 #include "src/core/pipeline.h"
 #include "src/service/fs.h"
 #include "src/service/ingest.h"
-#include "src/service/session_journal.h"
 #include "src/service/wal.h"
 #include "src/service/wire.h"
 
@@ -61,11 +60,12 @@ struct FrontendConfig {
   uint64_t wal_checkpoint_threshold_bytes = 1ull << 20;
   // Bound on live AckRegistry sessions when BindAckRegistry wires one up
   // (0 = unbounded).  Past the cap, the stalest idle session is LRU-evicted
-  // with its watermark checkpointed to the session journal.
+  // with its watermark logged as an evict record, and checkpoints carry its
+  // tombstone in the wal.ckpt snapshot.
   size_t max_sessions = 0;
-  // Injectable filesystem seam shared by the WAL and the session journal
-  // (disk-fault suites drive short writes / EIO / ENOSPC / crash-at-k
-  // through it).  Null = the real filesystem.
+  // Injectable filesystem seam under the WAL (disk-fault suites drive
+  // short writes / EIO / ENOSPC / crash-at-k through it).  Null = the real
+  // filesystem.
   Fs* fs = nullptr;
   // Fault injection for the drain/retry tests: fail the drain of `epoch`
   // the first `times` times it is attempted, right after its outer open.
@@ -88,8 +88,8 @@ struct FrontendStats {
   std::atomic<uint64_t> recovered_reports{0};   // found in the WAL at Start()
   std::atomic<uint64_t> recovered_truncated_bytes{0};  // torn tail discarded
   // WAL recovery: reports in generations past wal.ckpt, and the session ops
-  // (commit/evict/goodbye) re-journaled from the same suffix.  Both subsets
-  // of the totals above/below.
+  // (commit/evict/goodbye) folded into the snapshot from the same suffix.
+  // Both subsets of the totals above/below.
   std::atomic<uint64_t> recovered_wal_reports{0};
   std::atomic<uint64_t> recovered_wal_session_ops{0};
   // Post-drain cleanups (IngestWal::RemoveEpoch) that failed even after
@@ -103,10 +103,8 @@ struct FrontendStats {
   std::atomic<uint64_t> remove_retries{0};
   // Drained epochs whose removal a crash interrupted, finished at Start().
   std::atomic<uint64_t> recovered_removals{0};
-  // Session-journal recovery: live sessions restored and records replayed
-  // at Start().
+  // Live sessions in the session image recovered at Start().
   std::atomic<uint64_t> recovered_sessions{0};
-  std::atomic<uint64_t> recovered_session_records{0};
   // Acknowledgment-protocol books, mirrored from every finished
   // connection's ConnectionAckBook by FrameServer::BindFrontendStats.  An
   // ack is sent only after the report's WAL group commit, so
@@ -173,14 +171,14 @@ class ShufflerFrontend {
 
   // Opens the WAL (creating/recovering it) and readies ingestion.  After a
   // crash, sealed epochs re-enter the drain queue and the unsealed epoch
-  // resumes accumulating exactly where its durable records end.  With
-  // a spool_dir, also opens and replays <spool_dir>/sessions.journal — the
-  // durable half of the exactly-once dedup contract.
+  // resumes accumulating exactly where its durable records end, and the
+  // session image — the durable half of the exactly-once dedup contract —
+  // is recovered from the wal.ckpt snapshot plus the session ops past it.
   Status Start();
 
   // Wires an AckRegistry (typically FrameServer::registry()) to this
   // frontend's durable session state: applies config.max_sessions, seeds
-  // the registry with the sessions recovered at Start(), and attaches the
+  // the registry with the WAL's session image, and attaches the
   // WAL so commits/evictions/goodbyes are made durable before they are
   // acknowledged.  Call after Start() and before serving connections.
   Status BindAckRegistry(AckRegistry* registry);
@@ -290,11 +288,7 @@ class ShufflerFrontend {
   FrontendConfig config_;
   Pipeline pipeline_;
   std::unique_ptr<ShardedIngest> ingest_;
-  std::unique_ptr<SessionJournal> journal_;  // null in in-memory mode
-  // Declared after journal_ so it is destroyed first: the WAL's destructor
-  // flushes its pending block.
-  std::unique_ptr<IngestWal> wal_;           // null in in-memory mode
-  JournalRecovery journal_recovery_;         // held for BindAckRegistry
+  std::unique_ptr<IngestWal> wal_;  // null in in-memory mode
   FrontendStats stats_;
   bool started_ = false;
   uint32_t injected_drain_failures_ = 0;  // fault-injection bookkeeping

@@ -96,17 +96,6 @@ class RealFs : public Fs {
 
 }  // namespace
 
-std::string DirnameOf(const std::string& path) {
-  size_t slash = path.find_last_of('/');
-  if (slash == std::string::npos) {
-    return ".";
-  }
-  if (slash == 0) {
-    return "/";
-  }
-  return path.substr(0, slash);
-}
-
 Fs* Fs::Real() {
   static RealFs instance;
   return &instance;

@@ -1,14 +1,14 @@
-// The injectable filesystem seam under the ingest WAL (whose generations
-// are the spool) and the session journal.
+// The injectable filesystem seam under the ingest WAL, whose generations
+// are the spool and whose wal.ckpt is the session snapshot.
 //
 // Every *write-side* syscall the durability tier performs — open, write,
 // fsync, close, remove, truncate, rename — routes through this interface,
 // so the disk-fault suites can inject short writes, fsync EIO, ENOSPC, and
 // crash-at-syscall-k schedules (mirroring the network tier's
 // KillSwitchStream) without touching production code paths.  Reads — the
-// recovery scan and the drain's stream over a sealed epoch's generations —
-// stay on the plain stdio path: they read whatever bytes actually landed,
-// which is exactly what a post-crash reopen sees.
+// recovery scan, wal.ckpt and the drain's stream over a sealed epoch's
+// generations — stay on the plain stdio path: they read whatever bytes
+// actually landed, which is exactly what a post-crash reopen sees.
 //
 // Production uses RealFs (a process-wide singleton; stateless, thread-safe).
 // Tests wrap it: a fault Fs forwards to RealFs until its schedule trips,
@@ -42,22 +42,18 @@ class Fs {
   // idempotent), any other failure is the error.
   virtual Status Remove(const std::string& path) = 0;
   virtual Status Truncate(const std::string& path, uint64_t size) = 0;
-  // rename(2): atomic replace — the commit point of wal.ckpt, seal markers
-  // and journal compaction.
+  // rename(2): atomic replace — the commit point of wal.ckpt and seal
+  // markers.
   virtual Status Rename(const std::string& from, const std::string& to) = 0;
   // fsync(2) of the directory itself: makes freshly created / renamed /
   // removed *directory entries* durable.  Creating a file and fsyncing its
   // fd persists the bytes but not necessarily the dirent — a crash can lose
-  // the name, and with it the seal marker or the compacted journal.
+  // the name, and with it the seal marker or the session snapshot.
   virtual Status SyncDir(const std::string& path) = 0;
 
   // The process-wide passthrough instance.
   static Fs* Real();
 };
-
-// The directory component of `path` ("a/b/c" -> "a/b"; no slash -> ".").
-// Shared by every fsync-parent-after-rename call site.
-std::string DirnameOf(const std::string& path);
 
 }  // namespace prochlo
 

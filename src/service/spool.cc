@@ -23,14 +23,7 @@ Spool::~Spool() = default;
 
 Status Spool::Open() {
   auto recovery = wal_->Recover();
-  if (!recovery.ok()) {
-    return recovery.error();
-  }
-  if (!recovery.value().session_ops.empty()) {
-    // Only a frontend, with its session journal, can take these over.
-    return Error{"spool: " + config_.root + " holds session state; open it with ShufflerFrontend"};
-  }
-  return wal_->FinishRecovery();
+  return recovery.ok() ? Status::Ok() : Status(recovery.error());
 }
 
 Status Spool::Append(size_t shard, uint64_t epoch, ByteSpan report) {

@@ -31,6 +31,9 @@ enum WalRecordKind : uint8_t {
 };
 
 constexpr char kCheckpointName[] = "wal.ckpt";
+// A published file's body goes out in frames of this size, so a snapshot of
+// any session count stays clear of kMaxFramePayload.
+constexpr size_t kPublishChunkBytes = 64 * 1024;
 
 bool IsReport(uint8_t kind) { return kind == kWalReport || kind == kWalReportCommit; }
 
@@ -108,6 +111,35 @@ Parsed NextRecord(Reader& r, WalRecord& rec) {
     ok = r.GetLengthPrefixed(&rec.report);
   }
   return ok ? Parsed::kRecord : Parsed::kMalformed;
+}
+
+// Applies one op to `image` exactly as the AckRegistry applied it when it
+// was logged.
+void Fold(SessionImage& image, const SessionOp& op) {
+  switch (op.kind) {
+    case SessionOp::kCommit: {
+      image.evicted.erase(op.session_id);
+      SessionSnapshot& s = image.live[op.session_id];
+      if (op.value >= s.watermark) {
+        s.sparse.insert(op.value);
+      }
+      // The registry's sweep: the sparse set stays the out-of-order window
+      // above the watermark, which saturates instead of wrapping.
+      while (!s.sparse.empty() && *s.sparse.begin() == s.watermark && s.watermark != UINT64_MAX) {
+        s.sparse.erase(s.sparse.begin());
+        s.watermark++;
+      }
+      return;
+    }
+    case SessionOp::kEvict:
+      image.live.erase(op.session_id);
+      image.evicted[op.session_id] = op.value;
+      return;
+    case SessionOp::kGoodbye:
+      image.live.erase(op.session_id);
+      image.evicted.erase(op.session_id);
+      return;
+  }
 }
 
 std::optional<SessionOp> SessionOpOf(uint8_t kind, uint64_t session_id, uint64_t value) {
@@ -218,25 +250,67 @@ bool IsTornTail(const std::string& path, uint64_t offset) {
   return torn;
 }
 
-// A small CRC-framed file (wal.ckpt, a seal marker) read whole; nullopt on a
-// missing, torn or corrupt file.
-std::optional<Bytes> ReadFramedFile(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
+// A file written by PublishFile: its header frame and its chunk frames'
+// payloads joined.
+struct PublishedFile {
+  Bytes header;
+  Bytes body;
+};
+
+// Reads a published file (wal.ckpt, a seal marker) whole; nullopt on a
+// missing, torn or corrupt one.
+std::optional<PublishedFile> ReadPublishedFile(const std::string& path) {
+  BlockReader reader(path);
+  auto header = reader.Next();
+  if (!header.has_value()) {
     return std::nullopt;
   }
-  Bytes raw;
-  uint8_t buffer[4096];
-  size_t got = 0;
-  while ((got = std::fread(buffer, 1, sizeof(buffer), f)) > 0) {
-    raw.insert(raw.end(), buffer, buffer + got);
+  PublishedFile file{std::move(*header), {}};
+  while (auto chunk = reader.Next()) {
+    file.body.insert(file.body.end(), chunk->begin(), chunk->end());
   }
-  std::fclose(f);
-  auto payload = DecodeFrame(raw);
-  if (!payload.ok() || raw.size() != FrameWireSize(payload.value().size())) {
+  if (reader.bad()) {
     return std::nullopt;
   }
-  return std::move(payload).value();
+  return file;
+}
+
+// Parses wal.ckpt: the header's covered generation and counts, then exactly
+// that many live sessions and tombstones, and nothing after them.
+bool ParseCheckpoint(const PublishedFile& file, uint64_t* covered, SessionImage* image) {
+  Reader header(file.header);
+  uint64_t live = 0;
+  uint64_t evicted = 0;
+  if (!header.GetU64(covered) || !header.GetU64(&live) || !header.GetU64(&evicted) ||
+      !header.AtEnd()) {
+    return false;
+  }
+  Reader r(file.body);
+  for (uint64_t i = 0; i < live; ++i) {
+    uint64_t id = 0;
+    uint32_t count = 0;
+    SessionSnapshot s;
+    if (!r.GetU64(&id) || !r.GetU64(&s.watermark) || !r.GetU32(&count)) {
+      return false;
+    }
+    for (uint32_t j = 0; j < count; ++j) {
+      uint64_t seq = 0;
+      if (!r.GetU64(&seq)) {
+        return false;
+      }
+      s.sparse.insert(seq);
+    }
+    image->live.emplace(id, std::move(s));
+  }
+  for (uint64_t i = 0; i < evicted; ++i) {
+    uint64_t id = 0;
+    uint64_t floor = 0;
+    if (!r.GetU64(&id) || !r.GetU64(&floor)) {
+      return false;
+    }
+    image->evicted.emplace(id, floor);
+  }
+  return r.AtEnd() && image->live.size() == live && image->evicted.size() == evicted;
 }
 
 Status WriteAllFs(Fs* fs, int fd, ByteSpan data) {
@@ -338,13 +412,17 @@ std::string IngestWal::MarkerPath(uint64_t epoch) const {
   return config_.dir + "/epoch-" + std::to_string(epoch) + ".sealed";
 }
 
-Status IngestWal::PublishFile(const std::string& path, ByteSpan payload) {
+Status IngestWal::PublishFile(const std::string& path, ByteSpan header, ByteSpan body) {
   const std::string tmp = path + ".tmp";
   auto fd = fs_->Open(tmp, O_CREAT | O_WRONLY | O_TRUNC, 0644);
   if (!fd.ok()) {
     return Error{"wal: cannot write " + tmp + ": " + fd.error().message};
   }
-  Status result = WriteAllFs(fs_, fd.value(), EncodeFrame(payload));
+  Bytes frames = EncodeFrame(header);
+  for (size_t at = 0; at < body.size(); at += kPublishChunkBytes) {
+    AppendFrame(frames, body.subspan(at, std::min(kPublishChunkBytes, body.size() - at)));
+  }
+  Status result = WriteAllFs(fs_, fd.value(), frames);
   if (result.ok() && config_.fsync) {
     result = fs_->Sync(fd.value());
     if (result.ok()) {
@@ -380,10 +458,25 @@ Status IngestWal::RemoveInOrder(const std::string& path) {
   return fs_->Remove(path);
 }
 
-Status IngestWal::WriteCheckpoint(uint64_t covered_gen) {
-  Writer w;
-  w.PutU64(covered_gen);
-  return PublishFile(config_.dir + "/" + kCheckpointName, w.data());
+Status IngestWal::WriteCheckpoint(uint64_t covered_gen, const SessionImage& image) {
+  Writer header;
+  header.PutU64(covered_gen);
+  header.PutU64(image.live.size());
+  header.PutU64(image.evicted.size());
+  Writer body;
+  for (const auto& [id, s] : image.live) {
+    body.PutU64(id);
+    body.PutU64(s.watermark);
+    body.PutU32(static_cast<uint32_t>(s.sparse.size()));
+    for (uint64_t seq : s.sparse) {
+      body.PutU64(seq);
+    }
+  }
+  for (const auto& [id, floor] : image.evicted) {
+    body.PutU64(id);
+    body.PutU64(floor);
+  }
+  return PublishFile(config_.dir + "/" + kCheckpointName, header.data(), body.data());
 }
 
 Status IngestWal::WriteSealMarker(uint64_t epoch, const EpochFiles& files) {
@@ -402,11 +495,11 @@ Status IngestWal::WriteSealMarker(uint64_t epoch, const EpochFiles& files) {
 }
 
 std::optional<IngestWal::EpochFiles> IngestWal::ReadSealMarker(uint64_t epoch) const {
-  auto payload = ReadFramedFile(MarkerPath(epoch));
-  if (!payload.has_value()) {
+  auto file = ReadPublishedFile(MarkerPath(epoch));
+  if (!file.has_value() || !file->body.empty()) {
     return std::nullopt;
   }
-  Reader r(*payload);
+  Reader r(file->header);
   EpochFiles files;
   uint64_t marker_epoch = 0;
   uint32_t count = 0;
@@ -444,13 +537,13 @@ struct IngestWal::RecoveryPlan {
 
 Result<IngestWal::Recovery> IngestWal::Recover() {
   // Startup is single-threaded: no appender or barrier can exist before
-  // FinishRecovery hands out the open WAL, so plain member access is safe.
+  // recovery hands out the open WAL, so plain member access is safe.
   std::error_code ec;
   fs::create_directories(config_.dir, ec);
   if (ec) {
     return Error{"wal: cannot create " + config_.dir + ": " + ec.message()};
   }
-  auto plan = std::make_unique<RecoveryPlan>();
+  RecoveryPlan plan;
   std::map<uint64_t, uint64_t> gens;  // gen -> file size
   std::set<uint64_t> markers;
   bool have_checkpoint = false;
@@ -471,34 +564,31 @@ Result<IngestWal::Recovery> IngestWal::Recover() {
       if (name == marker) {
         markers.insert(n);
       } else if (name == marker + ".tmp") {
-        plan->stale_temps.push_back(entry.path().string());
+        plan.stale_temps.push_back(entry.path().string());
       }
     } else if (name == std::string(kCheckpointName) + ".tmp") {
       // A crash between writing and renaming; the rename never happened.
-      plan->stale_temps.push_back(entry.path().string());
+      plan.stale_temps.push_back(entry.path().string());
     }
   }
   if (ec) {
     return Error{"wal: cannot scan " + config_.dir + ": " + ec.message()};
   }
   if (!have_checkpoint && !gens.empty()) {
-    // FinishRecovery publishes wal.ckpt before generation 1 exists, so
+    // Recovery publishes wal.ckpt before generation 1 exists, so
     // generations without it mean the directory was tampered with.
-    return Error{"wal: generations present but no checkpoint marker in " + config_.dir};
+    return Error{"wal: generations present but no checkpoint in " + config_.dir};
   }
   uint64_t covered = 0;
+  Recovery out;
   if (have_checkpoint) {
+    // Published via tmp + fsync + rename + dir fsync; a torn or short one
+    // means the discipline was violated underneath us.  Guessing would
+    // lose session state or replay ops onto the wrong image — refuse.
     const std::string path = config_.dir + "/" + kCheckpointName;
-    auto payload = ReadFramedFile(path);
-    if (!payload.has_value()) {
-      // Published via tmp + fsync + rename + dir fsync; a torn one means the
-      // discipline was violated underneath us.  Guessing risks replaying
-      // journaled session ops out of order — refuse instead.
-      return Error{"wal: corrupt checkpoint marker " + path};
-    }
-    Reader r(*payload);
-    if (!r.GetU64(&covered) || !r.AtEnd()) {
-      return Error{"wal: corrupt checkpoint marker " + path};
+    auto file = ReadPublishedFile(path);
+    if (!file.has_value() || !ParseCheckpoint(*file, &covered, &out.sessions)) {
+      return Error{"wal: corrupt checkpoint " + path};
     }
   }
 
@@ -509,7 +599,6 @@ Result<IngestWal::Recovery> IngestWal::Recover() {
   // damage, and finishing the "removal" would drop acknowledged reports.
   // A marker whose generations all still have their recorded sizes (and
   // sit under wal.ckpt) is trusted without a scan.
-  Recovery out;
   std::map<uint64_t, uint64_t> owner;  // gen -> sealed epoch naming it
   std::set<uint64_t> trusted;
   for (uint64_t epoch : markers) {
@@ -536,12 +625,12 @@ Result<IngestWal::Recovery> IngestWal::Recover() {
       out.finished_removals++;
     }
     if (removed > 0 || named.gens.empty()) {
-      plan->drop_epochs[epoch];  // its surviving generations join below
+      plan.drop_epochs[epoch];  // its surviving generations join below
     } else if (matches) {
       trusted.insert(epoch);
-      plan->epochs[epoch].counts = named.counts;
+      plan.epochs[epoch].counts = named.counts;
     } else {
-      plan->reseal.insert(epoch);  // rescanned: the new marker records what is there
+      plan.reseal.insert(epoch);  // rescanned: the new marker records what is there
     }
     for (const GenFile& gen : named.gens) {
       owner[gen.gen] = epoch;
@@ -560,7 +649,7 @@ Result<IngestWal::Recovery> IngestWal::Recover() {
     GenFile file{gen, size, 0};
     std::vector<uint64_t> counts;
     const bool known = epoch.has_value() &&
-                       (trusted.count(*epoch) != 0 || plan->drop_epochs.count(*epoch) != 0);
+                       (trusted.count(*epoch) != 0 || plan.drop_epochs.count(*epoch) != 0);
     if (!known || gen > covered) {
       BlockReader reader(path);
       WalRecord rec;
@@ -570,7 +659,8 @@ Result<IngestWal::Recovery> IngestWal::Recover() {
         while ((parsed = NextRecord(records, rec)) == Parsed::kRecord) {
           if (gen > covered) {
             if (auto op = SessionOpOf(rec.kind, rec.session_id, rec.value)) {
-              out.session_ops.push_back(*op);
+              Fold(out.sessions, *op);
+              out.replayed_session_ops++;
             }
           }
           if (!IsReport(rec.kind)) {
@@ -603,24 +693,24 @@ Result<IngestWal::Recovery> IngestWal::Recover() {
         }
         out.truncated_bytes = size - reader.offset();
         size = file.bytes = reader.offset();
-        plan->torn.emplace(gen, size);
+        plan.torn.emplace(gen, size);
       }
     }
     if (!epoch.has_value()) {
-      plan->drop_gens.push_back(gen);  // no reports: nothing to keep once covered
+      plan.drop_gens.push_back(gen);  // no reports: nothing to keep once covered
       continue;
     }
-    if (plan->drop_epochs.count(*epoch) != 0) {
-      plan->drop_epochs[*epoch].push_back(gen);
+    if (plan.drop_epochs.count(*epoch) != 0) {
+      plan.drop_epochs[*epoch].push_back(gen);
       continue;
     }
     if (gen > covered) {
       out.replayed_reports += file.reports;
     }
     if (own == owner.end() && markers.count(*epoch) != 0) {
-      plan->reseal.insert(*epoch);  // reports the marker does not name
+      plan.reseal.insert(*epoch);  // reports the marker does not name
     }
-    EpochFiles& files = plan->epochs[*epoch];
+    EpochFiles& files = plan.epochs[*epoch];
     files.gens.push_back(file);
     if (files.counts.size() < counts.size()) {
       files.counts.resize(counts.size(), 0);
@@ -633,51 +723,50 @@ Result<IngestWal::Recovery> IngestWal::Recover() {
   // The newest unsealed epoch resumes; older unsealed ones can no longer
   // take reports and are sealed as found.  A sealed epoch without reports
   // has nothing to drain: its files go.
-  for (auto it = plan->epochs.begin(); it != plan->epochs.end();) {
+  for (auto it = plan.epochs.begin(); it != plan.epochs.end();) {
     const uint64_t epoch = it->first;
     uint64_t total = 0;
     for (uint64_t count : it->second.counts) {
       total += count;
     }
     if (markers.count(epoch) == 0) {
-      if (plan->open_epoch.has_value()) {
-        plan->reseal.insert(*plan->open_epoch);
+      if (plan.open_epoch.has_value()) {
+        plan.reseal.insert(*plan.open_epoch);
       }
-      plan->open_epoch = epoch;
+      plan.open_epoch = epoch;
     } else if (total == 0) {
       for (const GenFile& gen : it->second.gens) {
-        plan->drop_epochs[epoch].push_back(gen.gen);
+        plan.drop_epochs[epoch].push_back(gen.gen);
       }
-      plan->reseal.erase(epoch);
-      it = plan->epochs.erase(it);
+      plan.reseal.erase(epoch);
+      it = plan.epochs.erase(it);
       continue;
     }
     ++it;
   }
-  if (plan->open_epoch.has_value()) {
-    plan->reseal.erase(*plan->open_epoch);
+  if (plan.open_epoch.has_value()) {
+    plan.reseal.erase(*plan.open_epoch);
   }
-  for (const auto& [epoch, files] : plan->epochs) {
-    out.epochs[epoch] = RecoveredEpoch{files.counts, epoch != plan->open_epoch};
+  for (const auto& [epoch, files] : plan.epochs) {
+    out.epochs[epoch] = RecoveredEpoch{files.counts, epoch != plan.open_epoch};
   }
-  plan->covered = std::max(covered, newest);
-  plan_ = std::move(plan);
+  plan.covered = std::max(covered, newest);
+  Status applied = ApplyRecoveryPlan(plan, out.sessions);
+  if (!applied.ok()) {
+    return applied.error();
+  }
   return out;
 }
 
-Status IngestWal::FinishRecovery() {
-  if (plan_ == nullptr) {
-    return Error{"wal: FinishRecovery without Recover"};
-  }
-  RecoveryPlan& plan = *plan_;
+Status IngestWal::ApplyRecoveryPlan(RecoveryPlan& plan, SessionImage image) {
   if (plan.torn.has_value()) {
     Status truncated = fs_->Truncate(GenPath(plan.torn->first), plan.torn->second);
     if (!truncated.ok()) {
       return truncated;
     }
   }
-  // The caller has journaled every replayed session op: cover them all.
-  Status published = WriteCheckpoint(plan.covered);
+  // The image holds every replayed session op: cover them all.
+  Status published = WriteCheckpoint(plan.covered, image);
   if (!published.ok()) {
     return published;
   }
@@ -739,19 +828,19 @@ Status IngestWal::FinishRecovery() {
       }
     }
   }
-  plan_.reset();
+  MutexLock ckpt_lock(ckpt_mu_);
+  image_ = std::move(image);
   return Status::Ok();
+}
+
+SessionImage IngestWal::sessions() const {
+  MutexLock ckpt_lock(ckpt_mu_);
+  return image_;
 }
 
 // ------------------------------------------------------------------ appends
 
-void IngestWal::AttachJournal(SessionJournal* journal) { journal_ = journal; }
-
 void IngestWal::set_rollback_callback(RollbackCallback cb) { rollback_ = std::move(cb); }
-
-void IngestWal::set_post_checkpoint_hook(std::function<void()> hook) {
-  post_checkpoint_ = std::move(hook);
-}
 
 Result<uint64_t> IngestWal::AppendLocked(PendingRecord& record) {
   MutexLock lock(mu_);
@@ -906,7 +995,7 @@ Status IngestWal::FlushAsLeader() {
     }
   } else if (wrote) {
     // The records are durable: count the open epoch's reports, queue the
-    // session ops for the journal.  No report bytes are kept — the
+    // session ops for the next checkpoint's image.  No report bytes are kept — the
     // generation is their one durable copy.
     MutexLock lock(mu_);
     gen_bytes_ = pre_bytes + flushed_bytes;
@@ -1088,28 +1177,28 @@ Status IngestWal::CheckpointLocked() {
     return Status::Ok();  // nothing new since the last checkpoint
   }
 
-  // Phase B — journal the session ops in order with one append, then
-  // publish the new wal.ckpt.
-  if (status.ok() && !ops.empty()) {
-    status = journal_ != nullptr ? journal_->Append(ops)
-                                 : Error{"wal: session ops but no journal attached"};
+  // Phase B — fold the ops into a copy of the image and publish it.  Only
+  // a published image is adopted: until then the old wal.ckpt and the
+  // generations past it are the state, and the ops stay queued.
+  SessionImage next;
+  if (status.ok()) {
+    next = image_;
+    for (const SessionOp& op : ops) {
+      Fold(next, op);
+    }
+    status = WriteCheckpoint(covered, next);
   }
   if (!status.ok()) {
-    // The journal rolled a failed append back: requeue the ops ahead of
-    // anything flushed since, so the retry keeps log order.
-    MutexLock lock(mu_);
-    unapplied_.insert(unapplied_.begin(), ops.begin(), ops.end());
-  } else {
-    // Should this fail, the ops are journaled but the old wal.ckpt stays
-    // authoritative: a crash replays them once more, which is idempotent,
-    // and the next checkpoint covers them.
-    status = WriteCheckpoint(covered);
-  }
-  if (!status.ok()) {
+    {
+      // Ahead of anything flushed since, so the retry keeps log order.
+      MutexLock lock(mu_);
+      unapplied_.insert(unapplied_.begin(), ops.begin(), ops.end());
+    }
     MutexLock stats_lock(stats_mu_);
     stats_.checkpoint_failures++;
     return status;
   }
+  image_ = std::move(next);
 
   // Covered generations without reports have nothing left to give.
   std::vector<uint64_t> spent;
@@ -1129,13 +1218,8 @@ Status IngestWal::CheckpointLocked() {
   for (uint64_t gen : spent) {
     (void)fs_->Remove(GenPath(gen));  // best effort: recovery drops it too
   }
-  {
-    MutexLock stats_lock(stats_mu_);
-    stats_.checkpoints++;
-  }
-  if (post_checkpoint_) {
-    post_checkpoint_();
-  }
+  MutexLock stats_lock(stats_mu_);
+  stats_.checkpoints++;
   return Status::Ok();
 }
 
@@ -1151,8 +1235,9 @@ Status IngestWal::MaybeCheckpoint() {
 
 Status IngestWal::SealEpoch(uint64_t epoch) {
   MutexLock ckpt_lock(ckpt_mu_);
-  // The checkpoint closes the epoch's last generation and journals every
-  // session op in it, so the marker only ever names covered generations.
+  // The checkpoint closes the epoch's last generation and folds every
+  // session op in it into the snapshot, so the marker only ever names
+  // covered generations.
   Status status = CheckpointLocked();
   if (!status.ok()) {
     return status;

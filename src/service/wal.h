@@ -12,11 +12,11 @@
 // On-disk layout (all under `dir`, the spool root):
 //
 //   ingest-<gen>.wal    CRC-framed blocks of records; reports of ONE epoch
-//   wal.ckpt            the highest generation whose session ops are
-//                       journaled (tmp + fsync + rename + dir-fsync)
+//   wal.ckpt            the session snapshot: the covered generation plus
+//                       every live session and tombstone as of it
+//                       (tmp + fsync + rename + dir-fsync)
 //   epoch-<e>.sealed    marker: epoch e's generations with their byte
 //                       sizes, and its per-shard report counts
-//   sessions.journal    checkpoint target for session state
 //
 // Layered on the single commit point:
 //
@@ -29,13 +29,15 @@
 //   * Block packing.  A flush writes one CRC-framed block whose payload
 //     packs every pending record, amortizing the 22 B v2 frame header that
 //     costs ~5% on ~450 B sealed reports when paid per record.
-//   * Checkpointing.  `Checkpoint()` rotates to a fresh generation, appends
-//     the flushed session ops to the session journal, and publishes
-//     `wal.ckpt`.  It copies no report bytes: a report's one durable copy
-//     is its WAL record.  Generations that hold no reports are unlinked
-//     once covered; the rest wait for their epoch to drain.
+//   * Checkpointing.  The WAL is a redo log and `wal.ckpt` its durable
+//     image.  `Checkpoint()` rotates to a fresh generation, folds the
+//     flushed session ops into the session image it holds, and publishes
+//     the result as `wal.ckpt`; the image is adopted only once the publish
+//     succeeded.  It copies no report bytes: a report's one durable copy is
+//     its WAL record.  Generations that hold no reports are unlinked once
+//     covered; the rest wait for their epoch to drain.
 //   * Sealing.  `SealEpoch(e)` checkpoints (so e's last generation closes
-//     and every session op in it is journaled), then publishes
+//     and every session op in it is in the snapshot), then publishes
 //     `epoch-<e>.sealed` naming e's generations.  No generation therefore
 //     holds reports of two epochs, though a mid-epoch checkpoint can spread
 //     one epoch over several generations.  `OpenEpochStream(e)` reads the
@@ -50,28 +52,29 @@
 // (the caller NACKs — with the unified record, "commit lost" always implies
 // "report lost", so degradation can no longer manufacture a post-restart
 // duplicate), and invokes the rollback callback so ingest accounting
-// forgets the buffered reports.  A failed journal append keeps its session
-// ops queued for the next checkpoint; a failed marker leaves the old one
-// authoritative, so a later retry (or a restart) sees a consistent prefix.
+// forgets the buffered reports.  A failed checkpoint keeps the old image
+// and its session ops queued ahead of newer ones for the next checkpoint;
+// a failed marker leaves the old one authoritative, so a later retry (or a
+// restart) sees a consistent prefix.
 //
-// Recovery is two-phase around the session journal:
-//   1. `Recover()` — one read-only pass over the generations, one block at a
-//      time.  A sealed epoch's counts come from its marker when the named
-//      generations still have their recorded sizes; every other generation
-//      is scanned for per-(epoch, shard) report counts, and those past
-//      `wal.ckpt` also for their session ops, returned in log order.  Only
-//      the newest generation may end in a torn write — a bad block with no
-//      CRC-valid frame after it; any other bad block fails recovery with
-//      the file and offset, leaving every file as it was.  So does a marker
-//      whose missing generations are not a prefix of the ones it names: no
-//      interrupted removal leaves that, and dropping the rest would
-//      silently lose acknowledged reports.
-//   2. the caller journals the returned session ops, then `FinishRecovery()`
-//      truncates the torn tail, publishes `wal.ckpt` over every generation,
-//      seals (or re-seals) epochs that need a marker, finishes removing
-//      epochs a crash interrupted mid-removal, unlinks covered generations
-//      that hold no reports, and opens a fresh generation.  A crash anywhere
-//      in between re-runs the same recovery against the old files.
+// Recovery (`Recover()`) is one call.  It first reads: `wal.ckpt`, whose
+// snapshot must parse whole with exactly its recorded counts (it is
+// published by rename, so any tear is damage and refuses the start), then
+// the generations, one block at a time.  A sealed epoch's counts come from
+// its marker when the named generations still have their recorded sizes;
+// every other generation is scanned for per-(epoch, shard) report counts,
+// and those past `wal.ckpt` also for their session ops, folded into the
+// snapshot once, in log order.  Only the newest generation may end in a
+// torn write — a bad block with no CRC-valid frame after it; any other bad
+// block fails recovery with the file and offset, leaving every file as it
+// was.  So does a marker whose missing generations are not a prefix of the
+// ones it names: no interrupted removal leaves that, and dropping the rest
+// would silently lose acknowledged reports.  Only then does it write:
+// truncate the torn tail, publish `wal.ckpt` over every generation, seal
+// (or re-seal) epochs that need a marker, finish removing epochs a crash
+// interrupted mid-removal, unlink covered generations that hold no reports,
+// and open a fresh generation.  A crash anywhere in between re-runs the
+// same recovery against the old files.
 #ifndef PROCHLO_SRC_SERVICE_WAL_H_
 #define PROCHLO_SRC_SERVICE_WAL_H_
 
@@ -80,12 +83,12 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "src/service/fs.h"
-#include "src/service/session_journal.h"
 #include "src/util/bytes.h"
 #include "src/util/record_stream.h"
 #include "src/util/status.h"
@@ -93,9 +96,37 @@
 
 namespace prochlo {
 
+// One session-state mutation a WAL record carries: the ack half of a report
+// record, an LRU eviction, or a goodbye.
+struct SessionOp {
+  enum Kind : uint8_t { kCommit = 1, kEvict = 2, kGoodbye = 3 };
+  Kind kind = kCommit;
+  uint64_t session_id = 0;
+  uint64_t value = 0;  // seq for kCommit, watermark floor for kEvict
+};
+
+// One live session's durable dedup state.
+struct SessionSnapshot {
+  uint64_t watermark = 0;     // every seq < watermark is durable
+  std::set<uint64_t> sparse;  // durable seqs >= watermark
+
+  bool operator==(const SessionSnapshot&) const = default;
+};
+
+// Every session's durable state at one point of the log: what wal.ckpt
+// holds, and what recovery hands AckRegistry::RestoreFromRecovery.
+struct SessionImage {
+  std::map<uint64_t, SessionSnapshot> live;
+  // Evicted sessions: id -> watermark floor.  Reports on these get the
+  // kSessionExpired NACK instead of risking re-ingestion.
+  std::map<uint64_t, uint64_t> evicted;
+
+  bool operator==(const SessionImage&) const = default;
+};
+
 struct IngestWalConfig {
   // Directory the WAL lives in — the spool root, so generations, markers
-  // and the journal share one crash domain (and one parent-dir fsync).
+  // and the snapshot share one crash domain (and one parent-dir fsync).
   std::string dir;
   // Group commits fsync before completions fire.  Off = page-cache
   // durability: process-kill safe, power-loss not (mirrors fsync_spool).
@@ -122,17 +153,19 @@ class IngestWal {
   };
 
   struct Recovery {
-    // Commit/evict/goodbye records past wal.ckpt, in log order.
-    std::vector<SessionOp> session_ops;
+    // wal.ckpt's snapshot with every later session op folded in.
+    SessionImage sessions;
+    // Commit/evict/goodbye records past wal.ckpt.
+    uint64_t replayed_session_ops = 0;
     // Every epoch that holds reports, keyed by epoch.  At most one is
-    // unsealed: older unsealed epochs are sealed by FinishRecovery.
+    // unsealed: older unsealed epochs are sealed by recovery.
     std::map<uint64_t, RecoveredEpoch> epochs;
     // Reports in generations past wal.ckpt.
     uint64_t replayed_reports = 0;
     // Torn tail dropped from the newest generation.
     uint64_t truncated_bytes = 0;
-    // Drained epochs whose removal a crash interrupted; FinishRecovery
-    // unlinks what is left of them.
+    // Drained epochs whose removal a crash interrupted; recovery unlinks
+    // what is left of them.
     uint64_t finished_removals = 0;
   };
 
@@ -153,19 +186,15 @@ class IngestWal {
   IngestWal(const IngestWal&) = delete;
   IngestWal& operator=(const IngestWal&) = delete;
 
-  // Recovery phase 1; see the file comment.  Creates the directory if
-  // needed and modifies no file.
+  // See the file comment.  Creates the directory if needed, refuses damage
+  // before it changes any file, and leaves the WAL open for appends.
   Result<Recovery> Recover();
-  // Recovery phase 2; call once the returned session ops are durable in
-  // the session journal.  Leaves the WAL open for appends.
-  Status FinishRecovery();
 
-  // Checkpoint target for session ops.  May stay null while no record
-  // carries one (a spool with ack-less reports only).  Must outlive this WAL.
-  void AttachJournal(SessionJournal* journal);
+  // The session image as of the last checkpoint; right after Recover, the
+  // recovered one.
+  SessionImage sessions() const;
+
   void set_rollback_callback(RollbackCallback cb);
-  // Runs after every successful checkpoint (e.g. journal compaction).
-  void set_post_checkpoint_hook(std::function<void()> hook);
 
   // Buffers one report record (with its ack commit when session_id != 0).
   // On success, ownership of *done moves into the WAL: it fires exactly
@@ -190,8 +219,8 @@ class IngestWal {
   // Whether a failed group commit dropped this LSN.
   bool WasRolledBack(uint64_t lsn) const;
 
-  // Rotate, journal the flushed session ops, publish wal.ckpt.  Serialized;
-  // safe to call concurrently with appends and barriers.
+  // Rotate, fold the flushed session ops into the image, publish wal.ckpt.
+  // Serialized; safe to call concurrently with appends and barriers.
   Status Checkpoint();
   // Checkpoint iff the active generation exceeds the configured threshold.
   Status MaybeCheckpoint();
@@ -238,10 +267,10 @@ class IngestWal {
 
   std::string GenPath(uint64_t gen) const;
   std::string MarkerPath(uint64_t epoch) const;
-  // Publishes `payload` as one CRC-framed file at `path`: tmp + fsync +
-  // rename + dir-fsync.
-  Status PublishFile(const std::string& path, ByteSpan payload);
-  Status WriteCheckpoint(uint64_t covered_gen);
+  // Publishes a CRC-framed file at `path`: one frame of `header`, then
+  // `body` in fixed-size chunk frames.  tmp + fsync + rename + dir-fsync.
+  Status PublishFile(const std::string& path, ByteSpan header, ByteSpan body = {});
+  Status WriteCheckpoint(uint64_t covered_gen, const SessionImage& image);
   // Unlinks `path` once every earlier unlink in the directory is durable
   // (with fsync on): removals land in the order they are issued.
   Status RemoveInOrder(const std::string& path);
@@ -264,12 +293,18 @@ class IngestWal {
   IngestWalConfig config_;
   Fs* fs_;
 
+  // The file changes recovery decided on, made once every check passed.
+  struct RecoveryPlan;
+  Status ApplyRecoveryPlan(RecoveryPlan& plan, SessionImage image);
+
   // Lock order: ckpt_mu_ -> sync_mu_ -> mu_.  sync_mu_ runs the group
   // commit leader election; mu_ guards the append buffer, the active
   // generation and the epoch bookkeeping; ckpt_mu_ serializes checkpoints
-  // and seals (held across the journal append and marker writes, which
-  // take no other WAL lock).
-  Mutex ckpt_mu_;
+  // and seals and guards the session image (held across the snapshot and
+  // marker writes, which take no other WAL lock).
+  mutable Mutex ckpt_mu_;
+  // The session image as of covered_gen_: what wal.ckpt holds.
+  SessionImage image_ GUARDED_BY(ckpt_mu_);
   mutable Mutex sync_mu_ ACQUIRED_AFTER(ckpt_mu_);
   CondVar sync_cv_;
   bool sync_inflight_ GUARDED_BY(sync_mu_) = false;
@@ -289,7 +324,7 @@ class IngestWal {
   uint64_t next_lsn_ GUARDED_BY(mu_) = 1;
   std::vector<PendingRecord> pending_ GUARDED_BY(mu_);
   uint64_t pending_bytes_ GUARDED_BY(mu_) = 0;
-  // Session ops flushed but not yet journaled, in LSN order.
+  // Session ops flushed but not yet in the image, in LSN order.
   std::vector<SessionOp> unapplied_ GUARDED_BY(mu_);
   // Highest generation the on-disk wal.ckpt covers; recovery replays the
   // session ops of generations above it.
@@ -307,13 +342,7 @@ class IngestWal {
   // buffering, so the condition heals as soon as the filesystem does.
   bool dirty_tail_ GUARDED_BY(mu_) = false;
 
-  SessionJournal* journal_ = nullptr;
   RollbackCallback rollback_;
-  std::function<void()> post_checkpoint_;
-
-  // Recovery plan, valid between the two phases.
-  struct RecoveryPlan;
-  std::unique_ptr<RecoveryPlan> plan_;
 
   mutable Mutex stats_mu_;
   Stats stats_ GUARDED_BY(stats_mu_);

@@ -30,7 +30,7 @@
 //            reconnecting client's retries are deduplicated by seq.
 //   kGoodbye client -> server.  The session is complete: every report was
 //            acked and the client will never reuse this session id.  The
-//            server journals the termination, drops the session's dedup
+//            server logs the termination, drops the session's dedup
 //            state wholesale, and ACKs the goodbye (echoing its seq) —
 //            the fair-termination handshake that lets cooperative clients
 //            free server memory instead of waiting out LRU eviction.
@@ -267,8 +267,8 @@ class FrameReader {
 
   // Byte offset just past the last frame of the unbroken valid prefix: every
   // frame before it decoded cleanly and no corruption had yet been seen.
-  // The session journal truncates a reopened log here, discarding a torn
-  // tail without touching durable frames.
+  // A log reopened for appends truncates here, discarding a torn tail
+  // without touching durable frames.
   size_t clean_prefix_end() const { return clean_prefix_end_; }
 
  private:

@@ -1,5 +1,5 @@
 // The disk-fault half of the exactly-once contract: every write-side
-// syscall under the spool and the session journal routes through the
+// syscall under the spool and its session snapshot routes through the
 // injectable Fs seam, and this suite drives short writes, ENOSPC, fsync
 // EIO, and crash-at-syscall-k schedules through exactly the production
 // code — then proves the contract end-to-end across a full server restart:
@@ -35,7 +35,6 @@
 #include "src/service/fs.h"
 #include "src/service/ingest.h"
 #include "src/service/runtime.h"
-#include "src/service/session_journal.h"
 #include "src/service/wal.h"
 #include "src/service/wire.h"
 #include "src/util/rng.h"
@@ -113,7 +112,7 @@ class FlakyStream : public ByteStream {
 
 // The full server stack, like the network suite's rig, plus the durable
 // session plumbing: Start() binds the FrameServer's AckRegistry to the
-// frontend's replayed journal before the listener accepts anything.
+// frontend's recovered sessions before the listener accepts anything.
 struct DurabilityRig {
   explicit DurabilityRig(FrontendConfig config, size_t workers = 2, size_t ring = 64)
       : frontend(std::move(config)),
@@ -248,8 +247,8 @@ void ExpectAckBooksBalance(const DurabilityRig& rig, uint64_t unique_reports) {
 // The tentpole scenario: every report lands durably and is ACKed, but the
 // client never sees an ack (blackholed) and its host dies.  The server is
 // then killed and rebuilt on the same spool directory.  The restarted
-// server must re-ACK the client's full replay from the replayed session
-// journal WITHOUT re-ingesting a single report, and the drained histogram
+// server must re-ACK the client's full replay from the recovered sessions
+// WITHOUT re-ingesting a single report, and the drained histogram
 // must be bit-identical to the serial frontend.
 TEST(ServiceDurabilityTest, RestartAfterLostAcksSuppressesFullReplay) {
   FrontendConfig base = DurabilityFrontendConfig("");
@@ -276,7 +275,7 @@ TEST(ServiceDurabilityTest, RestartAfterLostAcksSuppressesFullReplay) {
     for (const auto& report : sealed) {
       ASSERT_TRUE(client.SendReport(report).ok());
     }
-    // Server side: everything ingested, journaled, and ACKed into the
+    // Server side: everything ingested, committed, and ACKed into the
     // blackhole.  Client side: nothing confirmed, everything outstanding.
     ASSERT_TRUE(rig.WaitForAccepted(sealed.size(), std::chrono::milliseconds(30000)));
     EXPECT_FALSE(client.WaitForAcks(std::chrono::milliseconds(50)));
@@ -284,7 +283,7 @@ TEST(ServiceDurabilityTest, RestartAfterLostAcksSuppressesFullReplay) {
     kill->Abort();
     ASSERT_TRUE(rig.server.Shutdown().ok());
     EXPECT_EQ(rig.server.ack_book().acked, sealed.size());
-  }  // the whole stack dies: frontend, journal, registry, listener
+  }  // the whole stack dies: frontend, WAL, registry, listener
 
   FrontendConfig config = base;
   config.spool_dir = dir.path;
@@ -294,7 +293,9 @@ TEST(ServiceDurabilityTest, RestartAfterLostAcksSuppressesFullReplay) {
   // The survivor replayed both halves of the durable state.
   EXPECT_EQ(rig.frontend.stats().recovered_reports.load(), sealed.size());
   EXPECT_EQ(rig.frontend.stats().recovered_sessions.load(), 1u);
-  EXPECT_GE(rig.frontend.stats().recovered_session_records.load(), sealed.size());
+  for (uint64_t seq = 0; seq < sealed.size(); ++seq) {
+    EXPECT_TRUE(rig.server.registry().IsDurable(0xA11CEull, seq)) << "seq " << seq;
+  }
   EXPECT_EQ(rig.server.registry().sessions(), 1u);
 
   // Full replay: the client resends every report.  Every one must be
@@ -331,7 +332,7 @@ TEST(ServiceDurabilityTest, RestartAfterLostAcksSuppressesFullReplay) {
 
 // ------------------------------------------------- crash-at-syscall-k sweep
 
-// The disk dies at syscall k — mid-spool-append, mid-journal-commit,
+// The disk dies at syscall k — mid-group-commit, mid-checkpoint,
 // mid-fsync, anywhere — while a client is streaming reports.  The client
 // quiesces (everything the dead server will ever ACK has been ACKed), the
 // stack is discarded, and a healthy server reopens the directory.  The
@@ -569,8 +570,8 @@ TEST(ServiceDurabilityTest, WalClosesTheSpoolJournalAtomicityWindowAtEveryCrashP
 // A crash may lose any dirent whose parent directory was never fsynced —
 // a freshly created file or a just-renamed marker silently reverts.  The
 // production discipline is that every recovery-critical metadata step
-// (spool seal markers, WAL checkpoint write-through and marker rename,
-// journal compaction) is followed by a parent-dir fsync.  This test pins
+// (seal markers, generation creates, the wal.ckpt snapshot's rename) is
+// followed by a parent-dir fsync.  This test pins
 // it: every create/rename NOT followed by a SyncDir is revoked at the
 // crash, and recovery must still come back bit-identical.  Remove any of
 // the production SyncDirs and the corresponding marker/segment vanishes
@@ -594,8 +595,8 @@ TEST(ServiceDurabilityTest, SealedAndCheckpointedMetadataSurvivesLostDirents) {
     for (const auto& report : sealed) {
       ASSERT_TRUE(frontend.AcceptReport(report).ok());
     }
-    // Seal epoch 0: the WAL checkpoint (segment write-through + marker
-    // rename) followed by the spool's sealed marker, each dir-fsynced.
+    // Seal epoch 0: the WAL checkpoint (rotation + wal.ckpt rename)
+    // followed by the epoch's seal marker, each dir-fsynced.
     ASSERT_TRUE(frontend.CutEpoch().ok());
     // Epoch 1 accumulates un-checkpointed reports in the live WAL gen.
     for (size_t i = 0; i < half; ++i) {
@@ -903,8 +904,8 @@ void AckedIngest(ShufflerFrontend& frontend, AckRegistry& registry, uint64_t ses
 
 // The registry's memory must stay bounded under session churn: live
 // sessions never exceed the cap, evicted ids become tombstones, and a
-// checkpoint writes the whole final state through to the session journal,
-// from which a restarted server restores it.
+// checkpoint writes the whole final state into the wal.ckpt snapshot, from
+// which a restarted server restores it.
 TEST(ServiceDurabilityTest, SessionChurnStaysBoundedAtCap) {
   ScratchDir dir("durability-churn");
   constexpr size_t kCap = 64;
@@ -928,7 +929,7 @@ TEST(ServiceDurabilityTest, SessionChurnStaysBoundedAtCap) {
     ASSERT_TRUE(frontend.wal()->Checkpoint().ok());
   }
 
-  // The restarted server finds the final shape in the journal alone.
+  // The restarted server finds the final shape in the snapshot alone.
   ShufflerFrontend after(config);
   ASSERT_TRUE(after.Start().ok());
   EXPECT_EQ(after.stats().recovered_wal_session_ops.load(), 0u);
@@ -980,38 +981,50 @@ TEST(ServiceDurabilityTest, WatermarkSurvivesReleaseCommitInterleavings) {
 }
 
 // An out-of-order commit burst must fold entirely into the contiguous
-// watermark — in the registry, and in the journal, whose replay applies the
-// same sweep: the recovered snapshot has an empty sparse set.
+// watermark — in the registry, and in the snapshot, whose fold applies the
+// same sweep: the recovered session has an empty sparse set.
 TEST(ServiceDurabilityTest, OutOfOrderCommitBurstCompactsIntoWatermark) {
   ScratchDir dir("durability-ooo");
-  SessionJournalConfig journal_config;
-  journal_config.path = dir.path + "/sessions.journal";
-  journal_config.fsync = false;
+  FrontendConfig config = DurabilityFrontendConfig(dir.path);
+  config.fsync_spool = false;
+  constexpr uint64_t kBurst = 64;
   {
-    SessionJournal journal(journal_config);
-    ASSERT_TRUE(journal.Open().ok());
+    ShufflerFrontend frontend(config);
+    ASSERT_TRUE(frontend.Start().ok());
     AckRegistry registry;
-    constexpr uint64_t kBurst = 64;
+    ASSERT_TRUE(frontend.BindAckRegistry(&registry).ok());
     for (uint64_t s = 0; s < kBurst; ++s) {
       ASSERT_EQ(registry.TryClaim(7, s), Claim::kNew);
     }
-    std::vector<SessionOp> commits;
-    for (uint64_t s = kBurst; s-- > 0;) {  // commit in strict reverse order
-      registry.Commit(7, s);
-      commits.push_back({SessionOp::kCommit, 7, s});
+    for (uint64_t s = kBurst; s-- > 0;) {  // logged and committed in strict reverse order
+      const Bytes report = SyntheticReport(7, s);
+      ASSERT_TRUE(frontend
+                      .AcceptRoutedReportAsync(
+                          ShardedIngest::ShardOfReport(report, frontend.num_shards()), report,
+                          ReportContext{7, s},
+                          [&registry, s](const Status& status) {
+                            EXPECT_TRUE(status.ok());
+                            registry.Commit(7, s);
+                          })
+                      .ok());
     }
+    ASSERT_TRUE(frontend.BarrierIngest().ok());
     for (uint64_t s = 0; s < kBurst; ++s) {
       EXPECT_EQ(registry.TryClaim(7, s), Claim::kDuplicate);
     }
-    ASSERT_TRUE(journal.Append(commits).ok());
+    ASSERT_TRUE(frontend.wal()->Checkpoint().ok());
   }
-  SessionJournal reopened(journal_config);
-  auto recovery = reopened.Open();
-  ASSERT_TRUE(recovery.ok());
-  ASSERT_EQ(recovery.value().live.size(), 1u);
-  EXPECT_EQ(recovery.value().live[0].session_id, 7u);
-  EXPECT_EQ(recovery.value().live[0].watermark, 64u);
-  EXPECT_TRUE(recovery.value().live[0].sparse.empty());
+  IngestWalConfig wal_config;
+  wal_config.dir = dir.path;
+  wal_config.fsync = false;
+  IngestWal reopened(wal_config);
+  auto recovery = reopened.Recover();
+  ASSERT_TRUE(recovery.ok()) << recovery.error().message;
+  EXPECT_EQ(recovery.value().replayed_session_ops, 0u);  // all in the snapshot
+  ASSERT_EQ(recovery.value().sessions.live.size(), 1u);
+  const SessionSnapshot& session = recovery.value().sessions.live.at(7);
+  EXPECT_EQ(session.watermark, kBurst);
+  EXPECT_TRUE(session.sparse.empty());
 }
 
 // Sequence numbers near the top of the space must saturate, never wrap: a
@@ -1021,10 +1034,10 @@ TEST(ServiceDurabilityTest, SeqSpaceSaturatesInsteadOfWrapping) {
   constexpr uint64_t kMax = ~uint64_t{0};
   // A session whose watermark sits one below the top (restored, since
   // getting there organically takes 2^64 commits).
-  JournalRecovery recovery;
-  recovery.live.push_back(SessionSnapshot{/*session_id=*/9, kMax - 1, {}});
+  SessionImage image;
+  image.live[/*session_id=*/9] = SessionSnapshot{kMax - 1, {}};
   AckRegistry registry;
-  registry.RestoreFromRecovery(recovery);
+  registry.RestoreFromRecovery(image);
 
   EXPECT_EQ(registry.TryClaim(9, kMax), Claim::kSessionExpired);  // reserved
   ASSERT_EQ(registry.TryClaim(9, kMax - 1), Claim::kNew);
@@ -1038,8 +1051,8 @@ TEST(ServiceDurabilityTest, SeqSpaceSaturatesInsteadOfWrapping) {
 
   // Even a crafted snapshot holding the reserved seq must not wrap the
   // sweep loop: kMax stays parked in the sparse set forever.
-  JournalRecovery forced;
-  forced.live.push_back(SessionSnapshot{/*session_id=*/11, kMax, {kMax}});
+  SessionImage forced;
+  forced.live[/*session_id=*/11] = SessionSnapshot{kMax, {kMax}};
   AckRegistry registry2;
   registry2.RestoreFromRecovery(forced);
   EXPECT_TRUE(registry2.IsDurable(11, kMax));
@@ -1071,13 +1084,12 @@ TEST(ServiceDurabilityTest, GoodbyeErasesDurableSessionState) {
     registry.Release(7, 0);
     ASSERT_TRUE(frontend.wal()->Checkpoint().ok());
   }
-  // The goodbye records replay from the journal: the restarted server has
-  // no trace of the session.
+  // The checkpoint folded the goodbye into the snapshot: the restarted
+  // server has no trace of the session.
   ShufflerFrontend after(config);
   ASSERT_TRUE(after.Start().ok());
   EXPECT_EQ(after.stats().recovered_wal_session_ops.load(), 0u);
   EXPECT_EQ(after.stats().recovered_sessions.load(), 0u);
-  EXPECT_EQ(after.stats().recovered_session_records.load(), 12u);  // 10 commits + 2 goodbyes
   AckRegistry registry;
   ASSERT_TRUE(after.BindAckRegistry(&registry).ok());
   EXPECT_EQ(registry.sessions(), 0u);
@@ -1085,106 +1097,226 @@ TEST(ServiceDurabilityTest, GoodbyeErasesDurableSessionState) {
   EXPECT_EQ(registry.TryClaim(7, 0), Claim::kNew);
 }
 
-// ------------------------------------- journal torn tails and compaction
+// ------------------------------------------ the wal.ckpt session snapshot
 
-TEST(ServiceDurabilityTest, JournalTruncatesTornTailAndRemovesStaleCompaction) {
-  ScratchDir dir("durability-torn");
-  const std::string path = dir.path + "/sessions.journal";
-  SessionJournalConfig journal_config;
-  journal_config.path = path;
-  {
-    SessionJournal journal(journal_config);
-    ASSERT_TRUE(journal.Open().ok());
-    std::vector<SessionOp> commits;
-    for (uint64_t s = 0; s < 5; ++s) {
-      commits.push_back({SessionOp::kCommit, 1, s});
-    }
-    ASSERT_TRUE(journal.Append(commits).ok());
-  }
-  const uint64_t clean_size = stdfs::file_size(path);
-  {
-    // A torn append at the tail, and a compaction that died mid-write.
-    std::ofstream torn(path, std::ios::binary | std::ios::app);
-    torn.write("\xAB\xAB\xAB\xAB\xAB\xAB\xAB", 7);
-    std::ofstream stale(path + ".new", std::ios::binary);
-    stale.write("junk", 4);
-  }
-
-  SessionJournal reopened(journal_config);
-  auto recovery = reopened.Open();
-  ASSERT_TRUE(recovery.ok());
-  EXPECT_EQ(recovery.value().records, 5u);
-  EXPECT_EQ(recovery.value().truncated_bytes, 7u);
-  ASSERT_EQ(recovery.value().live.size(), 1u);
-  EXPECT_EQ(recovery.value().live[0].watermark, 5u);
-  EXPECT_FALSE(stdfs::exists(path + ".new"));     // stale temp removed
-  EXPECT_EQ(stdfs::file_size(path), clean_size);  // tail gone, records intact
-
-  // The reopened journal appends cleanly after the repair.
-  ASSERT_TRUE(reopened.Append({{SessionOp::kCommit, 1, 5}}).ok());
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
 }
 
-// A failed append — the write lands but its fsync fails — leaves no record
-// behind, so the checkpoint that retries it journals the ops exactly once.
-TEST(ServiceDurabilityTest, FailedJournalAppendRollsBackWholeBatch) {
-  ScratchDir dir("durability-append-fail");
-  const std::string path = dir.path + "/sessions.journal";
-  FaultFs fault;
-  SessionJournalConfig journal_config;
-  journal_config.path = path;
-  journal_config.fs = &fault;
-  {
-    SessionJournal journal(journal_config);
-    ASSERT_TRUE(journal.Open().ok());
-    ASSERT_TRUE(journal.Append({{SessionOp::kCommit, 1, 0}}).ok());
-    const uint64_t before = journal.appended_bytes();
-
-    fault.FailSyncs(true);
-    EXPECT_FALSE(journal.Append({{SessionOp::kCommit, 1, 1}, {SessionOp::kGoodbye, 2, 0}}).ok());
-    EXPECT_EQ(journal.appended_bytes(), before);
-    EXPECT_EQ(stdfs::file_size(path), before);  // rolled back, not torn
-    fault.FailSyncs(false);
-    ASSERT_TRUE(journal.Append({{SessionOp::kCommit, 1, 1}}).ok());
-  }
-  SessionJournal reopened(journal_config);
-  auto recovery = reopened.Open();
-  ASSERT_TRUE(recovery.ok());
-  EXPECT_EQ(recovery.value().records, 2u);
-  ASSERT_EQ(recovery.value().live.size(), 1u);
-  EXPECT_EQ(recovery.value().live[0].watermark, 2u);
+void WriteFile(const std::string& path, const std::string& bytes) {
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
 }
 
-// Compaction keeps the log near one snapshot per session instead of one
-// record per commit, and the rename-commit survives a reopen.  Each round
-// is one checkpoint's write-through followed by the post-checkpoint hook.
-TEST(ServiceDurabilityTest, CompactionBoundsJournalGrowth) {
-  ScratchDir dir("durability-compact");
-  SessionJournalConfig journal_config;
-  journal_config.path = dir.path + "/sessions.journal";
-  journal_config.fsync = false;
-  journal_config.compact_threshold_bytes = 512;
+// Every file in `dir`, name -> bytes.
+std::map<std::string, std::string> DirContents(const std::string& dir) {
+  std::map<std::string, std::string> files;
+  for (const auto& entry : stdfs::directory_iterator(dir)) {
+    files[entry.path().filename().string()] = ReadFile(entry.path().string());
+  }
+  return files;
+}
+
+// wal.ckpt is published by rename, so a flipped byte or a short file is
+// damage, never a torn write: Start() refuses it, names the file, and
+// changes nothing on disk.  A stale wal.ckpt.tmp — a publish that died
+// before its rename — is garbage that the next clean start removes.
+TEST(ServiceDurabilityTest, CorruptSnapshotIsRefusedAndStaleTempRemoved) {
+  ScratchDir dir("durability-corrupt-ckpt");
+  FrontendConfig config = DurabilityFrontendConfig(dir.path);
   {
-    SessionJournal journal(journal_config);
-    ASSERT_TRUE(journal.Open().ok());
+    ShufflerFrontend frontend(config);
+    ASSERT_TRUE(frontend.Start().ok());
     AckRegistry registry;
-    constexpr uint64_t kCommits = 500;
-    for (uint64_t s = 0; s < kCommits; ++s) {
-      ASSERT_EQ(registry.TryClaim(3, s), Claim::kNew);
-      registry.Commit(3, s);
-      ASSERT_TRUE(journal.Append({{SessionOp::kCommit, 3, s}}).ok());
-      registry.CompactJournalIfNeeded(journal);
+    ASSERT_TRUE(frontend.BindAckRegistry(&registry).ok());
+    for (uint64_t s = 0; s < 5; ++s) {
+      AckedIngest(frontend, registry, 1, s);
     }
-    // ~500 commit records (~47 bytes each) compacted down to about one
-    // snapshot: the live log never strays far past the threshold.
-    EXPECT_LT(journal.appended_bytes(), 1024u);
+    ASSERT_TRUE(frontend.wal()->Checkpoint().ok());
   }
-  EXPECT_LT(stdfs::file_size(journal_config.path), 1024u);
-  SessionJournal reopened(journal_config);
-  auto recovery = reopened.Open();
-  ASSERT_TRUE(recovery.ok());
-  ASSERT_EQ(recovery.value().live.size(), 1u);
-  EXPECT_EQ(recovery.value().live[0].watermark, 500u);
-  EXPECT_TRUE(recovery.value().live[0].sparse.empty());
+  const std::string ckpt = dir.path + "/wal.ckpt";
+  WriteFile(ckpt + ".tmp", "junk");
+  const std::string good = ReadFile(ckpt);
+  // The header frame: covered generation, live and tombstone counts.
+  const size_t header_frame = FrameWireSize(3 * sizeof(uint64_t));
+  ASSERT_GT(good.size(), header_frame);
+  std::string flipped = good;
+  flipped.back() ^= 0x01;
+  for (const std::string& bad :
+       {flipped, good.substr(0, good.size() - 1), good.substr(0, header_frame)}) {
+    WriteFile(ckpt, bad);
+    const auto before = DirContents(dir.path);
+    ShufflerFrontend refused(config);
+    Status started = refused.Start();
+    ASSERT_FALSE(started.ok());
+    EXPECT_NE(started.error().message.find(ckpt), std::string::npos) << started.error().message;
+    EXPECT_EQ(DirContents(dir.path), before);  // byte-identical, the stale temp included
+  }
+
+  WriteFile(ckpt, good);
+  ShufflerFrontend after(config);
+  ASSERT_TRUE(after.Start().ok());
+  EXPECT_FALSE(stdfs::exists(ckpt + ".tmp"));
+  EXPECT_EQ(after.stats().recovered_sessions.load(), 1u);
+  AckRegistry registry;
+  ASSERT_TRUE(after.BindAckRegistry(&registry).ok());
+  for (uint64_t s = 0; s < 5; ++s) {
+    EXPECT_EQ(registry.TryClaim(1, s), Claim::kDuplicate) << "seq " << s;
+  }
+  EXPECT_EQ(registry.TryClaim(1, 5), Claim::kNew);
+}
+
+// A checkpoint whose fsyncs fail publishes nothing: it is counted, the old
+// wal.ckpt stays byte-for-byte authoritative, and the WAL keeps its old
+// image.  A restart rebuilds exactly the acked sessions from the old
+// snapshot plus the session ops logged after it, and a failed publish
+// followed by a healthy checkpoint folds each op exactly once.
+TEST(ServiceDurabilityTest, FailedCheckpointKeepsTheOldSnapshotAuthoritative) {
+  ScratchDir dir("durability-ckpt-fail");
+  FaultFs fault;
+  FrontendConfig config = DurabilityFrontendConfig(dir.path);
+  config.fs = &fault;
+  const std::string ckpt = dir.path + "/wal.ckpt";
+  {
+    ShufflerFrontend frontend(config);
+    ASSERT_TRUE(frontend.Start().ok());
+    AckRegistry registry;
+    ASSERT_TRUE(frontend.BindAckRegistry(&registry).ok());
+    AckedIngest(frontend, registry, 1, 0);
+    ASSERT_TRUE(frontend.wal()->Checkpoint().ok());
+    const std::string old_snapshot = ReadFile(ckpt);
+    const SessionImage old_image = frontend.wal()->sessions();
+
+    AckedIngest(frontend, registry, 1, 1);
+    AckedIngest(frontend, registry, 2, 0);
+    registry.Terminate(1);
+    fault.FailSyncs(true);
+    EXPECT_FALSE(frontend.wal()->Checkpoint().ok());
+    fault.FailSyncs(false);
+    EXPECT_EQ(frontend.wal()->stats().checkpoint_failures, 1u);
+    EXPECT_EQ(ReadFile(ckpt), old_snapshot);
+    EXPECT_EQ(frontend.wal()->sessions(), old_image);
+  }  // crash before any checkpoint succeeds again
+
+  SessionImage acked;
+  acked.live[2] = SessionSnapshot{1, {}};
+  ShufflerFrontend after(config);
+  ASSERT_TRUE(after.Start().ok());
+  EXPECT_EQ(after.stats().recovered_wal_session_ops.load(), 3u);  // 2 commits + goodbye
+  EXPECT_EQ(after.wal()->sessions(), acked);
+  AckRegistry registry;
+  ASSERT_TRUE(after.BindAckRegistry(&registry).ok());
+  EXPECT_EQ(registry.sessions(), 1u);
+  EXPECT_EQ(registry.TryClaim(2, 0), Claim::kDuplicate);
+  EXPECT_EQ(registry.TryClaim(1, 0), Claim::kNew);  // the goodbye held
+  registry.Release(1, 0);
+
+  // The rotation writes nothing, so failing writes fails the publish: the
+  // folded image must not be adopted, and the retry folds the op once.
+  AckedIngest(after, registry, 2, 1);
+  fault.FailWrites(true);
+  EXPECT_FALSE(after.wal()->Checkpoint().ok());
+  fault.FailWrites(false);
+  EXPECT_EQ(after.wal()->stats().checkpoint_failures, 1u);
+  EXPECT_EQ(after.wal()->sessions(), acked);
+  ASSERT_TRUE(after.wal()->Checkpoint().ok());
+  acked.live[2] = SessionSnapshot{2, {}};
+  EXPECT_EQ(after.wal()->sessions(), acked);
+}
+
+// The snapshot is an image, not a log: 500 commits on one session fold
+// into one watermark, so wal.ckpt stays a few dozen bytes however long the
+// session runs.
+TEST(ServiceDurabilityTest, SnapshotStaysBoundedUnderCommitChurn) {
+  ScratchDir dir("durability-snapshot-bound");
+  FrontendConfig config = DurabilityFrontendConfig(dir.path);
+  config.fsync_spool = false;
+  constexpr uint64_t kCommits = 500;
+  {
+    ShufflerFrontend frontend(config);
+    ASSERT_TRUE(frontend.Start().ok());
+    AckRegistry registry;
+    ASSERT_TRUE(frontend.BindAckRegistry(&registry).ok());
+    for (uint64_t s = 0; s < kCommits; ++s) {
+      AckedIngest(frontend, registry, 3, s);
+      ASSERT_TRUE(frontend.wal()->Checkpoint().ok());
+      ASSERT_LT(stdfs::file_size(dir.path + "/wal.ckpt"), 1024u) << "after commit " << s;
+    }
+  }
+  ShufflerFrontend after(config);
+  ASSERT_TRUE(after.Start().ok());
+  const SessionImage image = after.wal()->sessions();
+  ASSERT_EQ(image.live.size(), 1u);
+  EXPECT_EQ(image.live.at(3).watermark, kCommits);
+  EXPECT_TRUE(image.live.at(3).sparse.empty());
+}
+
+// One checkpoint over 3 live sessions and 1 tombstone, crashed at every
+// write-side syscall k it makes.  After each crash the disk keeps every
+// dirent, loses every unsynced one, or loses only wal.ckpt's rename.  Every
+// restart must restore the same session image: the old snapshot plus the
+// generations past it until the new snapshot is durable, the new one after.
+// The checkpoint closes a generation holding nothing but a goodbye and
+// unlinks it once covered, so unlinking it before the rename is durable
+// resurrects the session.
+TEST(ServiceDurabilityTest, CheckpointCrashAtEverySyscallRestoresTheSameImage) {
+  FrontendConfig base = DurabilityFrontendConfig("");
+  base.max_sessions = 4;
+  SessionImage expected;
+  for (uint64_t s : {2, 3, 4}) {
+    expected.live[s] = SessionSnapshot{2, {}};
+  }
+  expected.evicted[1] = 2;
+
+  enum class Lost { kNothing, kUnsyncedDirents, kSnapshotRename };
+  for (Lost lost : {Lost::kNothing, Lost::kUnsyncedDirents, Lost::kSnapshotRename}) {
+    bool finished = false;
+    for (uint64_t k = 1; !finished; ++k) {
+      ASSERT_LT(k, 32u) << "the checkpoint never completed";
+      SCOPED_TRACE("lost=" + std::to_string(static_cast<int>(lost)) + " k=" + std::to_string(k));
+      ScratchDir dir("durability-ckpt-crash");
+      FaultFs fault;
+      {
+        FrontendConfig config = base;
+        config.spool_dir = dir.path;
+        config.fs = &fault;
+        ShufflerFrontend frontend(config);
+        ASSERT_TRUE(frontend.Start().ok());
+        AckRegistry registry;
+        ASSERT_TRUE(frontend.BindAckRegistry(&registry).ok());
+        for (uint64_t session = 1; session <= 5; ++session) {  // admitting 5 evicts 1
+          AckedIngest(frontend, registry, session, 0);
+          AckedIngest(frontend, registry, session, 1);
+        }
+        ASSERT_TRUE(frontend.wal()->Checkpoint().ok());
+        registry.Terminate(5);  // alone in the fresh generation
+        fault.TrackDirents(true);
+        fault.ArmCrash(k);
+        // Done once a checkpoint made every syscall before the crash point.
+        finished = frontend.wal()->Checkpoint().ok() && !fault.crashed();
+      }  // the process dies at syscall k, or just after a clean checkpoint
+      if (lost == Lost::kUnsyncedDirents) {
+        fault.DropUnsyncedDirents();
+      } else if (lost == Lost::kSnapshotRename) {
+        const std::string ckpt = dir.path + "/wal.ckpt";
+        fault.DropUnsyncedDirents([&](const std::string& path) { return path == ckpt; });
+      }
+
+      FrontendConfig config = base;
+      config.spool_dir = dir.path;
+      ShufflerFrontend after(config);
+      Status started = after.Start();
+      ASSERT_TRUE(started.ok()) << started.error().message;
+      EXPECT_EQ(after.wal()->sessions(), expected);
+      AckRegistry registry;
+      ASSERT_TRUE(after.BindAckRegistry(&registry).ok());
+      EXPECT_EQ(registry.sessions(), 3u);
+      EXPECT_EQ(registry.tombstones(), 1u);
+      EXPECT_EQ(registry.TryClaim(1, 2), Claim::kSessionExpired);
+      EXPECT_EQ(registry.TryClaim(4, 1), Claim::kDuplicate);
+      EXPECT_EQ(registry.TryClaim(5, 0), Claim::kNew);  // the goodbye held
+    }
+  }
 }
 
 }  // namespace

@@ -122,7 +122,6 @@ std::unique_ptr<IngestWal> OpenWal(const std::string& dir) {
   config.fsync = false;
   auto wal = std::make_unique<IngestWal>(config);
   EXPECT_TRUE(wal->Recover().ok());
-  EXPECT_TRUE(wal->FinishRecovery().ok());
   return wal;
 }
 
@@ -287,7 +286,6 @@ TEST(ServiceTest, SpoolRoundTripAndTornTailRecovery) {
   EXPECT_FALSE(open.sealed);
   EXPECT_EQ(Total(open.shard_counts), 2u);  // torn record discarded
   EXPECT_GT(recovery.value().truncated_bytes, 0u);
-  ASSERT_TRUE(reopened.FinishRecovery().ok());
 
   auto stream = reopened.OpenEpochStream(0);
   ASSERT_EQ(stream->size(), 8u);
@@ -330,7 +328,6 @@ TEST(ServiceTest, RecoveryResumesEpochWhoseOnlySegmentWasTorn) {
   auto recovery = reopened.Recover();
   ASSERT_TRUE(recovery.ok()) << recovery.error().message;
   EXPECT_GT(recovery.value().truncated_bytes, 0u);
-  ASSERT_TRUE(reopened.FinishRecovery().ok());
   IngestConfig config;
   config.num_shards = 4;
   ShardedIngest ingest(config);

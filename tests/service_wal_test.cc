@@ -230,7 +230,7 @@ TEST(ServiceWalTest, CheckpointAndReplayStayBitIdenticalToSerialFrontend) {
 // so one epoch's reports span several generations.  The epoch drains every
 // report exactly once, bit-identical to the serial frontend at every
 // thread count, and its drain leaves the spool directory holding only
-// wal.ckpt, the session journal and the active generation.
+// wal.ckpt and the active generation.
 TEST(ServiceWalTest, EpochSpanningGenerationsDrainsOnceAndLeavesOnlyTheActiveGeneration) {
   for (size_t threads : {size_t{0}, size_t{4}}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
@@ -272,7 +272,7 @@ TEST(ServiceWalTest, EpochSpanningGenerationsDrainsOnceAndLeavesOnlyTheActiveGen
     EXPECT_EQ(drained.results[0].result.shuffler_stats.received, sealed.size());
     EXPECT_EQ(drained.results[0].result.histogram, expected);
     const std::string active = stdfs::path(NewestWalGen(dir.path)).filename().string();
-    EXPECT_EQ(list(), (std::set<std::string>{"wal.ckpt", "sessions.journal", active}));
+    EXPECT_EQ(list(), (std::set<std::string>{"wal.ckpt", active}));
   }
 }
 
@@ -524,7 +524,7 @@ TEST(ServiceWalTest, FailedGroupCommitCouplesReportAndCommitLoss) {
     }  // crash with the failed record rolled back
 
     // Neither half survived: no report in the epoch, no session op to
-    // re-journal.  "Commit lost" implied "report lost".
+    // replay.  "Commit lost" implied "report lost".
     {
       FrontendConfig config = base;
       config.spool_dir = dir.path;

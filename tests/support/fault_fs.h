@@ -35,6 +35,7 @@
 #include <functional>
 #include <iterator>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -124,9 +125,15 @@ class FaultFs : public Fs {
     if (Faulted(NextOp())) {
       return Error{"faultfs: crashed (rename)"};
     }
+    std::optional<std::string> replaced;  // what an undone rename brings back at `to`
+    const bool track = track_dirents_.load();
+    if (track && std::filesystem::exists(to)) {
+      std::ifstream in(to, std::ios::binary);
+      replaced.emplace(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+    }
     Status renamed = real_->Rename(from, to);
-    if (renamed.ok() && track_dirents_.load()) {
-      RecordDirent(DirentOp::kRename, from, to);
+    if (renamed.ok() && track) {
+      RecordDirent(DirentOp::kRename, from, to, std::move(replaced));
     }
     return renamed;
   }
@@ -173,7 +180,8 @@ class FaultFs : public Fs {
   // The crash's metadata casualty: every create, rename and unlink whose
   // parent directory was never fsynced afterwards is rolled back (newest
   // first) — created files vanish, renamed files snap back to their old
-  // names, unlinked files reappear with the bytes they had.  `lost`, when
+  // names (and a file they replaced reappears), unlinked files reappear
+  // with the bytes they had.  `lost`, when
   // given, picks which of them the crash takes (by the path created,
   // renamed to or unlinked); the rest count as having reached the disk in
   // whatever order it chose.  Returns how many dirents were lost.
@@ -194,6 +202,9 @@ class FaultFs : public Fs {
         (void)real_->Remove(it->a);
       } else if (it->op == DirentOp::kRename) {
         (void)real_->Rename(it->b, it->a);
+        if (it->replaced.has_value()) {
+          std::ofstream(it->b, std::ios::binary) << *it->replaced;
+        }
       } else {
         std::ofstream(it->a, std::ios::binary) << it->b;
       }
@@ -211,6 +222,7 @@ class FaultFs : public Fs {
     std::string dir;  // parent directory whose fsync would make it durable
     std::string a;    // created / renamed-from / unlinked path
     std::string b;    // rename destination / the unlinked file's bytes
+    std::optional<std::string> replaced;  // the bytes a rename replaced
   };
 
   uint64_t NextOp() { return ops_.fetch_add(1) + 1; }
@@ -221,7 +233,8 @@ class FaultFs : public Fs {
     return wedged_.load() || op >= crash_at_.load() || op == fail_exactly_.load();
   }
 
-  void RecordDirent(DirentOp op, const std::string& a, const std::string& b) {
+  void RecordDirent(DirentOp op, const std::string& a, const std::string& b,
+                    std::optional<std::string> replaced = std::nullopt) {
     PendingDirent d;
     d.op = op;
     d.dir = std::filesystem::path(op == DirentOp::kRename ? b : a)
@@ -230,6 +243,7 @@ class FaultFs : public Fs {
                 .string();
     d.a = a;
     d.b = b;
+    d.replaced = std::move(replaced);
     std::lock_guard<std::mutex> lock(dirent_mu_);
     pending_dirents_.push_back(std::move(d));
   }
