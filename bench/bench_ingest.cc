@@ -172,8 +172,10 @@ void Run() {
     ingest_config.num_shards = shards;
     ShardedIngest ingest(ingest_config, &mem_wal);
     t0 = std::chrono::steady_clock::now();
-    for (const auto& report : reports) {
-      BenchCheck(ingest.Accept(report), "ingest.Accept");
+    for (uint64_t i = 0; i < reports.size(); ++i) {
+      BenchCheck(ingest.AcceptToShard(ShardedIngest::ShardOfReport(reports[i], shards), reports[i],
+                                      ReportContext{1, i}, nullptr),
+                 "ingest.AcceptToShard");
     }
     BenchCheck(mem_wal.Sync(), "mem_wal.Sync");
     double ingest_seconds = SecondsSince(t0);
@@ -263,7 +265,7 @@ void Run() {
       for (size_t p = 0; p < kProducers; ++p) {
         producers.emplace_back([&pool, &reports, p] {
           for (size_t i = p; i < reports.size(); i += kProducers) {
-            BenchCheck(pool.Enqueue(Bytes(reports[i])), "pool.Enqueue");
+            pool.EnqueueAsync(Bytes(reports[i]), ReportContext{1, i}, nullptr);
           }
         });
       }
@@ -273,6 +275,10 @@ void Run() {
       BenchCheck(pool.Flush(), "pool.Flush");
       double pool_seconds = SecondsSince(t0);
       pool.Stop();
+      if (pool.stats().accept_failures != 0) {
+        std::fprintf(stderr, "bench_ingest: pool: %s\n", pool.stats().last_accept_error.c_str());
+        std::abort();
+      }
       std::string label = "pool/workers=" + std::to_string(workers) +
                           ",ring=" + std::to_string(ring);
       table.AddRow({label, std::to_string(n), Seconds(pool_seconds),

@@ -5,45 +5,50 @@
 // Client cohorts come online in waves (think: devices checking in around
 // the top of the hour).  Each wave's simulator seals its reports through
 // the batch encoder fast path (Encoder::BatchSealReports — one BatchBaseMult
-// for all ephemeral keys), frames them for the wire, and delivers them to
-// the frontend in shuffled arrival order.  The frontend shards by ciphertext
+// for all ephemeral keys) and sends them, in shuffled arrival order, over a
+// FrameClient: HELLO with its session id, one REPORT frame per report, and
+// an ACK back only once the report is durable.  The server — a ShardGroup:
+// frame server, ingest worker pool and frontend — shards by ciphertext
 // hash, spools every report to disk, cuts an epoch when it is both old
-// enough and large enough to lose reports in a crowd (§4.2), and drains each
-// sealed epoch through shuffle -> threshold -> analyze.
+// enough and large enough to lose reports in a crowd (§4.2), and drains
+// each sealed epoch through shuffle -> threshold -> analyze.
 //
 //   build/examples/streaming_telemetry
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <string>
 #include <vector>
 
-#include "src/service/frontend.h"
+#include "src/service/cluster/shard_group.h"
 #include "src/util/rng.h"
 
 int main() {
   using namespace prochlo;
 
-  // 1. A standing frontend: 4 ingestion shards, epochs cut when they hold
+  // 1. A standing server: 4 ingestion shards, epochs cut when they hold
   //    >= 300 reports and at least two scheduler ticks have passed, spooled
   //    under a scratch directory so epochs survive restarts.
   std::string spool_dir =
       (std::filesystem::temp_directory_path() / "prochlo-streaming-telemetry").string();
   std::filesystem::remove_all(spool_dir);
 
-  FrontendConfig config;
-  config.pipeline.shuffler.threshold_mode = ThresholdMode::kRandomized;
-  config.pipeline.shuffler.policy = ThresholdPolicy{20, 10, 2};
-  config.pipeline.seed = "streaming-telemetry";
-  config.ingest.num_shards = 4;
-  config.ingest.max_epoch_age = 2;
-  config.ingest.min_epoch_reports = 300;
-  config.spool_dir = spool_dir;
+  ShardGroupConfig config;
+  config.frontend.pipeline.shuffler.threshold_mode = ThresholdMode::kRandomized;
+  config.frontend.pipeline.shuffler.policy = ThresholdPolicy{20, 10, 2};
+  config.frontend.pipeline.seed = "streaming-telemetry";
+  config.frontend.ingest.num_shards = 4;
+  config.frontend.ingest.max_epoch_age = 2;
+  config.frontend.ingest.min_epoch_reports = 300;
+  config.frontend.spool_dir = spool_dir;
+  config.workers = WorkerPoolConfig{/*workers=*/2, /*ring_capacity=*/256};
 
-  ShufflerFrontend frontend(config);
-  if (auto status = frontend.Start(); !status.ok()) {
-    std::fprintf(stderr, "frontend start failed: %s\n", status.error().message.c_str());
+  ShardGroup server(config);
+  if (auto status = server.Start(); !status.ok()) {
+    std::fprintf(stderr, "server start failed: %s\n", status.error().message.c_str());
     return 1;
   }
+  ShufflerFrontend& frontend = server.frontend();
 
   // 2. Five waves of clients report which codec their calls negotiated.
   //    Each wave is a cohort sealed in one batch pass; the rare codec
@@ -66,19 +71,28 @@ int main() {
       std::fprintf(stderr, "cohort seal failed: %s\n", sealed.error().message.c_str());
       return 1;
     }
-    // Staggered arrival: frames reach the frontend in no particular order.
-    std::vector<Bytes> frames;
-    for (const auto& report : sealed.value()) {
-      frames.push_back(EncodeFrame(report));
+    // Staggered arrival: reports reach the server in no particular order,
+    // from one client session per wave.
+    std::vector<Bytes> reports = std::move(sealed).value();
+    arrival_rng.Shuffle(reports);
+    FrameClient client(FrameClientConfig{/*session_id=*/static_cast<uint64_t>(wave + 1)});
+    if (auto status = client.Connect(server.Connect()); !status.ok()) {
+      std::fprintf(stderr, "connect failed: %s\n", status.error().message.c_str());
+      return 1;
     }
-    arrival_rng.Shuffle(frames);
-    for (const auto& frame : frames) {
-      if (auto status = frontend.AcceptFrameStream(frame); !status.ok()) {
-        std::fprintf(stderr, "ingest failed: %s\n", status.error().message.c_str());
+    for (auto& report : reports) {
+      if (auto status = client.SendReport(std::move(report)); !status.ok()) {
+        std::fprintf(stderr, "send failed: %s\n", status.error().message.c_str());
         return 1;
       }
     }
-    delivered += frames.size();
+    if (!client.WaitForAcks(std::chrono::seconds(30))) {
+      std::fprintf(stderr, "wave %d: %zu reports never acknowledged\n", wave,
+                   client.outstanding());
+      return 1;
+    }
+    client.Close();
+    delivered += reports.size();
     // The scheduler's cadence; age-cuts ripe epochs.  A failed cut means a
     // wedged spool — exactly the error Tick() now surfaces.
     if (auto status = frontend.Tick(); !status.ok()) {
@@ -86,9 +100,13 @@ int main() {
       return 1;
     }
 
-    std::printf("wave %d delivered: %3zu reports (epoch %lu holds %zu)\n", wave,
-                frames.size(), static_cast<unsigned long>(frontend.current_epoch()),
+    std::printf("wave %d acknowledged: %3zu reports (epoch %lu holds %zu)\n", wave,
+                reports.size(), static_cast<unsigned long>(frontend.current_epoch()),
                 frontend.current_epoch_size());
+  }
+  if (auto status = server.Stop(); !status.ok()) {
+    std::fprintf(stderr, "server stop failed: %s\n", status.error().message.c_str());
+    return 1;
   }
   if (auto status = frontend.CutEpoch(); !status.ok()) {  // end-of-day flush
     std::fprintf(stderr, "final epoch cut failed: %s\n", status.error().message.c_str());
@@ -114,11 +132,12 @@ int main() {
     }
   }
 
-  const auto& stats = frontend.stats();
-  std::printf("\nfrontend: %lu frames ok, %lu corrupt, %lu epochs drained\n",
-              static_cast<unsigned long>(stats.frames_ok),
-              static_cast<unsigned long>(stats.frames_corrupt),
-              static_cast<unsigned long>(stats.epochs_drained));
+  const FrameStreamStats frames = server.server().stats();
+  std::printf("\nserver: %lu report frames, %lu corrupt, %lu acks sent, %lu epochs drained\n",
+              static_cast<unsigned long>(frames.frames_report),
+              static_cast<unsigned long>(frames.frames_corrupt),
+              static_cast<unsigned long>(frontend.stats().acks_sent.load()),
+              static_cast<unsigned long>(frontend.stats().epochs_drained.load()));
   std::filesystem::remove_all(spool_dir);
   return 0;
 }

@@ -128,6 +128,23 @@ test -s "$BUILD_DIR/BENCH_ingest.json"
 # wal.checkpoint_ms); that group commit amortizes (fewer fsyncs than reports
 # at a barrier every 8) is ServiceWalTest's
 # BarrierEveryEightReportsFsyncsLessThanOncePerReport.
+"$BUILD_DIR/examples/streaming_telemetry" >/dev/null
+
+echo "== esabench smoke =="
+# A short run of each workload of the performance gate (esabench/, declared
+# in BENCHMARK.json): its build must still compile against the service API,
+# the run must exit 0, and the run's own correctness checks must hold.  Its
+# `valid` flag is a timing verdict and is not gated on here.
+for workload in ingest drain cluster mixed; do
+  echo "-- esabench $workload --"
+  result="$(cd "$REPO_ROOT" && CARGO_TARGET_DIR="$BUILD_DIR/esabench-smoke" \
+    python3 esabench/run.py --workload "$workload" --seed 1 --seconds 4 --trace 0 \
+      --out "$BUILD_DIR/BENCH_esa_${workload}_smoke.json" | tail -n 1)"
+  if ! grep -q '"correct": true' <<<"$result"; then
+    echo "FAIL: esabench $workload smoke: $result"
+    exit 1
+  fi
+done
 
 echo "== ct harness smoke =="
 # Functional pass of the ctgrind scenarios (no shadow backend here; the CI

@@ -587,22 +587,17 @@ void FrameConnection::DispatchAckedReport(Frame frame) {
       inflight_cv_.NotifyAll();
     }
   };
-  if (async_sink_) {
-    async_sink_(std::move(frame.payload), ReportContext{session, seq}, std::move(done));
-  } else {
-    done(sink_(std::move(frame.payload)));
-  }
+  async_sink_(std::move(frame.payload), ReportContext{session, seq}, std::move(done));
 }
 
-Status FrameConnection::HandleFrame(Frame frame) {
+void FrameConnection::HandleFrame(Frame frame) {
   switch (frame.type) {
     case FrameType::kHello:
-      // Binds the connection to the client's acknowledgment session; only
-      // meaningful when a registry exists to hold that state.  Session 0
-      // is reserved as "no session" — honoring it would silently cross-
-      // deduplicate every client that forgot to pick an id, losing their
-      // reports while acking them.
-      helloed_ = registry_ != nullptr && frame.seq != 0;
+      // Binds the connection to the client's acknowledgment session.
+      // Session 0 is reserved as "no session" — honoring it would silently
+      // cross-deduplicate every client that forgot to pick an id, losing
+      // their reports while acking them.
+      helloed_ = frame.seq != 0;
       session_id_ = frame.seq;
       if (helloed_) {
         registry_->BindConnection(session_id_, connection_id_);
@@ -615,14 +610,22 @@ Status FrameConnection::HandleFrame(Frame frame) {
           EnqueueResponse(std::move(map_frame));
         }
       }
-      return Status::Ok();
+      return;
     case FrameType::kReport:
       if (helloed_) {
         DispatchAckedReport(std::move(frame));
-        return Status::Ok();
+        return;
       }
-      // Legacy ack-less hand-off: the caller's sink decides the pump's fate.
-      return sink_(std::move(frame.payload));
+      // No session to claim the report in: never ingested, and answered
+      // with the re-hello verdict so the client says HELLO and resends.
+      {
+        MutexLock lock(out_mu_);
+        book_.nacked++;
+        book_.expired_nacked++;
+      }
+      EnqueueResponse(EncodeSessionExpiredNackFrame(frame.seq, /*session_id=*/0,
+                                                    "no session; send HELLO first"));
+      return;
     case FrameType::kGoodbye:
       // The fair-termination handshake: the client promises this session is
       // complete and will never be reused, so every trace of its dedup
@@ -637,16 +640,15 @@ Status FrameConnection::HandleFrame(Frame frame) {
         }
         EnqueueResponse(EncodeAckFrame(frame.seq));
       }
-      return Status::Ok();
+      return;
     case FrameType::kAck:
     case FrameType::kNack:
     case FrameType::kGroupMap:
       // Client-bound frames arriving at a server: already counted in the
       // framing books (frames_ack/frames_nack/frames_group_map), nothing
       // to do.
-      return Status::Ok();
+      return;
   }
-  return Status::Ok();
 }
 
 void FrameConnection::WaitForInflight() {
@@ -667,34 +669,17 @@ Status FrameConnection::PumpUntilClosed() {
       status = n.error();
       break;
     }
+    frames.clear();
     if (n.value() == 0) {
       // EOF: the torn tail may still hold recoverable frames.
-      frames.clear();
       decoder_.Finish(&frames);
-      for (auto& frame : frames) {
-        status = HandleFrame(std::move(frame));
-        if (!status.ok()) {
-          break;
-        }
-      }
-      break;
+    } else {
+      decoder_.Feed(ByteSpan(buffer, n.value()), frames);
     }
-    frames.clear();
-    decoder_.Feed(ByteSpan(buffer, n.value()), frames);
-    bool failed = false;
     for (auto& frame : frames) {
-      status = HandleFrame(std::move(frame));
-      if (!status.ok()) {
-        // Legacy (ack-less) hand-off failure: without acks the client
-        // cannot be told which reports landed, so stop pumping and surface
-        // the error; the server-side books hold the truth.  The ack path
-        // never gets here — its ingest failures become NACKs.
-        decoder_.Finish();
-        failed = true;
-        break;
-      }
+      HandleFrame(std::move(frame));
     }
-    if (failed) {
+    if (n.value() == 0) {
       break;
     }
   }
@@ -756,8 +741,7 @@ void FrameServer::Serve(std::unique_ptr<ByteStream> stream) {
   raw->thread = std::thread([this, raw, route_check = route_check_,
                              group_map_provider = group_map_provider_,
                              connection_id]() mutable {
-    FrameConnection connection(raw->stream.get(), sink_, async_sink_, &registry_,
-                               connection_id);
+    FrameConnection connection(raw->stream.get(), async_sink_, &registry_, connection_id);
     if (route_check) {
       connection.set_route_check(std::move(route_check));
     }
@@ -788,8 +772,8 @@ void FrameServer::Serve(std::unique_ptr<ByteStream> stream) {
       }
     }
     // Release the transport as soon as pumping ends: if the pump bailed on
-    // a sink error, this closes the connection and unblocks a peer still
-    // writing into it, rather than holding it open until Shutdown.
+    // a transport error, this closes the connection and unblocks a peer
+    // still writing into it, rather than holding it open until Shutdown.
     raw->stream.reset();
   });
   served_.push_back(std::move(served));
@@ -1246,8 +1230,8 @@ void FrameClient::ReaderLoop(ByteStream* stream) {
           // keep arriving (the server answers every old frame already in
           // the pipe); rotating again on one of those would replay reports
           // the new session has already committed — a duplicate ingest.
-          // An unstamped verdict (session_id 0: a server too old to stamp)
-          // rotates conservatively.
+          // A verdict stamped session 0 (the server saw no HELLO bind this
+          // connection) rotates conservatively.
           if (info.session_id == 0 || info.session_id == config_.session_id) {
             session_expired = true;
           }

@@ -2,15 +2,17 @@
 // protocol for the shuffler frontend: how sealed reports actually arrive at
 // a standing service, and how the client learns which of them are safe.
 //
-// A client holds a connection open and writes wire frames into it; the
-// service side cuts frames out of the byte stream as they complete (across
-// arbitrary read boundaries), hands each report to the ingestion tier, and
-// answers with an ACK only after `ShardedIngest::Accept` returned Ok — an
-// acknowledged report is durably spooled, never merely received.  A NACK
-// means "not ingested, retry".  Sequence numbers (per client session,
-// established by a HELLO frame) make retries idempotent: a reconnecting
-// client resends everything unacknowledged, and the server's AckRegistry
-// suppresses the duplicates whose acks were lost with the old connection.
+// A client holds a connection open, says HELLO with its session id, and
+// writes report frames into it; the service side cuts frames out of the
+// byte stream as they complete (across arbitrary read boundaries), hands
+// each report to the ingestion tier, and answers with an ACK only after the
+// report's WAL group commit — an acknowledged report is durably spooled,
+// never merely received.  A NACK means "not ingested"; a REPORT before any
+// HELLO is NACKed kSessionExpired (stamped session 0), so the client says
+// HELLO and resends.  Sequence numbers (per client session) make retries
+// idempotent: a reconnecting client resends everything unacknowledged, and
+// the server's AckRegistry suppresses the duplicates whose acks were lost
+// with the old connection.
 //
 //   FrameClient ──HELLO(session), REPORT(seq)──►  TcpListener / loopback
 //        ▲                                          │ accept
@@ -230,8 +232,8 @@ class AckRegistry {
 };
 
 // One connection's acknowledgment ledger.  The balance invariant the
-// network tests pin: every valid report frame received on an ack-protocol
-// connection gets exactly one response, so
+// network tests pin: every valid report frame received gets exactly one
+// response, so
 //   stats().frames_report == acked + nacked + duplicates_suppressed
 // and `acked` equals the reports this connection durably ingested.
 struct ConnectionAckBook {
@@ -239,7 +241,8 @@ struct ConnectionAckBook {
   uint64_t nacked = 0;                 // ingest failures / in-flight races NACKed
   uint64_t duplicates_suppressed = 0;  // retries of durable seqs re-ACKed
   // Of `nacked`, how many told the client its session state is gone
-  // (kSessionExpired: evicted, terminated, or seq space saturated).
+  // (kSessionExpired: evicted, terminated, seq space saturated, or no
+  // session bound yet — a REPORT before HELLO).
   uint64_t expired_nacked = 0;
   // Of `nacked`, reports rejected as misrouted (cluster routing): the
   // report belongs to another shard group, so it was NACKed kMisrouted
@@ -271,30 +274,25 @@ struct ConnectionAckBook {
 // frames split across reads and resynchronizes after corruption with the
 // exact FrameReader books (frames_ok/frames_corrupt/bytes_skipped).
 //
-// Two report paths coexist:
-//   * legacy (no HELLO seen, or no registry): each report payload goes to
-//     the synchronous ReportSink; a sink error aborts the pump.  No acks.
-//   * ack protocol (HELLO seen): each report is claimed in the AckRegistry,
-//     dispatched through the AsyncSink, and answered with ACK/NACK from the
-//     dispatch completion — which may fire on an ingest worker thread after
-//     the durable spool append.  Sink failures NACK instead of aborting.
-//     Completions only *enqueue* the response; a per-connection writer
-//     thread performs the stream writes, so a client that stops draining
-//     its receive side stalls its own connection, never a shared ingest
-//     worker.
-// PumpUntilClosed returns only after every in-flight completion has
-// resolved and the response outbox has drained, so stats() and ack_book()
-// are final.
+// Every report belongs to the session its connection's HELLO bound: it is
+// claimed in the AckRegistry, dispatched through the AsyncSink, and
+// answered with ACK/NACK from the dispatch completion — which may fire on
+// an ingest worker thread after the durable WAL group commit.  Sink
+// failures NACK; they never end the pump, which stops only at EOF or on a
+// transport error.  A REPORT before HELLO (or after a HELLO with the
+// reserved session 0) is NACKed kSessionExpired, stamped session 0, and
+// never claimed or ingested.  Completions only *enqueue* the response; a
+// per-connection writer thread performs the stream writes, so a client that
+// stops draining its receive side stalls its own connection, never a
+// shared ingest worker.  PumpUntilClosed returns only after every in-flight
+// completion has resolved and the response outbox has drained, so stats()
+// and ack_book() are final.
 class FrameConnection {
  public:
-  // Returns non-Ok when a report could not be handed off; on the legacy
-  // (ack-less) path the pump stops and the connection surfaces the error.
-  using ReportSink = std::function<Status(Bytes)>;
   // Asynchronous hand-off: `done` must be invoked exactly once with the
-  // report's final Accept outcome, possibly on another thread.  The
-  // ReportContext carries the report's (session, seq) so a WAL-backed sink
-  // can fuse the ack commit into the report's own durable record;
-  // session_id 0 means ack-less (legacy path).
+  // report's final ingest outcome, possibly on another thread.  The
+  // ReportContext carries the report's (session, seq) so the WAL-backed
+  // sink fuses the ack commit into the report's own durable record.
   using AsyncSink =
       std::function<void(Bytes, ReportContext, std::function<void(const Status&)>)>;
   // Cluster ownership check, consulted only after the dedup claim comes
@@ -310,14 +308,11 @@ class FrameConnection {
   // before the first routing mistake rather than from it.
   using GroupMapProvider = std::function<Bytes()>;
 
-  FrameConnection(ByteStream* stream, ReportSink sink)
-      : FrameConnection(stream, std::move(sink), nullptr, nullptr, 0) {}
   // `connection_id` orders this connection among the registry's (accept
   // order, starting at 1); see AckRegistry::BindConnection.
-  FrameConnection(ByteStream* stream, ReportSink sink, AsyncSink async_sink,
-                  AckRegistry* registry, uint64_t connection_id)
+  FrameConnection(ByteStream* stream, AsyncSink async_sink, AckRegistry* registry,
+                  uint64_t connection_id)
       : stream_(stream),
-        sink_(std::move(sink)),
         async_sink_(std::move(async_sink)),
         registry_(registry),
         connection_id_(connection_id) {}
@@ -328,15 +323,15 @@ class FrameConnection {
     group_map_provider_ = std::move(provider);
   }
 
-  // Reads until EOF or a sink/transport error, cutting frames as they
-  // complete.  Corrupt frames are skipped with stats kept, never fatal.
+  // Reads until EOF or a transport error, cutting frames as they complete.
+  // Corrupt frames are skipped with stats kept, never fatal.
   Status PumpUntilClosed();
 
   const FrameStreamStats& stats() const { return decoder_.stats(); }
   ConnectionAckBook ack_book() const;
 
  private:
-  Status HandleFrame(Frame frame);
+  void HandleFrame(Frame frame);
   void DispatchAckedReport(Frame frame);
   void EnqueueResponse(Bytes response_frame);
   void WriterLoop();
@@ -344,9 +339,8 @@ class FrameConnection {
   void WaitForInflight();
 
   ByteStream* stream_;  // borrowed
-  ReportSink sink_;
   AsyncSink async_sink_;
-  AckRegistry* registry_;  // borrowed; null disables the ack protocol
+  AckRegistry* registry_;  // borrowed
   const uint64_t connection_id_;
   RouteCheck route_check_;              // null = this server owns everything
   GroupMapProvider group_map_provider_; // null = no topology announcements
@@ -378,15 +372,13 @@ class FrameConnection {
 // A listener: serves any number of connections, each pumped on its own
 // thread into a shared sink.  Connect() manufactures a loopback connection
 // (the in-process stand-in for accept()); Serve() adopts any transport —
-// e.g. an FdByteStream wrapping a socket accepted by TcpListener.
+// e.g. an FdByteStream wrapping a socket accepted by TcpListener.  Every
+// connection dispatches its HELLO-bound reports through `async_sink` and
+// acknowledges them from its completion.
 class FrameServer {
  public:
-  explicit FrameServer(FrameConnection::ReportSink sink) : sink_(std::move(sink)) {}
-  // Ack-protocol server: HELLO-bound connections dispatch reports through
-  // `async_sink` and acknowledge from its completion; `sink` stays the
-  // legacy path for connections that never send HELLO.
-  FrameServer(FrameConnection::ReportSink sink, FrameConnection::AsyncSink async_sink)
-      : sink_(std::move(sink)), async_sink_(std::move(async_sink)) {}
+  explicit FrameServer(FrameConnection::AsyncSink async_sink)
+      : async_sink_(std::move(async_sink)) {}
   ~FrameServer();
 
   FrameServer(const FrameServer&) = delete;
@@ -413,8 +405,8 @@ class FrameServer {
   void Serve(std::unique_ptr<ByteStream> stream);
 
   // Waits for every connection to drain to EOF, then returns the first
-  // connection error (if any) with the per-connection stats folded into
-  // stats().  Idempotent.
+  // connection's transport error (if any) with the per-connection stats
+  // folded into stats().  Idempotent.
   Status Shutdown();
 
   // Aggregated framing/ack books across finished connections (call after
@@ -436,7 +428,6 @@ class FrameServer {
     ConnectionAckBook book;
   };
 
-  FrameConnection::ReportSink sink_;
   FrameConnection::AsyncSink async_sink_;
   mutable Mutex mu_;
   FrameConnection::RouteCheck route_check_ GUARDED_BY(mu_);

@@ -73,38 +73,6 @@ Status ShufflerFrontend::BindAckRegistry(AckRegistry* registry) {
   return Status::Ok();
 }
 
-Status ShufflerFrontend::AcceptFrameStream(ByteSpan stream) {
-  FrameReader reader(stream);
-  Status status = Status::Ok();
-  while (auto payload = reader.Next()) {
-    status = AcceptReport(std::move(*payload));
-    if (!status.ok()) {
-      break;  // fold the reader's stats in before surfacing the error
-    }
-  }
-  // Folded on every path: an early AcceptReport failure must not drop the
-  // frames/bytes the reader has already accounted, or the stats-balance
-  // invariant ("every input byte is a good frame, a corrupt frame, or
-  // skipped garbage") breaks exactly when operators need it most.
-  stats_.frames_ok += reader.stats().frames_ok;
-  stats_.frames_corrupt += reader.stats().frames_corrupt;
-  stats_.bytes_skipped += reader.stats().bytes_skipped;
-  return status;
-}
-
-Status ShufflerFrontend::AcceptReport(Bytes sealed_report) {
-  const size_t shard = ShardedIngest::ShardOfReport(sealed_report, num_shards());
-  return AcceptRoutedReport(shard, std::move(sealed_report));
-}
-
-Status ShufflerFrontend::AcceptRoutedReport(size_t shard_index, Bytes sealed_report) {
-  Status status = ingest_->AcceptToShard(shard_index, std::move(sealed_report));
-  if (status.ok()) {
-    stats_.reports_accepted++;
-  }
-  return status;
-}
-
 Status ShufflerFrontend::AcceptRoutedReportAsync(
     size_t shard_index, Bytes sealed_report, ReportContext ctx,
     std::function<void(const Status&)> done) {

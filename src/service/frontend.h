@@ -2,9 +2,9 @@
 // clients and the batch Pipeline that makes this repo behave like the
 // paper's deployed shuffler rather than a one-shot simulator.
 //
-//   clients ──frames──► AcceptFrameStream / AcceptReport
-//                          │  (wire.h: CRC-checked frames; corrupt frames
-//                          │   are skipped and counted, never crash)
+//   clients ──HELLO, REPORT(seq)──► FrameServer (connection.h: CRC-checked
+//                          │   frames, AckRegistry claim) ──► worker pool
+//                          │   ──► AcceptRoutedReportAsync
 //                          ▼
 //                      ShardedIngest (ingest.h: content-hash shards,
 //                          │   size/age epoch-cut policy)
@@ -70,13 +70,11 @@ struct FrontendConfig {
   Fs* fs = nullptr;
 };
 
-// Counters are atomic because AcceptReport/AcceptFrameStream are, like
-// ShardedIngest::Accept, callable from concurrent client-facing threads.
+// Counters are atomic because AcceptRoutedReportAsync is, like
+// ShardedIngest::AcceptToShard, callable from concurrent ingest threads.
+// The framing books live in FrameServer::stats().
 struct FrontendStats {
   std::atomic<uint64_t> reports_accepted{0};
-  std::atomic<uint64_t> frames_ok{0};
-  std::atomic<uint64_t> frames_corrupt{0};
-  std::atomic<uint64_t> bytes_skipped{0};
   std::atomic<uint64_t> epochs_drained{0};
   std::atomic<uint64_t> recovered_reports{0};   // found in the WAL at Start()
   std::atomic<uint64_t> recovered_truncated_bytes{0};  // torn tail discarded
@@ -100,9 +98,10 @@ struct FrontendStats {
   std::atomic<uint64_t> recovered_sessions{0};
   // Acknowledgment-protocol books, mirrored from every finished
   // connection's ConnectionAckBook by FrameServer::BindFrontendStats.  An
-  // ack is sent only after the report's WAL group commit, so
-  // acks_sent <= reports_accepted always, with the difference being
-  // ack-less (legacy / direct AcceptReport) ingestion.
+  // ack is sent only after the report's WAL group commit, and a failed
+  // commit rolls reports_accepted back, so on a frontend fed only through
+  // its server reports_accepted == acks_sent once every connection is
+  // shut down.
   std::atomic<uint64_t> acks_sent{0};
   std::atomic<uint64_t> nacks_sent{0};
   std::atomic<uint64_t> duplicates_suppressed{0};
@@ -181,25 +180,16 @@ class ShufflerFrontend {
   // Encoder bound to this frontend's pipeline keys, for clients.
   Encoder MakeEncoder() const { return pipeline_.MakeEncoder(); }
 
-  // Ingests a buffer of wire frames (zero or more).  Corrupt frames are
-  // skipped with stats kept; the call only fails on WAL errors.
-  Status AcceptFrameStream(ByteSpan stream);
-  // Ingests one already-unframed sealed report.
-  Status AcceptReport(Bytes sealed_report);
-  // Ingests a report whose shard was already computed by the caller (the
-  // ingest worker pool routes with ShardOfReport before enqueueing; the
-  // worker thread skips re-hashing).  Same error contract as AcceptReport:
-  // non-Ok means the report was not ingested and may be retried.
-  Status AcceptRoutedReport(size_t shard_index, Bytes sealed_report);
-
-  // The acked ingestion path.  The report (and, when ctx.session_id != 0,
-  // its ack commit) buffers as one WAL record; `done` fires exactly once —
-  // Ok after a group commit makes the record durable, the flush error if a
-  // failed commit rolled it back (in which case the report was NOT ingested
-  // and the accounting has been undone, so the client may retry without
-  // duplicating), or inline with the returned error when the append itself
-  // failed.  An Ok return only means "buffered"; the durability verdict is
-  // done's argument.
+  // The one ingestion path, for a report whose shard the caller already
+  // computed (the ingest worker pool routes with ShardOfReport before
+  // enqueueing; the worker thread skips re-hashing).  The report and its
+  // ack commit for ctx's (session, seq) buffer as one WAL record; session 0
+  // is refused.  `done` fires exactly once — Ok after a group commit makes
+  // the record durable, the flush error if a failed commit rolled it back
+  // (in which case the report was NOT ingested and the accounting has been
+  // undone, so the client may retry without duplicating), or inline with
+  // the returned error when the append itself failed.  An Ok return only
+  // means "buffered"; the durability verdict is done's argument.
   Status AcceptRoutedReportAsync(size_t shard_index, Bytes sealed_report,
                                  ReportContext ctx,
                                  std::function<void(const Status&)> done);
@@ -226,7 +216,7 @@ class ShufflerFrontend {
   // epoch is requeued *intact* (a retrying call sees its full report set
   // again), and the report carries both the epochs already drained and the
   // failure — partial progress is never discarded.  Safe to call
-  // concurrently with Accept*/Tick/CutEpoch (drain of epoch e overlaps
+  // concurrently with ingestion/Tick/CutEpoch (drain of epoch e overlaps
   // accumulation of e+1), but not with itself: one drainer at a time.
   DrainReport DrainSealedEpochs();
 

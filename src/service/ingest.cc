@@ -28,11 +28,6 @@ ShardedIngest::ShardedIngest(IngestConfig config, IngestWal* wal) : config_(conf
   }
 }
 
-Status ShardedIngest::Accept(Bytes sealed_report) {
-  size_t shard_index = ShardOfReport(sealed_report, config_.num_shards);
-  return AcceptToShard(shard_index, std::move(sealed_report));
-}
-
 Status ShardedIngest::AcceptToShard(size_t shard_index, Bytes sealed_report,
                                     ReportContext ctx,
                                     std::function<void(const Status&)>* done) {
@@ -58,8 +53,9 @@ Status ShardedIngest::AcceptToShard(size_t shard_index, Bytes sealed_report,
     size_trigger = config_.max_epoch_reports > 0 && total >= config_.max_epoch_reports;
   }
   if (size_trigger) {
-    // Re-checked under the exclusive lock: a racing Accept may have already
-    // cut, in which case the epoch is fresh and below the trigger again.
+    // Re-checked under the exclusive lock: a racing AcceptToShard may have
+    // already cut, in which case the epoch is fresh and below the trigger
+    // again.
     WriterMutexLock epoch_lock(epoch_mu_);
     if (config_.max_epoch_reports > 0 && current_total_.load() >= config_.max_epoch_reports) {
       Status status = SealCurrentLocked();
@@ -71,7 +67,7 @@ Status ShardedIngest::AcceptToShard(size_t shard_index, Bytes sealed_report,
       // buffered into the WAL above, so propagating the
       // error would tell the client "not ingested" and a retry would inject
       // a duplicate.  The epoch stays open with the failure recorded in
-      // seal_failures/last_seal_error; the next Accept over the size
+      // seal_failures/last_seal_error; the next AcceptToShard over the size
       // trigger, Tick(), or CutEpoch() retries the seal.
     }
   }
@@ -145,7 +141,7 @@ Status ShardedIngest::SealCurrentLocked() {
     return status;
   }
   // Commit: the epoch is durably sealed; take and reset the shards
-  // (epoch_mu_ is held exclusively, so no Accept slips in).
+  // (epoch_mu_ is held exclusively, so no AcceptToShard slips in).
   EpochBatch batch;
   batch.epoch = epoch;
   batch.total = current_total_.load();

@@ -71,31 +71,27 @@ struct EpochBatch {
 class ShardedIngest {
  public:
   // Every accept buffers into `wal` (borrowed; recovered and open before
-  // the first Accept), and every seal is IngestWal::SealEpoch: the epoch's
-  // generations, closed and named by its marker.
+  // the first AcceptToShard), and every seal is IngestWal::SealEpoch: the
+  // epoch's generations, closed and named by its marker.
   ShardedIngest(IngestConfig config, IngestWal* wal);
 
-  // Routes one sealed report to its shard; thread-safe.  May seal the
+  // Routes one sealed report to shard `shard_index`, which must equal
+  // ShardOfReport(sealed_report, num_shards()) (the ingest worker pool
+  // routes before enqueueing, so the worker thread need not re-hash);
+  // thread-safe.  The report and its ack commit for ctx's (session, seq)
+  // buffer into the WAL as one record; session 0 is refused.  On success
+  // *done (may be null / empty) is consumed by the WAL and fires after the
+  // next group-commit barrier; on failure it is untouched.  May seal the
   // current epoch when the size trigger fires.
   //
   // Error contract: a non-Ok return means the report was NOT ingested (the
   // client may safely retry it).  A size-cut whose SealEpoch fails
-  // still returns Ok — the report itself is durably accepted, and returning
-  // the seal error here would make a retrying client inject a duplicate.
+  // still returns Ok — the report itself is accepted, and returning the
+  // seal error here would make a retrying client inject a duplicate.
   // The seal failure is surfaced via stats().seal_failures/last_seal_error
   // and by the next Tick()/CutEpoch().
-  Status Accept(Bytes sealed_report);
-
-  // Same as Accept for a report whose shard was already computed (the
-  // ingest worker pool routes by ShardOfReport before enqueueing, so the
-  // worker thread need not re-hash); `shard_index` must equal
-  // ShardOfReport(sealed_report, num_shards()).  The report (and, when
-  // ctx.session_id != 0, its ack commit) buffers into the WAL as one
-  // record.  On success *done (may be null / empty) is consumed by the WAL
-  // and fires after the next group-commit barrier; on failure it is
-  // untouched.  Ok means "accepted" exactly as in Accept.
-  Status AcceptToShard(size_t shard_index, Bytes sealed_report, ReportContext ctx = {},
-                       std::function<void(const Status&)>* done = nullptr);
+  Status AcceptToShard(size_t shard_index, Bytes sealed_report, ReportContext ctx,
+                       std::function<void(const Status&)>* done);
 
   // Undo the accounting of one WAL-buffered report that a failed group
   // commit dropped.  WAL records always belong to the still-current epoch
@@ -162,7 +158,8 @@ class ShardedIngest {
   IngestConfig config_;
   IngestWal* wal_;  // borrowed
 
-  // Shared: Accept; exclusive: epoch transitions (cut, tick-cut, restore).
+  // Shared: AcceptToShard; exclusive: epoch transitions (cut, tick-cut,
+  // restore).
   mutable SharedMutex epoch_mu_;
   // Written only under exclusive epoch_mu_; invoked under the same.
   std::function<void()> seal_listener_ GUARDED_BY(epoch_mu_);

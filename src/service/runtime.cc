@@ -1,7 +1,6 @@
 #include "src/service/runtime.h"
 
 #include "src/service/ingest.h"
-#include "src/service/wire.h"
 
 namespace prochlo {
 
@@ -52,13 +51,13 @@ void IngestWorkerPool::Stop() {
       worker->thread.join();
     }
   }
-  // Close the Enqueue/Stop race: an Enqueue increments pending (seq_cst)
-  // BEFORE it checks stopping_, so any producer that saw stopping_ == false
-  // — and might therefore still publish into a dead ring — is visible here
-  // as pending != 0.  Drain until every such in-flight Enqueue has either
-  // published its item (we ingest it) or bailed (it decrements pending):
-  // a report Enqueue returns Ok for is never dropped by shutdown, and
-  // pending reaches 0 so Flush cannot hang.
+  // Close the EnqueueAsync/Stop race: an EnqueueAsync increments pending
+  // (seq_cst) BEFORE it checks stopping_, so any producer that saw
+  // stopping_ == false — and might therefore still publish into a dead
+  // ring — is visible here as pending != 0.  Drain until every such
+  // in-flight EnqueueAsync has either published its item (we ingest it) or
+  // bailed (it decrements pending): a report handed to the runtime is never
+  // dropped by shutdown, and pending reaches 0 so Flush cannot hang.
   for (auto& worker : workers_) {
     Worker* straggler_worker = worker.get();
     while (worker->pending.load() != 0) {
@@ -82,35 +81,20 @@ void IngestWorkerPool::Stop() {
       }
     }
   }
-  // workers_ is deliberately NOT cleared: a concurrent Enqueue may still
+  // workers_ is deliberately NOT cleared: a concurrent EnqueueAsync may still
   // hold a pointer into it.  The Worker objects (joined threads, empty
   // rings) live until the pool is destroyed.
   running_.store(false);
 }
 
-Status IngestWorkerPool::Enqueue(Bytes sealed_report) {
-  return EnqueueImpl(std::move(sealed_report), ReportContext{}, nullptr);
-}
-
-void IngestWorkerPool::EnqueueAsync(Bytes sealed_report, Completion done) {
-  // The return value is redundant here: `done` fires exactly once with the
-  // report's final outcome on every path, including enqueue-time failures.
-  (void)EnqueueImpl(std::move(sealed_report), ReportContext{}, std::move(done));
-}
-
 void IngestWorkerPool::EnqueueAsync(Bytes sealed_report, ReportContext ctx, Completion done) {
-  (void)EnqueueImpl(std::move(sealed_report), ctx, std::move(done));
-}
-
-Status IngestWorkerPool::EnqueueImpl(Bytes sealed_report, ReportContext ctx, Completion done) {
   size_t shard = ShardedIngest::ShardOfReport(sealed_report, num_shards_);
   if (workers_.empty()) {
     if (stopping_.load()) {
-      Status status = Error{"ingest pool: stopping; report not enqueued"};
       if (done) {
-        done(status);
+        done(Error{"ingest pool: stopping; report not enqueued"});
       }
-      return status;
+      return;
     }
     // Synchronous mode: ingest on the caller thread (workers == 0, or the
     // pool was never started).  The accept only buffers into the WAL and
@@ -139,7 +123,7 @@ Status IngestWorkerPool::EnqueueImpl(Bytes sealed_report, ReportContext ctx, Com
     if (done) {
       done(final);
     }
-    return final;
+    return;
   }
   Worker& worker = *workers_[shard % workers_.size()];
   Item item{shard, std::move(sealed_report), ctx, std::move(done)};
@@ -151,11 +135,10 @@ Status IngestWorkerPool::EnqueueImpl(Bytes sealed_report, ReportContext ctx, Com
   worker.pending.fetch_add(1);
   if (stopping_.load()) {
     worker.pending.fetch_sub(1, std::memory_order_release);
-    Status status = Error{"ingest pool: stopping; report not enqueued"};
     if (item.done) {
-      item.done(status);
+      item.done(Error{"ingest pool: stopping; report not enqueued"});
     }
-    return status;
+    return;
   }
   enqueued_.fetch_add(1, std::memory_order_relaxed);
   bool waited = false;
@@ -169,7 +152,7 @@ Status IngestWorkerPool::EnqueueImpl(Bytes sealed_report, ReportContext ctx, Com
       if (item.done) {
         item.done(status);
       }
-      return status;
+      return;
     }
     if (!waited) {
       waited = true;
@@ -178,7 +161,6 @@ Status IngestWorkerPool::EnqueueImpl(Bytes sealed_report, ReportContext ctx, Com
     std::this_thread::yield();
   }
   worker.WakeIfAsleep();
-  return Status::Ok();
 }
 
 void IngestWorkerPool::RecordAccept(const Status& status) {
@@ -189,23 +171,6 @@ void IngestWorkerPool::RecordAccept(const Status& status) {
   accept_failures_.fetch_add(1, std::memory_order_relaxed);
   MutexLock lock(stats_mu_);
   last_accept_error_ = status.error().message;
-}
-
-Status IngestWorkerPool::EnqueueFrameStream(ByteSpan stream) {
-  FrameReader reader(stream);
-  Status status = Status::Ok();
-  while (auto payload = reader.Next()) {
-    status = Enqueue(std::move(*payload));
-    if (!status.ok()) {
-      break;
-    }
-  }
-  // Folded on every path, like ShufflerFrontend::AcceptFrameStream: an early
-  // failure must not drop the frames the reader already accounted.
-  frames_ok_.fetch_add(reader.stats().frames_ok, std::memory_order_relaxed);
-  frames_corrupt_.fetch_add(reader.stats().frames_corrupt, std::memory_order_relaxed);
-  bytes_skipped_.fetch_add(reader.stats().bytes_skipped, std::memory_order_relaxed);
-  return status;
 }
 
 Status IngestWorkerPool::Flush() {
@@ -229,9 +194,6 @@ WorkerPoolStats IngestWorkerPool::stats() const {
   out.accepted = accepted_.load(std::memory_order_relaxed);
   out.accept_failures = accept_failures_.load(std::memory_order_relaxed);
   out.ring_full_waits = ring_full_waits_.load(std::memory_order_relaxed);
-  out.frames_ok = frames_ok_.load(std::memory_order_relaxed);
-  out.frames_corrupt = frames_corrupt_.load(std::memory_order_relaxed);
-  out.bytes_skipped = bytes_skipped_.load(std::memory_order_relaxed);
   MutexLock lock(stats_mu_);
   out.last_accept_error = last_accept_error_;
   return out;

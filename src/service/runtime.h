@@ -3,10 +3,11 @@
 // (ROADMAP: "per-shard worker threads draining Accept from lock-free rings
 // ... multi-epoch drain overlap").
 //
-//   client threads ──Enqueue──► MpscRing per worker ──► worker thread
-//                      (route by ciphertext hash;        └─ AcceptRoutedReport
-//                       no shard mutex, no spool I/O          (shard locks +
-//                       on the client thread)                  spool append)
+//   connection threads ──EnqueueAsync──► MpscRing per worker ──► worker
+//                      (route by ciphertext hash;      └─ AcceptRoutedReportAsync
+//                       no shard mutex, no WAL I/O        (shard locks + WAL
+//                       on the connection thread)          append; one group
+//                                                          commit per run)
 //
 //   drain thread  ──poll/nudge──► frontend.DrainSealedEpochs
 //                       (drains sealed epoch e while the workers keep
@@ -20,12 +21,11 @@
 // a size-cut racing concurrent producers seals *some* valid membership, and
 // each epoch's result is still a pure function of the membership it got.
 //
-// Error contract (async mode): Enqueue returning Ok means "handed to the
-// runtime", not yet "ingested".  A worker-side Accept failure means that
-// report was NOT ingested; it is counted in stats().accept_failures with
-// last_accept_error kept.  Flush() is the barrier that makes those outcomes
-// visible: after it returns, every enqueued report is either ingested or
-// counted as failed.
+// Error contract: every EnqueueAsync completion fires exactly once with the
+// report's final outcome.  A failure means that report was NOT ingested; it
+// is counted in stats().accept_failures with last_accept_error kept.
+// Flush() is the barrier that makes those outcomes visible: after it
+// returns, every enqueued report is either ingested or counted as failed.
 #ifndef PROCHLO_SRC_SERVICE_RUNTIME_H_
 #define PROCHLO_SRC_SERVICE_RUNTIME_H_
 
@@ -44,25 +44,23 @@
 namespace prochlo {
 
 struct WorkerPoolConfig {
-  // Worker threads; 0 = synchronous (Enqueue ingests on the caller thread).
+  // Worker threads; 0 = synchronous (EnqueueAsync ingests on the caller
+  // thread).
   size_t workers = 0;
   // Per-worker bounded ring capacity (rounded up to a power of two).  A full
-  // ring back-pressures Enqueue (it spins/yields, counted in
+  // ring back-pressures EnqueueAsync (it spins/yields, counted in
   // stats().ring_full_waits) rather than dropping.
   size_t ring_capacity = 1024;
 };
 
 struct WorkerPoolStats {
-  uint64_t enqueued = 0;  // reports handed to the runtime (counted at Enqueue)
+  uint64_t enqueued = 0;  // reports handed to the runtime (counted at enqueue)
   uint64_t accepted = 0;  // reports ingested
-  // Reports handed to the runtime but NOT ingested (worker-side Accept
-  // errors, or an Enqueue aborted by Stop).  Invariant once quiescent
-  // (after Flush/Stop): enqueued == accepted + accept_failures.
+  // Reports handed to the runtime but NOT ingested (ingest errors, or an
+  // enqueue aborted by Stop).  Invariant once quiescent (after
+  // Flush/Stop): enqueued == accepted + accept_failures.
   uint64_t accept_failures = 0;
-  uint64_t ring_full_waits = 0;  // back-pressure episodes on Enqueue
-  uint64_t frames_ok = 0;        // EnqueueFrameStream framing books
-  uint64_t frames_corrupt = 0;
-  uint64_t bytes_skipped = 0;
+  uint64_t ring_full_waits = 0;  // back-pressure episodes on EnqueueAsync
   std::string last_accept_error;
 };
 
@@ -79,37 +77,31 @@ class IngestWorkerPool {
 
   void Start();
   // Joins the workers after they drain their rings, then ingests on the
-  // caller thread any item an Enqueue raced in after a worker exited — a
-  // report Enqueue returned Ok for is never dropped by shutdown.
+  // caller thread any item an EnqueueAsync raced in after a worker exited —
+  // a report handed to the runtime is never dropped by shutdown.
   // Idempotent; the pool is one-shot (a stopped pool does not restart).
   void Stop();
 
+  // Invoked exactly once with the report's final ingest outcome — on the
+  // thread that leads the covering group commit (async mode), on the caller
+  // thread (synchronous mode), or with the abort error when the pool is
+  // stopping.  The acknowledgment path hangs off this: a FrameConnection
+  // ACKs a report from `done(Ok)`, so "acked" means "durably spooled",
+  // never merely "handed to the runtime".
+  using Completion = std::function<void(const Status&)>;
   // Thread-safe.  Routes the report by ciphertext hash and enqueues it on
   // its shard's worker ring; blocks (yielding) while the ring is full.
-  // With workers == 0, ingests synchronously and returns the Accept status.
-  Status Enqueue(Bytes sealed_report);
-  // Invoked exactly once with the report's final Accept outcome — on the
-  // ingest worker thread after the durable spool append (async mode), on
-  // the caller thread (synchronous mode), or with the abort error when the
-  // pool is stopping.  The acknowledgment path hangs off this: a
-  // FrameConnection ACKs a report from `done(Ok)`, so "acked" means
-  // "durably spooled", never merely "handed to the runtime".
-  using Completion = std::function<void(const Status&)>;
-  void EnqueueAsync(Bytes sealed_report, Completion done);
-  // Ack-protocol variant: `ctx` carries the report's (session, seq) so the
-  // WAL-backed frontend can fuse the ack commit into the report's own
-  // durable record.  Workers batch a run of ring items into the WAL and pay
-  // one group-commit fsync for the whole run (BarrierIngest), after which
-  // every item's `done` has fired — N concurrent reports, one fsync.
+  // `ctx` carries the report's (session, seq) so the frontend fuses the ack
+  // commit into the report's own durable record.  Workers batch a run of
+  // ring items into the WAL and pay one group-commit fsync for the whole
+  // run (BarrierIngest), after which every item's `done` has fired — N
+  // concurrent reports, one fsync.  With workers == 0, ingests and commits
+  // on the caller thread before returning.
   void EnqueueAsync(Bytes sealed_report, ReportContext ctx, Completion done);
-  // Decodes a buffer of wire frames on the caller thread (cheap: CRC only)
-  // and enqueues each payload.  Corrupt frames are skipped with the books
-  // kept in stats(), mirroring ShufflerFrontend::AcceptFrameStream.
-  Status EnqueueFrameStream(ByteSpan stream);
 
   // Barrier: returns once every report enqueued so far has been ingested or
-  // counted in accept_failures.  Does not block Enqueue from other threads;
-  // reports enqueued after Flush begins may or may not be covered.
+  // counted in accept_failures.  Does not block EnqueueAsync from other
+  // threads; reports enqueued after Flush begins may or may not be covered.
   Status Flush();
 
   WorkerPoolStats stats() const;
@@ -120,7 +112,7 @@ class IngestWorkerPool {
     size_t shard = 0;
     Bytes report;
     ReportContext ctx;  // (session, seq) for the unified WAL record
-    Completion done;    // may be null (plain Enqueue)
+    Completion done;    // may be null
   };
 
   struct Worker {
@@ -151,10 +143,6 @@ class IngestWorkerPool {
 
   void WorkerLoop(Worker& worker);
   void RecordAccept(const Status& status);
-  // Shared body of Enqueue/EnqueueAsync: the return value is Enqueue's
-  // contract ("handed to the runtime" / sync Accept status); `done`, when
-  // set, fires exactly once with the report's final outcome on every path.
-  Status EnqueueImpl(Bytes sealed_report, ReportContext ctx, Completion done);
 
   ShufflerFrontend* frontend_;  // borrowed
   WorkerPoolConfig config_;
@@ -168,9 +156,6 @@ class IngestWorkerPool {
   std::atomic<uint64_t> accepted_{0};
   std::atomic<uint64_t> accept_failures_{0};
   std::atomic<uint64_t> ring_full_waits_{0};
-  std::atomic<uint64_t> frames_ok_{0};
-  std::atomic<uint64_t> frames_corrupt_{0};
-  std::atomic<uint64_t> bytes_skipped_{0};
   std::string last_accept_error_ GUARDED_BY(stats_mu_);
 };
 

@@ -10,6 +10,10 @@ namespace {
 // one block of it.
 constexpr uint64_t kSpoolCommitBytes = 1 << 20;
 
+// Every WAL report belongs to a session; a bulk load is one session of its
+// own, numbering its reports in append order.
+constexpr uint64_t kSpoolSession = 1;
+
 }  // namespace
 
 Spool::Spool(SpoolConfig config) : config_(std::move(config)) {
@@ -27,10 +31,11 @@ Status Spool::Open() {
 }
 
 Status Spool::Append(size_t shard, uint64_t epoch, ByteSpan report) {
-  auto lsn = wal_->AppendReport(shard, epoch, report, /*session_id=*/0, /*seq=*/0, nullptr);
+  auto lsn = wal_->AppendReport(shard, epoch, report, kSpoolSession, next_seq_, nullptr);
   if (!lsn.ok()) {
     return lsn.error();
   }
+  next_seq_++;
   buffered_bytes_ += report.size();
   if (buffered_bytes_ < kSpoolCommitBytes) {
     return Status::Ok();

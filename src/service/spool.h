@@ -4,9 +4,10 @@
 // and the drain streams the reports straight out of them.
 //
 // Spool is the thin adapter for callers that write an epoch directly rather
-// than through ShufflerFrontend (the drain benchmark's replay): ack-less
-// reports go through the WAL's group commit into its generations, and come
-// back through the same block-at-a-time reader the drain uses.
+// than through ShufflerFrontend (the drain benchmark's replay): its reports
+// go through the WAL's group commit into its generations as one reserved
+// session's, numbered in append order, and come back through the same
+// block-at-a-time reader the drain uses.
 #ifndef PROCHLO_SRC_SERVICE_SPOOL_H_
 #define PROCHLO_SRC_SERVICE_SPOOL_H_
 
@@ -49,6 +50,7 @@ class Spool {
   SpoolConfig config_;
   std::unique_ptr<IngestWal> wal_;
   uint64_t buffered_bytes_ = 0;  // appended since the last group commit
+  uint64_t next_seq_ = 0;        // the reserved session's next seq
 };
 
 }  // namespace prochlo

@@ -17,9 +17,10 @@ namespace {
 
 // Record kinds inside a WAL block.  A block is one ordinary wire frame whose
 // payload concatenates records — the frame CRC guards the log, and the 22 B
-// frame header is paid once per group commit, not once per report.
+// frame header is paid once per group commit, not once per report.  Kind 1
+// (a report without a session) is retired and never reused: a reader meets
+// it as an unknown kind.
 enum WalRecordKind : uint8_t {
-  kWalReport = 1,        // shard, epoch, report (ack-less sink)
   kWalReportCommit = 2,  // shard, epoch, session, seq, report — THE unified
                          // record: report durability and the ack commit are
                          // one atomic append
@@ -32,12 +33,10 @@ constexpr char kCheckpointName[] = "wal.ckpt";
 // any session count stays clear of kMaxFramePayload.
 constexpr size_t kPublishChunkBytes = 64 * 1024;
 
-bool IsReport(uint8_t kind) { return kind == kWalReport || kind == kWalReportCommit; }
+bool IsReport(uint8_t kind) { return kind == kWalReportCommit; }
 
 uint64_t EncodedRecordSize(uint8_t kind, size_t report_size) {
   switch (kind) {
-    case kWalReport:
-      return 1 + 8 + 8 + 4 + report_size;
     case kWalReportCommit:
       return 1 + 8 + 8 + 8 + 8 + 4 + report_size;
     case kWalEvict:
@@ -66,9 +65,7 @@ void EncodeRecord(Writer& w, uint8_t kind, uint64_t shard, uint64_t epoch,
     w.PutU64(shard);
     w.PutU64(epoch);
   }
-  if (kind != kWalReport) {
-    w.PutU64(session_id);
-  }
+  w.PutU64(session_id);
   if (kind == kWalReportCommit || kind == kWalEvict) {
     w.PutU64(value);
   }
@@ -79,9 +76,9 @@ void EncodeRecord(Writer& w, uint8_t kind, uint64_t shard, uint64_t epoch,
 
 enum class Parsed { kRecord, kEnd, kMalformed };
 
-// Decodes the next record of a block.  Unknown kinds have unknown lengths,
-// so nothing after one can be framed; the block's CRC passed, so it is a
-// newer writer's record — the rest of the block is skipped.
+// Decodes the next record of a block.  An unknown or retired kind has an
+// unknown length, so nothing after it can be framed; skipping the rest of
+// the block would silently drop acknowledged reports, so it is malformed.
 Parsed NextRecord(Reader& r, WalRecord& rec) {
   if (r.AtEnd()) {
     return Parsed::kEnd;
@@ -90,15 +87,14 @@ Parsed NextRecord(Reader& r, WalRecord& rec) {
   if (!r.GetU8(&rec.kind)) {
     return Parsed::kMalformed;
   }
-  if (rec.kind < kWalReport || rec.kind > kWalGoodbye) {
-    r = Reader(ByteSpan());
-    return Parsed::kEnd;
+  if (rec.kind < kWalReportCommit || rec.kind > kWalGoodbye) {
+    return Parsed::kMalformed;
   }
   bool ok = true;
   if (IsReport(rec.kind)) {
     ok = r.GetU64(&rec.shard) && r.GetU64(&rec.epoch);
   }
-  if (ok && rec.kind != kWalReport) {
+  if (ok) {
     ok = r.GetU64(&rec.session_id);
   }
   if (ok && (rec.kind == kWalReportCommit || rec.kind == kWalEvict)) {
@@ -722,7 +718,7 @@ Result<IngestWal::Recovery> IngestWal::Recover() {
           counts[rec.shard]++;
         }
         if (parsed == Parsed::kMalformed) {
-          return Error{"wal: truncated record inside a CRC-valid block of " + path +
+          return Error{"wal: malformed record inside a CRC-valid block of " + path +
                        " before offset " + std::to_string(reader.offset())};
         }
       }
@@ -916,8 +912,11 @@ Result<uint64_t> IngestWal::AppendLocked(PendingRecord& record) {
 Result<uint64_t> IngestWal::AppendReport(size_t shard, uint64_t epoch, ByteSpan report,
                                          uint64_t session_id, uint64_t seq,
                                          Completion* done) {
+  if (session_id == 0) {
+    return Error{"wal: report without a session"};
+  }
   PendingRecord record;
-  record.kind = session_id != 0 ? kWalReportCommit : kWalReport;
+  record.kind = kWalReportCommit;
   record.shard = shard;
   record.epoch = epoch;
   record.session_id = session_id;

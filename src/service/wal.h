@@ -67,9 +67,11 @@
 // snapshot once, in log order.  Only the newest generation may end in a
 // torn write — a bad block with no CRC-valid frame after it; any other bad
 // block fails recovery with the file and offset, leaving every file as it
-// was.  So does a read error (reads go through config.fs, as writes do),
-// which is never taken for an end of file or a torn write, and so does a
-// marker whose missing generations are not a prefix of the ones it names:
+// was.  So does a CRC-valid block holding a record that cannot be parsed —
+// cut short, or of an unknown or retired kind — and so does a read error
+// (reads go through config.fs, as writes do), which is never taken for an
+// end of file or a torn write, and so does a marker whose missing
+// generations are not a prefix of the ones it names:
 // no interrupted removal leaves that, and dropping the rest would silently
 // lose acknowledged reports.  Only then does it write:
 // truncate the torn tail, publish `wal.ckpt` over every generation, seal
@@ -198,7 +200,8 @@ class IngestWal {
 
   void set_rollback_callback(RollbackCallback cb);
 
-  // Buffers one report record (with its ack commit when session_id != 0).
+  // Buffers one report record with its ack commit for (session_id, seq);
+  // session 0 is refused, so every durable report belongs to a session.
   // On success, ownership of *done moves into the WAL: it fires exactly
   // once — Ok after a group commit covers the record, the flush error if
   // the record is rolled back.  On failure *done is untouched and the

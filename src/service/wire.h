@@ -20,7 +20,7 @@
 //            sequence number (0 for a WAL block, which lives on disk and
 //            needs no acknowledgment).
 //   kAck     server -> client.  seq echoes the report frame's seq; sent only
-//            AFTER ShardedIngest::Accept returned Ok, so an ack means the
+//            AFTER the report's WAL group commit, so an ack means the
 //            report is durably spooled (report-safe), never merely received.
 //   kNack    server -> client.  seq echoes; payload = error message.  The
 //            report was NOT ingested and the client should retry it.
@@ -85,9 +85,9 @@ constexpr bool IsKnownFrameType(uint8_t type) {
 
 // The ack identity a report carries while it travels through the ingest
 // pipeline (connection -> worker pool -> frontend -> WAL): which session's
-// which sequence number this report settles.  session_id == 0 means
-// "ack-less" — the legacy synchronous sink and spool-internal replays,
-// which carry no commit record.
+// which sequence number this report settles.  Every report carries one:
+// its WAL record is the report and its ack commit together.  session_id 0
+// is reserved ("no session") and refused by the WAL.
 struct ReportContext {
   uint64_t session_id = 0;
   uint64_t seq = 0;
@@ -119,7 +119,8 @@ struct NackInfo {
   // frame already in the pipe — and acting on one would rotate again and
   // replay reports the new session has already committed (a duplicate
   // ingest).  The stamp lets the client drop those stale verdicts.  0 =
-  // unstamped (a peer too old to know): the client rotates conservatively.
+  // no session was bound: the REPORT arrived before any HELLO, or after a
+  // HELLO with the reserved id 0; the client rotates conservatively.
   uint64_t session_id = 0;
   // kMisrouted only: which shard group owns the report (LE u64 after the
   // reason byte) and the map version the verdict was made under (LE u64
@@ -205,7 +206,7 @@ Bytes EncodeGoodbyeFrame(uint64_t seq);
 // failure (short header, bad magic, unsupported version, unknown type,
 // truncated payload, CRC mismatch) so tests and operators can tell
 // tampering from truncation.  DecodeFrame returns the payload alone (the
-// spool and legacy stream paths, where every frame is a report);
+// WAL's block path, where every frame is a report);
 // DecodeTypedFrame returns the full frame.
 Result<Bytes> DecodeFrame(ByteSpan frame);
 Result<Frame> DecodeTypedFrame(ByteSpan frame);
@@ -253,7 +254,7 @@ struct FrameStreamStats {
 // NextFrame() yields each valid frame in order; corrupt frames are skipped
 // (with stats kept) by scanning forward for the next magic.  Next() is the
 // payload-only view for streams known to hold report frames (files of
-// frames, legacy buffers).
+// frames).
 class FrameReader {
  public:
   explicit FrameReader(ByteSpan stream) : stream_(stream) {}
@@ -288,7 +289,7 @@ class FrameReader {
 class StreamingFrameDecoder {
  public:
   // Consumes one chunk; appends each completed frame (or its payload, for
-  // the legacy overload) to `out` and returns how many were produced.
+  // the payload-only overload) to `out` and returns how many were produced.
   // Incomplete trailing bytes stay buffered.
   size_t Feed(ByteSpan chunk, std::vector<Frame>& out);
   size_t Feed(ByteSpan chunk, std::vector<Bytes>& out);

@@ -32,6 +32,7 @@
 #include "src/service/fs.h"
 #include "src/util/rng.h"
 #include "tests/support/fault_fs.h"
+#include "tests/support/ingest.h"
 
 namespace prochlo {
 namespace {
@@ -179,10 +180,8 @@ std::map<uint64_t, std::map<std::string, uint64_t>> SerialBaseline(
     const FrontendConfig& base, const std::vector<std::vector<Bytes>>& waves) {
   ShufflerFrontend serial(base);
   EXPECT_TRUE(serial.Start().ok());
-  for (const auto& wave : waves) {
-    for (const auto& report : wave) {
-      EXPECT_TRUE(serial.AcceptReport(report).ok());
-    }
+  for (uint64_t wave = 0; wave < waves.size(); ++wave) {
+    EXPECT_TRUE(IngestReports(serial, waves[wave], {wave + 1, 0}).ok());
     EXPECT_TRUE(serial.CutEpoch().ok());
   }
   auto drained = serial.DrainSealedEpochs();
@@ -201,9 +200,7 @@ PipelineResult SerialEpoch(const FrontendConfig& base, const std::vector<Bytes>&
   config.spool_dir.clear();
   ShufflerFrontend serial(config);
   EXPECT_TRUE(serial.Start().ok());
-  for (const auto& report : reports) {
-    EXPECT_TRUE(serial.AcceptReport(report).ok());
-  }
+  EXPECT_TRUE(IngestReports(serial, reports).ok());
   EXPECT_TRUE(serial.CutEpoch().ok());
   auto drained = serial.DrainSealedEpochs();
   EXPECT_TRUE(drained.ok());
@@ -239,9 +236,12 @@ struct DirectCluster {
 
   Result<ClusterEpochResult> IngestAndMergeEpoch0(const PipelineConfig& pipeline,
                                                   const std::vector<Bytes>& reports) {
+    std::vector<std::vector<Bytes>> owned_reports(groups.size());
     for (const auto& report : reports) {
-      ShardGroup& owner = *groups[map.OwnerOfReport(report) - 1];
-      EXPECT_TRUE(owner.frontend().AcceptReport(report).ok());
+      owned_reports[map.OwnerOfReport(report) - 1].push_back(report);
+    }
+    for (size_t g = 0; g < groups.size(); ++g) {
+      EXPECT_TRUE(IngestReports(groups[g]->frontend(), owned_reports[g]).ok());
     }
     EXPECT_TRUE(coordinator->CutEpochAll().ok());
     HistogramMerge merge(pipeline);
@@ -865,10 +865,8 @@ void RunSerialDrainPerEpochStatsTest(bool on_disk) {
   }
   ShufflerFrontend frontend(config);
   ASSERT_TRUE(frontend.Start().ok());
-  for (const auto& wave : waves) {
-    for (const auto& report : wave) {
-      ASSERT_TRUE(frontend.AcceptReport(report).ok());
-    }
+  for (uint64_t wave = 0; wave < waves.size(); ++wave) {
+    ASSERT_TRUE(IngestReports(frontend, waves[wave], {wave + 1, 0}).ok());
     ASSERT_TRUE(frontend.CutEpoch().ok());
   }
   auto drained = frontend.DrainSealedEpochs();
@@ -966,11 +964,13 @@ TEST(ServiceClusterTest, MergeTimeoutAccountsShortfallPerMissingGroup) {
   // out with the shortfall accounted — never silently dropped.
   const Encoder encoder = g1->frontend().MakeEncoder();
   SecureRandom rng(ToBytes("shortfall"));
+  std::vector<Bytes> reports;
   for (int i = 0; i < 30; ++i) {
     auto report = encoder.EncodeValue("value", "crowd", rng);
     ASSERT_TRUE(report.ok());
-    ASSERT_TRUE(g1->frontend().AcceptReport(std::move(report).value()).ok());
+    reports.push_back(std::move(report).value());
   }
+  ASSERT_TRUE(IngestReports(g1->frontend(), reports).ok());
   ASSERT_TRUE(g1->frontend().CutEpoch().ok());
 
   // Generous enough that draining group 1's partial (WAL checkpoint fsyncs

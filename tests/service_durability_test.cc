@@ -38,6 +38,7 @@
 #include "src/util/rng.h"
 #include "tests/support/fault_fs.h"
 #include "tests/support/fs_files.h"
+#include "tests/support/ingest.h"
 
 namespace prochlo {
 namespace {
@@ -111,10 +112,9 @@ struct DurabilityRig {
   explicit DurabilityRig(FrontendConfig config, size_t workers = 2, size_t ring = 64)
       : frontend(std::move(config)),
         pool(&frontend, WorkerPoolConfig{workers, ring}),
-        server([this](Bytes report) { return pool.Enqueue(std::move(report)); },
-               [this](Bytes report, ReportContext ctx, std::function<void(const Status&)> done) {
-                 pool.EnqueueAsync(std::move(report), ctx, std::move(done));
-               }),
+        server([this](Bytes report, ReportContext ctx, std::function<void(const Status&)> done) {
+          pool.EnqueueAsync(std::move(report), ctx, std::move(done));
+        }),
         listener(&server) {}
 
   ~DurabilityRig() { Shutdown(); }
@@ -206,9 +206,7 @@ std::map<uint64_t, std::map<std::string, uint64_t>> SerialHistograms(
     const FrontendConfig& base, const std::vector<Bytes>& sealed) {
   ShufflerFrontend serial(base);
   EXPECT_TRUE(serial.Start().ok());
-  for (const auto& report : sealed) {
-    EXPECT_TRUE(serial.AcceptReport(report).ok());
-  }
+  EXPECT_TRUE(IngestReports(serial, sealed).ok());
   EXPECT_TRUE(serial.CutEpoch().ok());
   auto drained = serial.DrainSealedEpochs();
   EXPECT_TRUE(drained.ok());
@@ -590,17 +588,13 @@ TEST(ServiceDurabilityTest, SealedAndCheckpointedMetadataSurvivesLostDirents) {
     config.fs = &fault;
     ShufflerFrontend frontend(config);
     ASSERT_TRUE(frontend.Start().ok());
-    for (const auto& report : sealed) {
-      ASSERT_TRUE(frontend.AcceptReport(report).ok());
-    }
+    ASSERT_TRUE(IngestReports(frontend, sealed).ok());
     // Seal epoch 0: the WAL checkpoint (rotation + wal.ckpt rename)
     // followed by the epoch's seal marker, each dir-fsynced.
     ASSERT_TRUE(frontend.CutEpoch().ok());
     // Epoch 1 accumulates un-checkpointed reports in the live WAL gen.
-    for (size_t i = 0; i < half; ++i) {
-      ASSERT_TRUE(frontend.AcceptReport(sealed[i]).ok());
-    }
-    ASSERT_TRUE(frontend.BarrierIngest().ok());
+    ASSERT_TRUE(
+        IngestReports(frontend, std::span(sealed).first(half), {1, sealed.size()}).ok());
     EXPECT_GT(fault.syncdirs(), 0u);
   }  // crash
 
@@ -646,9 +640,7 @@ TEST(ServiceDurabilityTest, RemoveEpochFailuresRetryBoundedThenSurface) {
   ASSERT_TRUE(frontend.Start().ok());
 
   // Epoch 0: one transient unlink failure, healed by the retry.
-  for (const auto& report : sealed) {
-    ASSERT_TRUE(frontend.AcceptReport(report).ok());
-  }
+  ASSERT_TRUE(IngestReports(frontend, sealed).ok());
   ASSERT_TRUE(frontend.CutEpoch().ok());
   fault.FailRemoves(1);
   auto drained = frontend.DrainSealedEpochs();
@@ -661,9 +653,7 @@ TEST(ServiceDurabilityTest, RemoveEpochFailuresRetryBoundedThenSurface) {
   // Epoch 1: the unlink failure persists past every retry.  The drain
   // still succeeds — the reports are in the result — but the leak is
   // surfaced for operators.
-  for (const auto& report : sealed) {
-    ASSERT_TRUE(frontend.AcceptReport(report).ok());
-  }
+  ASSERT_TRUE(IngestReports(frontend, sealed, {1, sealed.size()}).ok());
   ASSERT_TRUE(frontend.CutEpoch().ok());
   fault.FailRemoves(1'000'000);
   drained = frontend.DrainSealedEpochs();
@@ -714,9 +704,13 @@ TEST(ServiceDurabilityTest, CrashDuringDrainedEpochRemovalNeverRedrainsAPartialE
         faulty.fs = &fault;
         ShufflerFrontend frontend(faulty);
         ASSERT_TRUE(frontend.Start().ok());
-        for (size_t i = 0; i < sealed.size(); ++i) {
-          ASSERT_TRUE(frontend.AcceptReport(sealed[i]).ok());
-          if (i + 1 == third || i + 1 == 2 * third) {
+        const size_t bounds[] = {0, third, 2 * third, sealed.size()};
+        for (size_t g = 0; g < 3; ++g) {
+          ASSERT_TRUE(IngestReports(frontend,
+                                    std::span(sealed).subspan(bounds[g], bounds[g + 1] - bounds[g]),
+                                    {1, bounds[g]})
+                          .ok());
+          if (g < 2) {
             ASSERT_TRUE(frontend.wal()->Checkpoint().ok());  // the next generation
           }
         }
@@ -776,9 +770,13 @@ TEST(ServiceDurabilityTest, MarkerMissingAMiddleGenerationIsRefused) {
   {
     ShufflerFrontend frontend(config);
     ASSERT_TRUE(frontend.Start().ok());
-    for (size_t i = 0; i < sealed.size(); ++i) {
-      ASSERT_TRUE(frontend.AcceptReport(sealed[i]).ok());
-      if (i + 1 == third || i + 1 == 2 * third) {
+    const size_t bounds[] = {0, third, 2 * third, sealed.size()};
+    for (size_t g = 0; g < 3; ++g) {
+      ASSERT_TRUE(IngestReports(frontend,
+                                std::span(sealed).subspan(bounds[g], bounds[g + 1] - bounds[g]),
+                                {1, bounds[g]})
+                      .ok());
+      if (g < 2) {
         ASSERT_TRUE(frontend.wal()->Checkpoint().ok());
       }
     }
@@ -1118,7 +1116,7 @@ TEST(ServiceDurabilityTest, CorruptSnapshotIsRefusedAndStaleTempRemoved) {
   const size_t header_frame = FrameWireSize(3 * sizeof(uint64_t));
   ASSERT_GT(good.size(), header_frame);
   Bytes flipped = good;
-  flipped.back() ^= 0x01;
+  flipped[good.size() - 1] ^= 0x01;
   for (const Bytes& bad : {flipped, Bytes(good.begin(), good.end() - 1),
                            Bytes(good.begin(), good.begin() + header_frame)}) {
     ASSERT_TRUE(WriteFileBytes(&dir.disk, ckpt, bad).ok());

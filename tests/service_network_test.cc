@@ -20,12 +20,15 @@
 #include <vector>
 
 #include "src/core/pipeline.h"
+#include "src/service/cluster/shard_group.h"
 #include "src/service/connection.h"
 #include "src/service/frontend.h"
 #include "src/service/ingest.h"
 #include "src/service/runtime.h"
 #include "src/service/wire.h"
 #include "src/util/rng.h"
+#include "tests/support/fault_fs.h"
+#include "tests/support/ingest.h"
 
 namespace prochlo {
 namespace {
@@ -131,10 +134,9 @@ struct NetworkRig {
   explicit NetworkRig(FrontendConfig config, size_t workers = 2, size_t ring = 64)
       : frontend(std::move(config)),
         pool(&frontend, WorkerPoolConfig{workers, ring}),
-        server([this](Bytes report) { return pool.Enqueue(std::move(report)); },
-               [this](Bytes report, ReportContext ctx, std::function<void(const Status&)> done) {
-                 pool.EnqueueAsync(std::move(report), ctx, std::move(done));
-               }),
+        server([this](Bytes report, ReportContext ctx, std::function<void(const Status&)> done) {
+          pool.EnqueueAsync(std::move(report), ctx, std::move(done));
+        }),
         listener(&server) {}
 
   ~NetworkRig() { Shutdown(); }
@@ -414,7 +416,6 @@ TEST(ServiceNetworkTest, NackedReportIsRetriedToSuccess) {
   pool.Start();
   std::atomic<int> failures_left{3};
   FrameServer server(
-      [&pool](Bytes report) { return pool.Enqueue(std::move(report)); },
       [&](Bytes report, ReportContext ctx, std::function<void(const Status&)> done) {
         if (failures_left.fetch_sub(1) > 0) {
           done(Error{"injected ingest failure"});
@@ -469,11 +470,13 @@ TEST(ServiceNetworkTest, SealEventDrivesDrainWithoutPolling) {
 
   const Encoder encoder = frontend.MakeEncoder();
   SecureRandom rng(ToBytes("seal-event-clients"));
-  for (int i = 0; i < 30; ++i) {
+  std::vector<Bytes> reports;
+  for (int i = 0; i < 35; ++i) {
     auto report = encoder.EncodeValue("value", "crowd", rng);
     ASSERT_TRUE(report.ok());
-    ASSERT_TRUE(frontend.AcceptReport(std::move(report).value()).ok());
+    reports.push_back(std::move(report).value());
   }
+  ASSERT_TRUE(IngestReports(frontend, std::span(reports).first(30)).ok());
   ASSERT_TRUE(frontend.CutEpoch().ok());
   // Well under the 10-minute poll: only the seal event can explain this.
   EXPECT_TRUE(drainer.WaitForDrainedEpochs(1, std::chrono::milliseconds(15000)));
@@ -484,11 +487,7 @@ TEST(ServiceNetworkTest, SealEventDrivesDrainWithoutPolling) {
 
   // After Stop the listener is unregistered: another cut must not touch the
   // destroyed-scheduler path (no crash, no drain).
-  for (int i = 0; i < 5; ++i) {
-    auto report = encoder.EncodeValue("value", "crowd", rng);
-    ASSERT_TRUE(report.ok());
-    ASSERT_TRUE(frontend.AcceptReport(std::move(report).value()).ok());
-  }
+  ASSERT_TRUE(IngestReports(frontend, std::span(reports).subspan(30), {1, 30}).ok());
   ASSERT_TRUE(frontend.CutEpoch().ok());
 }
 
@@ -501,11 +500,10 @@ TEST(ServiceNetworkTest, SealEventDrivesDrainWithoutPolling) {
 // a second time.
 TEST(ServiceNetworkTest, StaleFramesFromAnAbandonedConnectionAreNotReingested) {
   std::atomic<uint64_t> ingested{0};
-  FrameServer server([](Bytes) { return Status::Ok(); },
-                     [&ingested](Bytes, ReportContext, std::function<void(const Status&)> done) {
-                       ingested.fetch_add(1);
-                       done(Status::Ok());
-                     });
+  FrameServer server([&ingested](Bytes, ReportContext, std::function<void(const Status&)> done) {
+    ingested.fetch_add(1);
+    done(Status::Ok());
+  });
   constexpr uint64_t kSession = 7;
   const Bytes report = SyntheticReport(1, 0);
   // The abandoned connection was accepted first; its frames arrive last.
@@ -588,10 +586,8 @@ TEST(ServiceNetworkTest, ConcurrentTcpClientsWithRandomKillsMatchSerialHistogram
     config.spool_dir = serial_dir.path;
     ShufflerFrontend serial(config);
     ASSERT_TRUE(serial.Start().ok());
-    for (const auto& wave : waves) {
-      for (const auto& report : wave) {
-        ASSERT_TRUE(serial.AcceptReport(report).ok());
-      }
+    for (uint64_t wave = 0; wave < waves.size(); ++wave) {
+      ASSERT_TRUE(IngestReports(serial, waves[wave], {wave + 1, 0}).ok());
       ASSERT_TRUE(serial.CutEpoch().ok());
     }
     auto drained = serial.DrainSealedEpochs();
@@ -700,6 +696,132 @@ TEST(ServiceNetworkTest, ConcurrentTcpClientsWithRandomKillsMatchSerialHistogram
   }
   EXPECT_EQ(drained_reports, delivered);
   ExpectAckBooksBalance(rig, delivered);
+}
+
+// ------------------------------------------- the ack books are equalities
+
+// Every report belongs to a session, so on a shard group fed only through
+// its server each accepted report is ACKed or rolled back: at quiescence
+// reports_accepted == acks_sent, and every report frame got exactly one
+// response.  The traffic answers reports every way there is: ACKs,
+// duplicates suppressed after a reconnect that lost its acks, NACKs of a
+// group commit the disk failed, and the re-hello NACKs of reports sent
+// with no session bound — before any HELLO, or after HELLO 0 — which are
+// never ingested.
+TEST(ServiceNetworkTest, AckBooksAreEqualitiesWhenEveryReportHasASession) {
+  FaultFs fault;
+  ShardGroupConfig config;
+  config.frontend = NetworkFrontendConfig("/spool");
+  config.frontend.fs = &fault;
+  config.workers = WorkerPoolConfig{/*workers=*/2, /*ring_capacity=*/64};
+  ShardGroup group(config);
+  ASSERT_TRUE(group.Start().ok());
+  ShufflerFrontend& frontend = group.frontend();
+
+  // 19 "orphan" reports reach the group through clients, one short of
+  // T=20; each session-less stream carries one more, so either of those
+  // ingested would carry the crowd over the threshold.
+  std::vector<std::pair<std::string, std::string>> inputs;
+  auto add = [&](const std::string& value, int count) {
+    for (int i = 0; i < count; ++i) {
+      inputs.emplace_back(value, value);
+    }
+  };
+  add("books-common", 30);
+  add("books-mid", 21);
+  add("orphan", 21);
+  SecureRandom client_rng(ToBytes("ack-books-clients"));
+  auto sealed = frontend.MakeEncoder().BatchSealReports(inputs, client_rng);
+  ASSERT_TRUE(sealed.ok());
+  const std::vector<Bytes> reports = std::move(sealed).value();
+  const size_t kLostAcks = 40;
+  const size_t kClientReports = reports.size() - 2;
+  FrameClientConfig client_config;
+  client_config.nack_retry_max_delay = std::chrono::milliseconds(8);
+
+  // Client 1: every ACK of its first connection is lost; the reconnect's
+  // replay is suppressed as duplicates and re-ACKed.
+  client_config.session_id = 1;
+  FrameClient lost_acks(client_config);
+  ASSERT_TRUE(lost_acks
+                  .Connect(std::make_unique<KillSwitchStream>(
+                      group.Connect(), KillSwitchStream::kUnlimited, /*blackhole_reads=*/true))
+                  .ok());
+  for (size_t i = 0; i < kLostAcks; ++i) {
+    ASSERT_TRUE(lost_acks.SendReport(reports[i]).ok());
+  }
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (frontend.wal()->stats().records_flushed < kLostAcks) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_TRUE(lost_acks.Connect(group.Connect()).ok());
+  ASSERT_TRUE(lost_acks.WaitForAcks(std::chrono::milliseconds(30000)));
+  lost_acks.Close();
+
+  // Client 2: the disk fills up, so a group commit rolls back and its
+  // reports are NACKed; once it heals, the retries land.
+  client_config.session_id = 2;
+  FrameClient disk_full(client_config);
+  ASSERT_TRUE(disk_full.Connect(group.Connect()).ok());
+  fault.FailWrites(true);
+  for (size_t i = kLostAcks; i < kClientReports; ++i) {
+    ASSERT_TRUE(disk_full.SendReport(reports[i]).ok());
+  }
+  while (disk_full.stats().nacked == 0) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  fault.FailWrites(false);
+  ASSERT_TRUE(disk_full.WaitForAcks(std::chrono::milliseconds(30000)));
+  disk_full.Close();
+  EXPECT_GT(frontend.wal()->stats().rolled_back_records, 0u);
+
+  // Two raw streams with no session bound: a REPORT before any HELLO, and
+  // a REPORT after HELLO 0.  Each is answered with the re-hello verdict.
+  const Bytes no_hello = EncodeReportFrame(0, reports[kClientReports]);
+  Bytes hello_zero = EncodeHelloFrame(0);
+  AppendFrame(hello_zero, FrameType::kReport, 0, reports[kClientReports + 1]);
+  for (const Bytes& stream : {no_hello, hello_zero}) {
+    auto raw = group.Connect();
+    auto responses = Exchange(*raw, stream);
+    ASSERT_TRUE(responses.ok()) << responses.error().message;
+    ASSERT_EQ(responses.value().size(), 1u);
+    const Frame& nack = responses.value()[0];
+    EXPECT_EQ(nack.type, FrameType::kNack);
+    EXPECT_EQ(nack.seq, 0u);
+    NackInfo info = ParseNackPayload(nack.payload);
+    EXPECT_EQ(info.reason, NackReason::kSessionExpired);
+    EXPECT_EQ(info.session_id, 0u);
+  }
+  ASSERT_TRUE(group.Stop().ok());
+
+  // Quiescent: every connection is shut down.
+  const ConnectionAckBook book = group.server().ack_book();
+  const FrameStreamStats frames = group.server().stats();
+  EXPECT_EQ(frontend.stats().reports_accepted.load(), frontend.stats().acks_sent.load());
+  EXPECT_EQ(frontend.stats().reports_accepted.load(), kClientReports);
+  EXPECT_EQ(frames.frames_report, book.acked + book.nacked + book.duplicates_suppressed);
+  EXPECT_GT(book.duplicates_suppressed, 0u);
+  EXPECT_EQ(book.expired_nacked, 2u);  // the two session-less reports
+  EXPECT_GT(book.nacked, book.expired_nacked);  // and the rolled-back commit
+  EXPECT_EQ(lost_acks.stats().acked + disk_full.stats().acked, kClientReports);
+
+  // The drained epoch holds exactly the clients' reports.
+  FrontendConfig serial_config = NetworkFrontendConfig("");
+  ShufflerFrontend serial(serial_config);
+  ASSERT_TRUE(serial.Start().ok());
+  ASSERT_TRUE(IngestReports(serial, std::span(reports).first(kClientReports)).ok());
+  ASSERT_TRUE(serial.CutEpoch().ok());
+  auto expected = serial.DrainSealedEpochs();
+  ASSERT_TRUE(expected.ok());
+  ASSERT_TRUE(frontend.CutEpoch().ok());
+  auto drained = frontend.DrainSealedEpochs();
+  ASSERT_TRUE(drained.ok()) << drained.failure->error.message;
+  ASSERT_EQ(drained.results.size(), 1u);
+  EXPECT_EQ(drained.results[0].reports, kClientReports);
+  EXPECT_EQ(drained.results[0].result.histogram.count("orphan"), 0u);
+  EXPECT_EQ(drained.results[0].result.histogram, expected.results[0].result.histogram);
 }
 
 }  // namespace

@@ -1,10 +1,11 @@
 // The concurrent accept/drain ingestion runtime end to end: N producer
-// threads enqueue framed reports through FrameConnection/FrameServer and
-// the IngestWorkerPool's lock-free rings, a background DrainScheduler
-// overlaps draining epoch e with accumulating e+1, and every per-epoch
-// histogram is pinned bit-identical to the single-threaded serial frontend
-// for the same seed and report set — at worker counts {0, 2, 8}, across
-// ring sizes, and across a simulated mid-epoch crash/reopen.
+// threads each say HELLO and send framed reports through
+// FrameConnection/FrameServer and the IngestWorkerPool's lock-free rings, a
+// background DrainScheduler overlaps draining epoch e with accumulating
+// e+1, and every per-epoch histogram is pinned bit-identical to the
+// single-threaded serial frontend for the same seed and report set — at
+// worker counts {0, 2, 8}, across ring sizes, and across a simulated
+// mid-epoch crash/reopen.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,6 +23,7 @@
 #include "src/util/rng.h"
 #include "tests/support/fault_fs.h"
 #include "tests/support/fs_files.h"
+#include "tests/support/ingest.h"
 
 namespace prochlo {
 namespace {
@@ -71,10 +73,8 @@ std::map<uint64_t, std::map<std::string, uint64_t>> SerialEpochHistograms(
     const FrontendConfig& base, const std::vector<std::vector<Bytes>>& waves) {
   ShufflerFrontend frontend(base);
   EXPECT_TRUE(frontend.Start().ok());
-  for (const auto& wave : waves) {
-    for (const auto& report : wave) {
-      EXPECT_TRUE(frontend.AcceptReport(report).ok());
-    }
+  for (uint64_t wave = 0; wave < waves.size(); ++wave) {
+    EXPECT_TRUE(IngestReports(frontend, waves[wave], {wave + 1, 0}).ok());
     EXPECT_TRUE(frontend.CutEpoch().ok());
   }
   auto drained = frontend.DrainSealedEpochs();
@@ -109,7 +109,9 @@ TEST(ServiceRuntimeTest, WorkerPoolIngestsEverythingAcrossWorkerCounts) {
           for (int b = 0; b < 4; ++b) {
             report[8 + b] = static_cast<uint8_t>(i >> (8 * b));
           }
-          ASSERT_TRUE(pool.Enqueue(std::move(report)).ok());
+          pool.EnqueueAsync(std::move(report),
+                            ReportContext{static_cast<uint64_t>(p + 1), static_cast<uint64_t>(i)},
+                            nullptr);
         }
       });
     }
@@ -145,7 +147,9 @@ TEST(ServiceRuntimeTest, TinyRingBackpressuresInsteadOfDropping) {
         Bytes report(40, static_cast<uint8_t>(0xC0 + p));
         report[0] = static_cast<uint8_t>(i);
         report[1] = static_cast<uint8_t>(i >> 8);
-        ASSERT_TRUE(pool.Enqueue(std::move(report)).ok());
+        pool.EnqueueAsync(std::move(report),
+                          ReportContext{static_cast<uint64_t>(p + 1), static_cast<uint64_t>(i)},
+                          nullptr);
       }
     });
   }
@@ -155,6 +159,7 @@ TEST(ServiceRuntimeTest, TinyRingBackpressuresInsteadOfDropping) {
   ASSERT_TRUE(pool.Flush().ok());
   EXPECT_EQ(frontend.current_epoch_size(), 800u);
   EXPECT_EQ(pool.stats().accepted, 800u);
+  EXPECT_EQ(pool.stats().accept_failures, 0u);
   pool.Stop();
 }
 
@@ -200,6 +205,10 @@ void RunConcurrentE2E(size_t workers, size_t ring_capacity, bool crash_mid_epoch
                                                   DrainSchedulerConfig{std::chrono::milliseconds(1)});
   drainer->Start();
 
+  // Every connection hands its reports to whichever pool is current.
+  auto sink = [&pool](Bytes report, ReportContext ctx, IngestWorkerPool::Completion done) {
+    pool->EnqueueAsync(std::move(report), ctx, std::move(done));
+  };
   std::vector<EpochResult> results;
   uint64_t delivered_frames = 0;
   for (int wave = 0; wave < kWaves; ++wave) {
@@ -208,39 +217,37 @@ void RunConcurrentE2E(size_t workers, size_t ring_capacity, bool crash_mid_epoch
     // frontend recovers the spool, resumes the epoch, and finishes the wave.
     const bool crash_this_wave = crash_mid_epoch && wave == 1;
 
-    FrameServer server([&](Bytes report) { return pool->Enqueue(std::move(report)); });
+    FrameServer server(sink);
     std::vector<std::thread> producers;
     Rng arrival(0xA5 + wave);
-    std::vector<Bytes> frames;
     const auto& sealed = waves[wave];
     const size_t limit = crash_this_wave ? sealed.size() / 2 : sealed.size();
+    std::vector<size_t> order;
     for (size_t i = 0; i < limit; ++i) {
-      frames.push_back(EncodeFrame(sealed[i]));
+      order.push_back(i);
     }
-    arrival.Shuffle(frames);
-    delivered_frames += frames.size();
+    arrival.Shuffle(order);
+    delivered_frames += order.size();
     for (int p = 0; p < kProducers; ++p) {
-      producers.emplace_back([&server, &frames, p] {
+      producers.emplace_back([&server, &sealed, &order, wave, p] {
         auto connection = server.Connect(/*capacity_bytes=*/512);
-        // Interleaved slice, written in deliberately awkward chunk sizes so
-        // frames split across reads and connections interleave at the pool.
-        size_t chunk = 3 + static_cast<size_t>(p) * 7;
-        for (size_t i = static_cast<size_t>(p); i < frames.size(); i += kProducers) {
-          const Bytes& frame = frames[i];
-          for (size_t off = 0; off < frame.size(); off += chunk) {
-            size_t len = std::min(chunk, frame.size() - off);
-            ASSERT_TRUE(connection->Write(ByteSpan(frame.data() + off, len)).ok());
-          }
+        // Its own session, an interleaved slice numbered by wave position,
+        // written in deliberately awkward chunk sizes so frames split across
+        // reads and connections interleave at the pool.
+        Bytes stream = EncodeHelloFrame(static_cast<uint64_t>(wave * kProducers + p + 1));
+        for (size_t i = static_cast<size_t>(p); i < order.size(); i += kProducers) {
+          AppendFrame(stream, FrameType::kReport, order[i], sealed[order[i]]);
         }
-        connection->CloseWrite();
+        ASSERT_TRUE(Exchange(*connection, stream, 3 + static_cast<size_t>(p) * 7).ok());
       });
     }
     for (auto& producer : producers) {
       producer.join();
     }
     ASSERT_TRUE(server.Shutdown().ok());
-    EXPECT_EQ(server.stats().frames_ok, frames.size());
+    EXPECT_EQ(server.stats().frames_report, order.size());
     EXPECT_EQ(server.stats().frames_corrupt, 0u);
+    EXPECT_EQ(server.ack_book().acked, order.size());
     ASSERT_TRUE(pool->Flush().ok());
 
     if (crash_this_wave) {
@@ -277,17 +284,14 @@ void RunConcurrentE2E(size_t workers, size_t ring_capacity, bool crash_mid_epoch
       drainer->Start();
 
       // Deliver the second half of the wave into the recovered epoch.
-      FrameServer resumed_server([&](Bytes report) { return pool->Enqueue(std::move(report)); });
-      std::vector<Bytes> rest;
+      FrameServer resumed_server(sink);
+      Bytes rest = EncodeHelloFrame(kWaves * kProducers + 1);
       for (size_t i = limit; i < sealed.size(); ++i) {
-        rest.push_back(EncodeFrame(sealed[i]));
+        AppendFrame(rest, FrameType::kReport, i, sealed[i]);
       }
-      delivered_frames += rest.size();
+      delivered_frames += sealed.size() - limit;
       auto connection = resumed_server.Connect();
-      for (const auto& frame : rest) {
-        ASSERT_TRUE(connection->Write(frame).ok());
-      }
-      connection->CloseWrite();
+      ASSERT_TRUE(Exchange(*connection, rest).ok());
       connection.reset();
       ASSERT_TRUE(resumed_server.Shutdown().ok());
       ASSERT_TRUE(pool->Flush().ok());
@@ -362,11 +366,13 @@ TEST(ServiceRuntimeTest, BackgroundDrainRetriesFailedEpochWithoutLosingIt) {
 
   const Encoder encoder = frontend.MakeEncoder();
   SecureRandom client_rng(ToBytes("retry-overlap-clients"));
+  std::vector<Bytes> reports;
   for (const auto& [crowd, value] : inputs) {
     auto report = encoder.EncodeValue(value, crowd, client_rng);
     ASSERT_TRUE(report.ok());
-    ASSERT_TRUE(frontend.AcceptReport(std::move(report).value()).ok());
+    reports.push_back(std::move(report).value());
   }
+  ASSERT_TRUE(IngestReports(frontend, reports).ok());
   ASSERT_TRUE(frontend.CutEpoch().ok());
 
   // A failed drain stops at its first read, so two read faults fail two
@@ -393,37 +399,39 @@ TEST(ServiceRuntimeTest, BackgroundDrainRetriesFailedEpochWithoutLosingIt) {
 TEST(ServiceRuntimeTest, FrameConnectionSkipsCorruptFramesAndKeepsBooks) {
   std::vector<Bytes> delivered;
   std::mutex mu;
-  FrameServer server([&](Bytes report) {
-    std::lock_guard<std::mutex> lock(mu);
-    delivered.push_back(std::move(report));
-    return Status::Ok();
+  FrameServer server([&](Bytes report, ReportContext, IngestWorkerPool::Completion done) {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      delivered.push_back(std::move(report));
+    }
+    done(Status::Ok());
   });
   auto connection = server.Connect();
 
-  Bytes stream;
-  AppendFrame(stream, ToBytes("first"));
+  Bytes stream = EncodeHelloFrame(/*session_id=*/1);
+  AppendFrame(stream, FrameType::kReport, 0, ToBytes("first"));
   size_t corrupt_at = stream.size();
-  AppendFrame(stream, ToBytes("mangled"));
+  AppendFrame(stream, FrameType::kReport, 1, ToBytes("mangled"));
   stream[corrupt_at + kFrameHeaderSize] ^= 0x01;  // flip a payload bit: CRC fails
   stream.insert(stream.end(), {0xDE, 0xAD, 0xBE, 0xEF});  // inter-frame garbage
-  AppendFrame(stream, ToBytes("second"));
+  AppendFrame(stream, FrameType::kReport, 2, ToBytes("second"));
 
   // Dribble the stream one byte at a time: worst-case reassembly.
-  for (uint8_t byte : stream) {
-    ASSERT_TRUE(connection->Write(ByteSpan(&byte, 1)).ok());
-  }
-  connection->CloseWrite();
+  ASSERT_TRUE(Exchange(*connection, stream, /*chunk=*/1).ok());
   ASSERT_TRUE(server.Shutdown().ok());
 
   ASSERT_EQ(delivered.size(), 2u);
   EXPECT_EQ(ToString(delivered[0]), "first");
   EXPECT_EQ(ToString(delivered[1]), "second");
   FrameStreamStats stats = server.stats();
-  EXPECT_EQ(stats.frames_ok, 2u);
+  EXPECT_EQ(stats.frames_report, 2u);
+  EXPECT_EQ(stats.frames_ok, 3u);  // and the HELLO
   EXPECT_EQ(stats.frames_corrupt, 1u);
+  EXPECT_EQ(server.ack_book().acked, 2u);
   // Balance: every byte is a good frame, a corrupt frame's magic, or skipped
   // garbage — the FrameReader invariant holds across chunked delivery too.
-  EXPECT_EQ(stream.size(), FrameWireSize(5) + FrameWireSize(6) + stats.bytes_skipped);
+  EXPECT_EQ(stream.size(),
+            FrameWireSize(0) + FrameWireSize(5) + FrameWireSize(6) + stats.bytes_skipped);
 }
 
 }  // namespace

@@ -1,11 +1,11 @@
 // The shuffler-frontend ingestion subsystem end to end: content-hash
 // sharding, epoch-cut policy, the spool (sealed epochs as WAL generations)
-// and torn-tail recovery, the
-// batch encoder fast path, streaming stash-shuffle input, and the
-// acceptance scenario — reports framed, ingested across >= 4 shards,
-// spooled to disk, epoch-cut, shuffled, and analyzed to a histogram
-// bit-identical to the equivalent one-shot Pipeline::Run, at thread counts
-// {0, 4}, including after a simulated crash/reopen mid-epoch.
+// and torn-tail recovery, the batch encoder fast path, streaming
+// stash-shuffle input, and the acceptance scenario — reports sent as frames
+// after a HELLO, ingested across >= 4 shards, spooled to disk, epoch-cut,
+// shuffled, and analyzed to a histogram bit-identical to the equivalent
+// one-shot Pipeline::Run, at thread counts {0, 4}, including after a
+// simulated crash/reopen mid-epoch.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -14,6 +14,7 @@
 
 #include "src/core/pipeline.h"
 #include "src/core/report.h"
+#include "src/service/cluster/shard_group.h"
 #include "src/service/frontend.h"
 #include "src/service/ingest.h"
 #include "src/service/spool.h"
@@ -24,6 +25,7 @@
 #include "src/util/rng.h"
 #include "tests/support/fault_fs.h"
 #include "tests/support/fs_files.h"
+#include "tests/support/ingest.h"
 
 namespace prochlo {
 namespace {
@@ -116,6 +118,13 @@ Bytes NumberedReport(uint64_t i) {
   return report;
 }
 
+// Routes NumberedReport(i) to its shard as session 1's seq i.
+Status AcceptNumbered(ShardedIngest& ingest, uint64_t i) {
+  Bytes report = NumberedReport(i);
+  const size_t shard = ShardedIngest::ShardOfReport(report, ingest.num_shards());
+  return ingest.AcceptToShard(shard, std::move(report), ReportContext{1, i}, nullptr);
+}
+
 // A WAL over `dir` (the spool root) on `fs` (null = the real disk),
 // recovered and open for appends.
 std::unique_ptr<IngestWal> OpenWal(const std::string& dir, Fs* fs = nullptr) {
@@ -155,7 +164,7 @@ TEST(ServiceTest, SizeTriggerSealsEpochs) {
   config.max_epoch_reports = 10;
   ShardedIngest ingest(config, wal.get());
   for (uint64_t i = 0; i < 25; ++i) {
-    ASSERT_TRUE(ingest.Accept(NumberedReport(i)).ok());
+    ASSERT_TRUE(AcceptNumbered(ingest, i).ok());
   }
   EXPECT_EQ(ingest.stats().epochs_sealed, 2u);
   EXPECT_EQ(ingest.current_epoch_size(), 5u);
@@ -186,7 +195,7 @@ TEST(ServiceTest, AgeTriggerWaitsForAnonymityFloor) {
   auto wal = OpenWal("/spool", &mem);
   ShardedIngest ingest(config, wal.get());
   for (uint64_t i = 0; i < 3; ++i) {
-    ASSERT_TRUE(ingest.Accept(NumberedReport(i)).ok());
+    ASSERT_TRUE(AcceptNumbered(ingest, i).ok());
   }
   ASSERT_TRUE(ingest.Tick().ok());
   ASSERT_TRUE(ingest.Tick().ok());
@@ -194,7 +203,7 @@ TEST(ServiceTest, AgeTriggerWaitsForAnonymityFloor) {
   // Old but thin: the batch keeps waiting (§4.2's minimum-batch floor).
   EXPECT_EQ(ingest.stats().epochs_sealed, 0u);
   for (uint64_t i = 3; i < 5; ++i) {
-    ASSERT_TRUE(ingest.Accept(NumberedReport(i)).ok());
+    ASSERT_TRUE(AcceptNumbered(ingest, i).ok());
   }
   ASSERT_TRUE(ingest.Tick().ok());
   EXPECT_EQ(ingest.stats().epochs_sealed, 1u);
@@ -216,7 +225,7 @@ TEST(ServiceTest, TickSurfacesAndCountsSealFailures) {
   config.max_epoch_age = 1;
   ShardedIngest ingest(config, wal.get());
   for (uint64_t i = 0; i < 4; ++i) {
-    ASSERT_TRUE(ingest.Accept(NumberedReport(i)).ok());
+    ASSERT_TRUE(AcceptNumbered(ingest, i).ok());
   }
   fs::remove_all(dir.path);  // wedge the spool: the seal can't rotate or mark
 
@@ -258,15 +267,15 @@ TEST(ServiceTest, SpoolRoundTripAndTornTailRecovery) {
     auto wal = OpenWal(dir.path);
     for (uint64_t i = 0; i < 5; ++i) {
       epoch0.push_back(NumberedReport(i));
-      ASSERT_TRUE(wal->AppendReport(/*shard=*/0, /*epoch=*/0, epoch0.back(), 0, 0, nullptr).ok());
+      ASSERT_TRUE(wal->AppendReport(/*shard=*/0, /*epoch=*/0, epoch0.back(), 1, i, nullptr).ok());
     }
     for (uint64_t i = 5; i < 8; ++i) {
       epoch0.push_back(NumberedReport(i));
-      ASSERT_TRUE(wal->AppendReport(/*shard=*/1, /*epoch=*/0, epoch0.back(), 0, 0, nullptr).ok());
+      ASSERT_TRUE(wal->AppendReport(/*shard=*/1, /*epoch=*/0, epoch0.back(), 1, i, nullptr).ok());
     }
     ASSERT_TRUE(wal->SealEpoch(0).ok());
-    ASSERT_TRUE(wal->AppendReport(0, 1, NumberedReport(100), 0, 0, nullptr).ok());
-    ASSERT_TRUE(wal->AppendReport(0, 1, NumberedReport(101), 0, 0, nullptr).ok());
+    ASSERT_TRUE(wal->AppendReport(0, 1, NumberedReport(100), 1, 100, nullptr).ok());
+    ASSERT_TRUE(wal->AppendReport(0, 1, NumberedReport(101), 1, 101, nullptr).ok());
     ASSERT_TRUE(wal->Sync().ok());
   }
   // Crash: a torn half-frame at the end of epoch 1's generation.
@@ -314,7 +323,7 @@ TEST(ServiceTest, RecoveryResumesEpochWhoseOnlySegmentWasTorn) {
   {
     auto wal = OpenWal(dir.path);
     for (uint64_t i = 0; i < 6; ++i) {
-      ASSERT_TRUE(wal->AppendReport(0, 0, NumberedReport(i), 0, 0, nullptr).ok());
+      ASSERT_TRUE(wal->AppendReport(0, 0, NumberedReport(i), 1, i, nullptr).ok());
     }
     ASSERT_TRUE(wal->SealEpoch(0).ok());
   }
@@ -337,7 +346,7 @@ TEST(ServiceTest, RecoveryResumesEpochWhoseOnlySegmentWasTorn) {
   // never be appended to epoch 0, whose seal marker already exists.
   EXPECT_EQ(ingest.current_epoch(), 1u);
   EXPECT_EQ(ingest.current_epoch_size(), 0u);
-  ASSERT_TRUE(ingest.Accept(NumberedReport(60)).ok());
+  ASSERT_TRUE(AcceptNumbered(ingest, 60).ok());
   ASSERT_TRUE(ingest.CutEpoch().ok());
   EXPECT_EQ(reopened.OpenEpochStream(0)->size(), 6u);  // sealed epoch untouched
   EXPECT_EQ(reopened.OpenEpochStream(1)->size(), 1u);
@@ -365,11 +374,13 @@ TEST(ServiceTest, FailedDrainKeepsEpochQueued) {
       ASSERT_TRUE(frontend.Start().ok());
       const Encoder encoder = frontend.MakeEncoder();
       SecureRandom client_rng(ToBytes("requeue-clients"));
+      std::vector<Bytes> reports;
       for (int i = 0; i < 10; ++i) {
         auto report = encoder.EncodeValue("value", "value", client_rng);
         ASSERT_TRUE(report.ok());
-        ASSERT_TRUE(frontend.AcceptReport(std::move(report).value()).ok());
+        reports.push_back(std::move(report).value());
       }
+      ASSERT_TRUE(IngestReports(frontend, reports).ok());
       ASSERT_TRUE(frontend.CutEpoch().ok());
       auto first = frontend.DrainSealedEpochs();
       ASSERT_FALSE(first.ok());
@@ -427,11 +438,13 @@ void RunFailedDrainRetryTest(Fs* inner, const std::string& spool_dir) {
 
   const Encoder encoder = frontend.MakeEncoder();
   SecureRandom client_rng(ToBytes("drain-retry-clients"));
+  std::vector<Bytes> reports;
   for (const auto& [crowd, value] : inputs) {
     auto report = encoder.EncodeValue(value, crowd, client_rng);
     ASSERT_TRUE(report.ok());
-    ASSERT_TRUE(frontend.AcceptReport(std::move(report).value()).ok());
+    reports.push_back(std::move(report).value());
   }
+  ASSERT_TRUE(IngestReports(frontend, reports).ok());
   ASSERT_TRUE(frontend.CutEpoch().ok());
 
   fault.FailReads(IsGeneration);
@@ -482,12 +495,14 @@ TEST(ServiceTest, DrainReturnsPartialProgressAlongsideFailure) {
 
   const Encoder encoder = frontend.MakeEncoder();
   SecureRandom client_rng(ToBytes("partial-progress-clients"));
-  for (int epoch = 0; epoch < 2; ++epoch) {
+  for (uint64_t epoch = 0; epoch < 2; ++epoch) {
+    std::vector<Bytes> reports;
     for (const auto& [crowd, value] : inputs) {
       auto report = encoder.EncodeValue(value, crowd, client_rng);
       ASSERT_TRUE(report.ok());
-      ASSERT_TRUE(frontend.AcceptReport(std::move(report).value()).ok());
+      reports.push_back(std::move(report).value());
     }
+    ASSERT_TRUE(IngestReports(frontend, reports, {1, epoch * inputs.size()}).ok());
     ASSERT_TRUE(frontend.CutEpoch().ok());
   }
 
@@ -525,16 +540,16 @@ TEST(ServiceTest, SizeCutSealFailureStillAcceptsTheReport) {
   config.fsync_spool = false;
   ShufflerFrontend frontend(config);
   ASSERT_TRUE(frontend.Start().ok());
-  for (uint64_t i = 0; i < 3; ++i) {
-    ASSERT_TRUE(frontend.AcceptReport(NumberedReport(i)).ok());
-  }
+  const std::vector<Bytes> reports = {NumberedReport(0), NumberedReport(1), NumberedReport(2),
+                                      NumberedReport(3)};
+  ASSERT_TRUE(IngestReports(frontend, std::span(reports).first(3)).ok());
   fs::remove_all(dir.path);  // wedge the spool: the seal can't rotate or mark
 
   // The size-cut's seal flushes the 4th report with the others to the open
   // generation's fd, then fails to open the next generation.  That is the
   // epoch's problem, not this report's: Accept returns Ok and the report is
   // counted once.
-  Status accepted = frontend.AcceptReport(NumberedReport(3));
+  Status accepted = IngestReports(frontend, std::span(reports).subspan(3), {1, 3});
   EXPECT_TRUE(accepted.ok()) << accepted.error().message;
   EXPECT_EQ(frontend.stats().reports_accepted, 4u);
 
@@ -632,20 +647,43 @@ TEST(ServiceTest, StashShuffleStreamsFromSpoolBitIdentically) {
 
 // ----------------------------------------------------------- end to end
 
-// Encodes the cohort with the frontend's keys and frames each report.
-std::vector<Bytes> EncodeCohortFrames(const ShufflerFrontend& frontend,
-                                      const std::vector<std::pair<std::string, std::string>>& inputs,
-                                      const std::string& client_seed) {
+// Seals the cohort with the frontend's keys.
+std::vector<Bytes> EncodeCohort(const ShufflerFrontend& frontend,
+                                const std::vector<std::pair<std::string, std::string>>& inputs,
+                                const std::string& client_seed) {
   const Encoder encoder = frontend.MakeEncoder();
   SecureRandom client_rng(ToBytes(client_seed));
   auto sealed = encoder.BatchSealReports(inputs, client_rng);
   EXPECT_TRUE(sealed.ok());
-  std::vector<Bytes> frames;
-  frames.reserve(sealed.value().size());
-  for (const auto& report : sealed.value()) {
-    frames.push_back(EncodeFrame(report));
+  return std::move(sealed).value();
+}
+
+// One client session's byte stream: HELLO, then reports[i] as seq i for
+// each i in `order`.
+Bytes HelloAndReports(uint64_t session, const std::vector<Bytes>& reports,
+                      const std::vector<size_t>& order) {
+  Bytes stream = EncodeHelloFrame(session);
+  for (size_t i : order) {
+    AppendFrame(stream, FrameType::kReport, i, reports[i]);
   }
-  return frames;
+  return stream;
+}
+
+std::vector<size_t> Indices(size_t begin, size_t end) {
+  std::vector<size_t> indices;
+  for (size_t i = begin; i < end; ++i) {
+    indices.push_back(i);
+  }
+  return indices;
+}
+
+// The acceptance scenario's server: the frontend behind a frame server and
+// a two-worker ingest pool.
+ShardGroupConfig EndToEndGroupConfig(const FrontendConfig& frontend) {
+  ShardGroupConfig config;
+  config.frontend = frontend;
+  config.workers = WorkerPoolConfig{/*workers=*/2, /*ring_capacity=*/64};
+  return config;
 }
 
 TEST(ServiceTest, EndToEndMatchesOneShotPipelineAcrossThreads) {
@@ -664,34 +702,33 @@ TEST(ServiceTest, EndToEndMatchesOneShotPipelineAcrossThreads) {
     config.pipeline = ServicePipelineConfig(threads);
     config.ingest.num_shards = 4;
     config.spool_dir = dir.path;
-    ShufflerFrontend frontend(config);
-    ASSERT_TRUE(frontend.Start().ok());
+    ShardGroup group(EndToEndGroupConfig(config));
+    ASSERT_TRUE(group.Start().ok());
+    ShufflerFrontend& frontend = group.frontend();
 
-    auto frames = EncodeCohortFrames(frontend, inputs, "clients-" + std::to_string(threads));
+    const std::vector<Bytes> sealed =
+        EncodeCohort(frontend, inputs, "clients-" + std::to_string(threads));
     // The cohort must actually spread across all 4 ingestion shards.
     std::set<size_t> shards;
-    for (const auto& frame : frames) {
-      auto report = DecodeFrame(frame);
-      ASSERT_TRUE(report.ok());
-      shards.insert(ShardedIngest::ShardOfReport(report.value(), 4));
+    for (const auto& report : sealed) {
+      shards.insert(ShardedIngest::ShardOfReport(report, 4));
     }
     ASSERT_EQ(shards.size(), 4u);
 
-    // Staggered arrival: clients deliver in an order unrelated to encode
-    // order, in bursts of several frames per network buffer.
+    // Staggered arrival: the client sends in an order unrelated to encode
+    // order, about seven frames per network write, so frames split across
+    // reads.
+    std::vector<size_t> order = Indices(0, sealed.size());
     Rng arrival(0xA11 + threads);
-    arrival.Shuffle(frames);
-    size_t i = 0;
-    while (i < frames.size()) {
-      Bytes burst;
-      for (size_t k = 0; k < 7 && i < frames.size(); ++k, ++i) {
-        burst.insert(burst.end(), frames[i].begin(), frames[i].end());
-      }
-      ASSERT_TRUE(frontend.AcceptFrameStream(burst).ok());
-      ASSERT_TRUE(frontend.Tick().ok());
-    }
-    EXPECT_EQ(frontend.stats().frames_ok, frames.size());
-    EXPECT_EQ(frontend.stats().frames_corrupt, 0u);
+    arrival.Shuffle(order);
+    auto client = group.Connect();
+    auto responses = Exchange(*client, HelloAndReports(1, sealed, order),
+                              7 * FrameWireSize(sealed[0].size()) + 3);
+    ASSERT_TRUE(responses.ok()) << responses.error().message;
+    ASSERT_TRUE(group.Stop().ok());
+    EXPECT_EQ(group.server().stats().frames_report, sealed.size());
+    EXPECT_EQ(group.server().stats().frames_corrupt, 0u);
+    EXPECT_EQ(group.server().ack_book().acked, sealed.size());
 
     ASSERT_TRUE(frontend.CutEpoch().ok());
     auto drained = frontend.DrainSealedEpochs();
@@ -717,17 +754,17 @@ TEST(ServiceTest, EndToEndSurvivesCrashAndReopenMidEpoch) {
     config.ingest.num_shards = 4;
     config.spool_dir = dir.path;
 
-    std::vector<Bytes> frames;
+    std::vector<Bytes> sealed;
     size_t half = 0;
     {
-      ShufflerFrontend before(config);
+      ShardGroup before(EndToEndGroupConfig(config));
       ASSERT_TRUE(before.Start().ok());
-      frames = EncodeCohortFrames(before, inputs, "crash-clients");
-      half = frames.size() / 2;
-      for (size_t i = 0; i < half; ++i) {
-        ASSERT_TRUE(before.AcceptFrameStream(frames[i]).ok());
-      }
-      ASSERT_TRUE(before.BarrierIngest().ok());  // the durability point
+      sealed = EncodeCohort(before.frontend(), inputs, "crash-clients");
+      half = sealed.size() / 2;
+      // Every report answered means every ACK went out after its group
+      // commit: the durability point.
+      auto client = before.Connect();
+      ASSERT_TRUE(Exchange(*client, HelloAndReports(1, sealed, Indices(0, half))).ok());
       // Crash: `before` is dropped mid-epoch, no seal, no drain.
     }
     // A torn half-frame from a group commit in flight at crash time.  Before
@@ -735,18 +772,19 @@ TEST(ServiceTest, EndToEndSurvivesCrashAndReopenMidEpoch) {
     // where a crashed append tears.
     ASSERT_TRUE(TearNewestGeneration(Fs::Real(), dir.path, Bytes(300, 0xAB)).ok());
 
-    ShufflerFrontend after(config);
+    ShardGroup after(EndToEndGroupConfig(config));
     ASSERT_TRUE(after.Start().ok());
-    EXPECT_EQ(after.stats().recovered_reports, half);
-    EXPECT_GT(after.stats().recovered_truncated_bytes, 0u);
-    EXPECT_EQ(after.current_epoch(), 0u);  // resumes the interrupted epoch
-    EXPECT_EQ(after.current_epoch_size(), half);
+    EXPECT_EQ(after.frontend().stats().recovered_reports, half);
+    EXPECT_GT(after.frontend().stats().recovered_truncated_bytes, 0u);
+    EXPECT_EQ(after.frontend().current_epoch(), 0u);  // resumes the interrupted epoch
+    EXPECT_EQ(after.frontend().current_epoch_size(), half);
 
-    for (size_t i = half; i < frames.size(); ++i) {
-      ASSERT_TRUE(after.AcceptFrameStream(frames[i]).ok());
-    }
-    ASSERT_TRUE(after.CutEpoch().ok());
-    auto drained = after.DrainSealedEpochs();
+    auto client = after.Connect();
+    ASSERT_TRUE(
+        Exchange(*client, HelloAndReports(1, sealed, Indices(half, sealed.size()))).ok());
+    ASSERT_TRUE(after.Stop().ok());
+    ASSERT_TRUE(after.frontend().CutEpoch().ok());
+    auto drained = after.frontend().DrainSealedEpochs();
     ASSERT_TRUE(drained.ok()) << drained.failure->error.message;
     ASSERT_EQ(drained.results.size(), 1u);
     EXPECT_EQ(drained.results[0].reports, inputs.size());
@@ -765,12 +803,10 @@ TEST(ServiceTest, HistogramIsInterleavingInvariantUnderRandomizedThresholding) {
     config.spool_dir = dir.path;
     ShufflerFrontend frontend(config);
     EXPECT_TRUE(frontend.Start().ok());
-    auto frames = EncodeCohortFrames(frontend, inputs, "interleave-clients");
+    std::vector<Bytes> sealed = EncodeCohort(frontend, inputs, "interleave-clients");
     Rng arrival(arrival_seed);
-    arrival.Shuffle(frames);
-    for (const auto& frame : frames) {
-      EXPECT_TRUE(frontend.AcceptFrameStream(frame).ok());
-    }
+    arrival.Shuffle(sealed);
+    EXPECT_TRUE(IngestReports(frontend, sealed).ok());
     EXPECT_TRUE(frontend.CutEpoch().ok());
     auto drained = frontend.DrainSealedEpochs();
     EXPECT_TRUE(drained.ok());
@@ -799,11 +835,13 @@ TEST(ServiceTest, InMemoryModeDrainsWithoutSpool) {
   ASSERT_TRUE(frontend.Start().ok());
   const Encoder encoder = frontend.MakeEncoder();
   SecureRandom client_rng(ToBytes("in-memory-clients"));
+  std::vector<Bytes> reports;
   for (const auto& [crowd, value] : inputs) {
     auto report = encoder.EncodeValue(value, crowd, client_rng);
     ASSERT_TRUE(report.ok());
-    ASSERT_TRUE(frontend.AcceptReport(std::move(report).value()).ok());
+    reports.push_back(std::move(report).value());
   }
+  ASSERT_TRUE(IngestReports(frontend, reports).ok());
   ASSERT_TRUE(frontend.CutEpoch().ok());
   auto drained = frontend.DrainSealedEpochs();
   ASSERT_TRUE(drained.ok()) << drained.failure->error.message;
@@ -828,12 +866,11 @@ TEST(ServiceTest, MultiEpochAgeCutsProduceIndependentResults) {
     wave.emplace_back("epoch-value", "epoch-value");
   }
   size_t total = 0;
-  for (int epoch = 0; epoch < 3; ++epoch) {
-    auto frames = EncodeCohortFrames(frontend, wave, "wave-" + std::to_string(epoch));
-    for (const auto& frame : frames) {
-      ASSERT_TRUE(frontend.AcceptFrameStream(frame).ok());
-    }
-    total += frames.size();
+  for (uint64_t epoch = 0; epoch < 3; ++epoch) {
+    const std::vector<Bytes> sealed =
+        EncodeCohort(frontend, wave, "wave-" + std::to_string(epoch));
+    ASSERT_TRUE(IngestReports(frontend, sealed, {1, total}).ok());
+    total += sealed.size();
     ASSERT_TRUE(frontend.Tick().ok());  // age trigger seals each wave as its own epoch
   }
   auto drained = frontend.DrainSealedEpochs();

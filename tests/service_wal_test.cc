@@ -32,8 +32,10 @@
 #include "src/service/wal.h"
 #include "src/service/wire.h"
 #include "src/util/rng.h"
+#include "src/util/serialization.h"
 #include "tests/support/fault_fs.h"
 #include "tests/support/fs_files.h"
+#include "tests/support/ingest.h"
 
 namespace prochlo {
 namespace {
@@ -101,9 +103,7 @@ std::map<std::string, uint64_t> SerialHistogram(const FrontendConfig& base,
   config.spool_dir.clear();
   ShufflerFrontend reference(config);
   EXPECT_TRUE(reference.Start().ok());
-  for (const auto& report : sealed) {
-    EXPECT_TRUE(reference.AcceptReport(report).ok());
-  }
+  EXPECT_TRUE(IngestReports(reference, sealed).ok());
   EXPECT_TRUE(reference.CutEpoch().ok());
   auto drained = reference.DrainSealedEpochs();
   EXPECT_TRUE(drained.ok());
@@ -132,10 +132,8 @@ TEST(ServiceWalTest, TornTailTruncatesToCleanPrefixAndReplaysExactly) {
   {
     ShufflerFrontend before(config);
     ASSERT_TRUE(before.Start().ok());
-    for (size_t i = 0; i < half; ++i) {
-      ASSERT_TRUE(before.AcceptReport(sealed[i]).ok());
-    }
-    ASSERT_TRUE(before.BarrierIngest().ok());  // the durability point
+    // Every report durable when this returns: the durability point.
+    ASSERT_TRUE(IngestReports(before, std::span(sealed).first(half)).ok());
   }  // crash mid-epoch: no seal, no checkpoint
 
   // The write in flight at crash time: half a frame dangles off the tail.
@@ -149,9 +147,7 @@ TEST(ServiceWalTest, TornTailTruncatesToCleanPrefixAndReplaysExactly) {
   EXPECT_EQ(after.current_epoch(), 0u);  // resumes the interrupted epoch
   EXPECT_EQ(after.current_epoch_size(), half);
 
-  for (size_t i = half; i < sealed.size(); ++i) {
-    ASSERT_TRUE(after.AcceptReport(sealed[i]).ok());
-  }
+  ASSERT_TRUE(IngestReports(after, std::span(sealed).subspan(half), {1, half}).ok());
   ASSERT_TRUE(after.CutEpoch().ok());
   auto drained = after.DrainSealedEpochs();
   ASSERT_TRUE(drained.ok()) << drained.failure->error.message;
@@ -180,16 +176,11 @@ TEST(ServiceWalTest, CheckpointAndReplayStayBitIdenticalToSerialFrontend) {
       ShufflerFrontend before(config);
       ASSERT_TRUE(before.Start().ok());
       // First third: in a generation the checkpoint closed and covered.
-      for (size_t i = 0; i < third; ++i) {
-        ASSERT_TRUE(before.AcceptReport(sealed[i]).ok());
-      }
+      ASSERT_TRUE(IngestReports(before, std::span(sealed).first(third)).ok());
       ASSERT_TRUE(before.wal()->Checkpoint().ok());
       EXPECT_GE(before.wal()->stats().checkpoints, 1u);
       // Second third: lives only in the post-rotation WAL generation.
-      for (size_t i = third; i < 2 * third; ++i) {
-        ASSERT_TRUE(before.AcceptReport(sealed[i]).ok());
-      }
-      ASSERT_TRUE(before.BarrierIngest().ok());
+      ASSERT_TRUE(IngestReports(before, std::span(sealed).subspan(third, third), {1, third}).ok());
     }  // crash: wal.ckpt covers the first third's generation, not the second's
 
     ShufflerFrontend after(config);
@@ -197,9 +188,8 @@ TEST(ServiceWalTest, CheckpointAndReplayStayBitIdenticalToSerialFrontend) {
     EXPECT_EQ(after.current_epoch_size(), 2 * third);
     EXPECT_EQ(after.stats().recovered_wal_reports.load(), third);
 
-    for (size_t i = 2 * third; i < sealed.size(); ++i) {
-      ASSERT_TRUE(after.AcceptReport(sealed[i]).ok());
-    }
+    ASSERT_TRUE(
+        IngestReports(after, std::span(sealed).subspan(2 * third), {1, 2 * third}).ok());
     ASSERT_TRUE(after.CutEpoch().ok());
     auto drained = after.DrainSealedEpochs();
     ASSERT_TRUE(drained.ok()) << drained.failure->error.message;
@@ -231,9 +221,10 @@ TEST(ServiceWalTest, EpochSpanningGenerationsDrainsOnceAndLeavesOnlyTheActiveGen
     config.wal_checkpoint_threshold_bytes = 1;
     ShufflerFrontend frontend(config);
     ASSERT_TRUE(frontend.Start().ok());
-    for (size_t i = 0; i < sealed.size(); ++i) {
-      ASSERT_TRUE(frontend.AcceptReport(sealed[i]).ok());
-      if ((i + 1) % third == 0) {
+    for (size_t i = 0; i < sealed.size(); i += third) {
+      const size_t n = std::min(third, sealed.size() - i);
+      ASSERT_TRUE(IngestReports(frontend, std::span(sealed).subspan(i, n), {1, i}).ok());
+      if (n == third) {
         ASSERT_TRUE(frontend.Tick().ok());  // checkpoint: a new generation
       }
     }
@@ -287,10 +278,9 @@ TEST(ServiceWalTest, BitRotIsRefusedNeverTruncated) {
       // 48 acked reports in 3 group-commit blocks; the older and sealed
       // cases close the first generation after one block.
       for (size_t block = 0; block < 3; ++block) {
-        for (size_t i = 16 * block; i < 16 * (block + 1); ++i) {
-          ASSERT_TRUE(before.AcceptReport(sealed[i]).ok());
-        }
-        ASSERT_TRUE(before.BarrierIngest().ok());
+        ASSERT_TRUE(
+            IngestReports(before, std::span(sealed).subspan(16 * block, 16), {1, 16 * block})
+                .ok());
         if (block == 0 && where == Where::kOlder) {
           victim = NewestGeneration(&dir.disk, dir.path);
           ASSERT_TRUE(before.wal()->Checkpoint().ok());
@@ -325,6 +315,88 @@ TEST(ServiceWalTest, BitRotIsRefusedNeverTruncated) {
   }
 }
 
+// ------------------------------- an unknown record kind is refused, not skipped
+
+// A CRC-valid block holding a record of a kind this reader does not know —
+// the retired kind 1, a report without a session, or a kind no writer ever
+// used — cannot be framed past.  Skipping the rest of the block would
+// silently drop whatever acknowledged records it holds, so the reader
+// refuses it.  The generation holds a block of reports, a block of session
+// ops that the test rewrites to hold the unknown record, and another block
+// of reports.  As the newest generation, Start() refuses, naming the file
+// and the offset, and changes no file.  As a sealed generation, which
+// recovery trusts from its marker, the drain fails and the epoch stays
+// queued.
+TEST(ServiceWalTest, UnknownRecordKindIsRefusedNeverSkipped) {
+  FrontendConfig base = WalFrontendConfig("");
+  const std::vector<Bytes> sealed = SealCohort(base, "wal-kind");
+  ASSERT_GE(sealed.size(), 16u);
+  for (uint8_t kind : {uint8_t{1}, uint8_t{9}}) {
+    for (bool sealed_epoch : {false, true}) {
+      SCOPED_TRACE("kind " + std::to_string(kind) + (sealed_epoch ? ", sealed" : ", newest"));
+      TestSpool dir;
+      FrontendConfig config = base;
+      config.spool_dir = dir.path;
+      config.fs = &dir.disk;
+      std::string victim;
+      {
+        ShufflerFrontend before(config);
+        ASSERT_TRUE(before.Start().ok());
+        ASSERT_TRUE(IngestReports(before, std::span(sealed).first(8)).ok());
+        for (uint64_t session = 101; session <= 103; ++session) {
+          ASSERT_TRUE(before.wal()->AppendGoodbye(session).ok());
+        }
+        ASSERT_TRUE(before.BarrierIngest().ok());
+        ASSERT_TRUE(IngestReports(before, std::span(sealed).subspan(8, 8), {1, 8}).ok());
+        victim = NewestGeneration(&dir.disk, dir.path);
+        if (sealed_epoch) {
+          ASSERT_TRUE(before.CutEpoch().ok());
+        }
+      }  // crash
+
+      // Rewrite the middle block in place, at the same size, so a sealed
+      // generation still has the size its marker recorded.
+      Bytes bytes = ReadFileBytes(&dir.disk, victim).value_or(Bytes{});
+      FrameHeader first;
+      ASSERT_TRUE(ParseFrameHeader(bytes, &first));
+      const size_t offset = FrameWireSize(first.length);
+      FrameHeader middle;
+      ASSERT_TRUE(ParseFrameHeader(ByteSpan(bytes).subspan(offset), &middle));
+      Writer record;  // laid out as kind 1 was: shard, epoch, report
+      record.PutU8(kind);
+      record.PutU64(/*shard=*/0);
+      record.PutU64(/*epoch=*/0);
+      record.PutLengthPrefixed(ByteSpan());
+      Bytes payload = record.Take();
+      ASSERT_LE(payload.size(), middle.length);
+      payload.resize(middle.length, 0);
+      Bytes block;
+      AppendFrame(block, payload);
+      std::copy(block.begin(), block.end(), bytes.begin() + static_cast<ptrdiff_t>(offset));
+      ASSERT_TRUE(WriteFileBytes(&dir.disk, victim, bytes).ok());
+      const auto damaged = DirImage(&dir.disk, dir.path);
+
+      ShufflerFrontend after(config);
+      Status started = after.Start();
+      if (!sealed_epoch) {
+        ASSERT_FALSE(started.ok());
+        EXPECT_NE(started.error().message.find(victim), std::string::npos)
+            << started.error().message;
+        EXPECT_NE(started.error().message.find("offset"), std::string::npos);
+        EXPECT_EQ(DirImage(&dir.disk, dir.path), damaged);  // byte-identical
+        continue;
+      }
+      ASSERT_TRUE(started.ok()) << started.error().message;
+      for (int attempt = 0; attempt < 2; ++attempt) {
+        auto drained = after.DrainSealedEpochs();
+        ASSERT_FALSE(drained.ok());
+        EXPECT_EQ(drained.failure->epoch, 0u);  // requeued intact each time
+      }
+      EXPECT_EQ(after.stats().epochs_drained.load(), 0u);
+    }
+  }
+}
+
 // --------------------------------------- group-commit fsync amortization
 
 // N buffered reports, ONE barrier, ONE fsync — then the same under four
@@ -349,7 +421,7 @@ TEST(ServiceWalTest, GroupCommitAmortizesFsyncsAcrossConcurrentClients) {
     const Bytes& report = sealed[i];
     size_t shard = ShardedIngest::ShardOfReport(report, frontend.num_shards());
     ASSERT_TRUE(frontend
-                    .AcceptRoutedReportAsync(shard, report, ReportContext{},
+                    .AcceptRoutedReportAsync(shard, report, ReportContext{1, i},
                                              [&ok_count](const Status& status) {
                                                if (status.ok()) {
                                                  ok_count.fetch_add(1);
@@ -372,10 +444,11 @@ TEST(ServiceWalTest, GroupCommitAmortizesFsyncsAcrossConcurrentClients) {
   for (size_t c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
       for (size_t i = 0; i < kPerClient; ++i) {
-        const Bytes& report = sealed[16 + c * kPerClient + i];
+        const size_t index = 16 + c * kPerClient + i;
+        const Bytes& report = sealed[index];
         size_t shard = ShardedIngest::ShardOfReport(report, frontend.num_shards());
         ASSERT_TRUE(frontend
-                        .AcceptRoutedReportAsync(shard, report, ReportContext{},
+                        .AcceptRoutedReportAsync(shard, report, ReportContext{1, index},
                                                  [&ok_count](const Status& status) {
                                                    if (status.ok()) {
                                                      ok_count.fetch_add(1);
@@ -422,7 +495,7 @@ TEST(ServiceWalTest, BarrierEveryEightReportsFsyncsLessThanOncePerReport) {
       }
       size_t shard = ShardedIngest::ShardOfReport(report, frontend.num_shards());
       ASSERT_TRUE(frontend
-                      .AcceptRoutedReportAsync(shard, std::move(report), ReportContext{},
+                      .AcceptRoutedReportAsync(shard, std::move(report), ReportContext{1, j},
                                                [&committed](const Status& status) {
                                                  if (status.ok()) {
                                                    committed.fetch_add(1);
@@ -563,7 +636,7 @@ TEST(ServiceWalTest, CrashSweepLosesNoGroupCommittedReport) {
           size_t shard = ShardedIngest::ShardOfReport(report, frontend.num_shards());
           // A buffered accept can itself fail once the disk is gone;
           // either way the completion carries the verdict.
-          (void)frontend.AcceptRoutedReportAsync(shard, report, ReportContext{},
+          (void)frontend.AcceptRoutedReportAsync(shard, report, ReportContext{1, j},
                                                  [&ok_count](const Status& status) {
                                                    if (status.ok()) {
                                                      ok_count.fetch_add(1);
@@ -598,15 +671,15 @@ void BuildCrashedSpool(const FrontendConfig& config, const std::vector<Bytes>& s
   {
     ShufflerFrontend before(config);
     ASSERT_TRUE(before.Start().ok());
-    for (size_t i = 0; i < sealed.size(); ++i) {
-      ASSERT_TRUE(before.AcceptReport(sealed[i]).ok());
-      if (i + 1 == sealed.size() / 2) {
+    const size_t half = sealed.size() / 2;
+    for (size_t i = 0; i < sealed.size();) {
+      const size_t end = std::min((i / 8 + 1) * 8, i < half ? half : sealed.size());
+      ASSERT_TRUE(IngestReports(before, std::span(sealed).subspan(i, end - i), {1, i}).ok());
+      if (end == half) {
         ASSERT_TRUE(before.CutEpoch().ok());
-      } else if ((i + 1) % 8 == 0) {
-        ASSERT_TRUE(before.BarrierIngest().ok());
       }
+      i = end;
     }
-    ASSERT_TRUE(before.BarrierIngest().ok());
   }
   ASSERT_TRUE(TearNewestGeneration(config.fs, config.spool_dir, Bytes(300, 0xAB)).ok());
 }
