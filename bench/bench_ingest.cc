@@ -3,8 +3,7 @@
 // encoder fast path that feeds it.
 //
 //   * wire       — frame encode + streaming decode (CRC-checked)
-//   * ingest     — shard + buffer into a MemFs-backed WAL, then one group
-//                  commit, across shard counts
+//   * ingest     — buffer into a MemFs-backed WAL, then one group commit
 //   * recovery   — the WAL's recovery vs. the live sessions in its wal.ckpt
 //                  snapshot (what a restart pays before the dedup registry
 //                  can serve)
@@ -158,31 +157,28 @@ void Run() {
   json.Add("wire_decode", n, 1e9 * decode_seconds / static_cast<double>(n),
            static_cast<double>(n) / decode_seconds);
 
-  // ---- ingest: shard + buffer into the WAL across shard counts ----
+  // ---- ingest: buffer into the WAL, then one group commit ----
   // The WAL lives on a MemFs, so the row is the accept path's CPU cost:
-  // sharding, record encoding and one group commit, no disk.
-  for (size_t shards : {1u, 4u, 16u}) {
+  // record encoding and one group commit, no disk.  The shard is only the
+  // worker pool's routing key (the pool rows below), so no shard count
+  // changes this path.
+  {
     MemFs mem;
     IngestWalConfig mem_wal_config;
     mem_wal_config.dir = "/bench";
     mem_wal_config.fs = &mem;
     IngestWal mem_wal(mem_wal_config);
     BenchCheck(mem_wal.Recover(), "mem_wal.Recover");
-    IngestConfig ingest_config;
-    ingest_config.num_shards = shards;
-    ShardedIngest ingest(ingest_config, &mem_wal);
+    ShardedIngest ingest(IngestConfig{}, &mem_wal);
     t0 = std::chrono::steady_clock::now();
     for (uint64_t i = 0; i < reports.size(); ++i) {
-      BenchCheck(ingest.AcceptToShard(ShardedIngest::ShardOfReport(reports[i], shards), reports[i],
-                                      ReportContext{1, i}, nullptr),
-                 "ingest.AcceptToShard");
+      BenchCheck(ingest.Accept(reports[i], ReportContext{1, i}, nullptr), "ingest.Accept");
     }
     BenchCheck(mem_wal.Sync(), "mem_wal.Sync");
     double ingest_seconds = SecondsSince(t0);
-    std::string label = "ingest/shards=" + std::to_string(shards);
-    table.AddRow({label, std::to_string(n), Seconds(ingest_seconds),
+    table.AddRow({"ingest", std::to_string(n), Seconds(ingest_seconds),
                   PerReport(ingest_seconds, n)});
-    json.Add(label, n, 1e9 * ingest_seconds / static_cast<double>(n),
+    json.Add("ingest", n, 1e9 * ingest_seconds / static_cast<double>(n),
              static_cast<double>(n) / ingest_seconds);
   }
 
@@ -201,7 +197,7 @@ void Run() {
       IngestWal wal(wal_config);
       BenchCheck(wal.Recover(), "wal.Recover");
       for (uint64_t s = 1; s <= sessions; ++s) {
-        BenchCheck(wal.AppendReport(0, /*epoch=*/0, session_report, s, /*seq=*/0, nullptr),
+        BenchCheck(wal.AppendReport(/*epoch=*/0, session_report, s, /*seq=*/0, nullptr),
                    "wal.AppendReport");
       }
       // The seal folds every commit into wal.ckpt and names the generation,
@@ -227,7 +223,7 @@ void Run() {
     if (sessions >= 10000) {
       // One more commit, so the checkpoint has an op to fold and a
       // generation to cover.
-      BenchCheck(reopened.AppendReport(0, /*epoch=*/1, session_report, sessions + 1, 0, nullptr),
+      BenchCheck(reopened.AppendReport(/*epoch=*/1, session_report, sessions + 1, 0, nullptr),
                  "reopened.AppendReport");
       BenchCheck(reopened.Sync(), "reopened.Sync");
       t0 = std::chrono::steady_clock::now();

@@ -157,7 +157,9 @@ Result<std::vector<ShufflerView>> Shuffler::OpenStream(RecordStream& reports,
     for (size_t i = 0; i < count; ++i) {
       auto record = reports.Next();
       if (!record.has_value()) {
-        return Error{"record stream ended before its declared size"};
+        Status failed = reports.status();
+        return failed.ok() ? Error{"record stream ended before its declared size"}
+                           : failed.error();
       }
       raw.push_back(std::move(*record));
     }
@@ -170,6 +172,16 @@ Result<std::vector<ShufflerView>> Shuffler::OpenStream(RecordStream& reports,
       views.push_back(std::move(*slot));
     }
     remaining -= count;
+  }
+  // Read to the end: damage past the last record (a bad block of session
+  // ops after an epoch's last report) fails the open instead of going
+  // unseen, and so does a stream that holds more than its declared size.
+  if (reports.Next().has_value()) {
+    return Error{"record stream holds more than its declared size"};
+  }
+  Status ended = reports.status();
+  if (!ended.ok()) {
+    return ended.error();
   }
   return views;
 }

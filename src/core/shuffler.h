@@ -91,7 +91,9 @@ class Shuffler {
   // min-batch check — for ProcessStream's in-memory path and for
   // Pipeline::RunReportsPartial, the drain's first half.  Reports are pulled
   // and opened in bounded chunks through the batched ECDH path.  Malformed
-  // reports are counted into stats() and skipped.
+  // reports are counted into stats() and skipped.  The stream is read to
+  // its end: a stream that fails (RecordStream::status()) or yields more
+  // or fewer than size() records fails the open.
   Result<std::vector<ShufflerView>> OpenStream(RecordStream& reports,
                                                ThreadPool* pool = nullptr);
 

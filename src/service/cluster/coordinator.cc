@@ -66,7 +66,7 @@ uint64_t EpochCoordinator::PumpGroup(ShardGroup& group) {
   for (;;) {
     auto drained = group.frontend().DrainNextEpochPartial();
     if (!drained.ok()) {
-      // The epoch was requeued intact at its group; a later pump retries.
+      // The epoch stays queued intact at its group; a later pump retries.
       return 0;
     }
     if (!drained.value().has_value()) {
@@ -104,7 +104,7 @@ Result<ClusterEpochResult> EpochCoordinator::MergeEpoch(uint64_t epoch, Histogra
   bool waited = false;
   std::vector<uint64_t> missing;
   for (;;) {
-    // A failed drain leaves its epoch requeued; the next pass retries it
+    // A failed drain leaves its epoch queued; the next pass retries it
     // until the deadline.
     const std::vector<uint64_t> drained_below = PumpPartials();
     missing.clear();

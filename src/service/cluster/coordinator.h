@@ -81,7 +81,7 @@ class EpochCoordinator {
   // Drains every group's sealed epochs into partials_, each group on its
   // own thread, joined before returning.  Returns, per group (groups_
   // order), the epoch below which that group's partials are all buffered,
-  // or 0 when its drain failed (the failed epoch stays requeued at the
+  // or 0 when its drain failed (the failed epoch stays queued at the
   // group for the next pass).
   std::vector<uint64_t> PumpPartials() EXCLUDES(mu_);
   // One group's drain loop for PumpPartials: the group's current epoch

@@ -762,13 +762,8 @@ void FrameServer::Serve(std::unique_ptr<ByteStream> stream) {
         frontend_stats_->nacks_sent.fetch_add(raw->book.nacked, std::memory_order_relaxed);
         frontend_stats_->duplicates_suppressed.fetch_add(raw->book.duplicates_suppressed,
                                                          std::memory_order_relaxed);
-        // Every misrouted rejection sent exactly one redirect NACK, so the
-        // two cluster counters mirror the same book entry — the exact
-        // balance the cluster tests pin.
         frontend_stats_->redirects_sent.fetch_add(raw->book.redirects_sent,
                                                   std::memory_order_relaxed);
-        frontend_stats_->misrouted_rejected.fetch_add(raw->book.redirects_sent,
-                                                      std::memory_order_relaxed);
       }
     }
     // Release the transport as soon as pumping ends: if the pump bailed on
@@ -1110,7 +1105,7 @@ uint64_t FrameClient::session_id() const {
 
 namespace {
 
-// SplitMix64: the default session rotator and the jitter mixer.  Full-period
+// SplitMix64: the session rotator and the jitter mixer.  Full-period
 // and well-distributed, so rotated ids collide no more than random ones.
 uint64_t SplitMix64(uint64_t x) {
   x += 0x9E3779B97F4A7C15ULL;
@@ -1137,9 +1132,7 @@ void FrameClient::RotateSession(ByteStream* stream) {
   ByteStream* current = nullptr;
   {
     MutexLock lock(mu_);
-    uint64_t old_session = config_.session_id;
-    new_session = config_.session_rotator ? config_.session_rotator(old_session)
-                                          : SplitMix64(old_session);
+    new_session = SplitMix64(config_.session_id);
     if (new_session == 0) {
       new_session = 1;  // 0 is reserved ("no session")
     }

@@ -386,7 +386,7 @@ class FrameServer {
 
   // Mirrors every finished connection's ack book into the frontend's
   // acks_sent/nacks_sent/duplicates_suppressed counters (and, for a
-  // cluster group, redirects_sent/misrouted_rejected).
+  // cluster group, redirects_sent).
   void BindFrontendStats(FrontendStats* stats);
 
   // Cluster hooks, installed on every connection served from here on.
@@ -488,10 +488,6 @@ struct FrameClientConfig {
   std::chrono::milliseconds nack_retry_max_delay{64};
   // Seeds the deterministic jitter stream (tests pin exact schedules).
   uint64_t nack_retry_jitter_seed = 1;
-  // Maps the current session id to its successor when the server answers
-  // kSessionExpired (the old id's dedup state is gone, so the client must
-  // start over under a fresh identity).  Null = splitmix64 of the old id.
-  std::function<uint64_t(uint64_t)> session_rotator;
   // How long Close() waits for the server to acknowledge the kGoodbye
   // before giving up and closing anyway (the server's LRU eviction is the
   // backstop for lost goodbyes).

@@ -48,14 +48,12 @@ Status ShufflerFrontend::Start() {
   stats_.recovered_removals += recovery.value().finished_removals;
   stats_.recovered_sessions += recovery.value().sessions.live.size();
   for (const auto& [epoch, recovered] : recovery.value().epochs) {
-    for (uint64_t count : recovered.shard_counts) {
-      stats_.recovered_reports += count;
-    }
+    stats_.recovered_reports += recovered.reports;
   }
   ingest_->RestoreFromRecovery(recovery.value());
-  wal_->set_rollback_callback([this](size_t shard, uint64_t epoch) {
-    ingest_->RollbackAccepted(shard, epoch);
-    stats_.reports_accepted--;
+  wal_->set_rollback_callback([this](uint64_t dropped) {
+    ingest_->RollbackAccepted(dropped);
+    stats_.reports_accepted -= dropped;
   });
   started_ = true;
   return Status::Ok();
@@ -76,8 +74,9 @@ Status ShufflerFrontend::BindAckRegistry(AckRegistry* registry) {
 Status ShufflerFrontend::AcceptRoutedReportAsync(
     size_t shard_index, Bytes sealed_report, ReportContext ctx,
     std::function<void(const Status&)> done) {
-  Status status =
-      ingest_->AcceptToShard(shard_index, std::move(sealed_report), ctx, &done);
+  Status status = shard_index < num_shards()
+                      ? ingest_->Accept(sealed_report, ctx, &done)
+                      : Status(Error{"ingest: shard index out of range"});
   if (status.ok()) {
     stats_.reports_accepted++;
   }
@@ -137,23 +136,24 @@ Result<std::optional<EpochPartialResult>> ShufflerFrontend::DrainNextEpochPartia
 }
 
 std::optional<ShufflerFrontend::DrainedEpoch> ShufflerFrontend::DrainNextEpoch(bool merge) {
-  std::optional<EpochBatch> batch = ingest_->PopSealedEpoch();
-  if (!batch.has_value()) {
+  std::optional<uint64_t> epoch = wal_->NextSealedEpoch();
+  if (!epoch.has_value()) {
     return std::nullopt;
   }
+  // Stream straight off the epoch's WAL generations.
+  std::unique_ptr<RecordStream> stream = wal_->OpenEpochStream(*epoch);
   DrainedEpoch drained;
-  drained.opened.epoch = batch->epoch;
-  drained.opened.reports = batch->total;
+  drained.opened.epoch = *epoch;
+  drained.opened.reports = stream->size();
 
   auto t0 = std::chrono::steady_clock::now();
-  // Stream straight off the epoch's WAL generations.
-  Result<EpochPartial> opened = pipeline_.RunReportsPartial(*wal_->OpenEpochStream(batch->epoch));
+  Result<EpochPartial> opened = pipeline_.RunReportsPartial(*stream);
   const double open_seconds = SecondsSince(t0);
   drained.status = opened.ok() ? Status::Ok() : Status(opened.error());
   if (drained.status.ok() && merge) {
     std::vector<EpochPartial> partials;
     partials.push_back(std::move(opened).value());
-    auto merged = pipeline_.MergeEpoch(batch->epoch, partials);
+    auto merged = pipeline_.MergeEpoch(*epoch, partials);
     if (merged.ok()) {
       drained.merged = std::move(merged).value();
       // The first stage's wall-clock time spans the outer open as well.
@@ -164,11 +164,8 @@ std::optional<ShufflerFrontend::DrainedEpoch> ShufflerFrontend::DrainNextEpoch(b
   } else if (drained.status.ok()) {
     drained.opened.partial = std::move(opened).value();
   }
-  if (!drained.status.ok()) {
-    // Put the intact batch back at the head of the queue, so a later drain
-    // retries it; its generations also stay on disk untouched.
-    ingest_->RequeueSealedEpoch(std::move(*batch));
-  }
+  // A failure changes nothing: the epoch stays the WAL's next sealed one,
+  // its generations untouched, until a drain succeeds and removes it.
   return drained;
 }
 

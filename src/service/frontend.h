@@ -6,12 +6,12 @@
 //                          │   frames, AckRegistry claim) ──► worker pool
 //                          │   ──► AcceptRoutedReportAsync
 //                          ▼
-//                      ShardedIngest (ingest.h: content-hash shards,
-//                          │   size/age epoch-cut policy)
+//                      ShardedIngest (ingest.h: size/age epoch-cut
+//                          │   policy over the open epoch)
 //                          ▼
-//                      IngestWal (wal.h: group-committed generations; a
-//                          │   sealed epoch is its generations, which
-//                          │   survive crashes)
+//                      IngestWal (wal.h: group-committed generations and
+//                          │   the epoch ledger; a sealed epoch is its
+//                          │   generations, which survive crashes)
 //                          ▼  epoch sealed
 //                      DrainSealedEpochs ──► Pipeline::RunReportsPartial
 //                          │   (outer open on the thread pool)
@@ -71,7 +71,7 @@ struct FrontendConfig {
 };
 
 // Counters are atomic because AcceptRoutedReportAsync is, like
-// ShardedIngest::AcceptToShard, callable from concurrent ingest threads.
+// ShardedIngest::Accept, callable from concurrent ingest threads.
 // The framing books live in FrameServer::stats().
 struct FrontendStats {
   std::atomic<uint64_t> reports_accepted{0};
@@ -106,17 +106,15 @@ struct FrontendStats {
   std::atomic<uint64_t> nacks_sent{0};
   std::atomic<uint64_t> duplicates_suppressed{0};
   // Cluster routing books (src/service/cluster/).  On a group's frontend:
-  // routed counts reports this group accepted as owner; misrouted_rejected
-  // counts reports refused with a redirect NACK (mirrored into
-  // redirects_sent by the connection book, so the two track each other
-  // exactly — every rejection sent exactly one redirect).  On the merge
-  // side: merge_waits counts MergeEpoch calls that had to block for a
-  // missing group's seal, merge_shortfalls counts epochs merged after the
-  // barrier timed out with groups still missing (their late reports are
-  // accounted, never silently dropped).
+  // routed counts reports this group accepted as owner; redirects_sent
+  // counts reports refused with a redirect NACK (mirrored from the
+  // connection books, one redirect per rejection).  On the merge side:
+  // merge_waits counts MergeEpoch calls that had to block for a missing
+  // group's seal, merge_shortfalls counts epochs merged after the barrier
+  // timed out with groups still missing (their late reports are accounted,
+  // never silently dropped).
   std::atomic<uint64_t> routed{0};
   std::atomic<uint64_t> redirects_sent{0};
-  std::atomic<uint64_t> misrouted_rejected{0};
   std::atomic<uint64_t> merge_waits{0};
   std::atomic<uint64_t> merge_shortfalls{0};
 };
@@ -138,7 +136,7 @@ struct EpochPartialResult {
 };
 
 // A drain failure: the read, the open or the merge of `epoch` failed.  The
-// epoch was requeued intact (its reports are safe in its WAL generations),
+// epoch stays queued intact (its reports are safe in its WAL generations),
 // so a later DrainSealedEpochs retries it.
 struct DrainError {
   uint64_t epoch = 0;
@@ -180,16 +178,17 @@ class ShufflerFrontend {
   // Encoder bound to this frontend's pipeline keys, for clients.
   Encoder MakeEncoder() const { return pipeline_.MakeEncoder(); }
 
-  // The one ingestion path, for a report whose shard the caller already
-  // computed (the ingest worker pool routes with ShardOfReport before
-  // enqueueing; the worker thread skips re-hashing).  The report and its
-  // ack commit for ctx's (session, seq) buffer as one WAL record; session 0
-  // is refused.  `done` fires exactly once — Ok after a group commit makes
-  // the record durable, the flush error if a failed commit rolled it back
-  // (in which case the report was NOT ingested and the accounting has been
-  // undone, so the client may retry without duplicating), or inline with
-  // the returned error when the append itself failed.  An Ok return only
-  // means "buffered"; the durability verdict is done's argument.
+  // The one ingestion path.  `shard_index` is the ingest worker pool's
+  // routing key (ShardOfReport, computed before enqueueing); it must be
+  // below num_shards(), and nothing below the frontend sees it.  The report
+  // and its ack commit for ctx's (session, seq) buffer as one WAL record;
+  // session 0 is refused.  `done` fires exactly once — Ok after a group
+  // commit makes the record durable, the flush error if a failed commit
+  // rolled it back (in which case the report was NOT ingested and the
+  // accounting has been undone, so the client may retry without
+  // duplicating), or inline with the returned error when the append itself
+  // failed or the shard is out of range.  An Ok return only means
+  // "buffered"; the durability verdict is done's argument.
   Status AcceptRoutedReportAsync(size_t shard_index, Bytes sealed_report,
                                  ReportContext ctx,
                                  std::function<void(const Status&)> done);
@@ -213,18 +212,18 @@ class ShufflerFrontend {
   // outer open, then Pipeline::MergeEpoch over the one partial (shuffle,
   // threshold, and the analyzer on the survivors).  Each result's stats are
   // that epoch's own.  Stops at the first epoch whose drain fails; that
-  // epoch is requeued *intact* (a retrying call sees its full report set
+  // epoch stays queued *intact* (a retrying call sees its full report set
   // again), and the report carries both the epochs already drained and the
   // failure — partial progress is never discarded.  Safe to call
   // concurrently with ingestion/Tick/CutEpoch (drain of epoch e overlaps
   // accumulation of e+1), but not with itself: one drainer at a time.
   DrainReport DrainSealedEpochs();
 
-  // Cluster-mode drain: pops the oldest sealed epoch and runs only the
+  // Cluster-mode drain: takes the oldest sealed epoch and runs only the
   // shuffler's outer open, returning the epoch's pre-threshold partial
   // (each crowd's still-encrypted inner boxes) for HistogramMerge to
   // combine across groups; the analyzer is never called here.  nullopt
-  // when no sealed epoch is queued; on failure the epoch is requeued
+  // when no sealed epoch is queued; on failure the epoch stays queued
   // intact, as in DrainSealedEpochs.  An empty sealed epoch (a
   // seal_if_empty alignment cut) yields an empty partial.
   Result<std::optional<EpochPartialResult>> DrainNextEpochPartial();
@@ -243,19 +242,20 @@ class ShufflerFrontend {
   IngestStats ingest_stats() const { return ingest_->stats(); }
 
  private:
-  // One popped epoch's drain, as DrainNextEpoch left it.
+  // One epoch's drain, as DrainNextEpoch left it.
   struct DrainedEpoch {
     EpochPartialResult opened;  // the partial is left empty by a merge
     PipelineResult merged;      // DrainNextEpoch(/*merge=*/true) only
-    Status status;              // non-Ok: the epoch was requeued intact
+    Status status;              // non-Ok: the epoch stays queued intact
   };
-  // The one drain step behind both drains: pops the oldest sealed epoch and
-  // streams it off its WAL generations through the shuffler's outer open.
+  // The one drain step behind both drains: takes the WAL's next sealed
+  // epoch (IngestWal::NextSealedEpoch) and streams it off its generations
+  // through the shuffler's outer open; the stream's size() is its count.
   // With `merge` — the serial drain — the one partial is then merged
   // through Pipeline::MergeEpoch, the call HistogramMerge makes, so the
-  // serial drain is the one-group cluster drain.  Any failure requeues the
-  // batch intact.  Does not finish the epoch.  nullopt when no sealed epoch
-  // is queued.
+  // serial drain is the one-group cluster drain.  A failure changes no
+  // state, so the epoch stays next.  Does not finish the epoch.  nullopt
+  // when no sealed epoch is queued.
   std::optional<DrainedEpoch> DrainNextEpoch(bool merge);
   // Shared epilogue of both drains once an epoch's drain succeeded: removes
   // its generations and marker with bounded retries, and counts it drained.

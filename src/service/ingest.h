@@ -1,13 +1,16 @@
-// Sharded ingestion queues and epoch-cut policy for the shuffler frontend
-// (paper §4.2: reports accumulate until a batch is large enough to provide
-// anonymity, then the whole batch is shuffled and forwarded).
+// The epoch-cut policy in front of the ingest WAL (paper §4.2: reports
+// accumulate until a batch is large enough to provide anonymity, then the
+// whole batch is shuffled and forwarded).
 //
-// Reports are routed to one of N shards by hashing the *ciphertext* bytes of
-// the sealed report — never a plaintext crowd ID, which the frontend must
-// not see (only the shuffler's keyed decryption reveals the CrowdPart, and
-// even then only inside the trusted boundary).  Shard assignment is
-// content-determined, so it is stable across retries and independent of
-// arrival interleaving.
+// A report's shard is a routing key and nothing more: a hash of the
+// *ciphertext* bytes of the sealed report — never a plaintext crowd ID,
+// which the frontend must not see (only the shuffler's keyed decryption
+// reveals the CrowdPart, and even then only inside the trusted boundary) —
+// that picks the ingest worker.  It is content-determined, so it is stable
+// across retries and independent of arrival interleaving, and nothing
+// durable stores it.  The epoch ledger — which epochs are sealed, how many
+// reports each holds, which are drained — is the WAL's alone (wal.h); this
+// tier keeps only the open epoch's number, age and size.
 //
 // Epochs advance by a cut policy with two triggers:
 //   * size  — the epoch reaches max_epoch_reports (batch full);
@@ -22,13 +25,8 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <memory>
-#include <optional>
-#include <set>
 #include <string>
-#include <vector>
 
 #include "src/service/wal.h"
 #include "src/service/wire.h"
@@ -38,6 +36,8 @@
 namespace prochlo {
 
 struct IngestConfig {
+  // Routing width: a report's shard is ShardOfReport(report, num_shards),
+  // and the ingest worker pool runs shard s on worker s % workers.
   size_t num_shards = 4;
   // Size trigger: seal the epoch once it holds this many reports (0 = off).
   size_t max_epoch_reports = 0;
@@ -47,7 +47,10 @@ struct IngestConfig {
   size_t min_epoch_reports = 0;
 };
 
+// This process's books: epochs sealed before a restart count in none of
+// them (IngestWal::Recovery reports those).
 struct IngestStats {
+  // Reports of the epochs sealed here, plus the open epoch's.
   uint64_t accepted = 0;
   uint64_t epochs_sealed = 0;
   uint64_t size_cuts = 0;
@@ -60,29 +63,19 @@ struct IngestStats {
   std::string last_seal_error;
 };
 
-// A sealed epoch ready for draining: its counts.  The reports live in its
-// WAL generations; stream them via IngestWal::OpenEpochStream.
-struct EpochBatch {
-  uint64_t epoch = 0;
-  size_t total = 0;
-  std::vector<size_t> shard_counts;
-};
-
 class ShardedIngest {
  public:
   // Every accept buffers into `wal` (borrowed; recovered and open before
-  // the first AcceptToShard), and every seal is IngestWal::SealEpoch: the
-  // epoch's generations, closed and named by its marker.
+  // the first Accept), and every seal is IngestWal::SealEpoch: the epoch's
+  // generations, closed and named by its marker.
   ShardedIngest(IngestConfig config, IngestWal* wal);
 
-  // Routes one sealed report to shard `shard_index`, which must equal
-  // ShardOfReport(sealed_report, num_shards()) (the ingest worker pool
-  // routes before enqueueing, so the worker thread need not re-hash);
-  // thread-safe.  The report and its ack commit for ctx's (session, seq)
-  // buffer into the WAL as one record; session 0 is refused.  On success
-  // *done (may be null / empty) is consumed by the WAL and fires after the
-  // next group-commit barrier; on failure it is untouched.  May seal the
-  // current epoch when the size trigger fires.
+  // Accepts one sealed report into the open epoch; thread-safe.  The
+  // report and its ack commit for ctx's (session, seq) buffer into the WAL
+  // as one record; session 0 is refused.  On success *done (may be null /
+  // empty) is consumed by the WAL and fires after the next group-commit
+  // barrier; on failure it is untouched.  May seal the current epoch when
+  // the size trigger fires.
   //
   // Error contract: a non-Ok return means the report was NOT ingested (the
   // client may safely retry it).  A size-cut whose SealEpoch fails
@@ -90,16 +83,15 @@ class ShardedIngest {
   // seal error here would make a retrying client inject a duplicate.
   // The seal failure is surfaced via stats().seal_failures/last_seal_error
   // and by the next Tick()/CutEpoch().
-  Status AcceptToShard(size_t shard_index, Bytes sealed_report, ReportContext ctx,
-                       std::function<void(const Status&)>* done);
+  Status Accept(ByteSpan sealed_report, ReportContext ctx,
+                std::function<void(const Status&)>* done);
 
-  // Undo the accounting of one WAL-buffered report that a failed group
-  // commit dropped.  WAL records always belong to the still-current epoch
-  // (a seal flushes — and thereby resolves — every buffered record first),
-  // so this only touches the live shard counters.  Deliberately takes no
-  // epoch lock: the caller may already hold it exclusively (a seal whose
-  // flush failed).
-  void RollbackAccepted(size_t shard_index, uint64_t epoch);
+  // Forgets `count` WAL-buffered reports that a failed group commit
+  // dropped.  WAL records always belong to the still-current epoch (a seal
+  // flushes — and thereby resolves — every buffered record first), so this
+  // only lowers the open epoch's size.  Deliberately takes no epoch lock:
+  // the caller may already hold it exclusively (a seal whose flush failed).
+  void RollbackAccepted(uint64_t count);
 
   // Advances the logical epoch clock (the frontend calls this on its
   // scheduling cadence); may seal the current epoch by age.  Returns the
@@ -115,27 +107,21 @@ class ShardedIngest {
   // even when a group received nothing this epoch.
   Status CutEpoch(bool seal_if_empty = false);
 
-  // Oldest sealed epoch not yet handed out, if any.
-  std::optional<EpochBatch> PopSealedEpoch();
-
-  // Returns a popped-but-undrained epoch to the front of the queue: a
-  // failed drain must not lose the batch (its generations stay on disk, but
-  // the drain would otherwise skip the epoch until a restart).
-  void RequeueSealedEpoch(EpochBatch batch);
-
   // Registers a callback fired after every successful epoch seal (and once
-  // after a recovery that re-queued sealed epochs).  It runs under the
-  // epoch lock, so it must be lock-light — the drain scheduler's listener
+  // after a recovery that found sealed epochs); the sealed epochs queue in
+  // the WAL (IngestWal::NextSealedEpoch).  It runs under the epoch lock,
+  // so it must be lock-light — the drain scheduler's listener
   // just flags its condition variable, which is the point: sealed epochs
   // start draining on the event instead of a poll.  Pass nullptr to
   // unregister; the setter synchronizes on the epoch lock, so after it
   // returns no seal is mid-call into the old listener.
   void SetSealListener(std::function<void()> listener);
 
-  // Adopts the epochs a reopened WAL recovered: sealed epochs re-enter the
-  // sealed queue; the unsealed one (IngestWal seals any older ones) becomes
-  // the current epoch's accumulation, its age restarted.  Without one, the
-  // clock resumes past the newest recovered epoch.
+  // Adopts the epochs a reopened WAL recovered: the unsealed one (IngestWal
+  // seals any older ones) becomes the current epoch, with its report count
+  // and its age restarted.  Without one, the clock resumes past the newest
+  // recovered epoch.  Sealed epochs stay queued in the WAL; the seal
+  // listener fires if there are any.
   void RestoreFromRecovery(const IngestWal::Recovery& recovery);
 
   uint64_t current_epoch() const { return current_epoch_; }
@@ -143,34 +129,27 @@ class ShardedIngest {
   size_t num_shards() const { return config_.num_shards; }
   IngestStats stats() const;
 
-  // Content hash of the sealed (ciphertext) bytes -> shard index.
+  // Content hash of the sealed (ciphertext) bytes -> shard index: the
+  // routing key that picks an ingest worker.
   static size_t ShardOfReport(ByteSpan sealed_report, size_t num_shards);
 
  private:
-  struct Shard {
-    Mutex mu;
-    size_t count GUARDED_BY(mu) = 0;  // reports in the current epoch
-  };
-
   // Seals the current epoch; requires epoch_mu_ held exclusively.
   Status SealCurrentLocked() REQUIRES(epoch_mu_);
 
   IngestConfig config_;
   IngestWal* wal_;  // borrowed
 
-  // Shared: AcceptToShard; exclusive: epoch transitions (cut, tick-cut,
-  // restore).
+  // Shared: Accept; exclusive: epoch transitions (cut, tick-cut, restore).
   mutable SharedMutex epoch_mu_;
   // Written only under exclusive epoch_mu_; invoked under the same.
   std::function<void()> seal_listener_ GUARDED_BY(epoch_mu_);
-  std::vector<std::unique_ptr<Shard>> shards_;  // sized in ctor, never resized
   std::atomic<uint64_t> current_epoch_{0};
-  std::atomic<size_t> current_total_{0};
+  std::atomic<size_t> current_total_{0};  // reports in the open epoch
   uint64_t current_age_ GUARDED_BY(epoch_mu_) = 0;  // ticks since epoch start
 
-  mutable Mutex sealed_mu_;
-  std::deque<EpochBatch> sealed_ GUARDED_BY(sealed_mu_);
-  IngestStats stats_ GUARDED_BY(sealed_mu_);
+  mutable Mutex stats_mu_;
+  IngestStats stats_ GUARDED_BY(stats_mu_);
 };
 
 }  // namespace prochlo

@@ -370,7 +370,7 @@ void DrainScheduler::DrainOnce() {
     results_.push_back(std::move(result));
   }
   if (!report.ok()) {
-    // The failed epoch was requeued intact; the next poll retries it.
+    // The failed epoch stays queued intact; the next poll retries it.
     stats_.drain_failures++;
     stats_.last_drain_error = report.failure->error.message;
   }

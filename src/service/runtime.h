@@ -5,9 +5,9 @@
 //
 //   connection threads ──EnqueueAsync──► MpscRing per worker ──► worker
 //                      (route by ciphertext hash;      └─ AcceptRoutedReportAsync
-//                       no shard mutex, no WAL I/O        (shard locks + WAL
-//                       on the connection thread)          append; one group
-//                                                          commit per run)
+//                       no WAL I/O on the                 (WAL append; one
+//                       connection thread)                 group commit per
+//                                                          run)
 //
 //   drain thread  ──poll/nudge──► frontend.DrainSealedEpochs
 //                       (drains sealed epoch e while the workers keep
@@ -64,9 +64,10 @@ struct WorkerPoolStats {
   std::string last_accept_error;
 };
 
-// Per-shard worker threads fed by bounded MPSC rings.  Shard s is owned by
-// worker s % workers, so per-shard spool appends stay serialized (the spool
-// requires it) while different shards ingest in parallel.
+// Worker threads fed by bounded MPSC rings.  A report's shard is its routing
+// key: shard s runs on worker s % workers, so reports spread across the
+// workers by ciphertext hash.  Nothing downstream depends on which worker
+// appended a report.
 class IngestWorkerPool {
  public:
   IngestWorkerPool(ShufflerFrontend* frontend, WorkerPoolConfig config);

@@ -30,8 +30,8 @@ Status Spool::Open() {
   return recovery.ok() ? Status::Ok() : Status(recovery.error());
 }
 
-Status Spool::Append(size_t shard, uint64_t epoch, ByteSpan report) {
-  auto lsn = wal_->AppendReport(shard, epoch, report, kSpoolSession, next_seq_, nullptr);
+Status Spool::Append(size_t /*shard*/, uint64_t epoch, ByteSpan report) {
+  auto lsn = wal_->AppendReport(epoch, report, kSpoolSession, next_seq_, nullptr);
   if (!lsn.ok()) {
     return lsn.error();
   }

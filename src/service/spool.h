@@ -36,7 +36,8 @@ class Spool {
   Status Open();
 
   // Appends one sealed report to `epoch`.  An epoch's reports follow the
-  // previous epoch's SealEpoch.
+  // previous epoch's SealEpoch.  `shard` is ignored: the WAL stores no
+  // routing key (the parameter stays for existing callers).
   Status Append(size_t shard, uint64_t epoch, ByteSpan report);
 
   // Seals `epoch`: every report appended since the previous seal.

@@ -17,15 +17,15 @@ namespace {
 
 // Record kinds inside a WAL block.  A block is one ordinary wire frame whose
 // payload concatenates records — the frame CRC guards the log, and the 22 B
-// frame header is paid once per group commit, not once per report.  Kind 1
-// (a report without a session) is retired and never reused: a reader meets
-// it as an unknown kind.
+// frame header is paid once per group commit, not once per report.  Kinds 1
+// (a report without a session) and 2 (a report with its shard) are retired
+// and never reused: a reader meets them as unknown kinds.
 enum WalRecordKind : uint8_t {
-  kWalReportCommit = 2,  // shard, epoch, session, seq, report — THE unified
-                         // record: report durability and the ack commit are
-                         // one atomic append
   kWalEvict = 3,         // session, floor
   kWalGoodbye = 4,       // session
+  kWalReportCommit = 5,  // epoch, session, seq, report — THE unified record:
+                         // report durability and the ack commit are one
+                         // atomic append
 };
 
 constexpr char kCheckpointName[] = "wal.ckpt";
@@ -38,7 +38,7 @@ bool IsReport(uint8_t kind) { return kind == kWalReportCommit; }
 uint64_t EncodedRecordSize(uint8_t kind, size_t report_size) {
   switch (kind) {
     case kWalReportCommit:
-      return 1 + 8 + 8 + 8 + 8 + 4 + report_size;
+      return 1 + 8 + 8 + 8 + 4 + report_size;
     case kWalEvict:
       return 1 + 8 + 8;
     case kWalGoodbye:
@@ -51,18 +51,16 @@ uint64_t EncodedRecordSize(uint8_t kind, size_t report_size) {
 // One decoded (or to-be-encoded) WAL record.
 struct WalRecord {
   uint8_t kind = 0;
-  uint64_t shard = 0;
   uint64_t epoch = 0;
   uint64_t session_id = 0;
   uint64_t value = 0;  // seq (commit) or watermark floor (evict)
   Bytes report;
 };
 
-void EncodeRecord(Writer& w, uint8_t kind, uint64_t shard, uint64_t epoch,
-                  uint64_t session_id, uint64_t value, ByteSpan report) {
+void EncodeRecord(Writer& w, uint8_t kind, uint64_t epoch, uint64_t session_id, uint64_t value,
+                  ByteSpan report) {
   w.PutU8(kind);
   if (IsReport(kind)) {
-    w.PutU64(shard);
     w.PutU64(epoch);
   }
   w.PutU64(session_id);
@@ -87,12 +85,12 @@ Parsed NextRecord(Reader& r, WalRecord& rec) {
   if (!r.GetU8(&rec.kind)) {
     return Parsed::kMalformed;
   }
-  if (rec.kind < kWalReportCommit || rec.kind > kWalGoodbye) {
+  if (rec.kind < kWalEvict || rec.kind > kWalReportCommit) {
     return Parsed::kMalformed;
   }
   bool ok = true;
   if (IsReport(rec.kind)) {
-    ok = r.GetU64(&rec.shard) && r.GetU64(&rec.epoch);
+    ok = r.GetU64(&rec.epoch);
   }
   if (ok) {
     ok = r.GetU64(&rec.session_id);
@@ -225,6 +223,7 @@ class BlockReader {
 
   bool bad() const { return bad_; }
   const std::optional<Error>& error() const { return error_; }
+  const std::string& path() const { return path_; }
   // End of the clean prefix: the blocks read so far.
   uint64_t offset() const { return offset_; }
 
@@ -275,6 +274,13 @@ class BlockReader {
   bool bad_ = false;
   std::optional<Error> error_;
 };
+
+// A CRC-valid block of `reader`'s file, just read, holds a record that
+// cannot be parsed.
+Error MalformedRecord(const BlockReader& reader) {
+  return Error{"wal: malformed record inside a CRC-valid block of " + reader.path() +
+               " before offset " + std::to_string(reader.offset())};
+}
 
 // A file written by PublishFile: its header frame and its chunk frames'
 // payloads joined.
@@ -355,17 +361,21 @@ Status WriteAllFs(Fs* fs, int fd, ByteSpan data) {
 }
 
 // RecordStream over a sealed epoch's generations: the epoch's reports in
-// log order, one block resident at a time.
+// log order, one block resident at a time.  The first bad block, read error
+// or unparseable record ends the stream and becomes status(), wherever it
+// lies — also past the epoch's last report, which a drain that read only
+// size() records would never reach.
 class GenerationStream : public RecordStream {
  public:
   GenerationStream(Fs* fs, std::vector<std::string> paths, uint64_t epoch, size_t total)
       : fs_(fs), paths_(std::move(paths)), epoch_(epoch), total_(total) {}
 
   size_t size() const override { return total_; }
+  Status status() const override { return status_; }
 
   std::optional<Bytes> Next() override {
     WalRecord rec;
-    while (!failed_) {
+    while (status_.ok()) {
       if (block_.has_value()) {
         Parsed parsed = NextRecord(records_, rec);
         if (parsed == Parsed::kRecord) {
@@ -374,7 +384,9 @@ class GenerationStream : public RecordStream {
           }
           continue;
         }
-        failed_ = parsed == Parsed::kMalformed;
+        if (parsed == Parsed::kMalformed) {
+          status_ = MalformedRecord(*file_);
+        }
         block_.reset();
         continue;
       }
@@ -387,10 +399,12 @@ class GenerationStream : public RecordStream {
       block_ = file_->Next();
       if (block_.has_value()) {
         records_ = Reader(*block_);
+      } else if (file_->error().has_value()) {
+        status_ = *file_->error();  // names the file and the offset
+      } else if (file_->bad()) {
+        status_ = Error{"wal: corrupt block in " + file_->path() + " at offset " +
+                        std::to_string(file_->offset())};
       } else {
-        // A bad block or a read error ends the stream short of size(): the
-        // drain fails instead of releasing part of the epoch.
-        failed_ = file_->bad() || file_->error().has_value();
         file_.reset();
       }
     }
@@ -401,7 +415,7 @@ class GenerationStream : public RecordStream {
     file_.reset();
     block_.reset();
     next_path_ = 0;
-    failed_ = false;
+    status_ = Status::Ok();
   }
 
  private:
@@ -413,7 +427,7 @@ class GenerationStream : public RecordStream {
   std::unique_ptr<BlockReader> file_;
   std::optional<Bytes> block_;
   Reader records_{ByteSpan()};
-  bool failed_ = false;
+  Status status_ = Status::Ok();
 };
 
 }  // namespace
@@ -517,10 +531,7 @@ Status IngestWal::WriteSealMarker(uint64_t epoch, const EpochFiles& files) {
     w.PutU64(gen.gen);
     w.PutU64(gen.bytes);
   }
-  w.PutU32(static_cast<uint32_t>(files.counts.size()));
-  for (uint64_t count : files.counts) {
-    w.PutU64(count);
-  }
+  w.PutU64(files.reports);
   return PublishFile(MarkerPath(epoch), w.data());
 }
 
@@ -543,11 +554,10 @@ Result<std::optional<IngestWal::EpochFiles>> IngestWal::ReadSealMarker(uint64_t 
     ok = r.GetU64(&gen.gen) && r.GetU64(&gen.bytes);
     files.gens.push_back(gen);
   }
-  ok = ok && r.GetU32(&count);
-  for (uint32_t i = 0; ok && i < count; ++i) {
-    files.counts.emplace_back();
-    ok = r.GetU64(&files.counts.back());
-  }
+  // A marker of the retired per-shard layout ends in a u32 shard count and
+  // that many u64 counts: 4 + 8n bytes, never the 8 of one report count, so
+  // it is refused as corrupt and never misread.
+  ok = ok && r.GetU64(&files.reports);
   if (!ok || !r.AtEnd()) {
     return std::optional<EpochFiles>();
   }
@@ -668,7 +678,7 @@ Result<IngestWal::Recovery> IngestWal::Recover() {
       plan.drop_epochs[epoch];  // its surviving generations join below
     } else if (matches) {
       trusted.insert(epoch);
-      plan.epochs[epoch].counts = named.counts;
+      plan.epochs[epoch].reports = named.reports;
     } else {
       plan.reseal.insert(epoch);  // rescanned: the new marker records what is there
     }
@@ -687,7 +697,6 @@ Result<IngestWal::Recovery> IngestWal::Recover() {
       epoch = own->second;
     }
     GenFile file{gen, size, 0};
-    std::vector<uint64_t> counts;
     const bool known = epoch.has_value() &&
                        (trusted.count(*epoch) != 0 || plan.drop_epochs.count(*epoch) != 0);
     if (!known || gen > covered) {
@@ -712,14 +721,9 @@ Result<IngestWal::Recovery> IngestWal::Recover() {
           }
           epoch = rec.epoch;
           file.reports++;
-          if (counts.size() <= rec.shard) {
-            counts.resize(rec.shard + 1, 0);
-          }
-          counts[rec.shard]++;
         }
         if (parsed == Parsed::kMalformed) {
-          return Error{"wal: malformed record inside a CRC-valid block of " + path +
-                       " before offset " + std::to_string(reader.offset())};
+          return MalformedRecord(reader);
         }
       }
       if (reader.error().has_value()) {
@@ -759,12 +763,7 @@ Result<IngestWal::Recovery> IngestWal::Recover() {
     }
     EpochFiles& files = plan.epochs[*epoch];
     files.gens.push_back(file);
-    if (files.counts.size() < counts.size()) {
-      files.counts.resize(counts.size(), 0);
-    }
-    for (size_t s = 0; s < counts.size(); ++s) {
-      files.counts[s] += counts[s];
-    }
+    files.reports += file.reports;  // zero for a trusted marker's generations
   }
 
   // The newest unsealed epoch resumes; older unsealed ones can no longer
@@ -772,16 +771,12 @@ Result<IngestWal::Recovery> IngestWal::Recover() {
   // has nothing to drain: its files go.
   for (auto it = plan.epochs.begin(); it != plan.epochs.end();) {
     const uint64_t epoch = it->first;
-    uint64_t total = 0;
-    for (uint64_t count : it->second.counts) {
-      total += count;
-    }
     if (markers.count(epoch) == 0) {
       if (plan.open_epoch.has_value()) {
         plan.reseal.insert(*plan.open_epoch);
       }
       plan.open_epoch = epoch;
-    } else if (total == 0) {
+    } else if (it->second.reports == 0) {
       for (const GenFile& gen : it->second.gens) {
         plan.drop_epochs[epoch].push_back(gen.gen);
       }
@@ -795,7 +790,7 @@ Result<IngestWal::Recovery> IngestWal::Recover() {
     plan.reseal.erase(*plan.open_epoch);
   }
   for (const auto& [epoch, files] : plan.epochs) {
-    out.epochs[epoch] = RecoveredEpoch{files.counts, epoch != plan.open_epoch};
+    out.epochs[epoch] = RecoveredEpoch{files.reports, epoch != plan.open_epoch};
   }
   plan.covered = std::max(covered, newest);
   Status applied = ApplyRecoveryPlan(plan, out.sessions);
@@ -871,7 +866,7 @@ Status IngestWal::ApplyRecoveryPlan(RecoveryPlan& plan, SessionImage image) {
       if (epoch == plan.open_epoch) {
         open_ = std::move(files);
       } else {
-        sealed_[epoch] = std::move(files);
+        sealed_[epoch].files = std::move(files);
       }
     }
   }
@@ -909,15 +904,13 @@ Result<uint64_t> IngestWal::AppendLocked(PendingRecord& record) {
   return lsn;
 }
 
-Result<uint64_t> IngestWal::AppendReport(size_t shard, uint64_t epoch, ByteSpan report,
-                                         uint64_t session_id, uint64_t seq,
-                                         Completion* done) {
+Result<uint64_t> IngestWal::AppendReport(uint64_t epoch, ByteSpan report, uint64_t session_id,
+                                         uint64_t seq, Completion* done) {
   if (session_id == 0) {
     return Error{"wal: report without a session"};
   }
   PendingRecord record;
   record.kind = kWalReportCommit;
-  record.shard = shard;
   record.epoch = epoch;
   record.session_id = session_id;
   record.value = seq;
@@ -1017,7 +1010,7 @@ Status IngestWal::FlushAsLeader() {
           kMaxFramePayload) {
         flush_frame();
       }
-      EncodeRecord(payload, r.kind, r.shard, r.epoch, r.session_id, r.value, r.report);
+      EncodeRecord(payload, r.kind, r.epoch, r.session_id, r.value, r.report);
     }
     flush_frame();
     flushed_bytes = out.size();
@@ -1047,10 +1040,7 @@ Status IngestWal::FlushAsLeader() {
     for (const PendingRecord& r : block) {
       if (IsReport(r.kind)) {
         gen_reports_++;
-        if (open_.counts.size() <= r.shard) {
-          open_.counts.resize(r.shard + 1, 0);
-        }
-        open_.counts[r.shard]++;
+        open_.reports++;
       }
       if (auto op = SessionOpOf(r.kind, r.session_id, r.value)) {
         unapplied_.push_back(*op);
@@ -1077,10 +1067,14 @@ Status IngestWal::FlushAsLeader() {
   // strictly before the sync watermark (or the rolled-back range) becomes
   // visible — so a barrier returning implies the completion already ran,
   // and a stack-allocated completion context cannot dangle.
-  for (PendingRecord& r : block) {
-    if (!result.ok() && rollback_ && IsReport(r.kind)) {
-      rollback_(static_cast<size_t>(r.shard), r.epoch);
+  if (!result.ok() && rollback_) {
+    const uint64_t dropped = static_cast<uint64_t>(std::count_if(
+        block.begin(), block.end(), [](const PendingRecord& r) { return IsReport(r.kind); }));
+    if (dropped > 0) {
+      rollback_(dropped);
     }
+  }
+  for (PendingRecord& r : block) {
     if (r.done) {
       r.done(result);
     }
@@ -1298,8 +1292,18 @@ Status IngestWal::SealEpoch(uint64_t epoch) {
   }
   MutexLock lock(mu_);
   open_ = EpochFiles{};
-  sealed_[epoch] = std::move(files);
+  sealed_[epoch].files = std::move(files);
   return Status::Ok();
+}
+
+std::optional<uint64_t> IngestWal::NextSealedEpoch() const {
+  MutexLock lock(mu_);
+  for (const auto& [epoch, sealed] : sealed_) {
+    if (!sealed.claimed) {
+      return epoch;
+    }
+  }
+  return std::nullopt;
 }
 
 std::unique_ptr<RecordStream> IngestWal::OpenEpochStream(uint64_t epoch) const {
@@ -1309,12 +1313,10 @@ std::unique_ptr<RecordStream> IngestWal::OpenEpochStream(uint64_t epoch) const {
     MutexLock lock(mu_);
     auto it = sealed_.find(epoch);
     if (it != sealed_.end()) {
-      for (const GenFile& gen : it->second.gens) {
+      for (const GenFile& gen : it->second.files.gens) {
         paths.push_back(GenPath(gen.gen));
       }
-      for (uint64_t count : it->second.counts) {
-        total += count;
-      }
+      total = it->second.files.reports;
     }
   }
   return std::make_unique<GenerationStream>(fs_, std::move(paths), epoch, total);
@@ -1326,7 +1328,10 @@ Status IngestWal::RemoveEpoch(uint64_t epoch) {
     MutexLock lock(mu_);
     auto it = sealed_.find(epoch);
     if (it != sealed_.end()) {
-      for (const GenFile& gen : it->second.gens) {
+      // Claimed first: even if every unlink below fails, the drained epoch
+      // is never handed out again in this process.
+      it->second.claimed = true;
+      for (const GenFile& gen : it->second.files.gens) {
         gens.push_back(gen.gen);
       }
     }
@@ -1341,7 +1346,7 @@ Status IngestWal::RemoveEpoch(uint64_t epoch) {
       return Error{"wal: cannot remove " + GenPath(gen) + ": " + removed.error().message};
     }
     MutexLock lock(mu_);
-    auto& remaining = sealed_[epoch].gens;
+    auto& remaining = sealed_[epoch].files.gens;
     remaining.erase(remaining.begin());
   }
   Status removed = RemoveInOrder(MarkerPath(epoch));

@@ -16,7 +16,7 @@
 //                       every live session and tombstone as of it
 //                       (tmp + fsync + rename + dir-fsync)
 //   epoch-<e>.sealed    marker: epoch e's generations with their byte
-//                       sizes, and its per-shard report counts
+//                       sizes, and its report count
 //
 // Layered on the single commit point:
 //
@@ -46,25 +46,31 @@
 //     unlink (with fsync on) only once the ones before it are durable.  An
 //     interrupted removal therefore leaves the marker naming a missing
 //     prefix of its generations, even across a power loss.
+//   * The epoch ledger.  The WAL is the only record of which epochs are
+//     sealed, how many reports each holds, and which are drained:
+//     `NextSealedEpoch()` hands out the oldest sealed epoch no successful
+//     drain has claimed, and `RemoveEpoch(e)` claims e before it unlinks
+//     anything.  A failed drain changes nothing, so the epoch stays next.
+//     Reports carry no shard: a shard only picks an ingest worker.
 //
 // Failure semantics: a failed group commit rolls the active generation back
 // to its durable prefix, fires the dead records' completions with the error
 // (the caller NACKs — with the unified record, "commit lost" always implies
 // "report lost", so degradation can no longer manufacture a post-restart
-// duplicate), and invokes the rollback callback so ingest accounting
-// forgets the buffered reports.  A failed checkpoint keeps the old image
-// and its session ops queued ahead of newer ones for the next checkpoint;
-// a failed marker leaves the old one authoritative, so a later retry (or a
-// restart) sees a consistent prefix.
+// duplicate), and invokes the rollback callback once with the number of
+// report records dropped, so ingest accounting forgets them.  A failed
+// checkpoint keeps the old image and its session ops queued ahead of newer
+// ones for the next checkpoint; a failed marker leaves the old one
+// authoritative, so a later retry (or a restart) sees a consistent prefix.
 //
 // Recovery (`Recover()`) is one call.  It first reads: `wal.ckpt`, whose
 // snapshot must parse whole with exactly its recorded counts (it is
 // published by rename, so any tear is damage and refuses the start), then
-// the generations, one block at a time.  A sealed epoch's counts come from
-// its marker when the named generations still have their recorded sizes;
-// every other generation is scanned for per-(epoch, shard) report counts,
-// and those past `wal.ckpt` also for their session ops, folded into the
-// snapshot once, in log order.  Only the newest generation may end in a
+// the generations, one block at a time.  A sealed epoch's report count
+// comes from its marker when the named generations still have their
+// recorded sizes; every other generation is scanned for its epoch's report
+// count, and those past `wal.ckpt` also for their session ops, folded into
+// the snapshot once, in log order.  Only the newest generation may end in a
 // torn write — a bad block with no CRC-valid frame after it; any other bad
 // block fails recovery with the file and offset, leaving every file as it
 // was.  So does a CRC-valid block holding a record that cannot be parsed —
@@ -145,14 +151,16 @@ struct IngestWalConfig {
 class IngestWal {
  public:
   using Completion = std::function<void(const Status&)>;
-  // Invoked (shard, epoch) for each report record dropped by a failed group
-  // commit, so ingest shard counts forget the buffered report.
-  using RollbackCallback = std::function<void(size_t, uint64_t)>;
+  // Invoked once per failed group commit with the number of report records
+  // it dropped (never zero), so ingest accounting forgets them.  The
+  // dropped records always belong to the open epoch: a seal flushes, and
+  // thereby resolves, every buffered record first.
+  using RollbackCallback = std::function<void(uint64_t)>;
 
-  // One epoch as it stands once recovery finishes: its reports per shard,
-  // and whether it is sealed (queued for drain) or still accumulating.
+  // One epoch as it stands once recovery finishes: its report count, and
+  // whether it is sealed (queued for drain) or still accumulating.
   struct RecoveredEpoch {
-    std::vector<uint64_t> shard_counts;
+    uint64_t reports = 0;
     bool sealed = false;
   };
 
@@ -207,9 +215,8 @@ class IngestWal {
   // the record is rolled back.  On failure *done is untouched and the
   // caller resolves it.  Returns the record's LSN.  Reports of an epoch
   // must follow the previous epoch's SealEpoch.
-  Result<uint64_t> AppendReport(size_t shard, uint64_t epoch, ByteSpan report,
-                                uint64_t session_id, uint64_t seq,
-                                Completion* done);
+  Result<uint64_t> AppendReport(uint64_t epoch, ByteSpan report, uint64_t session_id,
+                                uint64_t seq, Completion* done);
   // Session-state records (no completion; durability rides the next
   // barrier — the registry barriers goodbyes, evictions ride along).
   Result<uint64_t> AppendEvict(uint64_t session_id, uint64_t floor);
@@ -232,13 +239,17 @@ class IngestWal {
   // reports of `epoch` out until this returns; on failure the epoch stays
   // open and a retry seals everything it has gathered since.
   Status SealEpoch(uint64_t epoch);
+  // The oldest sealed epoch that no RemoveEpoch has claimed, if any: the
+  // next one to drain.  A failed drain leaves it next.
+  std::optional<uint64_t> NextSealedEpoch() const;
   // Streams a sealed epoch's reports in log order, one block resident at a
-  // time; size() is the sealed count.  A bad block or a read error ends the
-  // stream early, which the drain reports as an error.
+  // time; size() is the sealed count.  A bad block, a read error or an
+  // unparseable record ends the stream, and status() then names the file
+  // and the offset — also when the damage trails the epoch's last report.
   std::unique_ptr<RecordStream> OpenEpochStream(uint64_t epoch) const;
-  // Unlinks a drained epoch's generations in order, then its marker.  A
-  // failed call keeps what is left tracked, so a retry resumes where it
-  // stopped.
+  // Claims a drained epoch, so NextSealedEpoch never hands it out again,
+  // then unlinks its generations in order and its marker last.  A failed
+  // call keeps what is left tracked, so a retry resumes where it stopped.
   Status RemoveEpoch(uint64_t epoch);
 
   Stats stats() const;
@@ -247,7 +258,6 @@ class IngestWal {
   struct PendingRecord {
     uint64_t lsn = 0;
     uint8_t kind = 0;
-    uint64_t shard = 0;
     uint64_t epoch = 0;
     uint64_t session_id = 0;
     uint64_t value = 0;  // seq (commit) or watermark floor (evict)
@@ -283,11 +293,16 @@ class IngestWal {
     uint64_t bytes = 0;
     uint64_t reports = 0;
   };
-  // An epoch's generations and per-shard report counts: the contents of
-  // its seal marker.
+  // An epoch's generations and report count: the contents of its seal
+  // marker.
   struct EpochFiles {
     std::vector<GenFile> gens;
-    std::vector<uint64_t> counts;
+    uint64_t reports = 0;
+  };
+  // A sealed epoch awaiting its drain, or (claimed) its removal.
+  struct SealedEpoch {
+    EpochFiles files;
+    bool claimed = false;  // by RemoveEpoch; never handed out again
   };
   Status WriteSealMarker(uint64_t epoch, const EpochFiles& files);
   // The marker's contents; nullopt when it is torn or corrupt, the error
@@ -333,11 +348,11 @@ class IngestWal {
   // Highest generation the on-disk wal.ckpt covers; recovery replays the
   // session ops of generations above it.
   uint64_t covered_gen_ GUARDED_BY(mu_) = 0;
-  // The open epoch: its closed generations and its flushed reports per
-  // shard (the active generation's join at the next rotation).
+  // The open epoch: its closed generations (the active generation joins at
+  // the next rotation) and its flushed reports.
   EpochFiles open_ GUARDED_BY(mu_);
-  // Sealed epochs whose files await RemoveEpoch.
-  std::map<uint64_t, EpochFiles> sealed_ GUARDED_BY(mu_);
+  // Sealed epochs whose files await RemoveEpoch: the drain queue.
+  std::map<uint64_t, SealedEpoch> sealed_ GUARDED_BY(mu_);
   // A failed group commit whose rollback truncate ALSO failed leaves garbage
   // past gen_bytes_ in the active generation.  The next flush must truncate
   // it away before writing anything (a clean frame after the garbage would

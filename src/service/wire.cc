@@ -403,15 +403,6 @@ size_t StreamingFrameDecoder::Feed(ByteSpan chunk, std::vector<Frame>& out) {
   return produced;
 }
 
-size_t StreamingFrameDecoder::Feed(ByteSpan chunk, std::vector<Bytes>& out) {
-  std::vector<Frame> frames;
-  size_t produced = Feed(chunk, frames);
-  for (auto& frame : frames) {
-    out.push_back(std::move(frame.payload));
-  }
-  return produced;
-}
-
 void StreamingFrameDecoder::Finish(std::vector<Frame>* out) {
   // Input is over, so no buffered frame can be completed by future bytes.
   // Run the complete-buffer reader over the remainder: a frame Feed was
@@ -427,20 +418,6 @@ void StreamingFrameDecoder::Finish(std::vector<Frame>* out) {
   }
   stats_.Fold(reader.stats());
   buffer_.clear();
-}
-
-void StreamingFrameDecoder::Finish() { Finish(static_cast<std::vector<Frame>*>(nullptr)); }
-
-void StreamingFrameDecoder::Finish(std::vector<Bytes>* out) {
-  if (out == nullptr) {
-    Finish();
-    return;
-  }
-  std::vector<Frame> frames;
-  Finish(&frames);
-  for (auto& frame : frames) {
-    out->push_back(std::move(frame.payload));
-  }
 }
 
 }  // namespace prochlo

@@ -288,20 +288,16 @@ class FrameReader {
 // same frames and the same frames_ok/frames_corrupt/bytes_skipped balance.
 class StreamingFrameDecoder {
  public:
-  // Consumes one chunk; appends each completed frame (or its payload, for
-  // the payload-only overload) to `out` and returns how many were produced.
-  // Incomplete trailing bytes stay buffered.
+  // Consumes one chunk; appends each completed frame to `out` and returns
+  // how many were produced.  Incomplete trailing bytes stay buffered.
   size_t Feed(ByteSpan chunk, std::vector<Frame>& out);
-  size_t Feed(ByteSpan chunk, std::vector<Bytes>& out);
 
   // End of input: whatever is still buffered can never complete.  The
   // remainder is re-scanned with FrameReader semantics — a frame embedded
   // in a torn frame's claimed payload is recovered (appended to `out` when
   // given), and the torn bytes land in frames_corrupt/bytes_skipped exactly
   // as FrameReader accounts them.
-  void Finish();
-  void Finish(std::vector<Frame>* out);
-  void Finish(std::vector<Bytes>* out);
+  void Finish(std::vector<Frame>* out = nullptr);
 
   // Bytes buffered awaiting the rest of a frame (diagnostics/backpressure).
   size_t buffered_bytes() const { return buffer_.size(); }

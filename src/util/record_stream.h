@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "src/util/bytes.h"
+#include "src/util/status.h"
 
 namespace prochlo {
 
@@ -24,8 +25,15 @@ class RecordStream {
   // seal marker records its count, vectors know their size).
   virtual size_t size() const = 0;
 
-  // Next record, or nullopt once size() records have been yielded.
+  // Next record, or nullopt once size() records have been yielded — or
+  // once the stream failed, which status() then reports.
   virtual std::optional<Bytes> Next() = 0;
+
+  // Why the stream failed, if it did; Ok while every record read so far
+  // was sound.  A consumer that trusts size() reads on until Next()
+  // returns nullopt and then checks this, so damage past the last record
+  // is seen too.
+  virtual Status status() const { return Status::Ok(); }
 
   // Rewinds to the first record (for shuffle retry attempts).
   virtual void Reset() = 0;

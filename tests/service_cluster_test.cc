@@ -268,9 +268,8 @@ void ExpectSameStats(const PipelineResult& merged, const PipelineResult& serial)
   EXPECT_EQ(merged.analyzer_stats.undecryptable, serial.analyzer_stats.undecryptable);
 }
 
-// Cross-layer balance: every rejection sent exactly one redirect NACK, the
-// clients followed every redirect they were sent, and each report was acked
-// by exactly one group.
+// Cross-layer balance: the clients followed every redirect the groups sent,
+// and each report was acked by exactly one group.
 void ExpectClusterBooksBalance(const std::vector<ShardGroup*>& groups,
                                const std::vector<ClusterClientStats>& client_stats,
                                const std::vector<FrameClientStats>& folded_stats,
@@ -280,8 +279,6 @@ void ExpectClusterBooksBalance(const std::vector<ShardGroup*>& groups,
   uint64_t redirects_sent = 0;
   for (ShardGroup* group : groups) {
     const FrontendStats& stats = group->frontend().stats();
-    EXPECT_EQ(stats.misrouted_rejected.load(), stats.redirects_sent.load())
-        << "group " << group->group_id();
     accepted += stats.reports_accepted.load();
     redirects_sent += stats.redirects_sent.load();
     acked += group->server().ack_book().acked;

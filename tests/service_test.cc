@@ -118,11 +118,9 @@ Bytes NumberedReport(uint64_t i) {
   return report;
 }
 
-// Routes NumberedReport(i) to its shard as session 1's seq i.
+// Accepts NumberedReport(i) as session 1's seq i.
 Status AcceptNumbered(ShardedIngest& ingest, uint64_t i) {
-  Bytes report = NumberedReport(i);
-  const size_t shard = ShardedIngest::ShardOfReport(report, ingest.num_shards());
-  return ingest.AcceptToShard(shard, std::move(report), ReportContext{1, i}, nullptr);
+  return ingest.Accept(NumberedReport(i), ReportContext{1, i}, nullptr);
 }
 
 // A WAL over `dir` (the spool root) on `fs` (null = the real disk),
@@ -137,23 +135,17 @@ std::unique_ptr<IngestWal> OpenWal(const std::string& dir, Fs* fs = nullptr) {
   return wal;
 }
 
-// Each shard's count of a sealed epoch's reports, as the WAL streams them
-// back.
-std::vector<size_t> StreamedShardCounts(IngestWal& wal, uint64_t epoch, size_t num_shards) {
-  std::vector<size_t> counts(num_shards, 0);
+// How many reports a sealed epoch's stream yields, which must be its
+// size(): the count the seal marker recorded.
+size_t StreamedCount(IngestWal& wal, uint64_t epoch) {
   auto stream = wal.OpenEpochStream(epoch);
-  while (auto report = stream->Next()) {
-    counts[ShardedIngest::ShardOfReport(*report, num_shards)]++;
+  size_t count = 0;
+  while (stream->Next()) {
+    count++;
   }
-  return counts;
-}
-
-uint64_t Total(const std::vector<uint64_t>& counts) {
-  uint64_t total = 0;
-  for (uint64_t count : counts) {
-    total += count;
-  }
-  return total;
+  EXPECT_TRUE(stream->status().ok());
+  EXPECT_EQ(count, stream->size());
+  return count;
 }
 
 TEST(ServiceTest, SizeTriggerSealsEpochs) {
@@ -169,21 +161,13 @@ TEST(ServiceTest, SizeTriggerSealsEpochs) {
   EXPECT_EQ(ingest.stats().epochs_sealed, 2u);
   EXPECT_EQ(ingest.current_epoch_size(), 5u);
 
-  auto first = ingest.PopSealedEpoch();
-  ASSERT_TRUE(first.has_value());
-  EXPECT_EQ(first->epoch, 0u);
-  EXPECT_EQ(first->total, 10u);
-  EXPECT_EQ(StreamedShardCounts(*wal, 0, 4), first->shard_counts);
-  size_t sum = 0;
-  for (size_t count : first->shard_counts) {
-    sum += count;
-  }
-  EXPECT_EQ(sum, 10u);
-  auto second = ingest.PopSealedEpoch();
-  ASSERT_TRUE(second.has_value());
-  EXPECT_EQ(second->epoch, 1u);
-  EXPECT_EQ(StreamedShardCounts(*wal, 1, 4), second->shard_counts);
-  EXPECT_FALSE(ingest.PopSealedEpoch().has_value());
+  EXPECT_EQ(wal->NextSealedEpoch(), std::optional<uint64_t>(0));
+  EXPECT_EQ(StreamedCount(*wal, 0), 10u);
+  ASSERT_TRUE(wal->RemoveEpoch(0).ok());
+  EXPECT_EQ(wal->NextSealedEpoch(), std::optional<uint64_t>(1));
+  EXPECT_EQ(StreamedCount(*wal, 1), 10u);
+  ASSERT_TRUE(wal->RemoveEpoch(1).ok());
+  EXPECT_FALSE(wal->NextSealedEpoch().has_value());
 }
 
 TEST(ServiceTest, AgeTriggerWaitsForAnonymityFloor) {
@@ -208,9 +192,8 @@ TEST(ServiceTest, AgeTriggerWaitsForAnonymityFloor) {
   ASSERT_TRUE(ingest.Tick().ok());
   EXPECT_EQ(ingest.stats().epochs_sealed, 1u);
   EXPECT_EQ(ingest.stats().age_cuts, 1u);
-  auto batch = ingest.PopSealedEpoch();
-  ASSERT_TRUE(batch.has_value());
-  EXPECT_EQ(StreamedShardCounts(*wal, 0, 2), batch->shard_counts);
+  EXPECT_EQ(wal->NextSealedEpoch(), std::optional<uint64_t>(0));
+  EXPECT_EQ(StreamedCount(*wal, 0), 5u);
 }
 
 TEST(ServiceTest, TickSurfacesAndCountsSealFailures) {
@@ -239,22 +222,16 @@ TEST(ServiceTest, TickSurfacesAndCountsSealFailures) {
   EXPECT_EQ(ingest.current_epoch_size(), 4u);  // the epoch is still open
 
   // Restore the directory: the next tick's retry seals cleanly, and the
-  // retried batch still carries the full per-shard accounting (the failed
-  // seal must not have zeroed the shard counts).
+  // retried epoch still carries its full count (the failed seal must not
+  // have zeroed it).
   fs::create_directories(dir.path);
   EXPECT_TRUE(ingest.Tick().ok());
   stats = ingest.stats();
   EXPECT_EQ(stats.seal_failures, 1u);
   EXPECT_EQ(stats.age_cuts, 1u);
   EXPECT_EQ(stats.epochs_sealed, 1u);
-  auto batch = ingest.PopSealedEpoch();
-  ASSERT_TRUE(batch.has_value());
-  EXPECT_EQ(batch->total, 4u);
-  size_t shard_sum = 0;
-  for (size_t count : batch->shard_counts) {
-    shard_sum += count;
-  }
-  EXPECT_EQ(shard_sum, 4u);
+  EXPECT_EQ(stats.accepted, 4u);
+  EXPECT_EQ(wal->NextSealedEpoch(), std::optional<uint64_t>(0));
   EXPECT_EQ(wal->OpenEpochStream(0)->size(), 4u);  // the marker names all four
 }
 
@@ -265,17 +242,13 @@ TEST(ServiceTest, SpoolRoundTripAndTornTailRecovery) {
   std::vector<Bytes> epoch0;
   {
     auto wal = OpenWal(dir.path);
-    for (uint64_t i = 0; i < 5; ++i) {
+    for (uint64_t i = 0; i < 8; ++i) {
       epoch0.push_back(NumberedReport(i));
-      ASSERT_TRUE(wal->AppendReport(/*shard=*/0, /*epoch=*/0, epoch0.back(), 1, i, nullptr).ok());
-    }
-    for (uint64_t i = 5; i < 8; ++i) {
-      epoch0.push_back(NumberedReport(i));
-      ASSERT_TRUE(wal->AppendReport(/*shard=*/1, /*epoch=*/0, epoch0.back(), 1, i, nullptr).ok());
+      ASSERT_TRUE(wal->AppendReport(/*epoch=*/0, epoch0.back(), 1, i, nullptr).ok());
     }
     ASSERT_TRUE(wal->SealEpoch(0).ok());
-    ASSERT_TRUE(wal->AppendReport(0, 1, NumberedReport(100), 1, 100, nullptr).ok());
-    ASSERT_TRUE(wal->AppendReport(0, 1, NumberedReport(101), 1, 101, nullptr).ok());
+    ASSERT_TRUE(wal->AppendReport(1, NumberedReport(100), 1, 100, nullptr).ok());
+    ASSERT_TRUE(wal->AppendReport(1, NumberedReport(101), 1, 101, nullptr).ok());
     ASSERT_TRUE(wal->Sync().ok());
   }
   // Crash: a torn half-frame at the end of epoch 1's generation.
@@ -289,10 +262,10 @@ TEST(ServiceTest, SpoolRoundTripAndTornTailRecovery) {
   ASSERT_EQ(recovery.value().epochs.size(), 2u);
   const IngestWal::RecoveredEpoch& sealed = recovery.value().epochs.at(0);
   EXPECT_TRUE(sealed.sealed);
-  EXPECT_EQ(sealed.shard_counts, (std::vector<uint64_t>{5, 3}));
+  EXPECT_EQ(sealed.reports, 8u);
   const IngestWal::RecoveredEpoch& open = recovery.value().epochs.at(1);
   EXPECT_FALSE(open.sealed);
-  EXPECT_EQ(Total(open.shard_counts), 2u);  // torn record discarded
+  EXPECT_EQ(open.reports, 2u);  // torn record discarded
   EXPECT_GT(recovery.value().truncated_bytes, 0u);
 
   auto stream = reopened.OpenEpochStream(0);
@@ -323,7 +296,7 @@ TEST(ServiceTest, RecoveryResumesEpochWhoseOnlySegmentWasTorn) {
   {
     auto wal = OpenWal(dir.path);
     for (uint64_t i = 0; i < 6; ++i) {
-      ASSERT_TRUE(wal->AppendReport(0, 0, NumberedReport(i), 1, i, nullptr).ok());
+      ASSERT_TRUE(wal->AppendReport(0, NumberedReport(i), 1, i, nullptr).ok());
     }
     ASSERT_TRUE(wal->SealEpoch(0).ok());
   }
@@ -350,10 +323,8 @@ TEST(ServiceTest, RecoveryResumesEpochWhoseOnlySegmentWasTorn) {
   ASSERT_TRUE(ingest.CutEpoch().ok());
   EXPECT_EQ(reopened.OpenEpochStream(0)->size(), 6u);  // sealed epoch untouched
   EXPECT_EQ(reopened.OpenEpochStream(1)->size(), 1u);
-  auto first = ingest.PopSealedEpoch();
-  ASSERT_TRUE(first.has_value());
-  EXPECT_EQ(first->epoch, 0u);
-  EXPECT_EQ(first->total, 6u);
+  EXPECT_EQ(reopened.NextSealedEpoch(), std::optional<uint64_t>(0));
+  EXPECT_EQ(StreamedCount(reopened, 0), 6u);
 }
 
 TEST(ServiceTest, FailedDrainKeepsEpochQueued) {

@@ -318,83 +318,209 @@ TEST(ServiceWalTest, BitRotIsRefusedNeverTruncated) {
 // ------------------------------- an unknown record kind is refused, not skipped
 
 // A CRC-valid block holding a record of a kind this reader does not know —
-// the retired kind 1, a report without a session, or a kind no writer ever
-// used — cannot be framed past.  Skipping the rest of the block would
-// silently drop whatever acknowledged records it holds, so the reader
-// refuses it.  The generation holds a block of reports, a block of session
-// ops that the test rewrites to hold the unknown record, and another block
-// of reports.  As the newest generation, Start() refuses, naming the file
-// and the offset, and changes no file.  As a sealed generation, which
-// recovery trusts from its marker, the drain fails and the epoch stays
-// queued.
+// the retired kinds 1 (a report without a session) and 2 (a report with its
+// shard), or a kind no writer ever used — cannot be framed past.  Skipping
+// the rest of the block would silently drop whatever acknowledged records
+// it holds, so the reader refuses it.  The generation holds a block of
+// reports, a block of session ops that the test rewrites to hold the
+// unknown record, and — unless the rewritten block is the generation's
+// last — another block of reports.  As the newest generation, Start()
+// refuses, naming the file and the offset, and changes no file.  As a
+// sealed generation, which recovery trusts from its marker, the drain
+// fails and the epoch stays queued: the drain reads past the epoch's last
+// report to the end of its generations, so damage after it is seen too.
 TEST(ServiceWalTest, UnknownRecordKindIsRefusedNeverSkipped) {
   FrontendConfig base = WalFrontendConfig("");
   const std::vector<Bytes> sealed = SealCohort(base, "wal-kind");
   ASSERT_GE(sealed.size(), 16u);
-  for (uint8_t kind : {uint8_t{1}, uint8_t{9}}) {
-    for (bool sealed_epoch : {false, true}) {
-      SCOPED_TRACE("kind " + std::to_string(kind) + (sealed_epoch ? ", sealed" : ", newest"));
-      TestSpool dir;
-      FrontendConfig config = base;
-      config.spool_dir = dir.path;
-      config.fs = &dir.disk;
-      std::string victim;
-      {
-        ShufflerFrontend before(config);
-        ASSERT_TRUE(before.Start().ok());
-        ASSERT_TRUE(IngestReports(before, std::span(sealed).first(8)).ok());
-        for (uint64_t session = 101; session <= 103; ++session) {
-          ASSERT_TRUE(before.wal()->AppendGoodbye(session).ok());
-        }
-        ASSERT_TRUE(before.BarrierIngest().ok());
-        ASSERT_TRUE(IngestReports(before, std::span(sealed).subspan(8, 8), {1, 8}).ok());
-        victim = NewestGeneration(&dir.disk, dir.path);
-        if (sealed_epoch) {
-          ASSERT_TRUE(before.CutEpoch().ok());
-        }
-      }  // crash
+  for (uint8_t kind : {uint8_t{1}, uint8_t{2}, uint8_t{9}}) {
+    for (bool last : {false, true}) {
+      for (bool sealed_epoch : {false, true}) {
+        SCOPED_TRACE("kind " + std::to_string(kind) + (last ? ", last block" : ", middle block") +
+                     (sealed_epoch ? ", sealed" : ", newest"));
+        TestSpool dir;
+        FrontendConfig config = base;
+        config.spool_dir = dir.path;
+        config.fs = &dir.disk;
+        std::string victim;
+        {
+          ShufflerFrontend before(config);
+          ASSERT_TRUE(before.Start().ok());
+          ASSERT_TRUE(IngestReports(before, std::span(sealed).first(8)).ok());
+          for (uint64_t session = 101; session <= 103; ++session) {
+            ASSERT_TRUE(before.wal()->AppendGoodbye(session).ok());
+          }
+          ASSERT_TRUE(before.BarrierIngest().ok());
+          if (!last) {
+            ASSERT_TRUE(IngestReports(before, std::span(sealed).subspan(8, 8), {1, 8}).ok());
+          }
+          victim = NewestGeneration(&dir.disk, dir.path);
+          if (sealed_epoch) {
+            ASSERT_TRUE(before.CutEpoch().ok());
+          }
+        }  // crash
 
-      // Rewrite the middle block in place, at the same size, so a sealed
-      // generation still has the size its marker recorded.
-      Bytes bytes = ReadFileBytes(&dir.disk, victim).value_or(Bytes{});
-      FrameHeader first;
-      ASSERT_TRUE(ParseFrameHeader(bytes, &first));
-      const size_t offset = FrameWireSize(first.length);
-      FrameHeader middle;
-      ASSERT_TRUE(ParseFrameHeader(ByteSpan(bytes).subspan(offset), &middle));
-      Writer record;  // laid out as kind 1 was: shard, epoch, report
-      record.PutU8(kind);
-      record.PutU64(/*shard=*/0);
-      record.PutU64(/*epoch=*/0);
-      record.PutLengthPrefixed(ByteSpan());
-      Bytes payload = record.Take();
-      ASSERT_LE(payload.size(), middle.length);
-      payload.resize(middle.length, 0);
-      Bytes block;
-      AppendFrame(block, payload);
-      std::copy(block.begin(), block.end(), bytes.begin() + static_cast<ptrdiff_t>(offset));
-      ASSERT_TRUE(WriteFileBytes(&dir.disk, victim, bytes).ok());
-      const auto damaged = DirImage(&dir.disk, dir.path);
+        // Rewrite the session-op block in place, at the same size, so a
+        // sealed generation still has the size its marker recorded.
+        Bytes bytes = ReadFileBytes(&dir.disk, victim).value_or(Bytes{});
+        FrameHeader first;
+        ASSERT_TRUE(ParseFrameHeader(bytes, &first));
+        const size_t offset = FrameWireSize(first.length);
+        FrameHeader ops;
+        ASSERT_TRUE(ParseFrameHeader(ByteSpan(bytes).subspan(offset), &ops));
+        Writer record;  // laid out as kind 1 was: shard, epoch, report
+        record.PutU8(kind);
+        record.PutU64(/*shard=*/0);
+        record.PutU64(/*epoch=*/0);
+        record.PutLengthPrefixed(ByteSpan());
+        Bytes payload = record.Take();
+        ASSERT_LE(payload.size(), ops.length);
+        payload.resize(ops.length, 0);
+        Bytes block;
+        AppendFrame(block, payload);
+        std::copy(block.begin(), block.end(), bytes.begin() + static_cast<ptrdiff_t>(offset));
+        ASSERT_TRUE(WriteFileBytes(&dir.disk, victim, bytes).ok());
+        const auto damaged = DirImage(&dir.disk, dir.path);
 
-      ShufflerFrontend after(config);
-      Status started = after.Start();
-      if (!sealed_epoch) {
-        ASSERT_FALSE(started.ok());
-        EXPECT_NE(started.error().message.find(victim), std::string::npos)
-            << started.error().message;
-        EXPECT_NE(started.error().message.find("offset"), std::string::npos);
-        EXPECT_EQ(DirImage(&dir.disk, dir.path), damaged);  // byte-identical
-        continue;
+        ShufflerFrontend after(config);
+        Status started = after.Start();
+        if (!sealed_epoch) {
+          ASSERT_FALSE(started.ok());
+          EXPECT_NE(started.error().message.find(victim), std::string::npos)
+              << started.error().message;
+          EXPECT_NE(started.error().message.find("offset"), std::string::npos);
+          EXPECT_EQ(DirImage(&dir.disk, dir.path), damaged);  // byte-identical
+          continue;
+        }
+        ASSERT_TRUE(started.ok()) << started.error().message;
+        for (int attempt = 0; attempt < 2; ++attempt) {
+          auto drained = after.DrainSealedEpochs();
+          ASSERT_FALSE(drained.ok());
+          EXPECT_EQ(drained.failure->epoch, 0u);  // still queued each time
+          EXPECT_NE(drained.failure->error.message.find(victim), std::string::npos)
+              << drained.failure->error.message;
+        }
+        EXPECT_EQ(after.stats().epochs_drained.load(), 0u);
       }
-      ASSERT_TRUE(started.ok()) << started.error().message;
-      for (int attempt = 0; attempt < 2; ++attempt) {
-        auto drained = after.DrainSealedEpochs();
-        ASSERT_FALSE(drained.ok());
-        EXPECT_EQ(drained.failure->epoch, 0u);  // requeued intact each time
-      }
-      EXPECT_EQ(after.stats().epochs_drained.load(), 0u);
     }
   }
+}
+
+// ----------------------------------------- a shard is only a routing key
+
+// The shard count is the worker pool's routing width and nothing durable
+// stores it, so a restart may change it.  A 4-shard frontend seals one epoch
+// and crashes with a second open; restarted with 2 shards it drains every
+// acked report exactly once, bit-identical to the serial frontend, and
+// refuses a routing key past its new width.
+TEST(ServiceWalTest, RestartWithFewerShardsDrainsEveryAckedReportOnce) {
+  FrontendConfig base = WalFrontendConfig("");
+  ASSERT_EQ(base.ingest.num_shards, 4u);
+  const std::vector<std::vector<Bytes>> epochs = {SealCohort(base, "wal-reshard-0"),
+                                                  SealCohort(base, "wal-reshard-1")};
+  const ReportContext second_seqs{1, epochs[0].size()};
+  std::vector<std::map<std::string, uint64_t>> expected;
+  {
+    ShufflerFrontend reference(base);
+    ASSERT_TRUE(reference.Start().ok());
+    ASSERT_TRUE(IngestReports(reference, epochs[0]).ok());
+    ASSERT_TRUE(reference.CutEpoch().ok());
+    ASSERT_TRUE(IngestReports(reference, epochs[1], second_seqs).ok());
+    ASSERT_TRUE(reference.CutEpoch().ok());
+    auto drained = reference.DrainSealedEpochs();
+    ASSERT_TRUE(drained.ok());
+    ASSERT_EQ(drained.results.size(), 2u);
+    for (const EpochResult& result : drained.results) {
+      expected.push_back(result.result.histogram);
+    }
+  }
+
+  TestSpool dir;
+  FrontendConfig config = base;
+  config.spool_dir = dir.path;
+  config.fs = &dir.disk;
+  {
+    ShufflerFrontend before(config);
+    ASSERT_TRUE(before.Start().ok());
+    ASSERT_TRUE(IngestReports(before, epochs[0]).ok());
+    ASSERT_TRUE(before.CutEpoch().ok());
+    ASSERT_TRUE(IngestReports(before, epochs[1], second_seqs).ok());
+  }  // crash: epoch 0 sealed, epoch 1 open
+
+  config.ingest.num_shards = 2;
+  ShufflerFrontend after(config);
+  ASSERT_TRUE(after.Start().ok());
+  EXPECT_EQ(after.num_shards(), 2u);
+  EXPECT_EQ(after.stats().recovered_reports.load(), epochs[0].size() + epochs[1].size());
+  EXPECT_EQ(after.current_epoch(), 1u);
+  EXPECT_EQ(after.current_epoch_size(), epochs[1].size());
+  Status refused = Status::Ok();
+  EXPECT_FALSE(after
+                   .AcceptRoutedReportAsync(2, epochs[1][0], ReportContext{2, 0},
+                                            [&refused](const Status& status) { refused = status; })
+                   .ok());
+  EXPECT_FALSE(refused.ok());
+  EXPECT_EQ(after.current_epoch_size(), epochs[1].size());
+
+  ASSERT_TRUE(after.CutEpoch().ok());
+  auto drained = after.DrainSealedEpochs();
+  ASSERT_TRUE(drained.ok()) << drained.failure->error.message;
+  ASSERT_EQ(drained.results.size(), 2u);
+  for (uint64_t e = 0; e < 2; ++e) {
+    SCOPED_TRACE("epoch " + std::to_string(e));
+    EXPECT_EQ(drained.results[e].epoch, e);
+    EXPECT_EQ(drained.results[e].reports, epochs[e].size());
+    EXPECT_EQ(drained.results[e].result.shuffler_stats.received, epochs[e].size());
+    EXPECT_EQ(drained.results[e].result.histogram, expected[e]);
+  }
+  EXPECT_FALSE(after.wal()->NextSealedEpoch().has_value());
+  EXPECT_TRUE(after.DrainSealedEpochs().results.empty());
+}
+
+// A seal marker of the retired per-shard layout (a shard count and one
+// count per shard where the report count now stands) is refused as
+// corrupt, naming the marker and changing no file, never read as a
+// different epoch.
+TEST(ServiceWalTest, RetiredPerShardMarkerIsRefusedAsCorrupt) {
+  FrontendConfig base = WalFrontendConfig("");
+  const std::vector<Bytes> sealed = SealCohort(base, "wal-marker");
+  TestSpool dir;
+  FrontendConfig config = base;
+  config.spool_dir = dir.path;
+  config.fs = &dir.disk;
+  {
+    ShufflerFrontend before(config);
+    ASSERT_TRUE(before.Start().ok());
+    ASSERT_TRUE(IngestReports(before, sealed).ok());
+    ASSERT_TRUE(before.CutEpoch().ok());
+  }
+  const std::string marker = dir.path + "/epoch-0.sealed";
+  auto frame = ReadFileBytes(&dir.disk, marker);
+  ASSERT_TRUE(frame.has_value());
+  auto payload = DecodeFrame(*frame);
+  ASSERT_TRUE(payload.ok());
+  // Epoch, generation list, then the u64 report count: swap the count for
+  // the retired tail, a u32 shard count and that many u64 counts.
+  Bytes header = payload.value();
+  ASSERT_GE(header.size(), 8u);
+  header.resize(header.size() - 8);
+  Writer tail;
+  tail.PutU32(4);
+  for (uint64_t s = 0; s < 4; ++s) {
+    tail.PutU64(sealed.size() / 4 + (s < sealed.size() % 4 ? 1 : 0));
+  }
+  const Bytes counts = tail.Take();
+  header.insert(header.end(), counts.begin(), counts.end());
+  ASSERT_TRUE(WriteFileBytes(&dir.disk, marker, EncodeFrame(header)).ok());
+  const auto retired = DirImage(&dir.disk, dir.path);
+
+  ShufflerFrontend after(config);
+  Status started = after.Start();
+  ASSERT_FALSE(started.ok());
+  EXPECT_NE(started.error().message.find("corrupt seal marker"), std::string::npos)
+      << started.error().message;
+  EXPECT_NE(started.error().message.find(marker), std::string::npos);
+  EXPECT_EQ(DirImage(&dir.disk, dir.path), retired);
 }
 
 // --------------------------------------- group-commit fsync amortization

@@ -422,12 +422,16 @@ void ExpectDecoderMatchesReader(const Bytes& stream, size_t chunk_size) {
   }
 
   StreamingFrameDecoder decoder;
-  std::vector<Bytes> got;
+  std::vector<Frame> frames;
   for (size_t off = 0; off < stream.size(); off += chunk_size) {
     size_t len = std::min(chunk_size, stream.size() - off);
-    decoder.Feed(ByteSpan(stream.data() + off, len), got);
+    decoder.Feed(ByteSpan(stream.data() + off, len), frames);
   }
-  decoder.Finish(&got);
+  decoder.Finish(&frames);
+  std::vector<Bytes> got;
+  for (Frame& frame : frames) {
+    got.push_back(std::move(frame.payload));
+  }
 
   EXPECT_EQ(got, expected) << "chunk=" << chunk_size;
   EXPECT_EQ(decoder.stats().frames_ok, reader.stats().frames_ok) << "chunk=" << chunk_size;
@@ -634,7 +638,7 @@ TEST(WireFormatTest, InterleavedTypedFramesFuzzedChunkingMatchesReader) {
 TEST(WireFormatTest, StreamingDecoderCutsFrameTheMomentItCompletes) {
   Bytes frame = EncodeFrame(ToBytes("prompt"));
   StreamingFrameDecoder decoder;
-  std::vector<Bytes> out;
+  std::vector<Frame> out;
   // Everything but the last byte: nothing can be produced yet.
   EXPECT_EQ(decoder.Feed(ByteSpan(frame.data(), frame.size() - 1), out), 0u);
   EXPECT_TRUE(out.empty());
@@ -642,7 +646,7 @@ TEST(WireFormatTest, StreamingDecoderCutsFrameTheMomentItCompletes) {
   // The final byte completes the frame immediately — no Finish needed.
   EXPECT_EQ(decoder.Feed(ByteSpan(frame.data() + frame.size() - 1, 1), out), 1u);
   ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(ToString(out[0]), "prompt");
+  EXPECT_EQ(ToString(out[0].payload), "prompt");
   EXPECT_EQ(decoder.buffered_bytes(), 0u);
 }
 
