@@ -51,6 +51,36 @@ void BM_FieldMontMul(benchmark::State& state) {
 }
 BENCHMARK(BM_FieldMontMul);
 
+// One P-256 Montgomery squaring, chained the same way.
+void BM_FieldMontSqr(benchmark::State& state) {
+  SecureRandom rng(ToBytes("bench-field-sqr"));
+  const ModField& f = P256::Get().field();
+  U256 acc = rng.RandomScalar(f.modulus());
+  for (auto _ : state) {
+    acc = f.MontSqr(acc);
+    benchmark::DoNotOptimize(acc);
+  }
+}
+BENCHMARK(BM_FieldMontSqr);
+
+// Two independent MontMul chains per iteration, reported per multiplication:
+// what a second point in lockstep gains when the core overlaps the chains.
+void BM_FieldMontMul2(benchmark::State& state) {
+  SecureRandom rng(ToBytes("bench-field-2"));
+  const ModField& f = P256::Get().field();
+  U256 acc0 = rng.RandomScalar(f.modulus());
+  U256 acc1 = rng.RandomScalar(f.modulus());
+  const U256 b = rng.RandomScalar(f.modulus());
+  for (auto _ : state) {
+    acc0 = f.MontMul(acc0, b);
+    acc1 = f.MontMul(acc1, b);
+    benchmark::DoNotOptimize(acc0);
+    benchmark::DoNotOptimize(acc1);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 2);
+}
+BENCHMARK(BM_FieldMontMul2);
+
 // Variable-base multiplication (wNAF) with a public scalar against an
 // arbitrary point — nothing to precompute.
 void BM_P256_ScalarMult(benchmark::State& state) {

@@ -2,10 +2,10 @@
 # Dynamic constant-time verification (ctgrind-style).
 #
 # Drives build/ct_harness under valgrind:
-#   1. Positives: the six real crypto scenarios (ecdh, elgamal-decrypt,
-#      batch-ecdh, batch-elgamal-decrypt, gcm-verify, hmac-verify) must
-#      produce ZERO shadow-state errors — no branch or memory address may
-#      depend on poisoned secret bytes.
+#   1. Positives: the seven real crypto scenarios (ecdh, elgamal-decrypt,
+#      batch-ecdh, batch-ecdh-even, batch-elgamal-decrypt, gcm-verify,
+#      hmac-verify) must produce ZERO shadow-state errors — no branch or
+#      memory address may depend on poisoned secret bytes.
 #   2. Negatives: the planted violations
 #      (--inject=branch|index|tag-memcmp|wnaf-recode) MUST be reported.  A
 #      verifier that stays quiet on a planted bug is not evidence of
@@ -53,7 +53,8 @@ fi
 
 fail=0
 
-for scenario in ecdh elgamal-decrypt batch-ecdh batch-elgamal-decrypt gcm-verify hmac-verify; do
+for scenario in ecdh elgamal-decrypt batch-ecdh batch-ecdh-even batch-elgamal-decrypt gcm-verify \
+    hmac-verify; do
   log="$(mktemp)"
   if "${VALGRIND[@]}" "$HARNESS" "$scenario" >/dev/null 2>"$log"; then
     echo "ct-verify: PASS $scenario (no secret-dependent branches or indices)"

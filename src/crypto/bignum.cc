@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "src/crypto/ct.h"
+#include "src/crypto/p256_field.h"
 
 namespace prochlo {
 
@@ -84,85 +85,17 @@ uint64_t NegInverse64(uint64_t m) {
   return ~inv + 1;  // -inv mod 2^64
 }
 
-// The P-256 prime 2^256 - 2^224 + 2^192 + 2^96 - 1, little-endian limbs.
-constexpr uint64_t kP256Limbs[4] = {0xFFFFFFFFFFFFFFFFull, 0x00000000FFFFFFFFull, 0ull,
-                                    0xFFFFFFFF00000001ull};
-
-// Limb-wise a + b + carry_in and a - b - borrow_in on named locals: the
-// carry chains compile to add/adc and sub/sbb with every limb in a register.
-using u128 = unsigned __int128;
-
-inline uint64_t AddLimb(uint64_t a, uint64_t b, uint64_t& carry) {
-  const u128 sum = static_cast<u128>(a) + b + carry;
-  carry = static_cast<uint64_t>(sum >> 64);
-  return static_cast<uint64_t>(sum);
-}
-
-inline uint64_t SubLimb(uint64_t a, uint64_t b, uint64_t& borrow) {
-  const u128 diff = static_cast<u128>(a) - b - borrow;
-  borrow = static_cast<uint64_t>(diff >> 64) & 1;
-  return static_cast<uint64_t>(diff);
-}
-
-// Montgomery multiplication for the P-256 prime: CIOS (one limb of a
-// multiplied in and one limb reduced away per round), unrolled, with no
-// branch anywhere.  -p^{-1} = 1 mod 2^64, so each round's quotient digit m
-// is just the low limb, and the sparse limbs turn t + m*p (whose low limb is
-// zero by construction) shifted down one limb into
-//   (t >> 64) + (m << 32) + (m * p[3]) << 128,
-// two short carry chains.  Every round keeps t < 2p (a 257-bit value in
-// five limbs), so one masked subtract finishes it.  For any inputs the
-// result equals the schoolbook product + separate REDC it replaced: both
-// compute (a*b + M*p) / 2^256 with the same M = -a*b*p^{-1} mod 2^256.
-// The limbs live in named locals, not arrays, so they stay in registers.
-U256 P256MontMul(const U256& a, const U256& b) {
-  const uint64_t b0 = b.limbs[0], b1 = b.limbs[1], b2 = b.limbs[2], b3 = b.limbs[3];
-  uint64_t t0 = 0, t1 = 0, t2 = 0, t3 = 0, t4 = 0;
-  for (int i = 0; i < 4; ++i) {
-    const uint64_t ai = a.limbs[i];
-    // t += ai * b, five limbs plus a carry bit s5.
-    u128 acc = static_cast<u128>(ai) * b0 + t0;
-    const uint64_t m = static_cast<uint64_t>(acc);
-    acc = static_cast<u128>(ai) * b1 + t1 + static_cast<uint64_t>(acc >> 64);
-    const uint64_t s1 = static_cast<uint64_t>(acc);
-    acc = static_cast<u128>(ai) * b2 + t2 + static_cast<uint64_t>(acc >> 64);
-    const uint64_t s2 = static_cast<uint64_t>(acc);
-    acc = static_cast<u128>(ai) * b3 + t3 + static_cast<uint64_t>(acc >> 64);
-    const uint64_t s3 = static_cast<uint64_t>(acc);
-    acc = static_cast<u128>(t4) + static_cast<uint64_t>(acc >> 64);
-    const uint64_t s4 = static_cast<uint64_t>(acc);
-    const uint64_t s5 = static_cast<uint64_t>(acc >> 64);
-    // t = (t + m*p) >> 64.
-    const u128 mp3 = static_cast<u128>(m) * kP256Limbs[3];
-    acc = static_cast<u128>(s1) + (m << 32);
-    t0 = static_cast<uint64_t>(acc);
-    acc = static_cast<u128>(s2) + (m >> 32) + static_cast<uint64_t>(acc >> 64);
-    t1 = static_cast<uint64_t>(acc);
-    acc = static_cast<u128>(s3) + static_cast<uint64_t>(mp3) + static_cast<uint64_t>(acc >> 64);
-    t2 = static_cast<uint64_t>(acc);
-    acc = static_cast<u128>(s4) + static_cast<uint64_t>(mp3 >> 64) +
-          static_cast<uint64_t>(acc >> 64);
-    t3 = static_cast<uint64_t>(acc);
-    t4 = s5 + static_cast<uint64_t>(acc >> 64);
-  }
-  // r = t - p; keep t when it was already below p (nothing in t4 and the
-  // subtract borrowed).
-  uint64_t borrow = 0;
-  const uint64_t r0 = SubLimb(t0, kP256Limbs[0], borrow);
-  const uint64_t r1 = SubLimb(t1, kP256Limbs[1], borrow);
-  const uint64_t r2 = SubLimb(t2, kP256Limbs[2], borrow);
-  const uint64_t r3 = SubLimb(t3, kP256Limbs[3], borrow);
-  const uint64_t keep = ct::NonZeroMask((t4 ^ 1) & borrow);
-  return U256{{ct::CtSelect(keep, t0, r0), ct::CtSelect(keep, t1, r1), ct::CtSelect(keep, t2, r2),
-               ct::CtSelect(keep, t3, r3)}};
-}
+// Limb-wise a + b + carry and a - b - borrow: the P-256 field core's carry
+// helpers, shared by the generic Add/Sub/Neg below.
+using p256_field::AddCarry;
+using p256_field::Carry;
+using p256_field::SubBorrow;
 }  // namespace
 
 ModField::ModField(const U256& modulus) : modulus_(modulus) {
   assert(modulus.IsOdd());
   n0_inv_ = NegInverse64(modulus.limbs[0]);
-  p256_fast_ = modulus.limbs[0] == kP256Limbs[0] && modulus.limbs[1] == kP256Limbs[1] &&
-               modulus.limbs[2] == kP256Limbs[2] && modulus.limbs[3] == kP256Limbs[3];
+  p256_fast_ = modulus == p256_field::kPrime;
 
   // R^2 mod m by starting from 1 and doubling 512 times.
   U256 acc = U256::One();
@@ -226,16 +159,16 @@ inline void MontMulCios(const U256& a, const U256& b, const U256& modulus, uint6
 
 U256 ModField::Add(const U256& a, const U256& b) const {
   const uint64_t* m = modulus_.limbs.data();
-  uint64_t carry = 0;
-  const uint64_t s0 = AddLimb(a.limbs[0], b.limbs[0], carry);
-  const uint64_t s1 = AddLimb(a.limbs[1], b.limbs[1], carry);
-  const uint64_t s2 = AddLimb(a.limbs[2], b.limbs[2], carry);
-  const uint64_t s3 = AddLimb(a.limbs[3], b.limbs[3], carry);
-  uint64_t borrow = 0;
-  const uint64_t r0 = SubLimb(s0, m[0], borrow);
-  const uint64_t r1 = SubLimb(s1, m[1], borrow);
-  const uint64_t r2 = SubLimb(s2, m[2], borrow);
-  const uint64_t r3 = SubLimb(s3, m[3], borrow);
+  Carry carry = 0;
+  const uint64_t s0 = AddCarry(a.limbs[0], b.limbs[0], carry);
+  const uint64_t s1 = AddCarry(a.limbs[1], b.limbs[1], carry);
+  const uint64_t s2 = AddCarry(a.limbs[2], b.limbs[2], carry);
+  const uint64_t s3 = AddCarry(a.limbs[3], b.limbs[3], carry);
+  Carry borrow = 0;
+  const uint64_t r0 = SubBorrow(s0, m[0], borrow);
+  const uint64_t r1 = SubBorrow(s1, m[1], borrow);
+  const uint64_t r2 = SubBorrow(s2, m[2], borrow);
+  const uint64_t r3 = SubBorrow(s3, m[3], borrow);
   // Keep the unreduced sum iff it neither overflowed 2^256 nor reached m.
   const uint64_t keep = ct::NonZeroMask((carry ^ 1) & borrow);
   return U256{{ct::CtSelect(keep, s0, r0), ct::CtSelect(keep, s1, r1), ct::CtSelect(keep, s2, r2),
@@ -244,18 +177,18 @@ U256 ModField::Add(const U256& a, const U256& b) const {
 
 U256 ModField::Sub(const U256& a, const U256& b) const {
   const uint64_t* m = modulus_.limbs.data();
-  uint64_t borrow = 0;
-  const uint64_t d0 = SubLimb(a.limbs[0], b.limbs[0], borrow);
-  const uint64_t d1 = SubLimb(a.limbs[1], b.limbs[1], borrow);
-  const uint64_t d2 = SubLimb(a.limbs[2], b.limbs[2], borrow);
-  const uint64_t d3 = SubLimb(a.limbs[3], b.limbs[3], borrow);
+  Carry borrow = 0;
+  const uint64_t d0 = SubBorrow(a.limbs[0], b.limbs[0], borrow);
+  const uint64_t d1 = SubBorrow(a.limbs[1], b.limbs[1], borrow);
+  const uint64_t d2 = SubBorrow(a.limbs[2], b.limbs[2], borrow);
+  const uint64_t d3 = SubBorrow(a.limbs[3], b.limbs[3], borrow);
   // Add m back when the subtraction wrapped.
   const uint64_t wrap = ct::NonZeroMask(borrow);
-  uint64_t carry = 0;
-  const uint64_t r0 = AddLimb(d0, m[0] & wrap, carry);
-  const uint64_t r1 = AddLimb(d1, m[1] & wrap, carry);
-  const uint64_t r2 = AddLimb(d2, m[2] & wrap, carry);
-  const uint64_t r3 = AddLimb(d3, m[3] & wrap, carry);
+  Carry carry = 0;
+  const uint64_t r0 = AddCarry(d0, m[0] & wrap, carry);
+  const uint64_t r1 = AddCarry(d1, m[1] & wrap, carry);
+  const uint64_t r2 = AddCarry(d2, m[2] & wrap, carry);
+  const uint64_t r3 = AddCarry(d3, m[3] & wrap, carry);
   return U256{{r0, r1, r2, r3}};
 }
 
@@ -263,17 +196,17 @@ U256 ModField::Neg(const U256& a) const {
   // m - a, except that 0 stays 0.
   const uint64_t nonzero = ct::NonZeroMask(a.limbs[0] | a.limbs[1] | a.limbs[2] | a.limbs[3]);
   const uint64_t* m = modulus_.limbs.data();
-  uint64_t borrow = 0;
-  const uint64_t r0 = SubLimb(m[0] & nonzero, a.limbs[0], borrow);
-  const uint64_t r1 = SubLimb(m[1] & nonzero, a.limbs[1], borrow);
-  const uint64_t r2 = SubLimb(m[2] & nonzero, a.limbs[2], borrow);
-  const uint64_t r3 = SubLimb(m[3] & nonzero, a.limbs[3], borrow);
+  Carry borrow = 0;
+  const uint64_t r0 = SubBorrow(m[0] & nonzero, a.limbs[0], borrow);
+  const uint64_t r1 = SubBorrow(m[1] & nonzero, a.limbs[1], borrow);
+  const uint64_t r2 = SubBorrow(m[2] & nonzero, a.limbs[2], borrow);
+  const uint64_t r3 = SubBorrow(m[3] & nonzero, a.limbs[3], borrow);
   return U256{{r0, r1, r2, r3}};
 }
 
 U256 ModField::MontMul(const U256& a, const U256& b) const {
   if (p256_fast_) {
-    return P256MontMul(a, b);
+    return p256_field::MontMul(a, b);
   }
   uint64_t t[6];
   MontMulCios(a, b, modulus_, n0_inv_, t);
@@ -281,6 +214,13 @@ U256 ModField::MontMul(const U256& a, const U256& b) const {
   U256 reduced;
   uint64_t borrow = SubWithBorrow(result, modulus_, &reduced);
   return ct::CtSelect(ct::NonZeroMask(t[4] | (borrow ^ 1)), reduced, result);
+}
+
+U256 ModField::MontSqr(const U256& a) const {
+  if (p256_fast_) {
+    return p256_field::MontSqr(a);
+  }
+  return MontMul(a, a);
 }
 
 U256 ModField::Mul(const U256& a, const U256& b) const {

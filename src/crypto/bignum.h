@@ -125,12 +125,12 @@ class ModField {
   // Montgomery-domain primitives, exposed for hot loops (the P-256 point
   // arithmetic keeps coordinates in the Montgomery domain throughout a scalar
   // multiplication and converts only at the edges).  When the modulus is the
-  // P-256 prime, MontMul takes an unrolled CIOS specialised to the prime's
-  // sparse limbs (2^256 - 2^224 + 2^192 + 2^96 - 1, with -p^{-1} = 1 mod
-  // 2^64): each round's reduction is shifts and adds plus one multiply by the
-  // top limb.  Other moduli take the generic CIOS.
+  // P-256 prime, MontMul and MontSqr call the inline P-256 field core
+  // (src/crypto/p256_field.h): a CIOS specialised to the prime's sparse limbs
+  // and a dedicated squaring, both on add-with-carry helpers.  Other moduli
+  // take the generic CIOS, and MontSqr(a) is MontMul(a, a).
   U256 MontMul(const U256& a, const U256& b) const;
-  U256 MontSqr(const U256& a) const { return MontMul(a, a); }
+  U256 MontSqr(const U256& a) const;
   U256 ToMont(const U256& a) const { return MontMul(a, r2_); }
   U256 FromMont(const U256& a) const { return MontMul(a, U256::One()); }
 
@@ -142,7 +142,7 @@ class ModField {
   U256 SubCt(const U256& a, const U256& b) const { return Sub(a, b); }
   U256 NegCt(const U256& a) const { return Neg(a); }
   U256 MontMulCt(const U256& a, const U256& b) const { return MontMul(a, b); }
-  U256 MontSqrCt(const U256& a) const { return MontMul(a, a); }
+  U256 MontSqrCt(const U256& a) const { return MontSqr(a); }
   U256 ToMontCt(const U256& a) const { return MontMul(a, r2_); }
   U256 FromMontCt(const U256& a) const { return MontMul(a, U256::One()); }
   // Montgomery-domain inverse via the Fermat ladder (modulus must be prime):
@@ -156,7 +156,7 @@ class ModField {
   U256 modulus_;
   uint64_t n0_inv_;   // -modulus^{-1} mod 2^64
   U256 r2_;           // R^2 mod modulus, R = 2^256
-  bool p256_fast_;    // modulus is the P-256 prime: the specialised CIOS applies
+  bool p256_fast_;    // modulus is the P-256 prime: the P-256 field core applies
 };
 
 }  // namespace prochlo

@@ -2,9 +2,13 @@
 
 #include <cassert>
 
+#include "src/crypto/p256_field.h"
+
 namespace prochlo {
 
 namespace {
+namespace fe = p256_field;
+
 constexpr char kPrimeHex[] = "ffffffff00000001000000000000000000000000ffffffffffffffffffffffff";
 constexpr char kOrderHex[] = "ffffffff00000000ffffffffffffffffbce6faada7179e84f3b9cac2fc632551";
 constexpr char kBHex[] = "5ac635d8aa3a93e7b3ebbd55769886bc651d06b0cc53b0f63bce3c3e27d2604b";
@@ -47,6 +51,95 @@ int WnafRecode(const U256& scalar, int8_t* digits) {
   }
   return len;
 }
+
+// The identity: z == 0 (y is arbitrary).
+constexpr P256::Jacobian kIdentity{U256{}, fe::kOneMont, U256{}};
+
+// The point formulas on the inline field core, all values in the Montgomery
+// domain (which is linear, so Add/Sub work unchanged), with no case
+// analysis: the variable-time ops branch on the exceptional cases around
+// them, the constant-time ops mask them in.
+
+// dbl-2001-b (a = -3).  For z == 0 it yields z3 = 2yz = 0, the identity
+// again.
+[[gnu::always_inline]] inline P256::Jacobian DoubleFormula(const P256::Jacobian& p) {
+  U256 delta = fe::MontSqr(p.z);
+  U256 gamma = fe::MontSqr(p.y);
+  U256 beta = fe::MontMul(p.x, gamma);
+  // alpha = 3(x - delta)(x + delta); the multiplication by 3 is two modular
+  // additions, much cheaper than a field multiplication.
+  U256 inner = fe::MontMul(fe::Sub(p.x, delta), fe::Add(p.x, delta));
+  U256 alpha = fe::Add(fe::Add(inner, inner), inner);
+  U256 beta2 = fe::Add(beta, beta);
+  U256 beta4 = fe::Add(beta2, beta2);
+  U256 beta8 = fe::Add(beta4, beta4);
+  U256 x3 = fe::Sub(fe::MontSqr(alpha), beta8);
+  // z3 = 2yz as a plain multiplication.  The (y+z)^2 - gamma - delta trick
+  // would trade it for a squaring (about a sixth cheaper, docs/perf.md) and
+  // two more subtractions; it is unmeasured here, and it would change no
+  // output, since every field value is canonical.
+  U256 z3 = fe::MontMul(fe::Add(p.y, p.y), p.z);
+  U256 gamma2 = fe::MontSqr(gamma);
+  U256 gamma2_2 = fe::Add(gamma2, gamma2);
+  U256 gamma2_4 = fe::Add(gamma2_2, gamma2_2);
+  U256 gamma2_8 = fe::Add(gamma2_4, gamma2_4);
+  U256 y3 = fe::Sub(fe::MontMul(alpha, fe::Sub(beta4, x3)), gamma2_8);
+  return P256::Jacobian{x3, y3, z3};
+}
+
+// add-2007-bl: p + q for finite p != +-q.  Sets h = u2 - u1 and
+// r = s2 - s1 for the exceptional cases: h == 0 means equal x, and then
+// r == 0 means p == q (the formula is wrong; double instead) and r != 0
+// means p == -q (the formula yields z3 = 0, the identity).
+[[gnu::always_inline]] inline P256::Jacobian AddFormula(const P256::Jacobian& p,
+                                                        const P256::Jacobian& q, U256& h,
+                                                        U256& r) {
+  U256 z1z1 = fe::MontSqr(p.z);
+  U256 z2z2 = fe::MontSqr(q.z);
+  U256 u1 = fe::MontMul(p.x, z2z2);
+  U256 u2 = fe::MontMul(q.x, z1z1);
+  U256 s1 = fe::MontMul(p.y, fe::MontMul(q.z, z2z2));
+  U256 s2 = fe::MontMul(q.y, fe::MontMul(p.z, z1z1));
+  h = fe::Sub(u2, u1);
+  r = fe::Sub(s2, s1);
+  U256 h2 = fe::Add(h, h);
+  U256 i = fe::MontSqr(h2);
+  U256 j = fe::MontMul(h, i);
+  U256 r2 = fe::Add(r, r);
+  U256 v = fe::MontMul(u1, i);
+  U256 x3 = fe::Sub(fe::Sub(fe::MontSqr(r2), j), fe::Add(v, v));
+  U256 s1j2 = fe::MontMul(s1, j);
+  s1j2 = fe::Add(s1j2, s1j2);
+  U256 y3 = fe::Sub(fe::MontMul(r2, fe::Sub(v, x3)), s1j2);
+  // z3 = 2*z1*z2*h directly (the same tradeoff as z3 in DoubleFormula;
+  // z1z1/z2z2 stay because u1/s1 need them anyway).
+  U256 z3 = fe::MontMul(fe::MontMul(fe::Add(p.z, p.z), q.z), h);
+  return P256::Jacobian{x3, y3, z3};
+}
+
+// madd-2007-bl: p + (qx, qy, 1), the q.z == 1 specialization of
+// add-2007-bl, saving four multiplications.  h and r as in AddFormula.
+[[gnu::always_inline]] inline P256::Jacobian MixedAddFormula(const P256::Jacobian& p,
+                                                             const U256& qx, const U256& qy,
+                                                             U256& h, U256& r) {
+  U256 z1z1 = fe::MontSqr(p.z);
+  U256 u2 = fe::MontMul(qx, z1z1);
+  U256 s2 = fe::MontMul(qy, fe::MontMul(p.z, z1z1));
+  h = fe::Sub(u2, p.x);
+  r = fe::Sub(s2, p.y);
+  U256 hh = fe::MontSqr(h);
+  U256 hh2 = fe::Add(hh, hh);
+  U256 i = fe::Add(hh2, hh2);
+  U256 j = fe::MontMul(h, i);
+  U256 r2 = fe::Add(r, r);
+  U256 v = fe::MontMul(p.x, i);
+  U256 x3 = fe::Sub(fe::Sub(fe::MontSqr(r2), j), fe::Add(v, v));
+  U256 y1j2 = fe::MontMul(p.y, j);
+  y1j2 = fe::Add(y1j2, y1j2);
+  U256 y3 = fe::Sub(fe::MontMul(r2, fe::Sub(v, x3)), y1j2);
+  U256 z3 = fe::MontMul(fe::Add(p.z, p.z), h);  // 2*z1*h, same tradeoff as above
+  return P256::Jacobian{x3, y3, z3};
+}
 }  // namespace
 
 const P256& P256::Get() {
@@ -57,8 +150,6 @@ const P256& P256::Get() {
 P256::P256()
     : fp_(U256::FromHex(kPrimeHex)),
       fn_(U256::FromHex(kOrderHex)),
-      b_mont_(fp_.ToMont(U256::FromHex(kBHex))),
-      one_mont_(fp_.ToMont(U256::One())),
       generator_{U256::FromHex(kGxHex), U256::FromHex(kGyHex), false} {
   gen_table_ = BuildFixedBaseTable(generator_);
 }
@@ -81,9 +172,9 @@ bool P256::IsOnCurve(const EcPoint& point) const {
 
 P256::Jacobian P256::ToJacobian(const EcPoint& p) const {
   if (p.infinity) {
-    return Jacobian{U256::Zero(), one_mont_, U256::Zero()};
+    return kIdentity;
   }
-  return Jacobian{fp_.ToMont(p.x), fp_.ToMont(p.y), one_mont_};
+  return Jacobian{fp_.ToMont(p.x), fp_.ToMont(p.y), fe::kOneMont};
 }
 
 EcPoint P256::FromJacobian(const Jacobian& p) const {
@@ -111,11 +202,11 @@ void P256::NormalizeToAffineMont(std::vector<Jacobian>& points) const {
     if (points[i].z.IsZero()) {
       continue;
     }
-    U256 zinv2 = fp_.MontSqr(zs[i]);
-    U256 zinv3 = fp_.MontMul(zinv2, zs[i]);
-    points[i].x = fp_.MontMul(points[i].x, zinv2);
-    points[i].y = fp_.MontMul(points[i].y, zinv3);
-    points[i].z = one_mont_;
+    U256 zinv2 = fe::MontSqr(zs[i]);
+    U256 zinv3 = fe::MontMul(zinv2, zs[i]);
+    points[i].x = fe::MontMul(points[i].x, zinv2);
+    points[i].y = fe::MontMul(points[i].y, zinv3);
+    points[i].z = fe::kOneMont;
   }
 }
 
@@ -143,32 +234,9 @@ std::vector<EcPoint> P256::BatchBaseMult(const std::vector<U256>& scalars) const
 
 P256::Jacobian P256::JacDouble(const Jacobian& p) const {
   if (p.z.IsZero() || p.y.IsZero()) {
-    return Jacobian{U256::Zero(), one_mont_, U256::Zero()};
+    return kIdentity;
   }
-  // dbl-2001-b (a = -3): all values stay in the Montgomery domain.
-  const ModField& f = fp_;
-  U256 delta = f.MontSqr(p.z);
-  U256 gamma = f.MontSqr(p.y);
-  U256 beta = f.MontMul(p.x, gamma);
-  // alpha = 3(x - delta)(x + delta); the multiplication by 3 is two modular
-  // additions, much cheaper than a full field multiplication.
-  U256 inner = f.MontMul(f.Sub(p.x, delta), f.Add(p.x, delta));
-  U256 alpha = f.Add(f.Add(inner, inner), inner);
-  // Montgomery form is linear, so Add/Sub work unchanged.
-  U256 beta2 = f.Add(beta, beta);
-  U256 beta4 = f.Add(beta2, beta2);
-  U256 beta8 = f.Add(beta4, beta4);
-  U256 x3 = f.Sub(f.MontSqr(alpha), beta8);
-  // z3 = 2yz as a plain multiplication: the (y+z)^2 - gamma - delta trick
-  // only pays when squaring is cheaper than multiplying, which it is not in
-  // this field implementation — the multiply saves two subtractions.
-  U256 z3 = f.MontMul(f.Add(p.y, p.y), p.z);
-  U256 gamma2 = f.MontSqr(gamma);
-  U256 gamma2_2 = f.Add(gamma2, gamma2);
-  U256 gamma2_4 = f.Add(gamma2_2, gamma2_2);
-  U256 gamma2_8 = f.Add(gamma2_4, gamma2_4);
-  U256 y3 = f.Sub(f.MontMul(alpha, f.Sub(beta4, x3)), gamma2_8);
-  return Jacobian{x3, y3, z3};
+  return DoubleFormula(p);
 }
 
 P256::Jacobian P256::JacAdd(const Jacobian& p, const Jacobian& q) const {
@@ -178,67 +246,24 @@ P256::Jacobian P256::JacAdd(const Jacobian& p, const Jacobian& q) const {
   if (q.z.IsZero()) {
     return p;
   }
-  // add-2007-bl.
-  const ModField& f = fp_;
-  U256 z1z1 = f.MontSqr(p.z);
-  U256 z2z2 = f.MontSqr(q.z);
-  U256 u1 = f.MontMul(p.x, z2z2);
-  U256 u2 = f.MontMul(q.x, z1z1);
-  U256 s1 = f.MontMul(p.y, f.MontMul(q.z, z2z2));
-  U256 s2 = f.MontMul(q.y, f.MontMul(p.z, z1z1));
-  U256 h = f.Sub(u2, u1);
-  U256 r = f.Sub(s2, s1);
+  U256 h, r;
+  const Jacobian sum = AddFormula(p, q, h, r);
   if (h.IsZero()) {
-    if (r.IsZero()) {
-      return JacDouble(p);
-    }
-    return Jacobian{U256::Zero(), one_mont_, U256::Zero()};
+    return r.IsZero() ? JacDouble(p) : kIdentity;
   }
-  U256 h2 = f.Add(h, h);
-  U256 i = f.MontSqr(h2);
-  U256 j = f.MontMul(h, i);
-  U256 r2 = f.Add(r, r);
-  U256 v = f.MontMul(u1, i);
-  U256 x3 = f.Sub(f.Sub(f.MontSqr(r2), j), f.Add(v, v));
-  U256 s1j2 = f.MontMul(s1, j);
-  s1j2 = f.Add(s1j2, s1j2);
-  U256 y3 = f.Sub(f.MontMul(r2, f.Sub(v, x3)), s1j2);
-  // z3 = 2*z1*z2*h directly (same squaring-vs-multiplying tradeoff as in
-  // JacDouble; z1z1/z2z2 stay because u1/s1 need them anyway).
-  U256 z3 = f.MontMul(f.MontMul(f.Add(p.z, p.z), q.z), h);
-  return Jacobian{x3, y3, z3};
+  return sum;
 }
 
 P256::Jacobian P256::JacAddAffine(const Jacobian& p, const AffineMont& q) const {
   if (p.z.IsZero()) {
-    return Jacobian{q.x, q.y, one_mont_};
+    return Jacobian{q.x, q.y, fe::kOneMont};
   }
-  // madd-2007-bl: the q.z == 1 specialization of add-2007-bl, saving four
-  // multiplications per addition.
-  const ModField& f = fp_;
-  U256 z1z1 = f.MontSqr(p.z);
-  U256 u2 = f.MontMul(q.x, z1z1);
-  U256 s2 = f.MontMul(q.y, f.MontMul(p.z, z1z1));
-  U256 h = f.Sub(u2, p.x);
-  U256 r = f.Sub(s2, p.y);
+  U256 h, r;
+  const Jacobian sum = MixedAddFormula(p, q.x, q.y, h, r);
   if (h.IsZero()) {
-    if (r.IsZero()) {
-      return JacDouble(p);
-    }
-    return Jacobian{U256::Zero(), one_mont_, U256::Zero()};
+    return r.IsZero() ? JacDouble(p) : kIdentity;
   }
-  U256 hh = f.MontSqr(h);
-  U256 hh2 = f.Add(hh, hh);
-  U256 i = f.Add(hh2, hh2);
-  U256 j = f.MontMul(h, i);
-  U256 r2 = f.Add(r, r);
-  U256 v = f.MontMul(p.x, i);
-  U256 x3 = f.Sub(f.Sub(f.MontSqr(r2), j), f.Add(v, v));
-  U256 y1j2 = f.MontMul(p.y, j);
-  y1j2 = f.Add(y1j2, y1j2);
-  U256 y3 = f.Sub(f.MontMul(r2, f.Sub(v, x3)), y1j2);
-  U256 z3 = f.MontMul(f.Add(p.z, p.z), h);  // 2*z1*h, same tradeoff as above
-  return Jacobian{x3, y3, z3};
+  return sum;
 }
 
 P256::Jacobian P256::JacScalarMult(const Jacobian& p, const U256& scalar) const {
@@ -246,9 +271,8 @@ P256::Jacobian P256::JacScalarMult(const Jacobian& p, const U256& scalar) const 
   if (k >= fn_.modulus()) {
     k = fn_.Reduce(k);
   }
-  Jacobian identity{U256::Zero(), one_mont_, U256::Zero()};
   if (k.IsZero() || p.z.IsZero()) {
-    return identity;
+    return kIdentity;
   }
 
   // Odd multiples 1P, 3P, ..., 15P.  Negative digits reuse the same table:
@@ -262,7 +286,7 @@ P256::Jacobian P256::JacScalarMult(const Jacobian& p, const U256& scalar) const 
 
   int8_t digits[kWnafMaxDigits];
   int len = WnafRecode(k, digits);
-  Jacobian acc = identity;
+  Jacobian acc = kIdentity;
   for (int i = len - 1; i >= 0; --i) {
     acc = JacDouble(acc);
     int8_t d = digits[i];
@@ -270,7 +294,7 @@ P256::Jacobian P256::JacScalarMult(const Jacobian& p, const U256& scalar) const 
       acc = JacAdd(acc, odd[(d - 1) / 2]);
     } else if (d < 0) {
       Jacobian neg = odd[(-d - 1) / 2];
-      neg.y = fp_.Neg(neg.y);
+      neg.y = fe::Neg(neg.y);
       acc = JacAdd(acc, neg);
     }
   }
@@ -282,7 +306,7 @@ P256::Jacobian P256::JacScalarMultReference(const Jacobian& p, const U256& scala
   if (k >= fn_.modulus()) {
     k = fn_.Reduce(k);
   }
-  Jacobian acc{U256::Zero(), one_mont_, U256::Zero()};
+  Jacobian acc = kIdentity;
   if (k.IsZero() || p.z.IsZero()) {
     return acc;
   }
@@ -326,27 +350,10 @@ inline void CtRecode(const U256& k, int64_t digits[kCtDigits]) {
 }  // namespace
 
 P256::Jacobian P256::JacDoubleCt(const Jacobian& p) const {
-  // dbl-2001-b with JacDouble's early returns removed: for z == 0 the
-  // formula yields z3 = 2yz = 0, which encodes the identity again, and
-  // y == 0 cannot occur for a finite point (P-256's order is odd, so the
-  // curve has no 2-torsion).
-  const ModField& f = fp_;
-  U256 delta = f.MontSqrCt(p.z);
-  U256 gamma = f.MontSqrCt(p.y);
-  U256 beta = f.MontMulCt(p.x, gamma);
-  U256 inner = f.MontMulCt(f.SubCt(p.x, delta), f.AddCt(p.x, delta));
-  U256 alpha = f.AddCt(f.AddCt(inner, inner), inner);
-  U256 beta2 = f.AddCt(beta, beta);
-  U256 beta4 = f.AddCt(beta2, beta2);
-  U256 beta8 = f.AddCt(beta4, beta4);
-  U256 x3 = f.SubCt(f.MontSqrCt(alpha), beta8);
-  U256 z3 = f.MontMulCt(f.AddCt(p.y, p.y), p.z);
-  U256 gamma2 = f.MontSqrCt(gamma);
-  U256 gamma2_2 = f.AddCt(gamma2, gamma2);
-  U256 gamma2_4 = f.AddCt(gamma2_2, gamma2_2);
-  U256 gamma2_8 = f.AddCt(gamma2_4, gamma2_4);
-  U256 y3 = f.SubCt(f.MontMulCt(alpha, f.SubCt(beta4, x3)), gamma2_8);
-  return Jacobian{x3, y3, z3};
+  // DoubleFormula without JacDouble's early returns: for z == 0 it yields
+  // the identity again, and y == 0 cannot occur for a finite point (P-256's
+  // order is odd, so the curve has no 2-torsion).
+  return DoubleFormula(p);
 }
 
 P256::Jacobian P256::JacAddCt(const Jacobian& p, const Jacobian& q) const {
@@ -356,28 +363,9 @@ P256::Jacobian P256::JacAddCt(const Jacobian& p, const Jacobian& q) const {
   //   * p == q (h == 0, r == 0)  -> select the unconditional doubling;
   //   * p == -q (h == 0, r != 0) -> the formula already yields z3 = 0,
   //     i.e. the identity, so no patch is needed.
-  const ModField& f = fp_;
-  U256 z1z1 = f.MontSqrCt(p.z);
-  U256 z2z2 = f.MontSqrCt(q.z);
-  U256 u1 = f.MontMulCt(p.x, z2z2);
-  U256 u2 = f.MontMulCt(q.x, z1z1);
-  U256 s1 = f.MontMulCt(p.y, f.MontMulCt(q.z, z2z2));
-  U256 s2 = f.MontMulCt(q.y, f.MontMulCt(p.z, z1z1));
-  U256 h = f.SubCt(u2, u1);
-  U256 r = f.SubCt(s2, s1);
-  U256 h2 = f.AddCt(h, h);
-  U256 i = f.MontSqrCt(h2);
-  U256 j = f.MontMulCt(h, i);
-  U256 r2 = f.AddCt(r, r);
-  U256 v = f.MontMulCt(u1, i);
-  U256 x3 = f.SubCt(f.SubCt(f.MontSqrCt(r2), j), f.AddCt(v, v));
-  U256 s1j2 = f.MontMulCt(s1, j);
-  s1j2 = f.AddCt(s1j2, s1j2);
-  U256 y3 = f.SubCt(f.MontMulCt(r2, f.SubCt(v, x3)), s1j2);
-  U256 z3 = f.MontMulCt(f.MontMulCt(f.AddCt(p.z, p.z), q.z), h);
-  Jacobian sum{x3, y3, z3};
-
-  Jacobian dbl = JacDoubleCt(p);
+  U256 h, r;
+  const Jacobian sum = AddFormula(p, q, h, r);
+  const Jacobian dbl = DoubleFormula(p);
   uint64_t p_inf = ct::IsZeroMask(p.z);
   uint64_t q_inf = ct::IsZeroMask(q.z);
   uint64_t is_double = ct::IsZeroMask(h) & ct::IsZeroMask(r) & ~p_inf & ~q_inf;
@@ -397,31 +385,14 @@ P256::Jacobian P256::JacAddAffineCt(const Jacobian& p, const AffineMont& q, uint
   //     only when the caller asks for it (patch_double is public: it is the
   //     ladder's window index, never the scalar);
   //   * p == -q (h == 0, r != 0) -> the formula already yields z3 = 0.
-  const ModField& f = fp_;
-  U256 z1z1 = f.MontSqrCt(p.z);
-  U256 u2 = f.MontMulCt(q.x, z1z1);
-  U256 s2 = f.MontMulCt(q.y, f.MontMulCt(p.z, z1z1));
-  U256 h = f.SubCt(u2, p.x);
-  U256 r = f.SubCt(s2, p.y);
-  U256 hh = f.MontSqrCt(h);
-  U256 hh2 = f.AddCt(hh, hh);
-  U256 i = f.AddCt(hh2, hh2);
-  U256 j = f.MontMulCt(h, i);
-  U256 r2 = f.AddCt(r, r);
-  U256 v = f.MontMulCt(p.x, i);
-  U256 x3 = f.SubCt(f.SubCt(f.MontSqrCt(r2), j), f.AddCt(v, v));
-  U256 y1j2 = f.MontMulCt(p.y, j);
-  y1j2 = f.AddCt(y1j2, y1j2);
-  U256 y3 = f.SubCt(f.MontMulCt(r2, f.SubCt(v, x3)), y1j2);
-  U256 z3 = f.MontMulCt(f.AddCt(p.z, p.z), h);
-  Jacobian out{x3, y3, z3};
-
+  U256 h, r;
+  Jacobian out = MixedAddFormula(p, q.x, q.y, h, r);
   const uint64_t p_inf = ct::IsZeroMask(p.z);
   if (patch_double) {
     uint64_t is_double = ct::IsZeroMask(h) & ct::IsZeroMask(r) & ~p_inf & ~q_inf;
-    out = SelectJac(is_double, JacDoubleCt(p), out);
+    out = SelectJac(is_double, DoubleFormula(p), out);
   }
-  out = SelectJac(p_inf, Jacobian{q.x, q.y, one_mont_}, out);
+  out = SelectJac(p_inf, Jacobian{q.x, q.y, fe::kOneMont}, out);
   // Last, so that identity + identity stays the (z == 0) identity.
   out = SelectJac(q_inf, p, out);
   return out;
@@ -430,8 +401,7 @@ P256::Jacobian P256::JacAddAffineCt(const Jacobian& p, const AffineMont& q, uint
 std::vector<P256::Jacobian> P256::BatchScalarMultSecretJac(
     const std::vector<EcPoint>& points, const Secret<U256>& secret_scalar) const {
   const size_t n = points.size();
-  const Jacobian identity{U256::Zero(), one_mont_, U256::Zero()};
-  std::vector<Jacobian> out(n, identity);
+  std::vector<Jacobian> out(n, kIdentity);
 
   // Multiples 1..8 of every finite point.  The POINTS are public in every
   // use (ephemeral keys, El Gamal components); only the scalar is secret, so
@@ -481,7 +451,7 @@ std::vector<P256::Jacobian> P256::BatchScalarMultSecretJac(
     if (points[i].infinity) {
       continue;
     }
-    Jacobian acc = identity;
+    Jacobian acc = kIdentity;
     for (int w = kCtDigits - 1; w >= 0; --w) {
       for (int d = 0; d < 4; ++d) {
         acc = JacDoubleCt(acc);
@@ -492,7 +462,7 @@ std::vector<P256::Jacobian> P256::BatchScalarMultSecretJac(
       // Entry mag - 1; mag == 0 wraps out of range and reads zero.
       AffineMont e{ct::CtTableLookup(xs.data() + base, kCtTableSize, mag - 1),
                    ct::CtTableLookup(ys.data() + base, kCtTableSize, mag - 1)};
-      e.y = ct::CtSelect(neg, fp_.NegCt(e.y), e.y);
+      e.y = ct::CtSelect(neg, fe::Neg(e.y), e.y);
       acc = JacAddAffineCt(acc, e, ct::IsZeroMask(mag), /*patch_double=*/w == 0);
     }
     out[i] = acc;
@@ -508,7 +478,8 @@ std::vector<EcPoint> P256::BatchScalarMultSecret(const std::vector<EcPoint>& poi
 
 std::vector<EcPoint> P256::BatchNormalizeCt(const std::vector<Jacobian>& points) const {
   // Montgomery's trick on the ct lane: prefix products of the finite z's
-  // with MontMulCt, one Fermat MontInvCt, and a backward pass.  The
+  // with the field core's branch-free MontMul, one Fermat MontInvCt, and a
+  // backward pass.  The
   // per-slot point-at-infinity bit is public protocol state (an identity
   // ECDH result is rejected out loud; an identity decrypt is a visible
   // outcome), so it is the one bit declassified; the coordinates keep their
@@ -517,12 +488,12 @@ std::vector<EcPoint> P256::BatchNormalizeCt(const std::vector<Jacobian>& points)
   std::vector<EcPoint> out(n, EcPoint::Infinity());
   std::vector<uint8_t> finite(n);
   std::vector<U256> prefix(n);
-  U256 running = one_mont_;
+  U256 running = fe::kOneMont;
   for (size_t i = 0; i < n; ++i) {
     finite[i] = !ct::DeclassifyBit(ct::IsZeroMask(points[i].z));  // ct:declassify(point-at-infinity flag is public protocol state)
     prefix[i] = running;
     if (finite[i]) {
-      running = fp_.MontMulCt(running, points[i].z);
+      running = fe::MontMul(running, points[i].z);
     }
   }
   U256 inv = fp_.MontInvCt(running);  // 1 / prod(finite z)
@@ -530,19 +501,19 @@ std::vector<EcPoint> P256::BatchNormalizeCt(const std::vector<Jacobian>& points)
     if (!finite[i]) {
       continue;
     }
-    const U256 zinv = fp_.MontMulCt(inv, prefix[i]);
-    inv = fp_.MontMulCt(inv, points[i].z);
-    const U256 zinv2 = fp_.MontSqrCt(zinv);
-    const U256 zinv3 = fp_.MontMulCt(zinv2, zinv);
-    out[i] = EcPoint{fp_.FromMontCt(fp_.MontMulCt(points[i].x, zinv2)),
-                     fp_.FromMontCt(fp_.MontMulCt(points[i].y, zinv3)), false};
+    const U256 zinv = fe::MontMul(inv, prefix[i]);
+    inv = fe::MontMul(inv, points[i].z);
+    const U256 zinv2 = fe::MontSqr(zinv);
+    const U256 zinv3 = fe::MontMul(zinv2, zinv);
+    out[i] = EcPoint{fp_.FromMontCt(fe::MontMul(points[i].x, zinv2)),
+                     fp_.FromMontCt(fe::MontMul(points[i].y, zinv3)), false};
   }
   return out;
 }
 
 P256::Jacobian P256::JacBaseMultSecret(const Secret<U256>& secret_scalar) const {
   U256 k = fn_.ReduceOnceCt(secret_scalar.Expose());
-  Jacobian acc{U256::Zero(), one_mont_, U256::Zero()};
+  Jacobian acc = kIdentity;
   // The fixed-base table already stores d * 2^(4w) * G per window, so the
   // ladder needs no doublings — but unlike JacFixedMult, every window scans
   // all 15 entries and adds unconditionally (a zero nibble contributes the
@@ -558,7 +529,7 @@ P256::Jacobian P256::JacBaseMultSecret(const Secret<U256>& secret_scalar) const 
         ey.limbs[l] |= mask & gen_table_.win[w][j].y.limbs[l];
       }
     }
-    Jacobian e{ex, ey, ct::CtSelect(ct::IsZeroMask(d), U256::Zero(), one_mont_)};
+    Jacobian e{ex, ey, ct::CtSelect(ct::IsZeroMask(d), U256::Zero(), fe::kOneMont)};
     acc = JacAddCt(acc, e);
   }
   return acc;
@@ -582,8 +553,7 @@ std::vector<P256::Jacobian> P256::BatchScalarMultJac(const std::vector<EcPoint>&
                                                      const std::vector<U256>& scalars) const {
   assert(points.size() == scalars.size());
   const size_t n = points.size();
-  Jacobian identity{U256::Zero(), one_mont_, U256::Zero()};
-  std::vector<Jacobian> out(n, identity);
+  std::vector<Jacobian> out(n, kIdentity);
 
   // Build every item's odd-multiple table into one flat vector, then convert
   // them ALL to affine with a single shared inversion.  That is the batch
@@ -626,7 +596,7 @@ std::vector<P256::Jacobian> P256::BatchScalarMultJac(const std::vector<EcPoint>&
       len = WnafRecode(ks[i], digits);
       prev_k = &ks[i];
     }
-    Jacobian acc = identity;
+    Jacobian acc = kIdentity;
     for (int b = len - 1; b >= 0; --b) {
       acc = JacDouble(acc);
       int8_t d = digits[b];
@@ -635,7 +605,7 @@ std::vector<P256::Jacobian> P256::BatchScalarMultJac(const std::vector<EcPoint>&
         acc = JacAddAffine(acc, AffineMont{e.x, e.y});
       } else if (d < 0) {
         const Jacobian& e = tbl[(-d - 1) / 2];
-        acc = JacAddAffine(acc, AffineMont{e.x, fp_.Neg(e.y)});
+        acc = JacAddAffine(acc, AffineMont{e.x, fe::Neg(e.y)});
       }
     }
     out[i] = acc;
@@ -682,7 +652,7 @@ P256::Jacobian P256::JacFixedMult(const FixedBaseTable& table, const U256& scala
   if (k >= fn_.modulus()) {
     k = fn_.Reduce(k);
   }
-  Jacobian acc{U256::Zero(), one_mont_, U256::Zero()};
+  Jacobian acc = kIdentity;
   for (size_t w = 0; w < 64; ++w) {
     uint64_t d = ScalarNibble(k, w);
     if (d != 0) {

@@ -159,12 +159,13 @@ class P256 {
   // passes.  Per point, multiples 1P..8P are built with the variable-time
   // ops (the points are public) and all tables of the batch are normalized
   // to affine with one shared inversion.  The ladder is the signed
-  // fixed-window (w = 4) recode: 65 windows of 4 JacDoubleCt, one full-scan
+  // fixed-window (w = 4) recode: 65 windows of 4 doublings, one full-scan
   // masked affine lookup, a masked negation and a masked mixed addition, so
   // control flow, memory addresses and the field-op sequence are independent
-  // of the scalar.  Outputs are normalized by BatchNormalizeCt.  Slot i is
-  // bit-identical to JacScalarMultReference(points[i], scalar), identity
-  // inputs included.
+  // of the scalar.  Every field op is the inline P-256 field core
+  // (src/crypto/p256_field.h).  Outputs are normalized by BatchNormalizeCt.
+  // Slot i is bit-identical to JacScalarMultReference(points[i], scalar),
+  // identity inputs included.
   std::vector<EcPoint> BatchScalarMultSecret(const std::vector<EcPoint>& points,
                                              const Secret<U256>& secret_scalar) const;
   // Jacobian-output variant for callers that keep composing (the El Gamal
@@ -188,7 +189,7 @@ class P256 {
   EcPoint FromJacobianCt(const Jacobian& p) const;
   // Branchless point ops: compute the generic formula unconditionally, then
   // mask in the exceptional cases (identity operands, doubling).  Safe for
-  // secret-derived operands; roughly 2x the cost of JacAdd/JacDouble.
+  // secret-derived operands.
   Jacobian JacAddCt(const Jacobian& p, const Jacobian& q) const;
   Jacobian JacDoubleCt(const Jacobian& p) const;
 
@@ -232,8 +233,6 @@ class P256 {
 
   ModField fp_;
   ModField fn_;
-  U256 b_mont_;        // curve b in Montgomery domain
-  U256 one_mont_;      // 1 in Montgomery domain
   EcPoint generator_;
   FixedBaseTable gen_table_;
   mutable SharedMutex tables_mu_;

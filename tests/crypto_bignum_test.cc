@@ -185,13 +185,90 @@ TEST_P(ModFieldTest, SqrtOfSquares) {
 }
 
 TEST_P(ModFieldTest, ReduceWideMatchesMul) {
-  // ReduceWide(a*b) == Mul(a, b) for already-reduced a, b.
+  // ReduceWide(a*b) == Mul(a, b) for already-reduced a, b.  Enough pairs
+  // that a carry dropped in one limb of the Montgomery multiply shows.
   Rng rng(47);
-  for (int i = 0; i < 20; ++i) {
+  for (int i = 0; i < 10000; ++i) {
     U256 a = field_.Reduce(RandomU256(rng));
     U256 b = field_.Reduce(RandomU256(rng));
-    EXPECT_EQ(field_.ReduceWide(MulWide(a, b)), field_.Mul(a, b));
+    ASSERT_EQ(field_.ReduceWide(MulWide(a, b)), field_.Mul(a, b))
+        << a.ToHex() << " * " << b.ToHex();
   }
+}
+
+// Residues where carries and borrows run the full length of the limbs:
+// 0, 1, 2, m - 1, m - 2, R mod m, R^2 mod m, 2^256 - 1 reduced, and values
+// whose top limb equals m's (m - 1 - r for 64-bit r).
+std::vector<U256> EdgeResidues(const ModField& f) {
+  const U256& m = f.modulus();
+  auto minus = [&](const U256& v) {
+    U256 out;
+    SubWithBorrow(m, v, &out);
+    return out;
+  };
+  const U256 r_mod_m = f.ReduceWide({0, 0, 0, 0, 1, 0, 0, 0});
+  std::vector<U256> out = {U256::Zero(),
+                           U256::One(),
+                           U256::FromU64(2),
+                           minus(U256::One()),
+                           minus(U256::FromU64(2)),
+                           r_mod_m,
+                           f.ReduceWide(MulWide(r_mod_m, r_mod_m)),
+                           f.Reduce(U256{{~0ull, ~0ull, ~0ull, ~0ull}})};
+  Rng rng(53);
+  for (int i = 0; i < 4; ++i) {
+    U256 top_limb_equal = minus(U256::FromU64(rng.Next()));
+    SubWithBorrow(top_limb_equal, U256::One(), &top_limb_equal);
+    out.push_back(top_limb_equal);
+  }
+  return out;
+}
+
+TEST_P(ModFieldTest, EdgeResiduesMatchWideReference) {
+  const U256 r_mod_m = field_.ReduceWide({0, 0, 0, 0, 1, 0, 0, 0});
+  const std::vector<U256> edges = EdgeResidues(field_);
+  for (const U256& a : edges) {
+    ASSERT_LT(a, field_.modulus()) << a.ToHex();
+  }
+  EXPECT_EQ(edges.back().limbs[3], field_.modulus().limbs[3]);
+  for (const U256& a : edges) {
+    for (const U256& b : edges) {
+      const U256 want = field_.ReduceWide(MulWide(a, b));
+      EXPECT_EQ(field_.Mul(a, b), want) << a.ToHex() << " * " << b.ToHex();
+      // MontMul(a, b) = a*b/R, so MontMul(a, b) * R == a*b (mod m).
+      EXPECT_EQ(field_.ReduceWide(MulWide(field_.MontMul(a, b), r_mod_m)), want)
+          << a.ToHex() << " * " << b.ToHex();
+      U256 sum;
+      const uint64_t carry = AddWithCarry(a, b, &sum);
+      EXPECT_EQ(field_.Add(a, b),
+                field_.ReduceWide({sum.limbs[0], sum.limbs[1], sum.limbs[2], sum.limbs[3], carry,
+                                   0, 0, 0}))
+          << a.ToHex() << " + " << b.ToHex();
+      EXPECT_EQ(field_.Add(field_.Sub(a, b), b), a) << a.ToHex() << " - " << b.ToHex();
+    }
+    EXPECT_EQ(field_.ReduceWide(MulWide(field_.MontSqr(a), r_mod_m)),
+              field_.ReduceWide(MulWide(a, a)))
+        << a.ToHex();
+    EXPECT_TRUE(field_.Add(a, field_.Neg(a)).IsZero()) << a.ToHex();
+  }
+}
+
+// On the P-256 prime MontSqr is its own routine (a dedicated squaring in
+// src/crypto/p256_field.h), not MontMul(a, a); both must agree everywhere,
+// including on unreduced inputs below 2^256.
+TEST_P(ModFieldTest, MontSqrMatchesMontMul) {
+  for (const U256& a : EdgeResidues(field_)) {
+    EXPECT_EQ(field_.MontSqr(a), field_.MontMul(a, a)) << a.ToHex();
+  }
+  Rng rng(59);
+  for (int i = 0; i < 10000; ++i) {
+    const U256 a = RandomU256(rng);
+    ASSERT_EQ(field_.MontSqr(a), field_.MontMul(a, a)) << a.ToHex();
+    const U256 reduced = field_.Reduce(a);
+    ASSERT_EQ(field_.MontSqr(reduced), field_.MontMul(reduced, reduced)) << reduced.ToHex();
+  }
+  const U256 all_ones{{~0ull, ~0ull, ~0ull, ~0ull}};
+  EXPECT_EQ(field_.MontSqr(all_ones), field_.MontMul(all_ones, all_ones));
 }
 
 INSTANTIATE_TEST_SUITE_P(P256Fields, ModFieldTest,

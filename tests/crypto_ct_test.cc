@@ -4,14 +4,15 @@
 //   * the ct.h mask/select primitives themselves, over every mask edge case
 //     (zero, one, all-ones, high-bit-only) and out-of-range table indices;
 //   * the ModField operations, which are one branch-free implementation for
-//     both lanes, over both P-256 fields (the specialised CIOS of the prime
-//     field and the generic CIOS of the scalar field), checked against the
+//     both lanes, over both P-256 fields (the inline P-256 field core of the
+//     prime field and the generic CIOS of the scalar field), checked against the
 //     schoolbook MulWide + bit-serial ReduceWide reference and near-modulus
 //     operands;
 //   * the point ops and the ScalarMultSecret / BatchScalarMultSecret /
 //     JacBaseMultSecret ladders, bit-identical to JacScalarMultReference over
 //     the edge-scalar set (0, 1, 2, n-1, n, n+1, 2^255, 2^255+1), n-1..n-16,
-//     1k random scalars, and batches mixing identities, repeats and P/-P.
+//     1k random scalars, batches mixing identities, repeats and P/-P, and
+//     every batch size from 1 to 9 with the identity at every position.
 //
 // These are functional checks; the "no secret-dependent branches" property
 // is checked by scripts/lint.py (statically) and tools/ct_harness.cc under
@@ -197,7 +198,7 @@ void CheckFieldAgainstWideReference(const ModField& f, const char* label) {
 }
 
 TEST(CtFieldTest, PrimeFieldMatchesVariableTime) {
-  CheckFieldAgainstWideReference(P256::Get().field(), "fp");  // specialised CIOS
+  CheckFieldAgainstWideReference(P256::Get().field(), "fp");  // P-256 field core
 }
 
 TEST(CtFieldTest, ScalarFieldMatchesVariableTime) {
@@ -363,6 +364,35 @@ TEST(CtBatchScalarMultTest, MixedBatchMatchesReference) {
   // An all-identity batch and an empty batch.
   ExpectBatchMatchesReference({EcPoint::Infinity(), EcPoint::Infinity()}, scalars.back());
   EXPECT_TRUE(curve.BatchScalarMultSecret({}, Secret<U256>(U256::One())).empty());
+}
+
+// Every batch size from 1 to 9, with the identity at every position (and
+// once nowhere), over the edge scalars and n - 2: the identity slot must
+// neither shift its neighbours' tables nor break the shared normalizations.
+TEST(CtBatchScalarMultTest, EveryBatchSizeWithTheIdentityAtEveryPosition) {
+  const P256& curve = P256::Get();
+  SecureRandom rng(ToBytes("ct-batch-sizes"));
+  std::vector<EcPoint> finite;
+  for (int i = 0; i < 9; ++i) {
+    finite.push_back(curve.BaseMult(rng.RandomScalar(curve.order())));
+  }
+  std::vector<U256> scalars = CtEdgeScalars();
+  U256 n_minus_2;
+  SubWithBorrow(curve.order(), U256::FromU64(2), &n_minus_2);
+  scalars.push_back(n_minus_2);
+  for (size_t size = 1; size <= 9; ++size) {
+    for (size_t identity_at = 0; identity_at <= size; ++identity_at) {
+      std::vector<EcPoint> points(finite.begin(), finite.begin() + size);
+      if (identity_at < size) {
+        points[identity_at] = EcPoint::Infinity();
+      }
+      for (const U256& k : scalars) {
+        SCOPED_TRACE("size " + std::to_string(size) + " identity at " +
+                     std::to_string(identity_at));
+        ExpectBatchMatchesReference(points, k);
+      }
+    }
+  }
 }
 
 TEST(CtBatchScalarMultTest, BatchNormalizeCtMatchesBatchNormalize) {

@@ -14,6 +14,8 @@
 //   elgamal-decrypt        poisoned private key -> ElGamalDecrypt (ct ladder)
 //   batch-ecdh             poisoned long-term scalar -> EcdhSharedSecretBatch
 //                          (the batched ct ladder both report layers open on)
+//   batch-ecdh-even        the same with an even number of finite peers and
+//                          the identity second
 //   batch-elgamal-decrypt  poisoned private key -> ElGamalDecryptBatch
 //   gcm-verify             poisoned 16 provided-tag bytes -> AesGcm::Open
 //   hmac-verify            poisoned key and expected MAC -> HmacVerify
@@ -84,10 +86,18 @@ std::vector<EcPoint> HarnessPeers(SecureRandom& rng) {
           KeyPair::Generate(rng).public_key, curve.generator()};
 }
 
-bool ScenarioBatchEcdh() {
-  SecureRandom rng(ToBytes("ct-harness-batch-ecdh"));
+// Four finite peers with the identity in the second slot.
+std::vector<EcPoint> HarnessPeersEven(SecureRandom& rng) {
+  const P256& curve = P256::Get();
+  return {KeyPair::Generate(rng).public_key, EcPoint::Infinity(),
+          KeyPair::Generate(rng).public_key, KeyPair::Generate(rng).public_key,
+          curve.generator()};
+}
+
+// Poisons one long-term scalar and opens `peers` through the batched ct
+// ladder; every slot must match the unpoisoned single-shot path.
+bool CheckBatchEcdh(SecureRandom& rng, const std::vector<EcPoint>& peers) {
   KeyPair a = KeyPair::Generate(rng);
-  std::vector<EcPoint> peers = HarnessPeers(rng);
   // Expected values from the unpoisoned single-shot path.
   std::vector<std::optional<Secret<U256>>> expected;
   for (const EcPoint& peer : peers) {
@@ -105,6 +115,16 @@ bool ScenarioBatchEcdh() {
     }
   }
   return true;
+}
+
+bool ScenarioBatchEcdh() {
+  SecureRandom rng(ToBytes("ct-harness-batch-ecdh"));
+  return CheckBatchEcdh(rng, HarnessPeers(rng));
+}
+
+bool ScenarioBatchEcdhEven() {
+  SecureRandom rng(ToBytes("ct-harness-batch-ecdh-even"));
+  return CheckBatchEcdh(rng, HarnessPeersEven(rng));
 }
 
 bool ScenarioBatchElGamalDecrypt() {
@@ -204,6 +224,7 @@ int Run(const std::string& scenario, const std::string& inject) {
       {"ecdh", &ScenarioEcdh},
       {"elgamal-decrypt", &ScenarioElGamalDecrypt},
       {"batch-ecdh", &ScenarioBatchEcdh},
+      {"batch-ecdh-even", &ScenarioBatchEcdhEven},
       {"batch-elgamal-decrypt", &ScenarioBatchElGamalDecrypt},
       {"gcm-verify", &ScenarioGcmVerify},
       {"hmac-verify", &ScenarioHmacVerify},
@@ -242,7 +263,8 @@ int main(int argc, char** argv) {
   }
   if (scenario.empty() && inject.empty()) {
     std::fprintf(stderr,
-                 "usage: ct_harness <ecdh|elgamal-decrypt|batch-ecdh|batch-elgamal-decrypt|"
+                 "usage: ct_harness <ecdh|elgamal-decrypt|batch-ecdh|batch-ecdh-even|"
+                 "batch-elgamal-decrypt|"
                  "gcm-verify|hmac-verify|all> [--inject=branch|index|tag-memcmp|wnaf-recode]\n");
     return 2;
   }
