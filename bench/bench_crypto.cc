@@ -9,6 +9,7 @@
 #include "src/crypto/ecdsa.h"
 #include "src/crypto/elgamal.h"
 #include "src/crypto/hash_to_curve.h"
+#include "src/crypto/p256_field.h"
 #include "src/crypto/secret_share.h"
 #include "src/crypto/sha256.h"
 
@@ -62,6 +63,30 @@ void BM_FieldMontSqr(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FieldMontSqr);
+
+// One P-256 field addition and one subtraction (the field core itself, not
+// ModField), chained the same way.
+void BM_FieldAdd(benchmark::State& state) {
+  SecureRandom rng(ToBytes("bench-field-add"));
+  U256 acc = rng.RandomScalar(p256_field::kPrime);
+  const U256 b = rng.RandomScalar(p256_field::kPrime);
+  for (auto _ : state) {
+    acc = p256_field::Add(acc, b);
+    benchmark::DoNotOptimize(acc);
+  }
+}
+BENCHMARK(BM_FieldAdd);
+
+void BM_FieldSub(benchmark::State& state) {
+  SecureRandom rng(ToBytes("bench-field-sub"));
+  U256 acc = rng.RandomScalar(p256_field::kPrime);
+  const U256 b = rng.RandomScalar(p256_field::kPrime);
+  for (auto _ : state) {
+    acc = p256_field::Sub(acc, b);
+    benchmark::DoNotOptimize(acc);
+  }
+}
+BENCHMARK(BM_FieldSub);
 
 // Two independent MontMul chains per iteration, reported per multiplication:
 // what a second point in lockstep gains when the core overlaps the chains.

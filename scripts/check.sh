@@ -118,7 +118,7 @@ done
 
 echo "== bench smoke =="
 # Tiny runs: confirm the benches execute and emit their BENCH_*.json files.
-(cd "$BUILD_DIR" && ./bench_crypto --benchmark_filter='BaseMult|FieldMont|BatchScalarMultSecret256' \
+(cd "$BUILD_DIR" && ./bench_crypto --benchmark_filter='BaseMult|FieldMont|FieldAdd|FieldSub|BatchScalarMultSecret256' \
   --benchmark_min_time=0.05)
 (cd "$BUILD_DIR" && PROCHLO_STASH_MAX_N=10000 PROCHLO_STASH_THREADS=0 ./bench_stash_shuffle)
 (cd "$BUILD_DIR" && PROCHLO_INGEST_N=500 ./bench_ingest)

@@ -2,14 +2,12 @@
 # Dynamic constant-time verification (ctgrind-style).
 #
 # Drives build/ct_harness under valgrind:
-#   1. Positives: the seven real crypto scenarios (ecdh, elgamal-decrypt,
-#      batch-ecdh, batch-ecdh-even, batch-elgamal-decrypt, gcm-verify,
-#      hmac-verify) must produce ZERO shadow-state errors — no branch or
-#      memory address may depend on poisoned secret bytes.
-#   2. Negatives: the planted violations
-#      (--inject=branch|index|tag-memcmp|wnaf-recode) MUST be reported.  A
-#      verifier that stays quiet on a planted bug is not evidence of
-#      anything.
+#   1. Positives: the real crypto scenarios (SCENARIOS below) must produce
+#      ZERO shadow-state errors — no branch or memory address may depend on
+#      poisoned secret bytes.
+#   2. Negatives: the planted violations (INJECTIONS below, each run as
+#      --inject=<name>) MUST be reported.  A verifier that stays quiet on a
+#      planted bug is not evidence of anything.
 #
 # Degrades gracefully: without valgrind (or without the valgrind headers at
 # build time, which leaves the poison hooks inert) it runs the harness as a
@@ -51,10 +49,13 @@ if [ "$backend" != "backend-active=yes" ]; then
   exit 0
 fi
 
+SCENARIOS=(ecdh elgamal-decrypt batch-ecdh batch-ecdh-even batch-elgamal-decrypt gcm-verify
+           hmac-verify)
+INJECTIONS=(branch index tag-memcmp wnaf-recode field-branch)
+
 fail=0
 
-for scenario in ecdh elgamal-decrypt batch-ecdh batch-ecdh-even batch-elgamal-decrypt gcm-verify \
-    hmac-verify; do
+for scenario in "${SCENARIOS[@]}"; do
   log="$(mktemp)"
   if "${VALGRIND[@]}" "$HARNESS" "$scenario" >/dev/null 2>"$log"; then
     echo "ct-verify: PASS $scenario (no secret-dependent branches or indices)"
@@ -66,7 +67,7 @@ for scenario in ecdh elgamal-decrypt batch-ecdh batch-ecdh-even batch-elgamal-de
   rm -f "$log"
 done
 
-for inject in branch index tag-memcmp wnaf-recode; do
+for inject in "${INJECTIONS[@]}"; do
   if "${VALGRIND[@]}" "$HARNESS" --inject="$inject" >/dev/null 2>&1; then
     echo "ct-verify: FAIL inject=$inject — planted violation NOT detected" >&2
     fail=1
@@ -79,4 +80,5 @@ if [ "$fail" -ne 0 ]; then
   echo "ct-verify: FAIL" >&2
   exit 1
 fi
-echo "ct-verify: OK (6 scenarios shadow-clean, 4 planted violations caught)"
+echo "ct-verify: OK (${#SCENARIOS[@]} scenarios shadow-clean," \
+     "${#INJECTIONS[@]} planted violations caught)"

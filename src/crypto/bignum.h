@@ -127,8 +127,8 @@ class ModField {
   // multiplication and converts only at the edges).  When the modulus is the
   // P-256 prime, MontMul and MontSqr call the inline P-256 field core
   // (src/crypto/p256_field.h): a CIOS specialised to the prime's sparse limbs
-  // and a dedicated squaring, both on add-with-carry helpers.  Other moduli
-  // take the generic CIOS, and MontSqr(a) is MontMul(a, a).
+  // and a dedicated squaring, both inline asm on x86-64.  Other moduli take
+  // the generic CIOS, and MontSqr(a) is MontMul(a, a).
   U256 MontMul(const U256& a, const U256& b) const;
   U256 MontSqr(const U256& a) const;
   U256 ToMont(const U256& a) const { return MontMul(a, r2_); }

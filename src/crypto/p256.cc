@@ -405,10 +405,11 @@ std::vector<P256::Jacobian> P256::BatchScalarMultSecretJac(
 
   // Multiples 1..8 of every finite point.  The POINTS are public in every
   // use (ephemeral keys, El Gamal components); only the scalar is secret, so
-  // the tables are built with the ordinary variable-time ops, and all of
-  // them are normalized to affine with one shared inversion — every ladder
-  // addition below is then a mixed addition.  Identity placeholders are
-  // skipped: that branch reads the public point, never the scalar.
+  // the tables are built with the ordinary variable-time ops (3P..8P as
+  // mixed additions of the affine point), and all of them are normalized to
+  // affine with one shared inversion — every ladder addition below is then
+  // a mixed addition.  Identity placeholders are skipped: that branch reads
+  // the public point, never the scalar.
   std::vector<Jacobian> multiples;
   multiples.reserve(kCtTableSize * n);
   for (const EcPoint& point : points) {
@@ -416,10 +417,11 @@ std::vector<P256::Jacobian> P256::BatchScalarMultSecretJac(
       continue;
     }
     const Jacobian p = ToJacobian(point);
+    const AffineMont affine{p.x, p.y};
     multiples.push_back(p);
     multiples.push_back(JacDouble(p));
     for (size_t d = 3; d <= kCtTableSize; ++d) {
-      multiples.push_back(JacAdd(multiples.back(), p));
+      multiples.push_back(JacAddAffine(multiples.back(), affine));
     }
   }
   NormalizeToAffineMont(multiples);
@@ -437,22 +439,25 @@ std::vector<P256::Jacobian> P256::BatchScalarMultSecretJac(
   int64_t digits[kCtDigits];
   CtRecode(k, digits);
 
-  // Uniform ladder: 65 windows of exactly 4 doublings, one full-scan lookup
-  // of the |digit| multiple (|digit| = 0 reads nothing and masks the
-  // addition away), one masked negation and one masked mixed addition —
-  // the same sequence for every scalar.  The addition's doubling case
-  // depends only on the scalar: the accumulator before window w's addition
-  // is 16*K*P with K the scalar's digits above w, and for w >= 1 that
-  // cannot equal the window's +-|d|*P for a reduced scalar.  In window 0 it
-  // can, exactly when k = n + 2*d0, i.e. k = n - 2 (d0 = -1), so only
-  // window 0 carries the masked doubling patch.
+  // Uniform ladder: the top window's digit is the recode carry, 0 or 1, so
+  // the accumulator starts as a masked select of P or the identity.  Then 64
+  // windows of exactly 4 doublings, one full-scan lookup of the |digit|
+  // multiple (|digit| = 0 reads nothing and masks the addition away), one
+  // masked negation and one masked mixed addition — the same sequence for
+  // every scalar.  The addition's doubling case depends only on the scalar:
+  // the accumulator before window w's addition is 16*K*P with K the
+  // scalar's digits above w, and for w >= 1 that cannot equal the window's
+  // +-|d|*P for a reduced scalar.  In window 0 it can, exactly when
+  // k = n + 2*d0, i.e. k = n - 2 (d0 = -1), so only window 0 carries the
+  // masked doubling patch.
   size_t base = 0;
   for (size_t i = 0; i < n; ++i) {
     if (points[i].infinity) {
       continue;
     }
-    Jacobian acc = kIdentity;
-    for (int w = kCtDigits - 1; w >= 0; --w) {
+    Jacobian acc = SelectJac(ct::NonZeroMask(static_cast<uint64_t>(digits[kCtDigits - 1])),
+                             Jacobian{xs[base], ys[base], fe::kOneMont}, kIdentity);
+    for (int w = kCtDigits - 2; w >= 0; --w) {
       for (int d = 0; d < 4; ++d) {
         acc = JacDoubleCt(acc);
       }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/crypto/bignum.h"
+#include "src/crypto/p256_field.h"
 #include "src/util/rng.h"
 
 namespace prochlo {
@@ -245,6 +246,12 @@ TEST_P(ModFieldTest, EdgeResiduesMatchWideReference) {
                                    0, 0, 0}))
           << a.ToHex() << " + " << b.ToHex();
       EXPECT_EQ(field_.Add(field_.Sub(a, b), b), a) << a.ToHex() << " - " << b.ToHex();
+      // MontSqr on a*b/R as well: dividing by R makes its limbs dense, so
+      // they carry where the sparse edges' own limbs do not.
+      const U256 mont = field_.MontMul(a, b);
+      EXPECT_EQ(field_.ReduceWide(MulWide(field_.MontSqr(mont), r_mod_m)),
+                field_.ReduceWide(MulWide(mont, mont)))
+          << a.ToHex() << " * " << b.ToHex() << " / R, squared";
     }
     EXPECT_EQ(field_.ReduceWide(MulWide(field_.MontSqr(a), r_mod_m)),
               field_.ReduceWide(MulWide(a, a)))
@@ -269,6 +276,42 @@ TEST_P(ModFieldTest, MontSqrMatchesMontMul) {
   }
   const U256 all_ones{{~0ull, ~0ull, ~0ull, ~0ull}};
   EXPECT_EQ(field_.MontSqr(all_ones), field_.MontMul(all_ones, all_ones));
+}
+
+// The P-256 field core's MontMul, MontSqr, Add and Sub (x86-64 asm) against
+// its portable C bodies, which must agree on every 256-bit input: the edge
+// residues, then random inputs, half reduced and half arbitrary.  Off
+// x86-64 the two are the same code.
+TEST(P256FieldTest, AsmMatchesPortable) {
+  namespace fe = p256_field;
+  const ModField field(U256::FromHex(kP256PrimeHex));
+  auto check = [](const U256& a, const U256& b) {
+    ASSERT_EQ(fe::MontMul(a, b), fe::portable::MontMul(a, b)) << a.ToHex() << " * " << b.ToHex();
+    ASSERT_EQ(fe::MontSqr(a), fe::portable::MontSqr(a)) << a.ToHex();
+    ASSERT_EQ(fe::Add(a, b), fe::portable::Add(a, b)) << a.ToHex() << " + " << b.ToHex();
+    ASSERT_EQ(fe::Sub(a, b), fe::portable::Sub(a, b)) << a.ToHex() << " - " << b.ToHex();
+  };
+  const std::vector<U256> edges = EdgeResidues(field);
+  for (const U256& a : edges) {
+    for (const U256& b : edges) {
+      check(a, b);
+    }
+  }
+  if (HasFatalFailure()) {
+    return;
+  }
+  const U256 all_ones{{~0ull, ~0ull, ~0ull, ~0ull}};
+  check(all_ones, all_ones);
+  check(all_ones, U256::Zero());
+  check(U256::Zero(), all_ones);
+  Rng rng(61);
+  for (int i = 0; i < 500000; ++i) {
+    check(field.Reduce(RandomU256(rng)), field.Reduce(RandomU256(rng)));
+    check(RandomU256(rng), RandomU256(rng));
+    if (HasFatalFailure()) {
+      return;
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(P256Fields, ModFieldTest,

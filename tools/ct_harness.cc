@@ -7,7 +7,7 @@
 // about names; this harness tracks the actual data flow, so the two cover
 // each other's blind spots.
 //
-// Usage:  ct_harness <scenario> [--inject=branch|index|tag-memcmp|wnaf-recode]
+// Usage:  ct_harness <scenario> [--inject=branch|index|tag-memcmp|wnaf-recode|field-branch]
 //
 // Scenarios (all must be shadow-clean under valgrind/MSan):
 //   ecdh                   poisoned long-term scalar -> EcdhSharedSecret
@@ -23,10 +23,10 @@
 //
 // --inject deliberately violates the discipline on poisoned bytes (a branch,
 // a secret-indexed load, an early-exit memcmp, a wNAF recode of a secret
-// scalar on the public batch path).  scripts/ct_verify.sh runs
-// the positives expecting a clean shadow report AND the negatives expecting
-// the tool to complain — a verifier that can't see planted bugs proves
-// nothing.
+// scalar on the public batch path, a field correction branched on a
+// borrow).  scripts/ct_verify.sh runs the positives expecting a clean shadow
+// report AND the negatives expecting the tool to complain — a verifier that
+// can't see planted bugs proves nothing.
 //
 // Without a backend (plain build, no valgrind) the poison calls are no-ops
 // and this binary is a plain functional smoke test; it prints
@@ -207,6 +207,20 @@ int RunInjection(const std::string& kind) {
     g_sink = static_cast<uint8_t>(out.size());
     return 0;
   }
+  if (kind == "field-branch") {
+    // A field subtraction that takes its correction with a branch on the
+    // borrow of poisoned operands, where the field core masks it in.
+    const U256 a = U256::FromBytes(ByteSpan(secret.data(), 32));
+    U256 b = a;
+    b.limbs[0] ^= 1;
+    U256 diff;
+    if (SubWithBorrow(a, b, &diff) != 0) {  // secret-dependent branch
+      AddWithCarry(diff, P256::Get().field().modulus(), &diff);
+      g_sink = 3;
+    }
+    g_sink = static_cast<uint8_t>(diff.limbs[0]);
+    return 0;
+  }
   std::fprintf(stderr, "ct_harness: unknown injection '%s'\n", kind.c_str());
   return 2;
 }
@@ -265,7 +279,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "usage: ct_harness <ecdh|elgamal-decrypt|batch-ecdh|batch-ecdh-even|"
                  "batch-elgamal-decrypt|"
-                 "gcm-verify|hmac-verify|all> [--inject=branch|index|tag-memcmp|wnaf-recode]\n");
+                 "gcm-verify|hmac-verify|all> "
+                 "[--inject=branch|index|tag-memcmp|wnaf-recode|field-branch]\n");
     return 2;
   }
   if (scenario.empty()) {
